@@ -7,8 +7,12 @@
 
 #include "petri/MarkedGraph.h"
 
+#include "support/Metrics.h"
+
+#include <algorithm>
 #include <cassert>
 #include <deque>
+#include <utility>
 
 using namespace sdsp;
 
@@ -98,52 +102,140 @@ bool sdsp::isLiveMarkedGraph(const PetriNet &Net) {
 
 namespace {
 
-/// Searches for a path From -> To whose edges carry at most \p Budget
-/// tokens in total, visiting each (vertex, tokens-used) state once.
-bool existsBoundedTokenPath(const MarkedGraphView &G, TransitionId From,
-                            TransitionId To, uint32_t Budget) {
-  size_t N = G.numVertices();
-  std::vector<std::vector<bool>> Seen(N,
-                                      std::vector<bool>(Budget + 1, false));
-  std::deque<std::pair<size_t, uint32_t>> Work;
-  Work.push_back({From.index(), 0});
-  Seen[From.index()][0] = true;
-  while (!Work.empty()) {
-    auto [V, Used] = Work.front();
-    Work.pop_front();
-    if (V == To.index())
-      return true;
-    for (uint32_t EI : G.outEdges(TransitionId(V))) {
-      const MarkedGraphView::Edge &E = G.edge(EI);
-      uint64_t NewUsed = static_cast<uint64_t>(Used) + E.Tokens;
-      if (NewUsed > Budget)
-        continue;
-      size_t W = E.To.index();
-      if (Seen[W][NewUsed])
-        continue;
-      Seen[W][NewUsed] = true;
-      Work.push_back({W, static_cast<uint32_t>(NewUsed)});
-    }
+/// The safety check's work counters, flushed into the global registry
+/// once per call on every exit path (the pattern of core/Frustum.cpp's
+/// EngineMetricsFlusher).  Both are functions of the net alone, so they
+/// are exact and thread-count-invariant.
+struct SafeCheckMetrics {
+  uint64_t EdgeScans = 0;
+  ~SafeCheckMetrics() {
+    MetricsRegistry &MR = MetricsRegistry::global();
+    MR.add("marked_graph.safe.checks", 1);
+    MR.add("marked_graph.safe.edge_scans", EdgeScans);
   }
-  return false;
-}
+};
+
+/// Adjacency in compressed-sparse-row form: row R holds
+/// Item[Start[R] .. Start[R + 1]).
+struct Csr {
+  std::vector<uint32_t> Start;
+  std::vector<uint32_t> Item;
+
+  /// Groups (row, item) pairs by row, keeping their input order.
+  Csr(size_t Rows, const std::vector<std::pair<uint32_t, uint32_t>> &Pairs)
+      : Start(Rows + 1, 0), Item(Pairs.size()) {
+    for (auto [Row, It] : Pairs)
+      ++Start[Row + 1];
+    for (size_t R = 0; R < Rows; ++R)
+      Start[R + 1] += Start[R];
+    std::vector<uint32_t> Next(Start.begin(), Start.end() - 1);
+    for (auto [Row, It] : Pairs)
+      Item[Next[Row]++] = It;
+  }
+};
 
 } // namespace
 
 bool sdsp::isSafeMarkedGraph(const PetriNet &Net) {
-  MarkedGraphView G(Net);
-  // Every edge must close into a cycle with token count exactly 1.  For
-  // a live marking each cycle already has >= 1 token, so it suffices to
-  // find, for each edge e = (u, v, k), a return path v -> u with at most
-  // 1 - k tokens... except k may already exceed 1, which immediately
-  // violates safety for live nets with cycles through e.  We check: a
-  // return path with total tokens <= 1 - k exists (treating k > 1 as a
-  // failure).
-  for (const MarkedGraphView::Edge &E : G.edges()) {
-    if (E.Tokens > 1)
+  SafeCheckMetrics Metrics;
+  const size_t N = Net.numTransitions();
+
+  // Edges as (from, to) pairs, split by token count.  An edge with two
+  // or more tokens lies only on cycles with two or more: unsafe.
+  std::vector<std::pair<uint32_t, uint32_t>> Free, Marked;
+  for (PlaceId P : Net.placeIds()) {
+    const PetriNet::Place &Pl = Net.place(P);
+    if (Pl.Producers.size() != 1 || Pl.Consumers.size() != 1)
+      return false; // Not a marked graph.
+    if (Pl.InitialTokens > 1)
       return false;
-    uint32_t Budget = 1 - E.Tokens;
-    if (!existsBoundedTokenPath(G, E.To, E.From, Budget))
+    std::pair<uint32_t, uint32_t> E(Pl.Producers.front().index(),
+                                    Pl.Consumers.front().index());
+    (Pl.InitialTokens == 0 ? Free : Marked).push_back(E);
+  }
+
+  // Topological order of the token-free subgraph (Kahn).  Liveness makes
+  // it a DAG; an order that misses a transition means a token-free
+  // cycle, i.e. a net that is not live.
+  std::vector<uint32_t> Order, Pos(N);
+  {
+    Csr Out(N, Free);
+    std::vector<uint32_t> InDegree(N, 0);
+    for (auto [From, To] : Free)
+      ++InDegree[To];
+    Order.reserve(N);
+    for (uint32_t T = 0; T < N; ++T)
+      if (InDegree[T] == 0)
+        Order.push_back(T);
+    for (size_t I = 0; I < Order.size(); ++I)
+      for (uint32_t J = Out.Start[Order[I]]; J < Out.Start[Order[I] + 1];
+           ++J)
+        if (--InDegree[Out.Item[J]] == 0)
+          Order.push_back(Out.Item[J]);
+    if (Order.size() != N)
+      return false;
+    for (uint32_t I = 0; I < N; ++I)
+      Pos[Order[I]] = I;
+  }
+
+  // In-edges by target, everything renumbered to topological positions
+  // so that both sweeps walk the word arrays in order.
+  for (auto *Edges : {&Free, &Marked})
+    for (std::pair<uint32_t, uint32_t> &E : *Edges)
+      E = {Pos[E.second], Pos[E.first]};
+  const Csr FreeIn(N, Free), MarkedIn(N, Marked);
+
+  // One bit per source, 64 sources per batch, taken in topological
+  // order.  Reach0[p] holds the batch sources reaching p by a token-free
+  // walk; Reach1[p] those reaching it by a walk with exactly one token.
+  std::vector<uint64_t> Reach0(N, 0), Reach1(N, 0);
+  for (size_t Lo = 0; Lo < N; Lo += 64) {
+    const size_t Hi = std::min(N, Lo + 64);
+    // No token-free walk leads back to a position before Lo; clear what
+    // the previous batch left there.
+    if (Lo > 0)
+      std::fill(Reach0.begin() + (Lo - 64), Reach0.begin() + Lo, 0);
+
+    // Layer 0, from the batch's first position on.
+    for (size_t P = Lo; P < N; ++P) {
+      uint64_t W = P < Hi ? uint64_t(1) << (P - Lo) : 0;
+      for (uint32_t I = FreeIn.Start[P]; I < FreeIn.Start[P + 1]; ++I)
+        W |= Reach0[FreeIn.Item[I]];
+      Reach0[P] = W;
+    }
+    Metrics.EdgeScans += FreeIn.Start[N] - FreeIn.Start[Lo];
+
+    // Layer 1, entered through one-token edges.  Only positions up to
+    // the batch's last feed the coverage test: a token-free predecessor
+    // precedes its successor in the order.
+    for (size_t P = 0; P < Lo; ++P) {
+      uint64_t W = 0;
+      for (uint32_t I = FreeIn.Start[P]; I < FreeIn.Start[P + 1]; ++I)
+        W |= Reach1[FreeIn.Item[I]];
+      for (uint32_t I = MarkedIn.Start[P]; I < MarkedIn.Start[P + 1]; ++I)
+        W |= Reach0[MarkedIn.Item[I]];
+      Reach1[P] = W;
+    }
+    // The batch itself: edge (u, v, k) into a source v is covered iff
+    // v's bit is in u's layer-0 word (k = 1) or in either word (k = 0).
+    uint64_t Uncovered = 0;
+    for (size_t P = Lo; P < Hi; ++P) {
+      const uint64_t Bit = uint64_t(1) << (P - Lo);
+      uint64_t W = 0;
+      for (uint32_t I = FreeIn.Start[P]; I < FreeIn.Start[P + 1]; ++I) {
+        uint32_t U = FreeIn.Item[I];
+        W |= Reach1[U];
+        Uncovered |= Bit & ~(Reach0[U] | Reach1[U]);
+      }
+      for (uint32_t I = MarkedIn.Start[P]; I < MarkedIn.Start[P + 1]; ++I) {
+        uint32_t U = MarkedIn.Item[I];
+        W |= Reach0[U];
+        Uncovered |= Bit & ~Reach0[U];
+      }
+      Reach1[P] = W;
+    }
+    Metrics.EdgeScans += FreeIn.Start[Hi] + MarkedIn.Start[Hi];
+    if (Uncovered)
       return false;
   }
   return true;

@@ -95,8 +95,34 @@ bool isMarkedGraph(const PetriNet &Net);
 bool isLiveMarkedGraph(const PetriNet &Net);
 
 /// Thm A.5.2 check: a live marking is safe iff every edge lies on a
-/// simple cycle with token count exactly 1.  Runs one BFS per edge over
-/// a "remaining token budget" graph; \p Net must be a live marked graph.
+/// simple cycle with token count exactly 1.  An edge (u, v, k) with
+/// k >= 2 fails at once; any other needs a return walk v -> u carrying
+/// at most 1 - k tokens.
+///
+/// All edges are answered together by word-parallel reachability over a
+/// two-layer "token budget" graph: layer 0 holds walks that used no
+/// token, layer 1 walks that used one.  A token-free edge stays within
+/// its layer; a one-token edge leads from layer 0 to layer 1.  Liveness
+/// makes the token-free edges a DAG, so one topological order serves
+/// both layers.  Sources go 64 at a time, one bit each of a uint64_t per
+/// transition and layer, and each batch makes two sweeps over reused
+/// scratch words: layer 0 from the batch's first position on, then
+/// layer 1, seeded through the one-token edges.  Edge (u, v, k) is
+/// covered iff v's bit is set in u's layer-0 word (k = 1) or in either
+/// of u's words (k = 0); the first batch with an uncovered edge returns
+/// false.
+///
+/// Cost: O((N + E) * ceil(N / 64)) word operations, O(N + E) memory.
+/// No linear bound is on offer: checking any set of reachability pairs
+/// in a DAG reduces to this check (each pair becomes a one-token back
+/// edge, and every DAG edge gets a one-token reverse edge).
+///
+/// \p Net must be a live marked graph.  Returns false when it is not: a
+/// place without exactly one producer and one consumer, or a token-free
+/// cycle (the topological order then misses a transition).  Each call
+/// adds 1 to the `marked_graph.safe.checks` counter and the edges its
+/// sweeps scanned to `marked_graph.safe.edge_scans`
+/// (docs/OBSERVABILITY.md).
 bool isSafeMarkedGraph(const PetriNet &Net);
 
 /// True iff \p Net is structurally persistent: no place has more than

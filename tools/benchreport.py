@@ -516,12 +516,23 @@ def store_report(report):
     }
 
 
+def host_independent_counters(counters):
+    """Drops the counter series that are exact on one host but differ
+    between hosts: per-shard splits (a std::hash layout detail),
+    byte-size estimates (ABI-dependent), and simd.tier.<tier> (named
+    after the best SIMD tier of the capturing CPU)."""
+    return {
+        name: value
+        for name, value in counters.items()
+        if not name.startswith(("cache.shard", "simd.tier."))
+        and not name.endswith(".bytes")
+    }
+
+
 def metrics_report(build_dir, out_dir):
     """Runs the deterministic batch workload under --metrics-json and
-    keeps the machine-independent counters.  Per-shard series (a
-    std::hash layout detail) and byte-size estimates (ABI-dependent)
-    are dropped; everything left is an exact work count that must not
-    drift between hosts running the same code."""
+    keeps the host-independent counters: exact work counts that must
+    not drift between hosts running the same code."""
     sdspc = os.path.join(build_dir, "tools", "sdspc")
     if not os.path.isfile(sdspc):
         raise SystemExit("missing sdspc binary: %s (build the sdspc "
@@ -541,12 +552,7 @@ def metrics_report(build_dir, out_dir):
     if metrics.get("schema") != "sdsp-metrics-v1":
         raise SystemExit("unexpected metrics schema: %r" %
                          metrics.get("schema"))
-    counters = {
-        name: value
-        for name, value in metrics.get("counters", {}).items()
-        if not name.startswith("cache.shard")
-        and not name.endswith(".bytes")
-    }
+    counters = host_independent_counters(metrics.get("counters", {}))
     return {
         "benchmark": "sdspc --batch-kernels --verify --metrics-json",
         "generated_by": "tools/benchreport.py",

@@ -21,7 +21,10 @@ comparator:
     lost to cold recompute" -- a plausible-sounding lie about a broken
     capture;
   * a zero/missing num_cpus filtered every thread arm out of both batch
-    maps, so the batch comparison passed without comparing anything.
+    maps, so the batch comparison passed without comparing anything;
+  * metrics_report kept simd.tier.<tier>, named after the capturing
+    CPU's SIMD tier, so the exact counter comparison failed on any host
+    with a different tier even when the code was unchanged.
 
 Standard library only; pytest-style test_* functions run by a tiny
 driver so ctest can invoke this file directly.
@@ -221,6 +224,19 @@ def test_counter_drift_still_fails():
     out, err = run_compare(fresh)
     assert err is not None, "counter drift must fail the compare"
     assert "exact match required" in str(err)
+
+
+def test_host_dependent_counters_are_dropped():
+    kept = benchreport.host_independent_counters({
+        "engine.firings": 217,
+        "simd.tier.avx512": 9,
+        "simd.tier.scalar": 9,
+        "cache.shard03.hits": 2,
+        "cache.bytes": 4096,
+        "marked_graph.safe.edge_scans": 640,
+    })
+    assert kept == {"engine.firings": 217,
+                    "marked_graph.safe.edge_scans": 640}, kept
 
 
 def main():
