@@ -376,7 +376,9 @@ void encodeSchedule(const SoftwarePipelineSchedule &S, ByteWriter &W) {
 
 bool decodeSchedule(ByteReader &R,
                     std::shared_ptr<SoftwarePipelineSchedule> &Out) {
-  uint64_t NumTransitions = R.u64();
+  // Every transition owns k >= 1 kernel ops of 16 bytes each, so the
+  // remaining buffer bounds the count before anything is allocated.
+  uint64_t NumTransitions = R.seqLen(16);
   uint64_t Start = R.u64();
   uint64_t Period = R.u64();
   uint32_t K = R.u32();
@@ -411,6 +413,10 @@ bool decodeSchedule(ByteReader &R,
     S->addKernelOp(Slot, TransitionId(T), FirstIteration);
     ++SeenIterations[T];
   }
+  // startTime() indexes k kernel slots per transition.
+  for (size_t T = 0; T < SeenIterations.size(); ++T)
+    if (SeenIterations[T] - S->prologueCount(TransitionId(T)) != K)
+      return false;
   Out = std::move(S);
   return true;
 }

@@ -164,6 +164,7 @@ Status pollInstant(const CancelToken &Cancel, FaultContext *Faults,
 struct EngineMetricsFlusher {
   const EarliestFiringEngine &Engine;
   const PackedStateTable &Seen;
+  const FiringPolicy *Policy;
   ~EngineMetricsFlusher() {
     MetricsRegistry &MR = MetricsRegistry::global();
     const EarliestFiringEngine::Counters &C = Engine.counters();
@@ -180,6 +181,8 @@ struct EngineMetricsFlusher {
     MR.add(std::string("simd.tier.") + simdTierName(activeSimdTier()),
            1);
     MR.add("frustum.detections", 1);
+    if (Policy)
+      MR.add("policy.readiness_checks", Policy->readinessChecks());
   }
 };
 
@@ -197,7 +200,7 @@ Expected<FrustumInfo> sdsp::detectFrustumChecked(const PetriNet &Net,
 
   EarliestFiringEngine Engine(Net, Policy);
   PackedStateTable Seen;
-  EngineMetricsFlusher Flusher{Engine, Seen};
+  EngineMetricsFlusher Flusher{Engine, Seen, Policy};
   PackedState PS;
   std::vector<StepRecord> Trace;
   uint64_t TotalFirings = 0;

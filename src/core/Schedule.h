@@ -73,6 +73,13 @@ public:
   const std::vector<PrologueOp> &prologue() const { return Prologue; }
   const std::vector<KernelOp> &kernel() const { return Kernel; }
 
+  /// Number of prologue firings of \p T.  From this iteration on, T's
+  /// start times are periodic: startTime(T, m + k) = startTime(T, m) + p
+  /// for every m >= prologueCount(T).
+  uint64_t prologueCount(TransitionId T) const {
+    return PrologueTimes[T.index()].size();
+  }
+
   /// Start time of iteration \p Iteration of transition \p T under the
   /// infinite unrolling of this schedule.
   TimeStep startTime(TransitionId T, uint64_t Iteration) const;

@@ -7,6 +7,9 @@
 
 #include "core/ScheduleDerivation.h"
 
+#include "support/Metrics.h"
+
+#include <algorithm>
 #include <cassert>
 
 using namespace sdsp;
@@ -67,20 +70,42 @@ bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
     return false;
   };
 
-  auto Tau = [&](TransitionId T) -> uint64_t {
-    return Pn.Net.transition(T).ExecTime;
+  // Constraint instances evaluated, flushed once per call on every exit
+  // path.  A function of the schedule alone, so exact and
+  // thread-count-invariant.
+  struct ValidateMetrics {
+    uint64_t Checks = 0;
+    ~ValidateMetrics() {
+      MetricsRegistry::global().add("schedule.validate.checks", Checks);
+    }
+  } Metrics;
+
+  // First iteration m in [Lag, CheckIterations) at which Later starts
+  // before iteration m - Lag of Earlier finishes, or CheckIterations if
+  // none.  Past H0 both start times advance by p every k iterations, so
+  // the replay stops at the horizon H0 + k (ScheduleDerivation.h).
+  uint64_t K = Sched.iterationsPerKernel();
+  auto FirstViolation = [&](TransitionId Later, TransitionId Earlier,
+                            uint64_t Lag) -> uint64_t {
+    uint64_t H0 = std::max(Sched.prologueCount(Later),
+                           Sched.prologueCount(Earlier) + Lag);
+    uint64_t End = std::min(CheckIterations, H0 + K);
+    uint64_t Tau = Pn.Net.transition(Earlier).ExecTime;
+    for (uint64_t M = Lag; M < End; ++M) {
+      ++Metrics.Checks;
+      if (Sched.startTime(Later, M) < Sched.startTime(Earlier, M - Lag) + Tau)
+        return M;
+    }
+    return CheckIterations;
   };
 
   // Non-reentrancy: firings of one transition are serialized.
   for (TransitionId T : Pn.Net.transitionIds()) {
-    for (uint64_t M = 1; M < CheckIterations; ++M) {
-      TimeStep Prev = Sched.startTime(T, M - 1);
-      TimeStep Cur = Sched.startTime(T, M);
-      if (Cur < Prev + Tau(T))
-        return Fail("transition " + Pn.Net.transition(T).Name +
-                    " iterations " + std::to_string(M - 1) + "/" +
-                    std::to_string(M) + " overlap");
-    }
+    uint64_t M = FirstViolation(T, T, 1);
+    if (M < CheckIterations)
+      return Fail("transition " + Pn.Net.transition(T).Name +
+                  " iterations " + std::to_string(M - 1) + "/" +
+                  std::to_string(M) + " overlap");
   }
 
   // Data dependences.
@@ -90,14 +115,11 @@ bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
     const DataflowGraph::Arc &Arc = G.arc(A);
     TransitionId U = Pn.NodeToTransition[Arc.From.index()];
     TransitionId V = Pn.NodeToTransition[Arc.To.index()];
-    for (uint64_t M = Arc.Distance; M < CheckIterations; ++M) {
-      TimeStep Produced =
-          Sched.startTime(U, M - Arc.Distance) + Tau(U);
-      if (Sched.startTime(V, M) < Produced)
-        return Fail("dependence violated on arc " +
-                    G.node(Arc.From).Name + " -> " + G.node(Arc.To).Name +
-                    " at iteration " + std::to_string(M));
-    }
+    uint64_t M = FirstViolation(V, U, Arc.Distance);
+    if (M < CheckIterations)
+      return Fail("dependence violated on arc " + G.node(Arc.From).Name +
+                  " -> " + G.node(Arc.To).Name + " at iteration " +
+                  std::to_string(M));
   }
 
   // Buffer capacities: the producer at the head of each ack chain must
@@ -107,13 +129,11 @@ bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
     const DataflowGraph::Arc &Tail = G.arc(Ack.Path.back());
     TransitionId U = Pn.NodeToTransition[Head.From.index()];
     TransitionId V = Pn.NodeToTransition[Tail.To.index()];
-    for (uint64_t M = Ack.Slots; M < CheckIterations; ++M) {
-      TimeStep AckReady = Sched.startTime(V, M - Ack.Slots) + Tau(V);
-      if (Sched.startTime(U, M) < AckReady)
-        return Fail("capacity violated on ack " + G.node(Tail.To).Name +
-                    " -> " + G.node(Head.From).Name + " at iteration " +
-                    std::to_string(M));
-    }
+    uint64_t M = FirstViolation(U, V, Ack.Slots);
+    if (M < CheckIterations)
+      return Fail("capacity violated on ack " + G.node(Tail.To).Name +
+                  " -> " + G.node(Head.From).Name + " at iteration " +
+                  std::to_string(M));
   }
 
   return true;

@@ -52,6 +52,19 @@ SoftwarePipelineSchedule deriveSchedule(const SdspPn &Pn,
 ///   - non-reentrancy: consecutive firings of one transition are at
 ///     least its execution time apart.
 /// On failure returns false and describes the violation in \p Error.
+///
+/// Each constraint start(later, m) >= start(earlier, m - lag) + tau
+/// (lag 1 for non-reentrancy, d for data arcs, slots for acks) is
+/// replayed only up to its horizon H0 + k, where
+/// H0 = max(prologueCount(later), prologueCount(earlier) + lag): from
+/// H0 on, both sides shift by exactly p when m grows by k, so a
+/// violation at m >= H0 + k implies one at m - k.  The verdict and the
+/// first-violation message therefore equal those of the full replay of
+/// all CheckIterations iterations, and a schedule that passes with
+/// every horizon reached (CheckIterations >= max H0 + k) is valid for
+/// every iteration.  Cost: O(constraints * (max prologue + max lag + k)),
+/// independent of CheckIterations; the constraint instances evaluated
+/// are counted in the schedule.validate.checks metric.
 bool validateSchedule(const Sdsp &S, const SdspPn &Pn,
                       const SoftwarePipelineSchedule &Sched,
                       uint64_t CheckIterations, std::string *Error = nullptr);

@@ -63,199 +63,146 @@ void FiringPolicy::appendFingerprint(std::vector<uint32_t> &Out) const {
   Out.insert(Out.end(), Fp.begin(), Fp.end());
 }
 
-FifoPolicy::FifoPolicy(std::vector<bool> IsConflicting,
-                       std::vector<PlaceId> ResourcePlaces)
-    : IsConflicting(std::move(IsConflicting)) {
+ReadyListPolicy::ReadyListPolicy(std::vector<bool> IsConflicting,
+                                 std::vector<PlaceId> ResourcePlaces,
+                                 bool NewestFirst)
+    : IsConflicting(std::move(IsConflicting)), NewestFirst(NewestFirst) {
   size_t MaxIdx = 0;
   for (PlaceId P : ResourcePlaces)
     MaxIdx = std::max(MaxIdx, static_cast<size_t>(P.index()) + 1);
   IsResourcePlace.assign(MaxIdx, false);
   for (PlaceId P : ResourcePlaces)
     IsResourcePlace[P.index()] = true;
-  InQueue.assign(this->IsConflicting.size(), false);
-  CandidateFlag.assign(this->IsConflicting.size(), false);
+  size_t N = this->IsConflicting.size();
+  InList.assign(N, false);
+  DirtyFlag.assign(N, false);
+  CandidateFlag.assign(N, false);
 }
 
-void FifoPolicy::reset() {
-  Queue.clear();
+void ReadyListPolicy::reset() {
+  List.clear();
   Head = 0;
   NumDead = 0;
-  std::fill(InQueue.begin(), InQueue.end(), false);
+  std::fill(InList.begin(), InList.end(), false);
+  for (uint32_t I : Dirty)
+    DirtyFlag[I] = false;
+  Dirty.clear();
+  ScanAll = true;
+  Checks = 0;
 }
 
-bool FifoPolicy::isDataReady(const PetriNet &Net, const Marking &M,
-                             TransitionId T) const {
-  for (PlaceId P : Net.transition(T).InputPlaces) {
-    if (P.index() < IsResourcePlace.size() && IsResourcePlace[P.index()])
-      continue; // The shared resource does not gate data readiness.
-    if (M.tokens(P) == 0)
-      return false;
+void ReadyListPolicy::markDirty(uint32_t I) {
+  if (I < IsConflicting.size() && IsConflicting[I] && !InList[I] &&
+      !DirtyFlag[I]) {
+    DirtyFlag[I] = true;
+    Dirty.push_back(I);
   }
-  return true;
 }
 
-void FifoPolicy::compact() {
+void ReadyListPolicy::enqueueIfDataReady(const PetriNet &Net,
+                                         const Marking &M, uint32_t I) {
+  assert(!InList[I] && "transition already waiting in the ready list");
+  ++Checks;
+  // The shared resource does not gate data readiness.
+  for (PlaceId P : Net.transition(TransitionId(I)).InputPlaces)
+    if (!isResourcePlace(P) && M.tokens(P) == 0)
+      return;
+  List.push_back(I);
+  InList[I] = true;
+}
+
+void ReadyListPolicy::compact() {
   size_t Out = 0;
-  for (size_t I = Head; I < Queue.size(); ++I)
-    if (Queue[I] != Dead)
-      Queue[Out++] = Queue[I];
-  Queue.resize(Out);
+  for (size_t I = Head; I < List.size(); ++I)
+    if (List[I] != Dead)
+      List[Out++] = List[I];
+  List.resize(Out);
   Head = 0;
   NumDead = 0;
 }
 
-void FifoPolicy::orderCandidates(const PetriNet &Net, const Marking &M,
-                                 std::vector<TransitionId> &Candidates) {
+void ReadyListPolicy::orderCandidates(
+    const PetriNet &Net, const Marking &M,
+    const std::vector<TransitionId> &Completed,
+    std::vector<TransitionId> &Candidates) {
   // Enqueue newly data-ready conflicting transitions in index order;
   // index order mirrors the adjacency-list tie-break of Section 5.2.
-  for (size_t I = 0; I < IsConflicting.size(); ++I) {
-    if (!IsConflicting[I] || InQueue[I])
-      continue;
-    TransitionId T(I);
-    if (isDataReady(Net, M, T)) {
-      Queue.push_back(static_cast<uint32_t>(I));
-      InQueue[I] = true;
-    }
+  if (ScanAll) {
+    ScanAll = false;
+    for (size_t I = 0; I < IsConflicting.size(); ++I)
+      if (IsConflicting[I] && !InList[I])
+        enqueueIfDataReady(Net, M, static_cast<uint32_t>(I));
+  } else {
+    for (TransitionId C : Completed)
+      for (PlaceId P : Net.transition(C).OutputPlaces)
+        if (!isResourcePlace(P))
+          for (TransitionId T : Net.place(P).Consumers)
+            markDirty(T.index());
+    std::sort(Dirty.begin(), Dirty.end());
+    for (uint32_t I : Dirty)
+      enqueueIfDataReady(Net, M, I);
   }
+  for (uint32_t I : Dirty)
+    DirtyFlag[I] = false;
+  Dirty.clear();
 
   // Non-conflicting candidates first (their relative order is
-  // irrelevant: they cannot disable each other), then queue order.
+  // irrelevant: they cannot disable each other), then list order.
   Scratch.clear();
   for (TransitionId T : Candidates)
     if (!IsConflicting[T.index()])
       Scratch.push_back(T);
   for (TransitionId T : Candidates)
     CandidateFlag[T.index()] = true;
-  for (size_t I = Head; I < Queue.size(); ++I)
-    if (Queue[I] != Dead && CandidateFlag[Queue[I]])
-      Scratch.push_back(TransitionId(Queue[I]));
+  auto Take = [&](uint32_t V) {
+    if (V != Dead && CandidateFlag[V])
+      Scratch.push_back(TransitionId(V));
+  };
+  if (NewestFirst)
+    for (size_t I = List.size(); I-- > Head;)
+      Take(List[I]);
+  else
+    for (size_t I = Head; I < List.size(); ++I)
+      Take(List[I]);
   for (TransitionId T : Candidates)
     CandidateFlag[T.index()] = false;
   Candidates.swap(Scratch);
 }
 
-void FifoPolicy::noteFired(TransitionId T) {
-  if (T.index() >= InQueue.size() || !InQueue[T.index()])
+void ReadyListPolicy::noteFired(TransitionId T) {
+  uint32_t V = T.index();
+  if (V >= InList.size() || !InList[V])
     return;
-  InQueue[T.index()] = false;
-  for (size_t I = Head; I < Queue.size(); ++I) {
-    if (Queue[I] == T.index()) {
-      Queue[I] = Dead;
-      ++NumDead;
-      break;
-    }
-  }
-  while (Head < Queue.size() && Queue[Head] == Dead) {
+  InList[V] = false;
+  // Its inputs may still hold tokens: re-test it at the next call.
+  markDirty(V);
+  auto It = std::find(List.begin() + static_cast<ptrdiff_t>(Head),
+                      List.end(), V);
+  assert(It != List.end() && "listed transition missing from the list");
+  *It = Dead;
+  ++NumDead;
+  while (Head < List.size() && List[Head] == Dead) {
     ++Head;
     --NumDead;
   }
-  if (NumDead * 2 > Queue.size() - Head)
-    compact();
-}
-
-std::vector<uint32_t> FifoPolicy::stateFingerprint() const {
-  std::vector<uint32_t> Fp;
-  appendFingerprint(Fp);
-  return Fp;
-}
-
-void FifoPolicy::appendFingerprint(std::vector<uint32_t> &Out) const {
-  for (size_t I = Head; I < Queue.size(); ++I)
-    if (Queue[I] != Dead)
-      Out.push_back(Queue[I]);
-}
-
-LifoPolicy::LifoPolicy(std::vector<bool> IsConflicting,
-                       std::vector<PlaceId> ResourcePlaces)
-    : IsConflicting(std::move(IsConflicting)) {
-  size_t MaxIdx = 0;
-  for (PlaceId P : ResourcePlaces)
-    MaxIdx = std::max(MaxIdx, static_cast<size_t>(P.index()) + 1);
-  IsResourcePlace.assign(MaxIdx, false);
-  for (PlaceId P : ResourcePlaces)
-    IsResourcePlace[P.index()] = true;
-  InStack.assign(this->IsConflicting.size(), false);
-  CandidateFlag.assign(this->IsConflicting.size(), false);
-}
-
-void LifoPolicy::reset() {
-  Stack.clear();
-  NumDead = 0;
-  std::fill(InStack.begin(), InStack.end(), false);
-}
-
-void LifoPolicy::compact() {
-  size_t Out = 0;
-  for (size_t I = 0; I < Stack.size(); ++I)
-    if (Stack[I] != Dead)
-      Stack[Out++] = Stack[I];
-  Stack.resize(Out);
-  NumDead = 0;
-}
-
-void LifoPolicy::orderCandidates(const PetriNet &Net, const Marking &M,
-                                 std::vector<TransitionId> &Candidates) {
-  auto DataReady = [&](TransitionId T) {
-    for (PlaceId P : Net.transition(T).InputPlaces) {
-      if (P.index() < IsResourcePlace.size() && IsResourcePlace[P.index()])
-        continue;
-      if (M.tokens(P) == 0)
-        return false;
-    }
-    return true;
-  };
-  for (size_t I = 0; I < IsConflicting.size(); ++I) {
-    if (!IsConflicting[I] || InStack[I])
-      continue;
-    if (DataReady(TransitionId(I))) {
-      Stack.push_back(static_cast<uint32_t>(I));
-      InStack[I] = true;
-    }
-  }
-
-  Scratch.clear();
-  for (TransitionId T : Candidates)
-    if (!IsConflicting[T.index()])
-      Scratch.push_back(T);
-  for (TransitionId T : Candidates)
-    CandidateFlag[T.index()] = true;
-  for (size_t I = Stack.size(); I-- > 0;)
-    if (Stack[I] != Dead && CandidateFlag[Stack[I]])
-      Scratch.push_back(TransitionId(Stack[I]));
-  for (TransitionId T : Candidates)
-    CandidateFlag[T.index()] = false;
-  Candidates.swap(Scratch);
-}
-
-void LifoPolicy::noteFired(TransitionId T) {
-  if (T.index() >= InStack.size() || !InStack[T.index()])
-    return;
-  InStack[T.index()] = false;
-  for (size_t I = 0; I < Stack.size(); ++I) {
-    if (Stack[I] == T.index()) {
-      Stack[I] = Dead;
-      ++NumDead;
-      break;
-    }
-  }
-  while (!Stack.empty() && Stack.back() == Dead) {
-    Stack.pop_back();
+  while (List.size() > Head && List.back() == Dead) {
+    List.pop_back();
     --NumDead;
   }
-  if (NumDead * 2 > Stack.size())
+  if (NumDead * 2 > List.size() - Head)
     compact();
 }
 
-std::vector<uint32_t> LifoPolicy::stateFingerprint() const {
+std::vector<uint32_t> ReadyListPolicy::stateFingerprint() const {
   std::vector<uint32_t> Fp;
   appendFingerprint(Fp);
   return Fp;
 }
 
-void LifoPolicy::appendFingerprint(std::vector<uint32_t> &Out) const {
-  for (uint32_t V : Stack)
-    if (V != Dead)
-      Out.push_back(V);
+void ReadyListPolicy::appendFingerprint(std::vector<uint32_t> &Out) const {
+  for (size_t I = Head; I < List.size(); ++I)
+    if (List[I] != Dead)
+      Out.push_back(List[I]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -622,7 +569,7 @@ void EarliestFiringEngine::prepare() {
     Ordered.clear();
     forEachSetBit(HS.EnabledIdle, L.BitWords,
                   [&](uint32_t I) { Ordered.push_back(TransitionId(I)); });
-    Policy->orderCandidates(Net, M, Ordered);
+    Policy->orderCandidates(Net, M, CompletedThisStep, Ordered);
     OrderedValid = true;
   }
 }

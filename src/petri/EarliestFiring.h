@@ -69,6 +69,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sdsp {
@@ -107,10 +108,12 @@ public:
   /// Returns to the initial machine condition.
   virtual void reset() = 0;
 
-  /// Called once per step after completions.  \p Candidates holds the
-  /// enabled idle transitions in index order; the policy reorders them
-  /// into its preferred firing order.
+  /// Called once per step after completions.  \p Completed holds the
+  /// transitions whose firing completed at this instant (in index
+  /// order), \p Candidates the enabled idle transitions in index order;
+  /// the policy reorders \p Candidates into its preferred firing order.
   virtual void orderCandidates(const PetriNet &Net, const Marking &M,
+                               const std::vector<TransitionId> &Completed,
                                std::vector<TransitionId> &Candidates) = 0;
 
   /// Notifies the policy that \p T actually fired this step.
@@ -123,78 +126,98 @@ public:
   /// vector; must emit exactly the stateFingerprint() values.  The
   /// default forwards to stateFingerprint(); hot policies override.
   virtual void appendFingerprint(std::vector<uint32_t> &Out) const;
+
+  /// Data-readiness tests made since the last reset().  Exact (a
+  /// function of the net and the policy alone); the frustum detector
+  /// flushes it once per search as policy.readiness_checks.
+  virtual uint64_t readinessChecks() const { return 0; }
 };
 
-/// The FIFO decision mechanism of Section 5.2: transitions enter a queue
-/// when they first become data-ready (ties broken by index, mirroring
-/// the paper's adjacency-list order) and the queue head wins conflicts.
-/// \p ConflictTransitions marks the transitions competing for the shared
-/// resource; others (the dummy transitions of the series expansion) are
-/// fired ahead of the queue.
-class FifoPolicy : public FiringPolicy {
+/// The queue machinery shared by the FIFO and LIFO decision mechanisms
+/// of Section 5.2.  A conflicting transition joins the ready list when
+/// it first becomes data-ready (every non-resource input place marked;
+/// ties broken by index, mirroring the paper's adjacency-list order)
+/// and leaves it when it fires.  Non-conflicting candidates (the dummy
+/// transitions of the series expansion) fire ahead of the list; the
+/// conflicting ones fire in list order, oldest first (FIFO) or newest
+/// first (LIFO).
+///
+/// Readiness is driven by events rather than rescanned: between two
+/// orderCandidates() calls the marking loses tokens to firings and
+/// gains them only from this instant's completions, so a transition
+/// outside the list can newly become data-ready only if it fired since
+/// the last call (its inputs may hold further tokens) or a completion
+/// just marked one of its non-resource inputs.  Only those are
+/// re-tested, in index order, which yields exactly the list a full
+/// rescan would.  The first call after reset() scans every transition.
+class ReadyListPolicy : public FiringPolicy {
 public:
-  /// \p IsConflicting flags, per transition index, whether the
-  /// transition competes for the shared resource place.
-  /// \p ResourcePlaces lists the shared places to ignore when deciding
-  /// data-readiness.
-  FifoPolicy(std::vector<bool> IsConflicting,
-             std::vector<PlaceId> ResourcePlaces);
-
   void reset() override;
   void orderCandidates(const PetriNet &Net, const Marking &M,
+                       const std::vector<TransitionId> &Completed,
                        std::vector<TransitionId> &Candidates) override;
   void noteFired(TransitionId T) override;
   std::vector<uint32_t> stateFingerprint() const override;
   void appendFingerprint(std::vector<uint32_t> &Out) const override;
+  uint64_t readinessChecks() const override { return Checks; }
+
+protected:
+  /// \p IsConflicting flags, per transition index, whether the
+  /// transition competes for the shared resource place.
+  /// \p ResourcePlaces lists the shared places to ignore when deciding
+  /// data-readiness.  \p NewestFirst selects LIFO order.
+  ReadyListPolicy(std::vector<bool> IsConflicting,
+                  std::vector<PlaceId> ResourcePlaces, bool NewestFirst);
 
 private:
-  /// Queue entries equal to Dead are tombstones: noteFired marks in
+  /// List entries equal to Dead are tombstones: noteFired marks in
   /// O(1)-amortized instead of erasing from the middle, and iteration
-  /// skips them.  Live entries sit in [Head, Queue.size()).
+  /// skips them.  Entries in [Head, List.size()) are in arrival order.
   static constexpr uint32_t Dead = ~0u;
 
   std::vector<bool> IsConflicting;
   std::vector<bool> IsResourcePlace;
-  std::vector<uint32_t> Queue;
+  bool NewestFirst;
+  std::vector<uint32_t> List;
   size_t Head = 0;
   size_t NumDead = 0;
-  std::vector<bool> InQueue;
+  std::vector<bool> InList;
+  /// Transitions to re-test at the next call, each once (DirtyFlag).
+  std::vector<uint32_t> Dirty;
+  std::vector<bool> DirtyFlag;
+  bool ScanAll = true;
+  uint64_t Checks = 0;
   /// Per-step scratch (member so steps allocate nothing at steady
   /// state).
   std::vector<TransitionId> Scratch;
   std::vector<bool> CandidateFlag;
 
-  bool isDataReady(const PetriNet &Net, const Marking &M,
-                   TransitionId T) const;
+  bool isResourcePlace(PlaceId P) const {
+    return P.index() < IsResourcePlace.size() && IsResourcePlace[P.index()];
+  }
+  void markDirty(uint32_t I);
+  void enqueueIfDataReady(const PetriNet &Net, const Marking &M, uint32_t I);
   void compact();
+};
+
+/// The FIFO decision mechanism of Section 5.2: the longest-waiting
+/// data-ready transition wins the shared resource.
+class FifoPolicy : public ReadyListPolicy {
+public:
+  FifoPolicy(std::vector<bool> IsConflicting,
+             std::vector<PlaceId> ResourcePlaces)
+      : ReadyListPolicy(std::move(IsConflicting), std::move(ResourcePlaces),
+                        /*NewestFirst=*/false) {}
 };
 
 /// A LIFO variant used by the choice-policy ablation: newest data-ready
 /// transition wins.  Everything else matches FifoPolicy.
-class LifoPolicy : public FiringPolicy {
+class LifoPolicy : public ReadyListPolicy {
 public:
   LifoPolicy(std::vector<bool> IsConflicting,
-             std::vector<PlaceId> ResourcePlaces);
-
-  void reset() override;
-  void orderCandidates(const PetriNet &Net, const Marking &M,
-                       std::vector<TransitionId> &Candidates) override;
-  void noteFired(TransitionId T) override;
-  std::vector<uint32_t> stateFingerprint() const override;
-  void appendFingerprint(std::vector<uint32_t> &Out) const override;
-
-private:
-  static constexpr uint32_t Dead = ~0u;
-
-  std::vector<bool> IsConflicting;
-  std::vector<bool> IsResourcePlace;
-  std::vector<uint32_t> Stack;
-  size_t NumDead = 0;
-  std::vector<bool> InStack;
-  std::vector<TransitionId> Scratch;
-  std::vector<bool> CandidateFlag;
-
-  void compact();
+             std::vector<PlaceId> ResourcePlaces)
+      : ReadyListPolicy(std::move(IsConflicting), std::move(ResourcePlaces),
+                        /*NewestFirst=*/true) {}
 };
 
 /// What happened during one clock step.

@@ -50,7 +50,7 @@ void ReferenceEngine::prepare() {
 
   // Phase A3: the machine observes the state and orders its choices.
   if (Policy)
-    Policy->orderCandidates(Net, M, Ordered);
+    Policy->orderCandidates(Net, M, CompletedThisStep, Ordered);
 }
 
 InstantaneousState ReferenceEngine::state() const {

@@ -16,6 +16,7 @@
 
 #include "core/ArtifactStore.h"
 
+#include "core/ArtifactCodec.h"
 #include "core/Session.h"
 #include "core/SharedArtifactCache.h"
 #include "livermore/Livermore.h"
@@ -29,6 +30,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace sdsp;
@@ -264,6 +266,62 @@ TEST(ArtifactStoreTest, TruncatedObjectIsRejected) {
   std::string Summary = compileSummary(Warm.Tiered, kernelSource("loop1"));
   EXPECT_NE(Summary, "<failed>");
   EXPECT_GE(Warm.Disk.counters().Corrupt, 1u);
+}
+
+/// The encoded header of a schedule artifact: transition count, prologue
+/// end, kernel length p and iterations per kernel k.
+ByteWriter scheduleHeader(uint64_t NumTransitions, uint64_t Start,
+                          uint64_t Period, uint32_t K) {
+  ByteWriter W;
+  W.u64(NumTransitions);
+  W.u64(Start);
+  W.u64(Period);
+  W.u32(K);
+  return W;
+}
+
+TEST(ArtifactStoreTest, ScheduleClaimingHugeTransitionCountIsCorrupt) {
+  // 44 bytes claiming 2^40 transitions and no ops: the count must be
+  // bounded by the buffer before it sizes any allocation, so the object
+  // decodes as corrupt instead of throwing std::bad_alloc.
+  ByteWriter W = scheduleHeader(uint64_t(1) << 40, 0, 1, 1);
+  W.u64(0); // prologue ops
+  W.u64(0); // kernel ops
+  ASSERT_EQ(W.size(), 44u);
+  ByteReader R(W.bytes().data(), W.size());
+  std::shared_ptr<const void> Decoded;
+  EXPECT_NO_THROW(Decoded = decodeArtifact(PassKind::Schedule, R));
+  EXPECT_EQ(Decoded, nullptr);
+}
+
+TEST(ArtifactStoreTest, ScheduleWithIncompleteKernelIsCorrupt) {
+  // startTime() indexes k kernel slots per transition; a transition
+  // with fewer (here: none for t1, one of two for t0) is rejected.
+  auto Encode = [](uint32_t OpsT0, uint32_t OpsT1) {
+    ByteWriter W = scheduleHeader(2, 0, 4, 2);
+    W.u64(0); // prologue ops
+    W.u64(OpsT0 + OpsT1);
+    for (uint32_t I = 0; I < OpsT0; ++I) {
+      W.u32(I); // slot
+      W.u32(0); // transition
+      W.u64(I); // first iteration
+    }
+    for (uint32_t I = 0; I < OpsT1; ++I) {
+      W.u32(2 + I);
+      W.u32(1);
+      W.u64(I);
+    }
+    return W;
+  };
+  ByteWriter Whole = Encode(2, 2);
+  ByteReader WholeR(Whole.bytes().data(), Whole.size());
+  EXPECT_NE(decodeArtifact(PassKind::Schedule, WholeR), nullptr);
+  for (auto [T0, T1] : {std::pair{2u, 0u}, std::pair{1u, 2u}}) {
+    ByteWriter W = Encode(T0, T1);
+    ByteReader R(W.bytes().data(), W.size());
+    EXPECT_EQ(decodeArtifact(PassKind::Schedule, R), nullptr)
+        << T0 << " + " << T1 << " kernel ops";
+  }
 }
 
 //===----------------------------------------------------------------------===//

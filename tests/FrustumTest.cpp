@@ -185,6 +185,7 @@ public:
   CancelOnNthPrepare(CancelSource &Src, unsigned N) : Src(Src), Left(N) {}
   void reset() override {}
   void orderCandidates(const PetriNet &, const Marking &,
+                       const std::vector<TransitionId> &,
                        std::vector<TransitionId> &) override {
     if (Left && --Left == 0)
       Src.cancel();

@@ -43,10 +43,15 @@ marked non-gating.
                        --verify --metrics-json` (schema sdsp-metrics-v1,
                        docs/OBSERVABILITY.md): engine firings,
                        enabled-set rebuilds, state-table probes, cache
-                       hit/miss counts.  Unlike wall times these are
-                       exact work counts, so --compare diffs them for
-                       equality — any drift means the pipeline is doing
-                       different work, not that the machine is slower.
+                       hit/miss counts; and, in a section of its own,
+                       from the same batch on the SCP machine
+                       (--scp=2 --pipelines=2), whose FIFO policy the
+                       ideal-machine run never exercises.  Unlike wall
+                       times these are exact work counts, so --compare
+                       diffs them for equality — any drift means the
+                       pipeline is doing different work, not that the
+                       machine is slower.  --metrics-only regenerates
+                       just this file (no bench binaries needed).
   BENCH_store.json     store_throughput: the six Livermore kernels
                        compiled through the persistent tiered artifact
                        store (core/ArtifactStore.h, docs/SERVICE.md)
@@ -103,6 +108,12 @@ RATE_GATE_THRESHOLD = 10.0
 BATCH_GATE_THREADS = "8"
 BATCH_GATE_THRESHOLD = 2.5
 COMPARE_TOLERANCE = 0.25  # Relative regression allowed before failing.
+# BENCH_metrics.json sections: (key, extra sdspc flags) of each
+# deterministic `sdspc --batch-kernels --verify` leg.
+METRICS_LEGS = [
+    ("counters", []),
+    ("scp_counters", ["--scp=2", "--pipelines=2"]),
+]
 
 # Set by main() from --allow-debug: a debug capture then produces
 # reports whose gates are loudly marked non-gating instead of being
@@ -530,35 +541,48 @@ def host_independent_counters(counters):
 
 
 def metrics_report(build_dir, out_dir):
-    """Runs the deterministic batch workload under --metrics-json and
-    keeps the host-independent counters: exact work counts that must
-    not drift between hosts running the same code."""
+    """Runs each deterministic batch leg under --metrics-json and keeps
+    the host-independent counters: exact work counts that must not
+    drift between hosts running the same code."""
     sdspc = os.path.join(build_dir, "tools", "sdspc")
     if not os.path.isfile(sdspc):
         raise SystemExit("missing sdspc binary: %s (build the sdspc "
                          "target)" % sdspc)
-    raw = os.path.join(out_dir, "BENCH_metrics.json.raw")
-    proc = subprocess.run(
-        [sdspc, "--batch-kernels", "--verify", "-j", "2",
-         "--metrics-json=%s" % raw],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stdout.decode("utf-8", "replace"))
-        raise SystemExit("sdspc --batch-kernels failed (exit %d)" %
-                         proc.returncode)
-    with open(raw) as f:
-        metrics = json.load(f)
-    os.remove(raw)
-    if metrics.get("schema") != "sdsp-metrics-v1":
-        raise SystemExit("unexpected metrics schema: %r" %
-                         metrics.get("schema"))
-    counters = host_independent_counters(metrics.get("counters", {}))
-    return {
-        "benchmark": "sdspc --batch-kernels --verify --metrics-json",
+    report = {
         "generated_by": "tools/benchreport.py",
         "schema": "sdsp-metrics-v1",
-        "counters": counters,
     }
+    raw = os.path.join(out_dir, "BENCH_metrics.json.raw")
+    for key, flags in METRICS_LEGS:
+        cmd = [sdspc, "--batch-kernels"] + flags + ["--verify", "-j", "2"]
+        proc = subprocess.run(cmd + ["--metrics-json=%s" % raw],
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stdout.decode("utf-8", "replace"))
+            raise SystemExit("%s failed (exit %d)" %
+                             (" ".join(cmd), proc.returncode))
+        with open(raw) as f:
+            metrics = json.load(f)
+        os.remove(raw)
+        if metrics.get("schema") != "sdsp-metrics-v1":
+            raise SystemExit("unexpected metrics schema: %r" %
+                             metrics.get("schema"))
+        label = " ".join(["sdspc", "--batch-kernels"] + flags +
+                         ["--verify", "--metrics-json"])
+        report["benchmark" if key == "counters" else key + "_benchmark"] = \
+            label
+        report[key] = host_independent_counters(metrics.get("counters", {}))
+    return report
+
+
+def write_metrics(build_dir, out_dir):
+    metrics = metrics_report(build_dir, out_dir)
+    metrics_path = os.path.join(out_dir, "BENCH_metrics.json")
+    with open(metrics_path, "w") as f:
+        json.dump(metrics, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print("wrote %s" % metrics_path)
 
 
 def smoke(bench_dir, min_time):
@@ -796,15 +820,19 @@ def compare_reports(fresh_dir, base_dir):
     # different work than the baseline run, which is a semantic change
     # (or a baseline in need of regeneration), never machine noise.
     fresh, base = load_pair(fresh_dir, base_dir, "BENCH_metrics.json")
-    fc = require(fresh, "counters", "fresh BENCH_metrics.json")
-    bc = require(base, "counters", "baseline BENCH_metrics.json")
-    for key in sorted(set(fc) | set(bc)):
-        fv, bv = fc.get(key), bc.get(key)
-        if fv != bv:
-            failures.append("counter %s: baseline %s, current %s "
-                            "(exact match required)" % (key, bv, fv))
-        else:
-            print("[compare] counter %s: %s == %s -> ok" % (key, bv, fv))
+    for section, _ in METRICS_LEGS:
+        fc = require(fresh, section, "fresh BENCH_metrics.json")
+        bc = require(base, section, "baseline BENCH_metrics.json")
+        prefix = "" if section == "counters" else section + "/"
+        for key in sorted(set(fc) | set(bc)):
+            fv, bv = fc.get(key), bc.get(key)
+            if fv != bv:
+                failures.append("counter %s%s: baseline %s, current %s "
+                                "(exact match required)" %
+                                (prefix, key, bv, fv))
+            else:
+                print("[compare] counter %s%s: %s == %s -> ok" %
+                      (prefix, key, bv, fv))
 
     if failures:
         raise SystemExit("perf regressions vs %s:\n  " % base_dir +
@@ -825,6 +853,9 @@ def main():
                     help="run every bench binary once, fail on crashes")
     ap.add_argument("--skip-report", action="store_true",
                     help="with --smoke: skip the JSON aggregation step")
+    ap.add_argument("--metrics-only", action="store_true",
+                    help="regenerate only BENCH_metrics.json (needs just "
+                         "the sdspc binary)")
     ap.add_argument("--compare", metavar="BASELINE_DIR",
                     help="after generating reports into --out-dir, diff "
                          "them against the committed BENCH_*.json in "
@@ -838,6 +869,9 @@ def main():
     ALLOW_DEBUG = args.allow_debug
 
     os.makedirs(args.out_dir, exist_ok=True)
+    if args.metrics_only:
+        write_metrics(args.build_dir, args.out_dir)
+        return
     bench_dir = os.path.join(args.build_dir, "bench")
     if not os.path.isdir(bench_dir):
         raise SystemExit("no bench directory at %s (build with "
@@ -874,12 +908,7 @@ def main():
         f.write("\n")
     print("wrote %s" % passes_path)
 
-    metrics = metrics_report(args.build_dir, args.out_dir)
-    metrics_path = os.path.join(args.out_dir, "BENCH_metrics.json")
-    with open(metrics_path, "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print("wrote %s" % metrics_path)
+    write_metrics(args.build_dir, args.out_dir)
 
     frustum = json.load(open(os.path.join(args.out_dir,
                                           "BENCH_frustum.json")))

@@ -24,7 +24,10 @@ comparator:
     maps, so the batch comparison passed without comparing anything;
   * metrics_report kept simd.tier.<tier>, named after the capturing
     CPU's SIMD tier, so the exact counter comparison failed on any host
-    with a different tier even when the code was unchanged.
+    with a different tier even when the code was unchanged;
+  * BENCH_metrics.json held only the ideal-machine leg, so no exact
+    counter watched the SCP machine's policy-driven engine (the
+    scp_counters section must be compared exactly, and required).
 
 Standard library only; pytest-style test_* functions run by a tiny
 driver so ctest can invoke this file directly.
@@ -59,7 +62,8 @@ def default_reports():
     batch = {"speedup_by_threads": {"1": 1.0, "2": 1.8, "4": 3.1, "8": 4.0},
              "gate": dict(gate_common, num_cpus=8, skipped=False,
                           speedup=4.0)}
-    metrics = {"counters": {"engine.firings": 42}}
+    metrics = {"counters": {"engine.firings": 42},
+               "scp_counters": {"policy.readiness_checks": 7}}
     return {
         "BENCH_frustum.json": frustum,
         "BENCH_pipeline.json": pipeline,
@@ -224,6 +228,31 @@ def test_counter_drift_still_fails():
     out, err = run_compare(fresh)
     assert err is not None, "counter drift must fail the compare"
     assert "exact match required" in str(err)
+
+
+def test_scp_counter_drift_fails():
+    def fresh(r):
+        r["BENCH_metrics.json"]["scp_counters"][
+            "policy.readiness_checks"] = 8
+    out, err = run_compare(fresh)
+    assert err is not None, "SCP counter drift must fail the compare"
+    assert "counter scp_counters/policy.readiness_checks" in str(err)
+    assert "exact match required" in str(err)
+
+
+def test_scp_counters_are_compared_when_equal():
+    out, err = run_compare()
+    assert err is None
+    assert ("counter scp_counters/policy.readiness_checks: 7 == 7 -> ok"
+            in out)
+
+
+def test_missing_scp_section_names_the_file():
+    def base(r):
+        del r["BENCH_metrics.json"]["scp_counters"]
+    out, err = run_compare(mutate_base=base)
+    assert err is not None, "a baseline without the SCP leg must not pass"
+    assert "baseline BENCH_metrics.json has no 'scp_counters' key" in str(err)
 
 
 def test_host_dependent_counters_are_dropped():
