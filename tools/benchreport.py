@@ -50,8 +50,7 @@ marked non-gating.
                        times these are exact work counts, so --compare
                        diffs them for equality — any drift means the
                        pipeline is doing different work, not that the
-                       machine is slower.  --metrics-only regenerates
-                       just this file (no bench binaries needed).
+                       machine is slower.
   BENCH_store.json     store_throughput: the six Livermore kernels
                        compiled through the persistent tiered artifact
                        store (core/ArtifactStore.h, docs/SERVICE.md)
@@ -576,15 +575,6 @@ def metrics_report(build_dir, out_dir):
     return report
 
 
-def write_metrics(build_dir, out_dir):
-    metrics = metrics_report(build_dir, out_dir)
-    metrics_path = os.path.join(out_dir, "BENCH_metrics.json")
-    with open(metrics_path, "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print("wrote %s" % metrics_path)
-
-
 def smoke(bench_dir, min_time):
     """Runs every bench binary once; any crash fails the job."""
     failures = []
@@ -853,9 +843,6 @@ def main():
                     help="run every bench binary once, fail on crashes")
     ap.add_argument("--skip-report", action="store_true",
                     help="with --smoke: skip the JSON aggregation step")
-    ap.add_argument("--metrics-only", action="store_true",
-                    help="regenerate only BENCH_metrics.json (needs just "
-                         "the sdspc binary)")
     ap.add_argument("--compare", metavar="BASELINE_DIR",
                     help="after generating reports into --out-dir, diff "
                          "them against the committed BENCH_*.json in "
@@ -869,9 +856,6 @@ def main():
     ALLOW_DEBUG = args.allow_debug
 
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.metrics_only:
-        write_metrics(args.build_dir, args.out_dir)
-        return
     bench_dir = os.path.join(args.build_dir, "bench")
     if not os.path.isdir(bench_dir):
         raise SystemExit("no bench directory at %s (build with "
@@ -908,7 +892,12 @@ def main():
         f.write("\n")
     print("wrote %s" % passes_path)
 
-    write_metrics(args.build_dir, args.out_dir)
+    metrics = metrics_report(args.build_dir, args.out_dir)
+    metrics_path = os.path.join(args.out_dir, "BENCH_metrics.json")
+    with open(metrics_path, "w") as f:
+        json.dump(metrics, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print("wrote %s" % metrics_path)
 
     frustum = json.load(open(os.path.join(args.out_dir,
                                           "BENCH_frustum.json")))
