@@ -444,10 +444,14 @@ private:
   Expected<ArtifactRef<T>> runPass(PassKind K, uint64_t InputsHash,
                                    uint64_t OptionsFp, Fn &&Compute);
 
+  /// The frustum pass over \p Net.  \p Imported is the imported net
+  /// \p Net belongs to, whose classification must admit the analysis,
+  /// or null for nets the session built.
   Expected<ArtifactRef<FrustumInfo>> frustumPass(const PetriNet &Net,
                                                  uint64_t MachineHash,
                                                  const ScpPn *Scp,
-                                                 const FrustumOptions &FO);
+                                                 const FrustumOptions &FO,
+                                                 const ExternalNet *Imported);
 
   Expected<ArtifactRef<PnmlText>> exportPnmlPass(const PetriNet &Net,
                                                  const std::string &NetId,

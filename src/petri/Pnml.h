@@ -15,13 +15,16 @@
 /// behavior graphs, and frustums leave it.
 ///
 /// The reader is a small dependency-free XML parser hardened against
-/// hostile input (tests/pnml-corpus/): it resolves only the five
-/// predefined entities plus numeric character references (no DOCTYPE,
-/// so no entity-expansion bombs), bounds nesting depth and node count,
-/// and reports every rejection as a structured [InvalidInput] with the
-/// offending line.  Anything the model cannot represent — arc weights
-/// above 1, place-to-place arcs, zero execution times, markings beyond
-/// uint32 — is rejected the same way rather than silently truncated.
+/// hostile input (tests/pnml-corpus/).  One pass over the bytes checks
+/// the document into a flat table of element offsets and views; the
+/// importer then decodes only the values it needs and builds the net
+/// once.  It resolves only the five predefined entities plus numeric
+/// character references (no DOCTYPE, so no entity-expansion bombs),
+/// bounds nesting depth and node count, and reports every rejection as
+/// a structured [InvalidInput] with the offending line.  Anything the
+/// model cannot represent — arc weights above 1, place-to-place arcs,
+/// zero execution times, markings beyond uint32 — is rejected the same
+/// way rather than silently truncated.
 ///
 /// The writer emits one canonical byte form (fixed declaration,
 /// indentation, attribute order, and id scheme), chosen so that

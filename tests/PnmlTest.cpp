@@ -8,9 +8,11 @@
 // The PNML interop surface (docs/INTEROP.md): the accept matrix (every
 // P/T construct and timing spelling the importer honors), the reject
 // matrix (every malformed or out-of-model document, each with its
-// structured [InvalidInput] diagnostic), canonical-export round-trip
-// byte stability, the behavior-graph occurrence-net encoding, the
-// session passes (caching, rejection, fault injection), and a
+// structured [InvalidInput] diagnostic, and the node limit at its
+// boundary), the exact verdict of every corpus file, canonical-export
+// round-trip byte stability, the behavior-graph occurrence-net
+// encoding, the session passes (caching, rejection, the live-marked-
+// graph gate of rate and frustum, fault injection), and a
 // byte-truncation fuzz sweep that must never crash.
 //
 //===----------------------------------------------------------------------===//
@@ -24,6 +26,10 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 using namespace sdsp;
@@ -386,6 +392,36 @@ TEST(PnmlReject, DepthLimit) {
   EXPECT_NE(N.status().str().find("depth limit"), std::string::npos);
 }
 
+/// A valid net padded with empty foreign elements, one per line, to
+/// \p Elements elements in all.
+std::string paddedNet(size_t Elements) {
+  // Ten elements on the first line; pad element K (from 1) sits on
+  // line K + 1.
+  std::string Text =
+      "<pnml><net id=\"n\"><page id=\"p\"><place id=\"q\">"
+      "<initialMarking><text>1</text></initialMarking></place>"
+      "<transition id=\"u\"/><arc id=\"a0\" source=\"q\" target=\"u\"/>"
+      "<arc id=\"a1\" source=\"u\" target=\"q\"/></page>"
+      "<toolspecific tool=\"pad\">";
+  for (size_t I = 10; I < Elements; ++I)
+    Text += "\n<g/>";
+  return Text + "\n</toolspecific></net></pnml>";
+}
+
+TEST(PnmlReject, NodeLimitBoundary) {
+  // Exactly 2^20 elements is the largest document the reader takes.
+  Expected<PnmlNet> AtLimit = parsePnml(paddedNet(1u << 20));
+  ASSERT_TRUE(bool(AtLimit)) << AtLimit.status().str();
+  EXPECT_EQ(AtLimit->Net.numTransitions(), 1u);
+  // One more is refused at the start tag of element 2^20 + 1: pad
+  // element 2^20 - 9, on line 2^20 - 8.
+  Expected<PnmlNet> Over = parsePnml(paddedNet((1u << 20) + 1));
+  ASSERT_FALSE(bool(Over));
+  EXPECT_EQ(Over.status().str(),
+            "pnml: line " + std::to_string((1u << 20) - 8) +
+                ": document exceeds the node limit [InvalidInput]");
+}
+
 TEST(PnmlReject, DiagnosticsCarryLineNumbers) {
   Expected<PnmlNet> N = parsePnml("<pnml>\n<net id=\"n\">\n<page id=\"p\">\n"
                                   "<place id=\"q\"/>\n<place id=\"q\"/>\n"
@@ -393,6 +429,111 @@ TEST(PnmlReject, DiagnosticsCarryLineNumbers) {
   ASSERT_FALSE(bool(N));
   EXPECT_NE(N.status().str().find("line 5"), std::string::npos)
       << N.status().str();
+}
+
+//===----------------------------------------------------------------------===//
+// Corpus verdicts
+//===----------------------------------------------------------------------===//
+
+/// What the reader makes of one corpus file: the full diagnostic of a
+/// rejection, or the place, transition and arc counts of the net.
+struct CorpusVerdict {
+  const char *File;
+  const char *Diagnostic;
+  size_t Places, Transitions, Arcs;
+};
+
+const CorpusVerdict CorpusVerdicts[] = {
+    {"badref.pnml",
+     "pnml: line 8: arc a1 references unknown node 'ghost' [InvalidInput]",
+     0, 0, 0},
+    {"deadring.pnml", nullptr, 2, 2, 4},
+    {"deepnest.pnml",
+     "pnml: line 68: element nesting exceeds depth limit 64 [InvalidInput]",
+     0, 0, 0},
+    {"doctype.pnml",
+     "pnml: line 2: DOCTYPE declarations are not supported (no internal "
+     "DTD subset) [InvalidInput]",
+     0, 0, 0},
+    {"dupid.pnml", "pnml: line 6: duplicate id 'node' [InvalidInput]", 0, 0,
+     0},
+    {"emptynet.pnml",
+     "pnml: line 3: net has no transitions (nothing to execute) "
+     "[InvalidInput]",
+     0, 0, 0},
+    {"entity.pnml", nullptr, 1, 1, 2},
+    {"freechoice.pnml", nullptr, 3, 3, 7},
+    {"hugecount.pnml",
+     "pnml: line 6: initial marking of 'q' is out of range [InvalidInput]",
+     0, 0, 0},
+    {"multinet.pnml",
+     "pnml: line 11: multiple <net> elements are not supported "
+     "[InvalidInput]",
+     0, 0, 0},
+    {"notxml.pnml", "pnml: line 1: expected '<' [InvalidInput]", 0, 0, 0},
+    {"nulref.pnml",
+     "pnml: line 8: character reference '&#x0;' is not a valid XML "
+     "character [InvalidInput]",
+     0, 0, 0},
+    {"onechoice.pnml", nullptr, 1, 2, 4},
+    {"overflowref.pnml",
+     "pnml: line 10: character reference out of range [InvalidInput]", 0, 0,
+     0},
+    {"pipeline2tok.pnml", nullptr, 2, 2, 4},
+    {"placeplace.pnml",
+     "pnml: line 8: arc a0 connects two places (arcs must join a place and "
+     "a transition) [InvalidInput]",
+     0, 0, 0},
+    {"ring.pnml", nullptr, 3, 3, 6},
+    {"selfloop.pnml", nullptr, 1, 1, 2},
+    {"surrogateref.pnml",
+     "pnml: line 8: character reference '&#xD800;' is not a valid XML "
+     "character [InvalidInput]",
+     0, 0, 0},
+    {"truncated.pnml",
+     "pnml: line 7: malformed end tag </initialMa> [InvalidInput]", 0, 0, 0},
+    {"weight2.pnml",
+     "pnml: line 12: arc a0 has multiplicity 2 (arc multiplicity is 1 "
+     "throughout the model) [InvalidInput]",
+     0, 0, 0},
+    {"zerotime.pnml",
+     "pnml: line 12: transition 'u' has execution time 0 (deterministic "
+     "timing needs tau >= 1) [InvalidInput]",
+     0, 0, 0},
+};
+
+TEST(PnmlCorpus, EveryFileHasItsExactVerdict) {
+  std::vector<std::string> Files;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(SDSP_PNML_CORPUS_DIR))
+    if (Entry.path().extension() == ".pnml")
+      Files.push_back(Entry.path().filename().string());
+  std::sort(Files.begin(), Files.end());
+  std::vector<std::string> Listed;
+  for (const CorpusVerdict &V : CorpusVerdicts)
+    Listed.push_back(V.File);
+  // A file without a row (or a row without a file) fails here.
+  EXPECT_EQ(Files, Listed);
+
+  for (const CorpusVerdict &V : CorpusVerdicts) {
+    std::ifstream In(std::filesystem::path(SDSP_PNML_CORPUS_DIR) / V.File,
+                     std::ios::binary);
+    Expected<PnmlNet> N =
+        parsePnml(std::string(std::istreambuf_iterator<char>(In), {}));
+    if (V.Diagnostic) {
+      ASSERT_FALSE(bool(N)) << V.File;
+      EXPECT_EQ(N.status().str(), V.Diagnostic) << V.File;
+      continue;
+    }
+    ASSERT_TRUE(bool(N)) << V.File << ": " << N.status().str();
+    size_t Arcs = 0;
+    for (TransitionId T : N->Net.transitionIds())
+      Arcs += N->Net.transition(T).InputPlaces.size() +
+              N->Net.transition(T).OutputPlaces.size();
+    EXPECT_EQ(N->Net.numPlaces(), V.Places) << V.File;
+    EXPECT_EQ(N->Net.numTransitions(), V.Transitions) << V.File;
+    EXPECT_EQ(Arcs, V.Arcs) << V.File;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -529,6 +670,51 @@ TEST(PnmlSession, RateRejectsNonLiveNets) {
   Expected<ArtifactRef<RateReport>> R = S.computeRate(*Ext);
   ASSERT_FALSE(bool(R));
   EXPECT_EQ(R.status().code(), ErrorCode::InvalidNet);
+}
+
+TEST(PnmlSession, FrustumRejectsNetsThatAreNotLiveMarkedGraphs) {
+  CompilationSession S(SessionConfig{true});
+  // One token, two transitions that both take it and put it back: a
+  // free choice that never deadlocks, so the simulation alone would
+  // report a frustum in which one of them never fires.
+  Expected<ArtifactRef<ExternalNet>> Choice = S.importPnml(doc(
+      "<place id=\"q\"><initialMarking><text>1</text></initialMarking>"
+      "</place><transition id=\"a\"/><transition id=\"b\"/>"
+      "<arc id=\"a0\" source=\"q\" target=\"a\"/>"
+      "<arc id=\"a1\" source=\"a\" target=\"q\"/>"
+      "<arc id=\"a2\" source=\"q\" target=\"b\"/>"
+      "<arc id=\"a3\" source=\"b\" target=\"q\"/>"));
+  ASSERT_TRUE(bool(Choice)) << Choice.status().str();
+  EXPECT_FALSE((*Choice)->Class.MarkedGraph);
+  Expected<ArtifactRef<FrustumInfo>> F =
+      S.searchFrustum(*Choice, FrustumOptions{});
+  ASSERT_FALSE(bool(F));
+  EXPECT_EQ(F.status().code(), ErrorCode::InvalidNet);
+  EXPECT_EQ(F.status().message(),
+            "net 'n' is not a marked graph (frustum search needs one)");
+
+  // A marked graph with a token-free cycle: the gate, not the engine,
+  // rejects it.
+  Expected<ArtifactRef<ExternalNet>> Dead = S.importPnml(
+      doc("<place id=\"q\"/><transition id=\"u\"/>"
+          "<arc id=\"a0\" source=\"q\" target=\"u\"/>"
+          "<arc id=\"a1\" source=\"u\" target=\"q\"/>"));
+  ASSERT_TRUE(bool(Dead));
+  F = S.searchFrustum(*Dead, FrustumOptions{});
+  ASSERT_FALSE(bool(F));
+  EXPECT_EQ(F.status().code(), ErrorCode::InvalidNet);
+  EXPECT_NE(F.status().message().find("is not live"), std::string::npos);
+
+  // Rejections are failures of the pass, and failures are not cached.
+  F = S.searchFrustum(*Choice, FrustumOptions{});
+  ASSERT_FALSE(bool(F));
+  PipelineTrace Trace = S.trace();
+  auto Row = std::find_if(
+      Trace.Passes.begin(), Trace.Passes.end(),
+      [](const PipelineTrace::Row &R) { return R.Pass == "frustum"; });
+  ASSERT_NE(Row, Trace.Passes.end());
+  EXPECT_EQ(Row->Stats.Failures, 3u);
+  EXPECT_EQ(Row->Stats.CacheHits, 0u);
 }
 
 TEST(PnmlSession, FrustumRateMatchesAnalyticRate) {

@@ -3,7 +3,8 @@
 # kernels and examples produce, and for every well-formed net in the
 # fuzz corpus, export -> import -> export must be byte-identical, and
 # `--pnml=NET --verify` must confirm the classification, the frustum
-# rate, and round-trip stability in-process.  Malformed corpus nets
+# rate, and round-trip stability in-process; one of those exports is
+# loop7 unrolled 256 times, about 2.1 MB.  Malformed corpus nets
 # must be *rejected* with the structured exit-code contract (1 for
 # input, 2 for resource/transient) — never a crash (ASan/UBSan run
 # this same script in CI).  Injected pnml:parse faults must replay
@@ -61,6 +62,24 @@ if(MODE STREQUAL "all")
     endif()
     check_roundtrip(kernel_${KERNEL} ${RT}/${KERNEL}.pnml)
   endforeach()
+
+  # Leg 1b: one export at scale.  loop7 x256 is about 2.1 MB, so the
+  # reader's offsets and views run over a document of real size, not
+  # only over the few-KB nets of the other legs.
+  execute_process(COMMAND ${SDSPC} -k loop7 --unroll=256 --emit=pnml
+                  OUTPUT_FILE ${RT}/loop7_x256.pnml
+                  ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
+  if(NOT CODE EQUAL 0)
+    message(FATAL_ERROR
+      "kernel loop7 x256: --emit=pnml failed (exit ${CODE}):\n${ERR}")
+  endif()
+  file(SIZE ${RT}/loop7_x256.pnml X256_BYTES)
+  if(X256_BYTES LESS 2000000)
+    message(FATAL_ERROR
+      "kernel loop7 x256: export is only ${X256_BYTES} bytes; the "
+      "at-scale leg needs a document of about 2 MB")
+  endif()
+  check_roundtrip(kernel_loop7_x256 ${RT}/loop7_x256.pnml)
 
   # Leg 2: every example loop's SDSP-PN.
   if(EXAMPLES_DIR)

@@ -36,7 +36,10 @@ message on the first violation:
   tracecheck.py pnml TRACE METRICS
       Cross-check PNML interop observability (docs/INTEROP.md):
       import-pnml / export-pnml spans must pair B/E per track, every
-      closing record must carry a known "resolved" disposition, and
+      closing record must carry a known "resolved" disposition, an
+      import's pnml-parse and pnml-classify child spans must sit inside
+      it (one of each in a computed import, at most one of each in a
+      failed or cancelled one, none in a cache hit), and
       the computed spans must reconcile with the pnml.* counters —
       computed imports == pnml.imports, computed exports ==
       pnml.exports, failed imports >= pnml.rejects, and the structural
@@ -230,6 +233,8 @@ def check_faults(trace_path, metrics_path):
 
 
 PNML_DISPOSITIONS = {"computed", "hit", "shared-hit", "failed", "cancelled"}
+# The child spans of a computed import.
+PNML_IMPORT_CHILDREN = ("pnml-parse", "pnml-classify")
 
 
 def check_pnml(trace_path, metrics_path):
@@ -238,25 +243,46 @@ def check_pnml(trace_path, metrics_path):
         fail(f"'{trace_path}': missing top-level 'traceEvents' array")
 
     # Pair import-pnml/export-pnml B/E spans per track and bucket the
-    # closing records by their "resolved" disposition.
+    # closing records by their "resolved" disposition; count the
+    # pnml-parse / pnml-classify spans each import holds.
     open_pnml = {}
+    open_child = {}
+    children = {}
     resolved = {"import-pnml": {}, "export-pnml": {}}
     for i, ev in enumerate(doc["traceEvents"]):
         if not isinstance(ev, dict):
             continue
         name = ev.get("name")
-        if name not in ("import-pnml", "export-pnml"):
+        if name not in ("import-pnml", "export-pnml") + PNML_IMPORT_CHILDREN:
             continue
         where = f"'{trace_path}' event {i}"
         tid = ev.get("tid")
+        if name in PNML_IMPORT_CHILDREN:
+            if ev.get("ph") == "B":
+                if open_pnml.get(tid) != "import-pnml" or open_child.get(tid):
+                    fail(f"{where}: {name} span outside an import-pnml "
+                         f"span (or nested in another) on tid {tid}")
+                open_child[tid] = name
+                counts = children[tid]
+                counts[name] = counts.get(name, 0) + 1
+            elif ev.get("ph") == "E":
+                if open_child.get(tid) != name:
+                    fail(f"{where}: 'E' for {name} without a matching 'B' "
+                         f"on tid {tid}")
+                open_child[tid] = None
+            continue
         if ev.get("ph") == "B":
             if open_pnml.get(tid):
                 fail(f"{where}: nested {name} span on tid {tid}")
             open_pnml[tid] = name
+            children[tid] = {}
         elif ev.get("ph") == "E":
             if open_pnml.get(tid) != name:
                 fail(f"{where}: 'E' for {name} without a matching 'B' "
                      f"on tid {tid}")
+            if open_child.get(tid):
+                fail(f"{where}: {name} closes inside its open "
+                     f"{open_child[tid]} span on tid {tid}")
             open_pnml[tid] = None
             how = ev.get("args", {}).get("resolved")
             if how not in PNML_DISPOSITIONS:
@@ -264,6 +290,18 @@ def check_pnml(trace_path, metrics_path):
                      f"of {sorted(PNML_DISPOSITIONS)}")
             bucket = resolved[name]
             bucket[how] = bucket.get(how, 0) + 1
+            if name == "import-pnml":
+                held = [children[tid].get(c, 0) for c in PNML_IMPORT_CHILDREN]
+                if how == "computed":
+                    expect, ok = "one of each", held == [1, 1]
+                elif how in ("failed", "cancelled"):
+                    expect, ok = "at most one of each", max(held) <= 1
+                else:
+                    expect, ok = "none", held == [0, 0]
+                if not ok:
+                    fail(f"{where}: a {how} import-pnml span holds "
+                         f"{held[0]} pnml-parse and {held[1]} "
+                         f"pnml-classify span(s), expected {expect}")
     for tid, name in open_pnml.items():
         if name:
             fail(f"'{trace_path}': tid {tid} ends inside an open "
