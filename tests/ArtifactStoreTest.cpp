@@ -17,6 +17,8 @@
 #include "core/ArtifactStore.h"
 
 #include "core/ArtifactCodec.h"
+#include "core/ArtifactHash.h"
+#include "core/Frustum.h"
 #include "core/Session.h"
 #include "core/SharedArtifactCache.h"
 #include "livermore/Livermore.h"
@@ -266,6 +268,61 @@ TEST(ArtifactStoreTest, TruncatedObjectIsRejected) {
   std::string Summary = compileSummary(Warm.Tiered, kernelSource("loop1"));
   EXPECT_NE(Summary, "<failed>");
   EXPECT_GE(Warm.Disk.counters().Corrupt, 1u);
+}
+
+TEST(ArtifactStoreTest, StoredFrustumOfRejectedImportIsNotServed) {
+  // One token, two transitions that both take it and put it back: not a
+  // marked graph, so the frustum pass rejects it.  The simulator alone
+  // does find a frustum, in which b never fires; a store written before
+  // the gate existed holds it under the key the pass used then, which
+  // fingerprinted only the budget and the engine.
+  const std::string Choice =
+      "<pnml><net id=\"onechoice\"><page id=\"g\">"
+      "<place id=\"p\"><initialMarking><text>1</text></initialMarking>"
+      "</place><transition id=\"a\"/><transition id=\"b\"/>"
+      "<arc id=\"a0\" source=\"p\" target=\"a\"/>"
+      "<arc id=\"a1\" source=\"a\" target=\"p\"/>"
+      "<arc id=\"a2\" source=\"p\" target=\"b\"/>"
+      "<arc id=\"a3\" source=\"b\" target=\"p\"/>"
+      "</page></net></pnml>";
+  FrustumOptions FO;
+  uint64_t UngatedFp = HashStream(4)
+                           .u64(FO.BudgetSteps)
+                           .u64(static_cast<uint64_t>(FO.Engine))
+                           .hash();
+  TempDir Dir;
+  ArtifactKey Stale;
+  {
+    Process Old(Dir.str());
+    CompilationSession S(storeConfig(Old.Tiered));
+    Expected<ArtifactRef<ExternalNet>> Ext = S.importPnml(Choice);
+    ASSERT_TRUE(bool(Ext)) << Ext.status().str();
+    Expected<FrustumInfo> F = detectFrustumChecked(
+        (*Ext)->Net, nullptr, FrustumBudget::steps(FO.BudgetSteps));
+    ASSERT_TRUE(bool(F)) << F.status().str();
+    auto Ptr = std::make_shared<const FrustumInfo>(std::move(*F));
+    Stale = {static_cast<uint32_t>(PassKind::Frustum), Ext->hash(),
+             UngatedFp};
+    ASSERT_GT(Old.Disk.put(Stale,
+                           ArtifactEntry{Ptr, artifactHash(*Ptr),
+                                         artifactSizeBytes(*Ptr)},
+                           nullptr),
+              0u);
+  }
+
+  Process Warm(Dir.str());
+  // The stale object is intact and would be served under its old key.
+  ASSERT_TRUE(Warm.Disk.get(Stale, nullptr).has_value());
+  CompilationSession S(storeConfig(Warm.Tiered));
+  Expected<ArtifactRef<ExternalNet>> Ext = S.importPnml(Choice);
+  ASSERT_TRUE(bool(Ext)) << Ext.status().str();
+  EXPECT_EQ(S.passStats(PassKind::ImportPnml).CacheHits, 1u);
+  Expected<ArtifactRef<FrustumInfo>> F = S.searchFrustum(*Ext, FO);
+  ASSERT_FALSE(bool(F));
+  EXPECT_EQ(F.status().code(), ErrorCode::InvalidNet);
+  EXPECT_EQ(F.status().message(), "net 'onechoice' is not a marked graph "
+                                  "(frustum search needs one)");
+  EXPECT_EQ(S.passStats(PassKind::Frustum).CacheHits, 0u);
 }
 
 /// The encoded header of a schedule artifact: transition count, prologue
