@@ -12,9 +12,10 @@
 ///   ArtifactStore   the compute-once protocol the Session talks to:
 ///                   lookupOrLock / publish / abandon over type-erased,
 ///                   content-hashed entries keyed by (pass, input
-///                   hashes, options fingerprint).
+///                   hashes, options fingerprint).  Every session
+///                   with the cache on interns through one.
 ///   MemoryStore     the in-process sharded LRU table
-///                   (core/SharedArtifactCache.h), unchanged semantics.
+///                   (core/SharedArtifactCache.h).
 ///   DiskStore       a persistent content-addressed object store under
 ///                   a directory (`sdspc --store-dir`, SDSP_STORE_DIR),
 ///                   shared by every process pointed at it over time —
@@ -94,11 +95,12 @@ struct PublishResult {
   uint64_t DiskBytes = 0;
 };
 
-/// The compute-once store protocol (see SharedArtifactCache.h for the
-/// full concurrency contract).  lookupOrLock() either returns a
-/// published entry (hit) or makes the caller the key's owner (miss);
-/// the owner must publish() or abandon() exactly once.  \p Faults, when
-/// non-null, arms the store's fault sites for the calling scope.
+/// The compute-once store protocol (see MemoryStore in
+/// core/SharedArtifactCache.h for the full concurrency contract).
+/// lookupOrLock() either returns a published entry (hit) or makes the
+/// caller the key's owner (miss); the owner must publish() or abandon()
+/// exactly once.  \p Faults, when non-null, arms the store's fault
+/// sites for the calling scope.
 class ArtifactStore {
 public:
   virtual ~ArtifactStore();

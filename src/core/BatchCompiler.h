@@ -9,8 +9,8 @@
 /// Compiles a set of loops concurrently: one CompilationSession per
 /// job, scheduled onto a fixed-size Executor, all sessions interning
 /// their pass results in one shared ArtifactStore (by default the
-/// built-in in-memory SharedArtifactCache; optionally an external
-/// tiered store that also persists to disk).  This is the
+/// compiler's own MemoryStore; optionally an external tiered store
+/// that also persists to disk).  This is the
 /// many-kernel batch workload the service roadmap centers on (and the
 /// shape of Millo & de Simone's evaluation over families of nets):
 /// `sdspc --batch <dir> -j N` and bench/BatchThroughput.cpp sit
@@ -101,7 +101,7 @@ struct BatchOutcome {
   /// max over per-job exit codes (0 iff every job succeeded).
   int ExitCode = 0;
   /// Shared-cache counters at completion.
-  SharedArtifactCache::CounterSnapshot Cache;
+  MemoryStore::CounterSnapshot Cache;
   /// Total retry dispatches across all jobs (sum of Attempts - 1 over
   /// jobs that ran).
   uint64_t Retries = 0;
@@ -112,8 +112,9 @@ struct BatchOutcome {
 struct BatchOptions {
   /// Worker threads (0 is clamped to 1).
   unsigned Threads = 1;
-  /// Intern pass results across sessions.  Off gives each session its
-  /// private cache — the ablation arm of bench/BatchThroughput.cpp.
+  /// Intern pass results across sessions.  Off gives each session a
+  /// MemoryStore of its own — the ablation arm of
+  /// bench/BatchThroughput.cpp.
   bool ShareCache = true;
   /// When set (and ShareCache is on), sessions intern into this
   /// caller-owned store instead of the compiler's built-in memory
@@ -193,11 +194,11 @@ public:
   static Renderer compileOnly(const PipelineOptions &Opts);
 
   const BatchOptions &options() const { return Opts; }
-  SharedArtifactCache &cache() { return Cache; }
+  MemoryStore &cache() { return Cache; }
 
 private:
   BatchOptions Opts;
-  SharedArtifactCache Cache;
+  MemoryStore Cache;
 };
 
 } // namespace sdsp

@@ -8,8 +8,8 @@
 #include "core/Session.h"
 
 #include "codegen/Codegen.h"
-#include "core/ArtifactStore.h"
 #include "core/ScheduleDerivation.h"
+#include "core/SharedArtifactCache.h"
 #include "core/StorageOptimizer.h"
 #include "dataflow/Unroll.h"
 #include "dataflow/Validate.h"
@@ -19,7 +19,6 @@
 #include "petri/Pnml.h"
 #include "petri/SimdDispatch.h"
 #include "support/FaultInjection.h"
-#include "support/Hashing.h"
 #include "support/Metrics.h"
 #include "support/TextTable.h"
 #include "support/Trace.h"
@@ -105,6 +104,15 @@ const std::string &passSite(PassKind K) {
   return Sites[static_cast<size_t>(K)];
 }
 
+/// Closes the pass span open on \p Trace (if any), recording how the run
+/// resolved: computed, hit, failed or cancelled.
+void resolvePassSpan(TraceTrack *Trace, const char *How) {
+  if (Trace) {
+    Trace->endSpan();
+    Trace->argStr("resolved", How);
+  }
+}
+
 /// Closes out a failed pass run: counts the failure, and when the
 /// status is a cancellation (Cancelled / DeadlineExceeded) records the
 /// observation — a "cancelled" trace instant plus the cancel.observed
@@ -116,14 +124,11 @@ Status notePassFailure(TraceTrack *Trace, PassStats &PS, Status St) {
                       St.code() == ErrorCode::DeadlineExceeded;
   if (WasCancelled)
     MetricsRegistry::global().gaugeAdd("cancel.observed", 1);
-  if (Trace) {
-    if (WasCancelled) {
-      Trace->instant("cancelled", "cancel");
-      Trace->argStr("status", errorCodeName(St.code()));
-    }
-    Trace->endSpan();
-    Trace->argStr("resolved", WasCancelled ? "cancelled" : "failed");
+  if (Trace && WasCancelled) {
+    Trace->instant("cancelled", "cancel");
+    Trace->argStr("status", errorCodeName(St.code()));
   }
+  resolvePassSpan(Trace, WasCancelled ? "cancelled" : "failed");
   return St;
 }
 
@@ -289,16 +294,10 @@ void PipelineTrace::writeJson(std::ostream &OS) const {
 // CompilationSession
 //===----------------------------------------------------------------------===//
 
-size_t CompilationSession::CacheKeyHash::operator()(const CacheKey &K) const {
-  size_t Seed = K.Pass;
-  hashCombine(Seed, static_cast<size_t>(K.Inputs));
-  hashCombine(Seed, static_cast<size_t>(K.Options));
-  return Seed;
-}
-
 CompilationSession::CompilationSession(SessionConfig Config)
-    : Store(Config.Store), Trace(Config.Trace),
-      Cancel(std::move(Config.Cancel)), Faults(Config.Faults) {
+    : Trace(Config.Trace), Cancel(std::move(Config.Cancel)),
+      Faults(Config.Faults) {
+  bool CacheOn;
   if (Config.EnableCache) {
     CacheOn = *Config.EnableCache;
   } else {
@@ -306,12 +305,20 @@ CompilationSession::CompilationSession(SessionConfig Config)
     CacheOn = !(E && *E && std::string_view(E) != "0");
   }
   if (!CacheOn)
-    Store = nullptr; // A disabled cache is disabled at every scope.
+    return; // A disabled cache is disabled at every scope: no store.
+  Store = Config.Store;
+  if (!Store) {
+    // Nothing else can reach this store, so one shard is enough.
+    OwnStore = std::make_unique<MemoryStore>(MemoryStore::Config{1, 0});
+    Store = OwnStore.get();
+  }
 }
+
+CompilationSession::~CompilationSession() = default;
 
 PipelineTrace CompilationSession::trace() const {
   PipelineTrace T;
-  T.CacheEnabled = CacheOn;
+  T.CacheEnabled = cacheEnabled();
   T.Passes.reserve(NumPassKinds);
   for (size_t I = 0; I < NumPassKinds; ++I) {
     const PassInfo &Info = PassTable[I];
@@ -322,31 +329,26 @@ PipelineTrace CompilationSession::trace() const {
 
 namespace {
 
-/// Releases an ArtifactStore key the session owns unless the
-/// computation published it — so waiters on other threads always wake,
-/// even if the compute path throws.
-class SharedKeyGuard {
+/// Releases a store key the session owns unless the computation
+/// published it — so waiters on other threads always wake, even if the
+/// compute path throws.  A null store (cache off) owns nothing.
+class KeyGuard {
 public:
-  SharedKeyGuard(ArtifactStore &C, const ArtifactKey &K) : C(C), K(K) {}
-  ~SharedKeyGuard() {
-    if (!Published)
-      C.abandon(K);
+  KeyGuard(ArtifactStore *S, const ArtifactKey &K) : S(S), K(K) {}
+  ~KeyGuard() {
+    if (S)
+      S->abandon(K);
   }
-  void markPublished() { Published = true; }
+  void markPublished() { S = nullptr; }
 
 private:
-  ArtifactStore &C;
+  ArtifactStore *S;
   ArtifactKey K;
-  bool Published = false;
 };
 
 } // namespace
 
-template <typename T, typename Fn>
-Expected<ArtifactRef<T>> CompilationSession::runPass(PassKind K,
-                                                     uint64_t InputsHash,
-                                                     uint64_t OptionsFp,
-                                                     Fn &&Compute) {
+Status CompilationSession::enterPass(PassKind K) {
   PassStats &PS = Stats[static_cast<size_t>(K)];
   ++PS.Invocations;
   const char *Id = PassTable[static_cast<size_t>(K)].Id;
@@ -362,56 +364,66 @@ Expected<ArtifactRef<T>> CompilationSession::runPass(PassKind K,
   if (Cancel.cancelled())
     return notePassFailure(
         Trace, PS,
-        Cancel.status("session",
-                      std::string("before pass '") + Id + "'"));
+        Cancel.status("session", std::string("before pass '") + Id + "'"));
   if (Faults)
     if (Status St = Faults->checkpoint(passSite(K)); !St)
       return notePassFailure(Trace, PS, std::move(St));
-  if (CacheOn && Store) {
+  return Status::ok();
+}
+
+template <typename T, typename Fn>
+Expected<ArtifactRef<T>> CompilationSession::runPass(PassKind K,
+                                                     uint64_t InputsHash,
+                                                     uint64_t OptionsFp,
+                                                     Fn &&Compute) {
+  if (Status St = enterPass(K); !St)
+    return St;
+  PassStats &PS = Stats[static_cast<size_t>(K)];
+  const char *Id = PassTable[static_cast<size_t>(K)].Id;
+  ArtifactKey Key{static_cast<uint32_t>(K), InputsHash, OptionsFp};
+  if (Store) {
     if (Faults)
       if (Status St = Faults->checkpoint("cache:lookup"); !St)
         return notePassFailure(Trace, PS, std::move(St));
-    // Shared scope: lookupOrLock either answers from the store (the
-    // memory tier, or — through a TieredStore — a persisted disk
-    // object) or makes this session the key's owner (compute-once
-    // across all threads; see core/ArtifactStore.h).
-    ArtifactKey SK{static_cast<uint32_t>(K), InputsHash, OptionsFp};
-    if (std::optional<ArtifactEntry> E = Store->lookupOrLock(SK, Faults)) {
+    // lookupOrLock either answers from the store (the memory tier, or —
+    // through a TieredStore — a persisted disk object) or makes this
+    // session the key's owner (compute-once across every session
+    // sharing the store; see core/ArtifactStore.h).
+    if (std::optional<ArtifactEntry> E = Store->lookupOrLock(Key, Faults)) {
       ++PS.CacheHits;
-      if (Trace) {
-        Trace->endSpan();
-        Trace->argStr("resolved", "shared-hit");
-      }
+      resolvePassSpan(Trace, "hit");
       return ArtifactRef<T>(std::static_pointer_cast<const T>(E->Value),
                             E->ContentHash);
     }
-    SharedKeyGuard Guard(*Store, SK);
-    Clock::time_point T0 = Clock::now();
-    Expected<T> R = Compute();
-    // The owner-death fault site: firing "cache:publish" after a
-    // successful compute makes this session die holding the key, so
-    // the Guard's abandon hands ownership to a waiter (the
-    // SharedArtifactCache handoff protocol under test).
-    Status PublishSt = Status::ok();
-    if (R && Faults)
-      PublishSt = Faults->checkpoint("cache:publish");
-    if (!R || !PublishSt) {
-      PS.WallSeconds += secondsSince(T0);
-      if (Trace) {
-        Trace->instant("cache-abandon", "cache");
-        Trace->argStr("pass", Id);
-      }
-      // Guard abandons: failures are never cached.
-      return notePassFailure(Trace, PS,
-                             !R ? R.status() : std::move(PublishSt));
-    }
-    auto Ptr = std::make_shared<const T>(std::move(*R));
-    uint64_t Hash = artifactHash(*Ptr);
-    uint64_t Bytes = artifactSizeBytes(*Ptr);
+  }
+  KeyGuard Guard(Store, Key);
+  Clock::time_point T0 = Clock::now();
+  Expected<T> R = Compute();
+  // The owner-death fault site: firing "cache:publish" after a
+  // successful compute makes this session die holding the key, so
+  // the Guard's abandon hands ownership to a waiter (the MemoryStore
+  // handoff protocol under test).
+  Status PublishSt = Status::ok();
+  if (R && Store && Faults)
+    PublishSt = Faults->checkpoint("cache:publish");
+  if (!R || !PublishSt) {
     PS.WallSeconds += secondsSince(T0);
-    PS.ArtifactBytes += Bytes;
+    if (Trace && Store) {
+      Trace->instant("cache-abandon", "cache");
+      Trace->argStr("pass", Id);
+    }
+    // Guard abandons: failures are never cached.
+    return notePassFailure(Trace, PS,
+                           !R ? R.status() : std::move(PublishSt));
+  }
+  auto Ptr = std::make_shared<const T>(std::move(*R));
+  uint64_t Hash = artifactHash(*Ptr);
+  uint64_t Bytes = artifactSizeBytes(*Ptr);
+  PS.WallSeconds += secondsSince(T0);
+  PS.ArtifactBytes += Bytes;
+  if (Store) {
     PublishResult PubRes =
-        Store->publish(SK, ArtifactEntry{Ptr, Hash, Bytes}, Faults);
+        Store->publish(Key, ArtifactEntry{Ptr, Hash, Bytes}, Faults);
     Guard.markPublished();
     if (Trace) {
       Trace->instant("cache-publish", "cache");
@@ -422,41 +434,9 @@ Expected<ArtifactRef<T>> CompilationSession::runPass(PassKind K,
         Trace->argStr("pass", Id);
         Trace->argU64("bytes", PubRes.DiskBytes);
       }
-      Trace->endSpan();
-      Trace->argStr("resolved", "computed");
-    }
-    return ArtifactRef<T>(std::move(Ptr), Hash);
-  }
-  CacheKey Key{static_cast<uint32_t>(K), InputsHash, OptionsFp};
-  if (CacheOn) {
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
-      ++PS.CacheHits;
-      if (Trace) {
-        Trace->endSpan();
-        Trace->argStr("resolved", "hit");
-      }
-      return ArtifactRef<T>(
-          std::static_pointer_cast<const T>(It->second.Value),
-          It->second.ContentHash);
     }
   }
-  Clock::time_point T0 = Clock::now();
-  Expected<T> R = Compute();
-  if (!R) {
-    PS.WallSeconds += secondsSince(T0);
-    return notePassFailure(Trace, PS, R.status());
-  }
-  auto Ptr = std::make_shared<const T>(std::move(*R));
-  uint64_t Hash = artifactHash(*Ptr);
-  PS.WallSeconds += secondsSince(T0);
-  PS.ArtifactBytes += artifactSizeBytes(*Ptr);
-  if (CacheOn)
-    Cache.emplace(Key, CacheEntry{Ptr, Hash});
-  if (Trace) {
-    Trace->endSpan();
-    Trace->argStr("resolved", "computed");
-  }
+  resolvePassSpan(Trace, "computed");
   return ArtifactRef<T>(std::move(Ptr), Hash);
 }
 
@@ -839,29 +819,17 @@ Expected<CompiledLoop> CompilationSession::finish(CompiledLoop CL,
                                                   const PipelineOptions &Opts) {
   if (!Opts.Verify)
     return CL;
-  PassStats &PS = Stats[static_cast<size_t>(PassKind::Verify)];
-  ++PS.Invocations;
-  if (Trace)
-    Trace->beginSpan(PassTable[static_cast<size_t>(PassKind::Verify)].Id,
-                     "pass");
   // Same boundary checkpoint as runPass: verify is never cached but is
   // still a cancellation point and a fault site.
-  if (Cancel.cancelled())
-    return notePassFailure(Trace, PS,
-                           Cancel.status("session", "before pass 'verify'"));
-  if (Faults)
-    if (Status FaultSt = Faults->checkpoint(passSite(PassKind::Verify));
-        !FaultSt)
-      return notePassFailure(Trace, PS, std::move(FaultSt));
+  if (Status St = enterPass(PassKind::Verify); !St)
+    return St;
+  PassStats &PS = Stats[static_cast<size_t>(PassKind::Verify)];
   Clock::time_point T0 = Clock::now();
   Status St = verifyCompiledLoop(CL, Opts);
   PS.WallSeconds += secondsSince(T0);
   if (!St)
     return notePassFailure(Trace, PS, std::move(St));
-  if (Trace) {
-    Trace->endSpan();
-    Trace->argStr("resolved", "computed");
-  }
+  resolvePassSpan(Trace, "computed");
   CL.Verified = true;
   return CL;
 }

@@ -15,14 +15,15 @@
 ///
 /// A CompilationSession runs each stage as a *registered pass* with
 /// declared inputs and outputs over immutable, content-hashed artifacts
-/// (ArtifactRef<T>).  Results are interned in a session-scoped cache
-/// keyed by (pass, input content hashes, options fingerprint), so a
-/// parameter sweep — SCP depths, unroll factors, choice policies —
-/// recomputes only the stages whose inputs or options actually changed:
-/// an l = 1..8 SCP ablation lowers, builds the SDSP, and translates the
-/// SDSP-PN exactly once.  Every pass records wall time, invocation and
-/// cache-hit counters, and produced-artifact bytes into a PipelineTrace
-/// that `sdspc --timings` prints and tools/benchreport.py distills into
+/// (ArtifactRef<T>).  Results are interned in an ArtifactStore (the
+/// given one, else a MemoryStore of the session's own) keyed by (pass,
+/// input content hashes, options fingerprint), so a parameter sweep —
+/// SCP depths, unroll factors, choice policies — recomputes only the
+/// stages whose inputs or options actually changed: an l = 1..8 SCP
+/// ablation lowers, builds the SDSP, and translates the SDSP-PN exactly
+/// once.  Every pass records wall time, invocation and cache-hit
+/// counters, and produced-artifact bytes into a PipelineTrace that
+/// `sdspc --timings` prints and tools/benchreport.py distills into
 /// BENCH_passes.json.
 ///
 /// The cache is semantically invisible: pipeline outputs are
@@ -51,7 +52,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace sdsp {
@@ -156,6 +156,7 @@ struct PipelineTrace {
 
 class ArtifactStore;
 class FaultContext;
+class MemoryStore;
 class TraceTrack;
 
 /// Session construction knobs.
@@ -164,12 +165,13 @@ struct SessionConfig {
   /// other than empty or "0" disables); set forces the cache on/off.
   std::optional<bool> EnableCache;
   /// When set, pass results are interned in this shared artifact store
-  /// (core/ArtifactStore.h) instead of the session-private map: a
-  /// MemoryStore shares work across concurrent sessions — one per batch
-  /// job — and a TieredStore additionally persists artifacts across
-  /// processes (the sdspd service).  The caller keeps ownership; the
-  /// store must outlive the session.  Ignored while the cache is
-  /// disabled (EnableCache / environment).
+  /// (core/ArtifactStore.h) instead of a single-shard MemoryStore the
+  /// session builds for itself: a shared MemoryStore shares work across
+  /// concurrent sessions — one per batch job — and a TieredStore
+  /// additionally persists artifacts across processes (the sdspd
+  /// service).  The caller keeps ownership; the store must outlive the
+  /// session.  Ignored while the cache is disabled (EnableCache /
+  /// environment).
   ArtifactStore *Store = nullptr;
   /// When set, every pass run is recorded as a span on this track
   /// (support/Trace.h), with instants for cache publish/abandon and
@@ -266,7 +268,7 @@ struct FrustumOptions {
   FrustumEngine Engine = FrustumEngine::Fast;
 };
 
-/// A compilation session: typed pass manager + artifact cache +
+/// A compilation session: typed pass manager + artifact store +
 /// instrumentation.  Sessions are single-threaded and not copyable;
 /// artifacts they hand out outlive them (shared ownership).  Sessions
 /// on different threads may share one ArtifactStore (see
@@ -275,18 +277,16 @@ struct FrustumOptions {
 class CompilationSession {
 public:
   explicit CompilationSession(SessionConfig Config = {});
+  ~CompilationSession();
 
   CompilationSession(const CompilationSession &) = delete;
   CompilationSession &operator=(const CompilationSession &) = delete;
 
-  bool cacheEnabled() const { return CacheOn; }
-  /// The shared artifact store this session interns into, or null when
-  /// it uses its private map.
+  bool cacheEnabled() const { return Store != nullptr; }
+  /// The artifact store this session interns into: SessionConfig::Store
+  /// when given, else the session's own MemoryStore; null while the
+  /// cache is disabled.
   ArtifactStore *store() const { return Store; }
-  /// Number of artifacts interned in the session-private map (always 0
-  /// when a shared cache is attached).
-  size_t cacheEntries() const { return Cache.size(); }
-  void clearCache() { Cache.clear(); }
 
   /// Instrumentation for one pass.
   const PassStats &passStats(PassKind K) const {
@@ -421,25 +421,14 @@ public:
                                  const PipelineOptions &Opts);
 
 private:
-  struct CacheKey {
-    uint32_t Pass = 0;
-    uint64_t Inputs = 0;
-    uint64_t Options = 0;
-    friend bool operator==(const CacheKey &A, const CacheKey &B) {
-      return A.Pass == B.Pass && A.Inputs == B.Inputs &&
-             A.Options == B.Options;
-    }
-  };
-  struct CacheKeyHash {
-    size_t operator()(const CacheKey &K) const;
-  };
-  struct CacheEntry {
-    std::shared_ptr<const void> Value;
-    uint64_t ContentHash = 0;
-  };
+  /// The pass-boundary prologue of runPass and finish(): counts the
+  /// invocation, opens the pass span, then polls cancellation and the
+  /// "pass:<id>" fault site.  A failure returns already recorded.
+  Status enterPass(PassKind K);
 
-  /// Looks up (K, InputsHash, OptionsFp); on a miss runs \p Compute
-  /// (returning Expected<T>), interning and instrumenting the result.
+  /// Looks up (K, InputsHash, OptionsFp) in the store; on a miss runs
+  /// \p Compute (returning Expected<T>), publishing and instrumenting
+  /// the result.
   template <typename T, typename Fn>
   Expected<ArtifactRef<T>> runPass(PassKind K, uint64_t InputsHash,
                                    uint64_t OptionsFp, Fn &&Compute);
@@ -465,9 +454,8 @@ private:
   /// Runs the verify pass (timed, never cached) and seals the result.
   Expected<CompiledLoop> finish(CompiledLoop CL, const PipelineOptions &Opts);
 
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> Cache;
   std::array<PassStats, NumPassKinds> Stats{};
-  bool CacheOn = true;
+  std::unique_ptr<MemoryStore> OwnStore; ///< When no store was given.
   ArtifactStore *Store = nullptr;
   TraceTrack *Trace = nullptr;
   CancelToken Cancel;

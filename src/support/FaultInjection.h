@@ -14,7 +14,7 @@
 ///   pass:<id>          every pass boundary in the compilation session
 ///                      (one site per PassTable id: pass:lower,
 ///                      pass:frustum, ...)
-///   cache:lookup       before SharedArtifactCache::lookupOrLock
+///   cache:lookup       before every cached session's store lookup
 ///   cache:publish      after a successful compute, before the owner
 ///                      publishes (failing here exercises owner death
 ///                      and the abandon handoff)
@@ -48,8 +48,9 @@
 /// across a job's retry attempts, so a `fail@N` trigger fires exactly
 /// once and the retry sails past it.  Sites whose arrival order is
 /// fixed per job (pass:*, frustum:step, executor:dispatch) therefore
-/// replay byte-for-byte at any -j; cache:* sites depend on cross-job
-/// cache races and are only deterministic at -j1 or with sharing off.
+/// replay byte-for-byte at any -j; cache:* sites over a store shared
+/// across jobs depend on cross-job races and are only deterministic at
+/// -j1 or over each session's own store (sharing off, or one sdspc run).
 ///
 /// Every firing increments the `fault.injected` counter (plus a
 /// per-site `fault.injected.<site>` counter, ':' replaced by '.') and,

@@ -681,7 +681,7 @@ void flushEnvStoreMetrics(const Env &E) {
 /// every one of these is thread-count-invariant.
 void driver::flushMemoryStoreMetrics(const MemoryStore &Cache) {
   MetricsRegistry &MR = MetricsRegistry::global();
-  SharedArtifactCache::CounterSnapshot C = Cache.counters();
+  MemoryStore::CounterSnapshot C = Cache.counters();
   MR.add("cache.hits", C.Hits);
   MR.add("cache.misses", C.Misses);
   MR.add("cache.inserts", C.Inserts);
@@ -689,10 +689,9 @@ void driver::flushMemoryStoreMetrics(const MemoryStore &Cache) {
   MR.add("cache.abandons", C.Abandons);
   MR.add("cache.entries", C.Entries);
   MR.add("cache.bytes", C.Bytes);
-  std::vector<SharedArtifactCache::CounterSnapshot> Shards =
-      Cache.shardCounters();
+  std::vector<MemoryStore::CounterSnapshot> Shards = Cache.shardCounters();
   for (size_t I = 0; I < Shards.size(); ++I) {
-    const SharedArtifactCache::CounterSnapshot &S = Shards[I];
+    const MemoryStore::CounterSnapshot &S = Shards[I];
     if (S.Hits + S.Misses + S.Inserts + S.Evictions + S.Abandons == 0)
       continue;
     char Prefix[48];

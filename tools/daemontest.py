@@ -22,6 +22,10 @@ Four suites, each against a freshly started daemon on a scratch socket:
                 the disk store (store.disk.hits > 0, writes == 0) with
                 byte-identical client output.
 
+With the cache disabled (SDSP_DISABLE_ARTIFACT_CACHE not empty or "0",
+as the session reads it) compute-once and persistence instead assert
+cache.hits, store.disk.hits and store.disk.writes all 0.
+
 Exits nonzero with a diagnostic on the first violated invariant.
 """
 
@@ -38,6 +42,16 @@ import threading
 def fail(msg):
     sys.stderr.write("daemontest: FAIL: %s\n" % msg)
     sys.exit(1)
+
+
+CACHE_OFF = os.environ.get("SDSP_DISABLE_ARTIFACT_CACHE", "") not in ("", "0")
+
+
+def expect_cache_off(counters, who):
+    for name in ("cache.hits", "store.disk.hits", "store.disk.writes"):
+        if counters.get(name, 0):
+            fail("%s: %s is %d with the cache disabled"
+                 % (who, name, counters[name]))
 
 
 class Daemon:
@@ -164,7 +178,9 @@ def check_compute_once(sdspc, sdspd, scratch):
              % counters.get("daemon.requests"))
     # The second request replayed the first's artifacts from the shared
     # memory tier instead of recomputing.
-    if counters.get("cache.hits", 0) < 1:
+    if CACHE_OFF:
+        expect_cache_off(counters, "compute-once daemon")
+    elif counters.get("cache.hits", 0) < 1:
         fail("no cache hits across concurrent requests: %s" % counters)
 
 
@@ -204,7 +220,9 @@ def check_persistence(sdspc, sdspd, scratch):
         d.stop()
     with open(m1) as f:
         c1 = json.load(f)["counters"]
-    if c1.get("store.disk.writes", 0) < 1:
+    if CACHE_OFF:
+        expect_cache_off(c1, "cold daemon")
+    elif c1.get("store.disk.writes", 0) < 1:
         fail("cold daemon wrote nothing to the store: %s" % c1)
 
     # The restarted daemon has an empty memory tier; only the disk
@@ -219,7 +237,9 @@ def check_persistence(sdspc, sdspd, scratch):
         fail("warm-restart output differs from cold output")
     with open(m2) as f:
         c2 = json.load(f)["counters"]
-    if c2.get("store.disk.hits", 0) < 1:
+    if CACHE_OFF:
+        expect_cache_off(c2, "restarted daemon")
+    elif c2.get("store.disk.hits", 0) < 1:
         fail("restarted daemon served nothing from disk: %s" % c2)
     if c2.get("store.disk.writes", 0) != 0:
         fail("restarted daemon recomputed and rewrote objects: %s" % c2)
