@@ -175,6 +175,7 @@ struct EngineMetricsFlusher {
     MR.add("packedstate.probes", Seen.probes());
     MR.add("packedstate.collisions", Seen.collisions());
     MR.add("packedstate.states_interned", Seen.size());
+    MR.add("packedstate.arena_words", Seen.arenaWords());
     MR.add("hash.delta_validations", Seen.deltaValidations());
     // Which SIMD tier served the readiness sweeps: a per-tier counter
     // (process-wide constant, so still deterministic across -j).

@@ -131,21 +131,6 @@ std::optional<ArtifactEntry> MemoryStore::peek(const ArtifactKey &K) const {
   return It->second.E;
 }
 
-void MemoryStore::clear() {
-  for (auto &SP : ShardsVec) {
-    Shard &S = *SP;
-    std::lock_guard<std::mutex> Lock(S.M);
-    for (auto It = S.Map.begin(); It != S.Map.end();) {
-      if (It->second.Ready) {
-        S.Bytes -= It->second.E.Bytes;
-        It = S.Map.erase(It);
-      } else {
-        ++It; // In-flight: the owner will publish into a live slot.
-      }
-    }
-  }
-}
-
 MemoryStore::CounterSnapshot MemoryStore::counters() const {
   CounterSnapshot C;
   for (const CounterSnapshot &S : shardCounters()) {

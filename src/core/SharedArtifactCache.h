@@ -111,9 +111,6 @@ public:
   /// not count as a hit or miss and does not refresh recency.
   std::optional<ArtifactEntry> peek(const ArtifactKey &K) const;
 
-  /// Drops every published entry (in-flight keys are untouched).
-  void clear();
-
   CounterSnapshot counters() const;
   /// Per-shard snapshots in shard order (docs/OBSERVABILITY.md): shard
   /// assignment is a pure function of the key hash, so these — like the
@@ -121,7 +118,6 @@ public:
   /// thread count.
   std::vector<CounterSnapshot> shardCounters() const;
   size_t entries() const { return counters().Entries; }
-  size_t shardCount() const { return ShardsVec.size(); }
 
 private:
   struct Slot {

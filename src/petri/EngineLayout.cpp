@@ -49,6 +49,18 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
     ConsOff.push_back(static_cast<uint32_t>(ConsList.size()));
   }
 
+  GateOf.assign(NumPlaces, NoGate);
+  for (uint32_t P = 0; P < NumPlaces; ++P) {
+    if (ConsOff[P + 1] - ConsOff[P] <= BitWords)
+      continue;
+    GateOf[P] = static_cast<uint32_t>(GatePlace.size());
+    GatePlace.push_back(P);
+    GateMask.resize(GateMask.size() + BitWords, 0);
+    uint64_t *Mask = GateMask.data() + GateMask.size() - BitWords;
+    for (uint32_t K = ConsOff[P]; K < ConsOff[P + 1]; ++K)
+      Mask[ConsList[K] >> 6] |= 1ull << (ConsList[K] & 63);
+  }
+
   // Marked-graph fast-path metadata (see petri/EarliestFiring.h).
   FastFireTopo.assign(NumTransitions, 0);
   AllFastTopo = NumTransitions > 0;

@@ -92,6 +92,19 @@ struct EngineLayout {
   /// whole enabled set can fire each step with masked stores.
   bool AllFastTopo = false;
 
+  /// Gated places: a place with more consumers than the enabled set has
+  /// words (the run place of an SCP machine) is left out of its
+  /// consumers' readiness counters, so moving its tokens walks no
+  /// consumer list.  While it is empty, its consumers are masked out of
+  /// the enabled-idle set by one AND-NOT with GateMask — O(BitWords)
+  /// instead of O(consumers).  GateOf[p] is p's gate index or NoGate;
+  /// gate g guards place GatePlace[g], and its consumer bits are
+  /// GateMask[g * BitWords, (g + 1) * BitWords).
+  static constexpr uint32_t NoGate = ~0u;
+  std::vector<uint32_t> GateOf;
+  std::vector<uint32_t> GatePlace;
+  std::vector<uint64_t> GateMask;
+
   TimeUnits MaxExec = 1;
   /// Every execution time is 1 (the paper's unit-time setting).
   bool UnitTime = false;

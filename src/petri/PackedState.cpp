@@ -7,13 +7,14 @@
 
 #include "petri/PackedState.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace sdsp;
 
 void PackedState::decrementResiduals(size_t MarkWords) {
   size_t Busy = busyCount();
-  size_t At = 1 + MarkWords + overflowCount();
+  size_t At = 1 + MarkWords + overflowWords(MarkWords);
   for (size_t I = 0; I < Busy; ++I) {
     SDSP_CHECK((Words[At + I] & 0xffffffffull) >= 2,
                "residual would hit zero inside an idle stretch");
@@ -23,7 +24,7 @@ void PackedState::decrementResiduals(size_t MarkWords) {
 
 uint64_t PackedState::decrementResiduals(size_t MarkWords, uint64_t RawHash) {
   size_t Busy = busyCount();
-  size_t At = 1 + MarkWords + overflowCount();
+  size_t At = 1 + MarkWords + overflowWords(MarkWords);
   for (size_t I = 0; I < Busy; ++I) {
     uint64_t Old = Words[At + I];
     SDSP_CHECK((Old & 0xffffffffull) >= 2,
@@ -76,9 +77,9 @@ bool PackedStateTable::slotMatches(const Slot &S, uint64_t Hash,
   if (S.Hash != Hash)
     return false;
   const std::vector<uint64_t> &W = State.words();
-  if (Arena[S.Offset] != W.size())
+  if (S.Record[0] != W.size())
     return false;
-  const uint64_t *Stored = Arena.data() + S.Offset + 1;
+  const uint64_t *Stored = S.Record + 1;
   for (size_t I = 0; I < W.size(); ++I)
     if (Stored[I] != W[I])
       return false;
@@ -97,6 +98,24 @@ void PackedStateTable::grow() {
       I = (I + 1) & Mask;
     Slots[I] = S;
   }
+}
+
+const uint64_t *PackedStateTable::store(const PackedState &S) {
+  const std::vector<uint64_t> &W = S.words();
+  size_t Need = 1 + W.size();
+  if (ChunkUsed + Need > ChunkWords) {
+    ChunkWords = std::max(
+        Need, ChunkWords == 0 ? FirstChunkWords
+                              : std::min(2 * ChunkWords, MaxChunkWords));
+    Chunks.push_back(std::make_unique_for_overwrite<uint64_t[]>(ChunkWords));
+    ChunkUsed = 0;
+  }
+  uint64_t *Record = Chunks.back().get() + ChunkUsed;
+  Record[0] = W.size();
+  std::copy(W.begin(), W.end(), Record + 1);
+  ChunkUsed += Need;
+  ArenaWords += Need;
+  return Record;
 }
 
 std::optional<uint64_t> PackedStateTable::insertOrFind(const PackedState &S,
@@ -125,10 +144,8 @@ PackedStateTable::insertOrFindHashed(const PackedState &S, uint64_t RawHash,
     I = (I + 1) & Mask;
   }
   Slots[I].Hash = Hash;
-  Slots[I].Offset = Arena.size();
+  Slots[I].Record = store(S);
   Slots[I].Time = T;
-  Arena.push_back(S.words().size());
-  Arena.insert(Arena.end(), S.words().begin(), S.words().end());
   ++Count;
   return std::nullopt;
 }

@@ -8,25 +8,41 @@
 /// \file
 /// A compact, canonical word-packed encoding of an instantaneous state
 /// (marking + residual firing times + machine condition), built for the
-/// frustum detector's hot loop.  The safe-marking common case costs one
-/// bit per place; places holding several tokens, busy transitions, and
-/// the policy fingerprint are appended as sparse entries, so a state
-/// costs O(places/64 + busy + |fingerprint|) words instead of the
-/// O(places + transitions) deep copy InstantaneousState makes.
+/// frustum detector's hot loop.  The marking costs one bit per place;
+/// the counts above one, the busy transitions and the policy
+/// fingerprint follow as their own sections.
 ///
 /// Layout (64-bit words):
-///   [0]                 header: overflow count | busy count | fp length
-///   [1 .. W]            marking bits, 1 bit per place (set iff >= 1 token)
-///   [...overflow...]    (place << 32 | tokens) for places with >= 2
-///                       tokens, ascending place index
+///   [0]                 header: dense flag (bit 63) | overflow field |
+///                       busy count | fingerprint length
+///   [1 .. W]            marking bits, 1 bit per place slot (set iff the
+///                       place holds >= 1 token)
+///   [...overflow...]    the places holding >= 2 tokens, in one of two
+///                       forms (the header's dense flag says which):
+///                         sparse: (place << 32 | tokens) per place,
+///                                 ascending slot order; the overflow
+///                                 field counts the entries;
+///                         dense:  count planes of W words each; bit s
+///                                 of plane b is bit b of (tokens - 1)
+///                                 for the place in slot s (0 for a
+///                                 place with at most one token); the
+///                                 overflow field counts the planes
 ///   [...busy...]        (transition << 32 | residual) for busy
 ///                       transitions, ascending transition index
 ///   [...fingerprint...] policy fingerprint values, one per word
 ///
+/// The engine emits whichever overflow form is shorter, the sparse one
+/// on a tie: K words for K multi-token places against P * W words for
+/// P planes (P is the bit width of the largest count minus one).  So a
+/// state costs 1 + W + min(K, P * W) + busy + |fingerprint| words, and
+/// a net whose only multi-token place is a run place packs one sparse
+/// word for it.
+///
 /// Two packed states compare equal iff the underlying instantaneous
-/// states are equal: the header pins the section boundaries, the bit
-/// section pins zero/nonzero token counts, and the sparse sections are
-/// emitted in canonical (ascending) order.
+/// states are equal: the header pins the section boundaries and the
+/// overflow form, the bit section pins zero/nonzero token counts, the
+/// form depends on the state alone, and every section is emitted in a
+/// canonical order.
 ///
 /// PackedStateTable is the matching open-addressing hash table mapping
 /// packed states to the time step of their first occurrence.  States are
@@ -41,6 +57,7 @@
 #include "support/Status.h"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -52,9 +69,11 @@ namespace sdsp {
 class PackedState {
 public:
   /// Each header field gets 21 bits; nets beyond two million places or
-  /// transitions are outside every budget this project resolves.
+  /// transitions are outside every budget this project resolves.  The
+  /// top bit flags a dense overflow section.
   static constexpr uint64_t FieldBits = 21;
   static constexpr uint64_t FieldMax = (1ull << FieldBits) - 1;
+  static constexpr uint64_t DenseFlag = 1ull << 63;
 
   void clear() { Words.clear(); }
   bool empty() const { return Words.empty(); }
@@ -81,26 +100,43 @@ public:
     Words.push_back((static_cast<uint64_t>(Place) << 32) | Tokens);
     ++NumOverflow;
   }
+  /// The dense overflow form, in place of appendOverflow() calls:
+  /// \p NumPlanes count planes of \p MarkWords words each, plane after
+  /// plane.
+  void appendPlanes(const uint64_t *Planes, size_t NumPlanes,
+                    size_t MarkWords) {
+    Words.insert(Words.end(), Planes, Planes + NumPlanes * MarkWords);
+    NumOverflow = NumPlanes;
+    Dense = true;
+  }
   void appendBusy(uint32_t Transition, uint32_t Residual) {
     Words.push_back((static_cast<uint64_t>(Transition) << 32) | Residual);
     ++NumBusy;
   }
-  void appendFingerprint(uint32_t Value) {
-    Words.push_back(Value);
-    ++NumFp;
+  void appendFingerprint(const std::vector<uint32_t> &Values) {
+    Words.insert(Words.end(), Values.begin(), Values.end());
+    NumFp += Values.size();
   }
   /// Seals the header; must be the last builder call.
   void finishState() {
     SDSP_CHECK(NumOverflow <= FieldMax && NumBusy <= FieldMax &&
                    NumFp <= FieldMax,
                "packed state section overflows header field");
-    Words[0] = (static_cast<uint64_t>(NumOverflow) << (2 * FieldBits)) |
+    Words[0] = (Dense ? DenseFlag : 0) |
+               (static_cast<uint64_t>(NumOverflow) << (2 * FieldBits)) |
                (static_cast<uint64_t>(NumBusy) << FieldBits) | NumFp;
     NumOverflow = NumBusy = NumFp = 0;
+    Dense = false;
   }
 
+  bool denseOverflow() const { return (Words[0] & DenseFlag) != 0; }
+  /// Sparse entries, or planes when denseOverflow().
   uint64_t overflowCount() const {
     return (Words[0] >> (2 * FieldBits)) & FieldMax;
+  }
+  /// Words of the overflow section; \p MarkWords is the marking width.
+  size_t overflowWords(size_t MarkWords) const {
+    return denseOverflow() ? overflowCount() * MarkWords : overflowCount();
   }
   uint64_t busyCount() const { return (Words[0] >> FieldBits) & FieldMax; }
   uint64_t fingerprintLength() const { return Words[0] & FieldMax; }
@@ -125,7 +161,8 @@ public:
   /// which makes any single-word change a two-term XOR delta:
   /// H ^= mixWord(i, Old) ^ mixWord(i, New).  The engine maintains the
   /// marking section's XOR as tokens move and rawTailHash() supplies the
-  /// header + sparse tail fresh (those sections are O(busy + fp) words).
+  /// header and the sections after the marking fresh (their
+  /// min(K, P * W) + busy + fp words, in the notation of the layout).
   /// hashValue() == finalizeHash(rawHash()) always; the table's
   /// insertOrFindHashed() asserts that in debug builds.
   static uint64_t mixWord(uint64_t Pos, uint64_t Value);
@@ -134,8 +171,8 @@ public:
   /// Full recompute of the raw hash (the debug-validation oracle).
   uint64_t rawHash() const;
   /// The raw-hash contribution of everything EXCEPT the marking words:
-  /// the length mix, the header word, and the sparse tail sections
-  /// starting at word 1 + \p MarkWords.
+  /// the length mix, the header word, and the overflow, busy and
+  /// fingerprint sections starting at word 1 + \p MarkWords.
   uint64_t rawTailHash(size_t MarkWords) const;
 
   size_t hashValue() const { return finalizeHash(rawHash()); }
@@ -149,6 +186,7 @@ private:
   uint64_t NumOverflow = 0;
   uint64_t NumBusy = 0;
   uint64_t NumFp = 0;
+  bool Dense = false;
 };
 
 /// Number of 64-bit marking words for \p NumPlaces places.
@@ -157,8 +195,9 @@ inline size_t packedMarkWords(size_t NumPlaces) {
 }
 
 /// Open-addressing (linear probing) map from packed state to the time
-/// step of its first occurrence.  State words live in one shared arena;
-/// slots hold only hash, arena offset, and time.
+/// step of its first occurrence.  State words live in an arena of
+/// chunks that never move; slots hold only hash, record pointer, and
+/// time.
 class PackedStateTable {
 public:
   PackedStateTable();
@@ -176,8 +215,9 @@ public:
                                              uint64_t RawHash, uint64_t T);
 
   size_t size() const { return Count; }
-  /// Total words held by the arena (for memory diagnostics).
-  size_t arenaWords() const { return Arena.size(); }
+  /// Words of the stored records, one length word plus the packed words
+  /// per state (exact; flushed as packedstate.arena_words).
+  size_t arenaWords() const { return ArenaWords; }
 
   /// Lookup statistics, flushed to the metrics registry by the frustum
   /// detector (docs/OBSERVABILITY.md): insertOrFind calls, and occupied
@@ -193,15 +233,23 @@ public:
 
 private:
   struct Slot {
-    static constexpr uint64_t EmptyOffset = ~0ull;
     uint64_t Hash = 0;
-    uint64_t Offset = EmptyOffset; // arena index of [length, words...]
+    const uint64_t *Record = nullptr; // [length, words...] in the arena
     uint64_t Time = 0;
-    bool empty() const { return Offset == EmptyOffset; }
+    bool empty() const { return Record == nullptr; }
   };
 
+  /// The arena grows by chunks, each twice the last up to MaxChunkWords
+  /// (or one record, if larger), so storing a state never copies the
+  /// earlier ones and a growing arena never holds two copies of itself.
+  static constexpr size_t FirstChunkWords = size_t(1) << 8;
+  static constexpr size_t MaxChunkWords = size_t(1) << 16;
+
   std::vector<Slot> Slots;
-  std::vector<uint64_t> Arena;
+  std::vector<std::unique_ptr<uint64_t[]>> Chunks;
+  size_t ChunkWords = 0;
+  size_t ChunkUsed = 0;
+  size_t ArenaWords = 0;
   size_t Count = 0;
   uint64_t Probes = 0;
   uint64_t Collisions = 0;
@@ -210,6 +258,7 @@ private:
   bool slotMatches(const Slot &S, uint64_t Hash,
                    const PackedState &State) const;
   void grow();
+  const uint64_t *store(const PackedState &S);
 };
 
 } // namespace sdsp

@@ -10,7 +10,11 @@
 #include "TestUtil.h"
 #include "core/RateAnalysis.h"
 #include "core/SdspPn.h"
+#include "dataflow/Unroll.h"
+#include "livermore/Livermore.h"
+#include "loopir/Lowering.h"
 #include "support/FaultInjection.h"
+#include "support/Metrics.h"
 #include "gtest/gtest.h"
 
 #include <chrono>
@@ -57,6 +61,38 @@ TEST(Frustum, L2MatchesCriticalCycleRate) {
   for (TransitionId T : Pn.Net.transitionIds())
     EXPECT_EQ(F->computationRate(T), Rational(1, 3));
   EXPECT_LE(F->RepeatTime, boundBdSdspPn(Pn.Net.numTransitions()));
+}
+
+uint64_t counterOf(const std::string &Name) {
+  for (const auto &[N, V] : MetricsRegistry::global().snapshot().Counters)
+    if (N == Name)
+      return V;
+  return 0;
+}
+
+TEST(Frustum, MultiTokenStatesCostAboutTheirMarking) {
+  // Capacity 2 puts two tokens on about half the places of an unrolled
+  // loop.  Packed as one count plane, a state costs about twice its
+  // marking; one sparse word per two-token place made it 30 times as
+  // much (394.7 against 14.0 arena words per state on l2 x64).
+  DiagnosticEngine Diags;
+  auto G = compileLoop(findKernel("l2")->Source, Diags);
+  ASSERT_TRUE(G.has_value());
+  DataflowGraph Body = unrollLoop(*G, 64);
+  double WordsPerState[2] = {0, 0};
+  for (uint32_t Capacity : {1u, 2u}) {
+    SdspPn Pn = buildSdspPn(Sdsp::standard(Body, Capacity));
+    uint64_t Words = counterOf("packedstate.arena_words");
+    uint64_t States = counterOf("packedstate.states_interned");
+    ASSERT_TRUE(detectFrustumChecked(Pn.Net).ok()) << "capacity " << Capacity;
+    Words = counterOf("packedstate.arena_words") - Words;
+    States = counterOf("packedstate.states_interned") - States;
+    ASSERT_GT(Words, 0u) << "capacity " << Capacity;
+    ASSERT_GT(States, 0u) << "capacity " << Capacity;
+    WordsPerState[Capacity - 1] = static_cast<double>(Words) / States;
+  }
+  EXPECT_LE(WordsPerState[1], 2.5 * WordsPerState[0])
+      << WordsPerState[1] << " vs " << WordsPerState[0];
 }
 
 TEST(Frustum, TraceCoversPrefixAndCounts) {

@@ -234,21 +234,6 @@ TEST(MemoryStoreTest, NeverEvictsTheJustPublishedEntry) {
   EXPECT_EQ(valueOf(*C.peek(B)), 2);
 }
 
-TEST(MemoryStoreTest, ClearDropsPublishedEntries) {
-  MemoryStore C;
-  Key A{1, 0, 0};
-  EXPECT_FALSE(C.lookupOrLock(A, nullptr).has_value());
-  C.publish(A, makeEntry(1), nullptr);
-  EXPECT_EQ(C.entries(), 1u);
-  C.clear();
-  EXPECT_EQ(C.entries(), 0u);
-  EXPECT_EQ(C.counters().Bytes, 0u);
-  // The key is recomputable afterwards.
-  EXPECT_FALSE(C.lookupOrLock(A, nullptr).has_value());
-  C.publish(A, makeEntry(1), nullptr);
-  EXPECT_EQ(C.entries(), 1u);
-}
-
 //===----------------------------------------------------------------------===//
 // CompilationSession integration.
 //===----------------------------------------------------------------------===//

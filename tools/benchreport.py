@@ -43,10 +43,13 @@ marked non-gating.
                        --verify --metrics-json` (schema sdsp-metrics-v1,
                        docs/OBSERVABILITY.md): engine firings,
                        enabled-set rebuilds, state-table probes, cache
-                       hit/miss counts; and, in a section of its own,
-                       from the same batch on the SCP machine
+                       hit/miss counts; and, in sections of their
+                       own, from the same batch on the SCP machine
                        (--scp=2 --pipelines=2), whose FIFO policy the
-                       ideal-machine run never exercises.  Unlike wall
+                       ideal-machine run never exercises, and with
+                       two-slot buffers (--capacity=2), whose
+                       multi-token states the capacity-1 run never
+                       packs.  Unlike wall
                        times these are exact work counts, so --compare
                        diffs them for equality — any drift means the
                        pipeline is doing different work, not that the
@@ -112,6 +115,7 @@ COMPARE_TOLERANCE = 0.25  # Relative regression allowed before failing.
 METRICS_LEGS = [
     ("counters", []),
     ("scp_counters", ["--scp=2", "--pipelines=2"]),
+    ("cap2_counters", ["--capacity=2"]),
 ]
 
 # Set by main() from --allow-debug: a debug capture then produces

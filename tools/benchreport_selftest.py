@@ -27,7 +27,8 @@ comparator:
     with a different tier even when the code was unchanged;
   * BENCH_metrics.json held only the ideal-machine leg, so no exact
     counter watched the SCP machine's policy-driven engine (the
-    scp_counters section must be compared exactly, and required).
+    scp_counters section must be compared exactly, and required; so
+    must the cap2_counters section of the two-slot-buffer leg).
 
 Standard library only; pytest-style test_* functions run by a tiny
 driver so ctest can invoke this file directly.
@@ -63,7 +64,8 @@ def default_reports():
              "gate": dict(gate_common, num_cpus=8, skipped=False,
                           speedup=4.0)}
     metrics = {"counters": {"engine.firings": 42},
-               "scp_counters": {"policy.readiness_checks": 7}}
+               "scp_counters": {"policy.readiness_checks": 7},
+               "cap2_counters": {"packedstate.arena_words": 93}}
     return {
         "BENCH_frustum.json": frustum,
         "BENCH_pipeline.json": pipeline,
@@ -253,6 +255,25 @@ def test_missing_scp_section_names_the_file():
     out, err = run_compare(mutate_base=base)
     assert err is not None, "a baseline without the SCP leg must not pass"
     assert "baseline BENCH_metrics.json has no 'scp_counters' key" in str(err)
+
+
+def test_cap2_counter_drift_fails():
+    def fresh(r):
+        r["BENCH_metrics.json"]["cap2_counters"][
+            "packedstate.arena_words"] = 94
+    out, err = run_compare(fresh)
+    assert err is not None, "capacity-2 counter drift must fail the compare"
+    assert "counter cap2_counters/packedstate.arena_words" in str(err)
+    assert "exact match required" in str(err)
+
+
+def test_missing_cap2_section_names_the_file():
+    def base(r):
+        del r["BENCH_metrics.json"]["cap2_counters"]
+    out, err = run_compare(mutate_base=base)
+    assert err is not None, "a baseline without the capacity-2 leg must fail"
+    assert ("baseline BENCH_metrics.json has no 'cap2_counters' key"
+            in str(err))
 
 
 def test_host_dependent_counters_are_dropped():
