@@ -64,7 +64,7 @@ void printWalkthrough(std::ostream &OS) {
   SoftwarePipelineSchedule Sched = deriveSchedule(Pn, *F);
   std::vector<std::string> Names;
   for (TransitionId T : Pn.Net.transitionIds())
-    Names.push_back(Pn.Net.transition(T).Name);
+    Names.emplace_back(Pn.Net.transition(T).Name);
   Sched.print(OS, Names);
   RateReport Rate = analyzeRate(Pn);
   OS << "achieved rate " << Sched.rate().str() << " = optimal "

@@ -71,7 +71,7 @@ void printFigure(std::ostream &OS) {
     SoftwarePipelineSchedule Sched = deriveSchedule(Pn, *F);
     std::vector<std::string> Names;
     for (TransitionId Tr : Pn.Net.transitionIds())
-      Names.push_back(Pn.Net.transition(Tr).Name);
+      Names.emplace_back(Pn.Net.transition(Tr).Name);
     OS << "\n--- derived schedule ---\n";
     Sched.print(OS, Names);
     OS << "measured rate " << Sched.rate().str() << "\n\n";

@@ -72,7 +72,7 @@ int main() {
   SoftwarePipelineSchedule Sched = deriveSchedule(Pn, *F);
   std::vector<std::string> Names;
   for (TransitionId T : Pn.Net.transitionIds())
-    Names.push_back(Pn.Net.transition(T).Name);
+    Names.emplace_back(Pn.Net.transition(T).Name);
   Sched.print(std::cout, Names);
 
   // Run 64 samples through the VM and a textbook biquad.

@@ -49,7 +49,7 @@ bool runKernel(CompilationSession &Session, const LivermoreKernel &K) {
 
   std::vector<std::string> Names;
   for (TransitionId T : Pn.Net.transitionIds())
-    Names.push_back(Pn.Net.transition(T).Name);
+    Names.emplace_back(Pn.Net.transition(T).Name);
   CL.Schedule->print(std::cout, Names);
 
   // Semantic check: interpreter vs reference on random inputs.

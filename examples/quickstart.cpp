@@ -103,7 +103,7 @@ int main() {
   std::vector<std::string> Names;
   std::vector<uint32_t> Taus;
   for (TransitionId T : (*Pn)->Net.transitionIds()) {
-    Names.push_back((*Pn)->Net.transition(T).Name);
+    Names.emplace_back((*Pn)->Net.transition(T).Name);
     Taus.push_back((*Pn)->Net.transition(T).ExecTime);
   }
   SP.print(std::cout, Names);

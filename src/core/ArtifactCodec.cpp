@@ -51,10 +51,10 @@ bool getIdOrInvalid(ByteReader &R, uint64_t Limit, IdT &Out) {
   return true;
 }
 
-template <typename IdT>
-void putIdVec(ByteWriter &W, const std::vector<IdT> &V) {
+/// Writes a vector or span of ids.
+template <typename IdRange> void putIdVec(ByteWriter &W, const IdRange &V) {
   W.u64(V.size());
-  for (IdT Id : V)
+  for (auto Id : V)
     putId(W, Id);
 }
 
@@ -182,39 +182,37 @@ void encodeNet(const PetriNet &Net, ByteWriter &W) {
   }
 }
 
-/// Reads a whole net with permissive per-vector bounds (the place-side
+/// Reads a whole net with permissive per-list bounds (the place-side
 /// transition ids stream before the transition count is known), then
 /// cross-validates every reference once both table sizes are available.
 bool decodeNetImpl(ByteReader &R, PetriNet &Out) {
   uint64_t NumPlaces = R.seqLen(28);
   if (!R.ok())
     return false;
-  std::vector<PetriNet::Place> Places;
-  Places.reserve(NumPlaces);
+  PetriNet::Parts Parts;
   constexpr uint64_t Permissive = Id<TransitionTag>::InvalidValue;
+  std::vector<TransitionId> Producers, Consumers;
   for (uint64_t I = 0; I < NumPlaces; ++I) {
-    PetriNet::Place P;
-    P.Name = R.str();
-    P.InitialTokens = R.u32();
-    if (!R.ok() || !getIdVec(R, Permissive, false, P.Producers) ||
-        !getIdVec(R, Permissive, false, P.Consumers))
+    std::string_view Name = R.strView();
+    uint32_t Tokens = R.u32();
+    if (!R.ok() || !getIdVec(R, Permissive, false, Producers) ||
+        !getIdVec(R, Permissive, false, Consumers))
       return false;
-    Places.push_back(std::move(P));
+    Parts.addPlace(Name, Tokens, Producers, Consumers);
   }
   uint64_t NumTransitions = R.seqLen(28);
   if (!R.ok())
     return false;
-  std::vector<PetriNet::Transition> Transitions;
-  Transitions.reserve(NumTransitions);
+  std::vector<PlaceId> Inputs, Outputs;
   for (uint64_t I = 0; I < NumTransitions; ++I) {
-    PetriNet::Transition T;
-    T.Name = R.str();
-    T.ExecTime = R.u32();
-    if (!R.ok() || !getIdVec(R, NumPlaces, false, T.InputPlaces) ||
-        !getIdVec(R, NumPlaces, false, T.OutputPlaces))
+    std::string_view Name = R.strView();
+    TimeUnits ExecTime = R.u32();
+    if (!R.ok() || !getIdVec(R, NumPlaces, false, Inputs) ||
+        !getIdVec(R, NumPlaces, false, Outputs))
       return false;
-    Transitions.push_back(std::move(T));
+    Parts.addTransition(Name, ExecTime, Inputs, Outputs);
   }
+  PetriNet Net = PetriNet::fromParts(std::move(Parts));
   // Range-check the place-side transition ids now that the count is
   // known, and check bidirectional consistency: every arc must appear
   // exactly as often on its place as on its transition.
@@ -222,23 +220,25 @@ bool decodeNetImpl(ByteReader &R, PetriNet &Out) {
     return (static_cast<uint64_t>(T) << 32) | P;
   };
   std::unordered_map<uint64_t, int64_t> Consume, Produce;
-  for (uint64_t PI = 0; PI < NumPlaces; ++PI) {
-    for (TransitionId T : Places[PI].Producers) {
+  for (uint32_t PI = 0; PI < NumPlaces; ++PI) {
+    const PetriNet::Place &Pl = Net.place(PlaceId(PI));
+    for (TransitionId T : Pl.Producers) {
       if (T.index() >= NumTransitions)
         return false;
-      ++Produce[PairKey(T.index(), static_cast<uint32_t>(PI))];
+      ++Produce[PairKey(T.index(), PI)];
     }
-    for (TransitionId T : Places[PI].Consumers) {
+    for (TransitionId T : Pl.Consumers) {
       if (T.index() >= NumTransitions)
         return false;
-      ++Consume[PairKey(T.index(), static_cast<uint32_t>(PI))];
+      ++Consume[PairKey(T.index(), PI)];
     }
   }
-  for (uint64_t TI = 0; TI < NumTransitions; ++TI) {
-    for (PlaceId P : Transitions[TI].InputPlaces)
-      --Consume[PairKey(static_cast<uint32_t>(TI), P.index())];
-    for (PlaceId P : Transitions[TI].OutputPlaces)
-      --Produce[PairKey(static_cast<uint32_t>(TI), P.index())];
+  for (uint32_t TI = 0; TI < NumTransitions; ++TI) {
+    const PetriNet::Transition &Tr = Net.transition(TransitionId(TI));
+    for (PlaceId P : Tr.InputPlaces)
+      --Consume[PairKey(TI, P.index())];
+    for (PlaceId P : Tr.OutputPlaces)
+      --Produce[PairKey(TI, P.index())];
   }
   for (const auto &[Key, Count] : Consume)
     if (Count != 0)
@@ -246,7 +246,7 @@ bool decodeNetImpl(ByteReader &R, PetriNet &Out) {
   for (const auto &[Key, Count] : Produce)
     if (Count != 0)
       return false;
-  Out = PetriNet::fromParts(std::move(Places), std::move(Transitions));
+  Out = std::move(Net);
   return true;
 }
 
@@ -813,6 +813,7 @@ std::shared_ptr<const void> sdsp::decodeArtifact(PassKind K, ByteReader &R) {
     auto T = std::make_shared<TransformedGraph>();
     if (!decodeGraph(R, T->Graph))
       return nullptr;
+    T->GraphHash = artifactHash(T->Graph);
     T->Stats.ConstantsFolded = static_cast<size_t>(R.u64());
     T->Stats.SubexpressionsMerged = static_cast<size_t>(R.u64());
     T->Stats.DeadNodesRemoved = static_cast<size_t>(R.u64());

@@ -109,22 +109,6 @@ uint64_t stepRecordsBytes(const std::vector<StepRecord> &Trace) {
   return B;
 }
 
-uint64_t netBytes(const PetriNet &Net) {
-  uint64_t B = Net.numPlaces() * sizeof(PetriNet::Place) +
-               Net.numTransitions() * sizeof(PetriNet::Transition);
-  for (PlaceId P : Net.placeIds()) {
-    const PetriNet::Place &Pl = Net.place(P);
-    B += Pl.Name.size() +
-         (Pl.Producers.size() + Pl.Consumers.size()) * sizeof(TransitionId);
-  }
-  for (TransitionId T : Net.transitionIds()) {
-    const PetriNet::Transition &Tr = Net.transition(T);
-    B += Tr.Name.size() +
-         (Tr.InputPlaces.size() + Tr.OutputPlaces.size()) * sizeof(PlaceId);
-  }
-  return B;
-}
-
 uint64_t graphBytes(const DataflowGraph &G) {
   uint64_t B = G.numNodes() * sizeof(DataflowGraph::Node) +
                G.numArcs() * sizeof(DataflowGraph::Arc);
@@ -158,7 +142,7 @@ HashStream &HashStream::f64(double V) {
   return u64(Bits);
 }
 
-HashStream &HashStream::str(const std::string &S) {
+HashStream &HashStream::str(std::string_view S) {
   u64(S.size());
   // FNV-1a over the bytes, then mixed in as one word.
   uint64_t F = 0xcbf29ce484222325ULL;
@@ -324,10 +308,12 @@ uint64_t sdsp::artifactSizeBytes(const Sdsp &S) {
   return B;
 }
 
-uint64_t sdsp::artifactSizeBytes(const PetriNet &Net) { return netBytes(Net); }
+uint64_t sdsp::artifactSizeBytes(const PetriNet &Net) {
+  return Net.sizeBytes();
+}
 
 uint64_t sdsp::artifactSizeBytes(const SdspPn &Pn) {
-  return netBytes(Pn.Net) +
+  return Pn.Net.sizeBytes() +
          Pn.NodeToTransition.size() * sizeof(TransitionId) +
          Pn.TransitionToNode.size() * sizeof(NodeId) +
          Pn.ArcToPlace.size() * sizeof(PlaceId) +
@@ -335,7 +321,7 @@ uint64_t sdsp::artifactSizeBytes(const SdspPn &Pn) {
 }
 
 uint64_t sdsp::artifactSizeBytes(const ScpPn &Scp) {
-  return netBytes(Scp.Net) +
+  return Scp.Net.sizeBytes() +
          (Scp.SdspTransitions.size() + Scp.DummyTransitions.size()) *
              sizeof(TransitionId) +
          Scp.IsSdspTransition.size() / 8 + sizeof(ScpPn);

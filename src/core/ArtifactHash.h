@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace sdsp {
 
@@ -52,7 +53,7 @@ public:
   HashStream &u64(uint64_t V);
   HashStream &i64(int64_t V) { return u64(static_cast<uint64_t>(V)); }
   HashStream &f64(double V);
-  HashStream &str(const std::string &S);
+  HashStream &str(std::string_view S);
 
   uint64_t hash() const { return H; }
 

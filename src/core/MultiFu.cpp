@@ -38,9 +38,9 @@ MultiFuPn sdsp::buildMultiFuPn(const SdspPn &Pn, const Sdsp &S,
   }
 
   // SDSP transitions: issue slot of 1 cycle.
+  PetriNetBuilder Net;
   for (TransitionId T : Src.transitionIds())
-    M.SdspTransitions.push_back(
-        M.Net.addTransition(Src.transition(T).Name, 1));
+    M.SdspTransitions.push_back(Net.addTransition(Src.transition(T).Name, 1));
 
   // Series expansion, depth chosen by the *producer's* class.
   for (PlaceId P : Src.placeIds()) {
@@ -52,31 +52,31 @@ MultiFuPn sdsp::buildMultiFuPn(const SdspPn &Pn, const Sdsp &S,
     uint32_t Depth =
         Classes[M.ClassOf[Pl.Producers.front().index()]].Depth;
     if (Depth == 1) {
-      PlaceId NewP = M.Net.addPlace(Pl.Name, Pl.InitialTokens);
-      M.Net.addArc(Producer, NewP);
-      M.Net.addArc(NewP, Consumer);
+      PlaceId NewP = Net.addPlace(Pl.Name, Pl.InitialTokens);
+      Net.addArc(Producer, NewP);
+      Net.addArc(NewP, Consumer);
       continue;
     }
-    PlaceId Pre = M.Net.addPlace(Pl.Name + ".pre", 0);
-    TransitionId Dummy =
-        M.Net.addTransition("d:" + Pl.Name, Depth - 1);
-    PlaceId Post = M.Net.addPlace(Pl.Name + ".post", Pl.InitialTokens);
-    M.Net.addArc(Producer, Pre);
-    M.Net.addArc(Pre, Dummy);
-    M.Net.addArc(Dummy, Post);
-    M.Net.addArc(Post, Consumer);
+    PlaceId Pre = Net.addPlace({Pl.Name, ".pre"}, 0);
+    TransitionId Dummy = Net.addTransition({"d:", Pl.Name}, Depth - 1);
+    PlaceId Post = Net.addPlace({Pl.Name, ".post"}, Pl.InitialTokens);
+    Net.addArc(Producer, Pre);
+    Net.addArc(Pre, Dummy);
+    Net.addArc(Dummy, Post);
+    Net.addArc(Post, Consumer);
     M.DummyTransitions.push_back(Dummy);
   }
 
   // One run place per class.
   for (const FuClass &C : Classes)
-    M.RunPlaces.push_back(M.Net.addPlace("p_run:" + C.Name, C.Count));
+    M.RunPlaces.push_back(Net.addPlace({"p_run:", C.Name}, C.Count));
   for (TransitionId T : Src.transitionIds()) {
     TransitionId NewT = M.SdspTransitions[T.index()];
     PlaceId Run = M.RunPlaces[M.ClassOf[T.index()]];
-    M.Net.addArc(Run, NewT);
-    M.Net.addArc(NewT, Run);
+    Net.addArc(Run, NewT);
+    Net.addArc(NewT, Run);
   }
+  M.Net = Net.build();
 
   M.IsSdspTransition.assign(M.Net.numTransitions(), false);
   for (TransitionId T : M.SdspTransitions)

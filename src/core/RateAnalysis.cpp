@@ -32,20 +32,23 @@ RateReport sdsp::analyzeRate(const SdspPn &Pn, RateEngine Engine) {
 RateReport sdsp::analyzeRate(const PetriNet &Net, RateEngine Engine) {
   MarkedGraphView View(Net);
   std::optional<CriticalCycleInfo> Info;
+  // Counted whenever Howard ran, whichever engine choice ran it.
+  std::optional<uint64_t> HowardIterations;
   switch (Engine) {
   case RateEngine::Auto:
-    Info = criticalCycle(View);
+    Info = criticalCycle(View, &HowardIterations);
     break;
-  case RateEngine::Howard: {
-    uint64_t Iterations = 0;
-    Info = maxCycleRatioHoward(View, &Iterations);
-    MetricsRegistry::global().add("rate.howard.iterations", Iterations);
+  case RateEngine::Howard:
+    HowardIterations = 0;
+    Info = maxCycleRatioHoward(View, &*HowardIterations);
     break;
-  }
   case RateEngine::Enumerate:
     Info = criticalCycleByEnumeration(View);
     break;
   }
+  if (HowardIterations)
+    MetricsRegistry::global().add("rate.howard.iterations",
+                                  *HowardIterations);
 
   // Implicit self-loop bound: max execution time.
   Rational SelfLoop(0);

@@ -52,10 +52,11 @@ ScpPn sdsp::buildScpPn(const SdspPn &Pn, uint32_t PipelineDepth,
   ScpPn Scp;
   Scp.PipelineDepth = PipelineDepth;
   Scp.NumPipelines = NumPipelines;
+  PetriNetBuilder Net;
 
   // SDSP transitions, execution time 1 (issue slot).
   for (TransitionId T : Src.transitionIds()) {
-    TransitionId NewT = Scp.Net.addTransition(Src.transition(T).Name, 1);
+    TransitionId NewT = Net.addTransition(Src.transition(T).Name, 1);
     Scp.SdspTransitions.push_back(NewT);
   }
 
@@ -69,29 +70,29 @@ ScpPn sdsp::buildScpPn(const SdspPn &Pn, uint32_t PipelineDepth,
     TransitionId Consumer = Scp.SdspTransitions[Pl.Consumers.front().index()];
     if (PipelineDepth == 1) {
       // l = 1: no dummy transitions remain in the final model.
-      PlaceId NewP = Scp.Net.addPlace(Pl.Name, Pl.InitialTokens);
-      Scp.Net.addArc(Producer, NewP);
-      Scp.Net.addArc(NewP, Consumer);
+      PlaceId NewP = Net.addPlace(Pl.Name, Pl.InitialTokens);
+      Net.addArc(Producer, NewP);
+      Net.addArc(NewP, Consumer);
       continue;
     }
-    PlaceId Pre = Scp.Net.addPlace(Pl.Name + ".pre", 0);
-    TransitionId Dummy =
-        Scp.Net.addTransition("d:" + Pl.Name, PipelineDepth - 1);
-    PlaceId Post = Scp.Net.addPlace(Pl.Name + ".post", Pl.InitialTokens);
-    Scp.Net.addArc(Producer, Pre);
-    Scp.Net.addArc(Pre, Dummy);
-    Scp.Net.addArc(Dummy, Post);
-    Scp.Net.addArc(Post, Consumer);
+    PlaceId Pre = Net.addPlace({Pl.Name, ".pre"}, 0);
+    TransitionId Dummy = Net.addTransition({"d:", Pl.Name}, PipelineDepth - 1);
+    PlaceId Post = Net.addPlace({Pl.Name, ".post"}, Pl.InitialTokens);
+    Net.addArc(Producer, Pre);
+    Net.addArc(Pre, Dummy);
+    Net.addArc(Dummy, Post);
+    Net.addArc(Post, Consumer);
     Scp.DummyTransitions.push_back(Dummy);
   }
 
   // Run place: one issue slot per pipeline, shared by all SDSP
   // transitions.
-  Scp.RunPlace = Scp.Net.addPlace("p_run", NumPipelines);
+  Scp.RunPlace = Net.addPlace("p_run", NumPipelines);
   for (TransitionId T : Scp.SdspTransitions) {
-    Scp.Net.addArc(Scp.RunPlace, T);
-    Scp.Net.addArc(T, Scp.RunPlace);
+    Net.addArc(Scp.RunPlace, T);
+    Net.addArc(T, Scp.RunPlace);
   }
+  Scp.Net = Net.build();
 
   Scp.IsSdspTransition.assign(Scp.Net.numTransitions(), false);
   for (TransitionId T : Scp.SdspTransitions)

@@ -19,14 +19,14 @@ bool sdsp::isBoundaryOp(OpKind Kind) {
 }
 
 bool Sdsp::isInteriorArc(ArcId A) const {
-  const DataflowGraph::Arc &Arc = G.arc(A);
-  return !isBoundaryOp(G.node(Arc.From).Kind) &&
-         !isBoundaryOp(G.node(Arc.To).Kind);
+  const DataflowGraph::Arc &Arc = G->arc(A);
+  return !isBoundaryOp(G->node(Arc.From).Kind) &&
+         !isBoundaryOp(G->node(Arc.To).Kind);
 }
 
 std::vector<ArcId> Sdsp::interiorArcs() const {
   std::vector<ArcId> Result;
-  for (ArcId A : G.arcIds())
+  for (ArcId A : G->arcIds())
     if (isInteriorArc(A))
       Result.push_back(A);
   return Result;
@@ -34,8 +34,8 @@ std::vector<ArcId> Sdsp::interiorArcs() const {
 
 size_t Sdsp::loopBodySize() const {
   size_t N = 0;
-  for (NodeId Id : G.nodeIds())
-    if (!isBoundaryOp(G.node(Id).Kind))
+  for (NodeId Id : G->nodeIds())
+    if (!isBoundaryOp(G->node(Id).Kind))
       ++N;
   return N;
 }
@@ -45,13 +45,13 @@ uint64_t Sdsp::storageLocations() const {
   for (const Ack &A : Acks) {
     uint64_t Resident = 0;
     for (ArcId Arc : A.Path)
-      Resident += G.arc(Arc).Distance;
+      Resident += G->arc(Arc).Distance;
     Total += A.Slots + Resident;
   }
   // Self-feedback arcs carry no acknowledgement (non-reentrancy
   // serializes the producer-consumer) but still occupy their window.
-  for (ArcId A : G.arcIds()) {
-    const DataflowGraph::Arc &Arc = G.arc(A);
+  for (ArcId A : G->arcIds()) {
+    const DataflowGraph::Arc &Arc = G->arc(A);
     if (isInteriorArc(A) && Arc.From == Arc.To)
       Total += Arc.Distance;
   }
@@ -87,12 +87,19 @@ bool forwardReaches(const DataflowGraph &G, NodeId From, NodeId To) {
 } // namespace
 
 Sdsp Sdsp::standard(DataflowGraph Graph, uint32_t Capacity) {
+  return standard(std::make_shared<const DataflowGraph>(std::move(Graph)),
+                  Capacity);
+}
+
+Sdsp Sdsp::standard(std::shared_ptr<const DataflowGraph> Graph,
+                    uint32_t Capacity) {
   SDSP_CHECK(Capacity >= 1, "buffers need at least one slot");
   Sdsp S(std::move(Graph));
-  for (ArcId A : S.G.arcIds()) {
+  const DataflowGraph &G = *S.G;
+  for (ArcId A : G.arcIds()) {
     if (!S.isInteriorArc(A))
       continue;
-    const DataflowGraph::Arc &Arc = S.G.arc(A);
+    const DataflowGraph::Arc &Arc = G.arc(A);
     // A self-feedback arc (q = q[i-1] + ...) needs no acknowledgement:
     // the producer is its own consumer, so non-reentrant firing already
     // guarantees the slot is free, and an ack place would form a
@@ -107,7 +114,7 @@ Sdsp Sdsp::standard(DataflowGraph Graph, uint32_t Capacity) {
     // forward value arrives.  One spare slot breaks the token-free
     // ack/forward cycle.
     if (Arc.isFeedback() && Cap == Arc.Distance &&
-        forwardReaches(S.G, Arc.From, Arc.To))
+        forwardReaches(G, Arc.From, Arc.To))
       ++Cap;
     Ack Ak;
     Ak.Path = {A};
@@ -118,29 +125,36 @@ Sdsp Sdsp::standard(DataflowGraph Graph, uint32_t Capacity) {
 }
 
 Sdsp Sdsp::withAcks(DataflowGraph Graph, std::vector<Ack> Acks) {
+  return withAcks(std::make_shared<const DataflowGraph>(std::move(Graph)),
+                  std::move(Acks));
+}
+
+Sdsp Sdsp::withAcks(std::shared_ptr<const DataflowGraph> Graph,
+                    std::vector<Ack> Acks) {
   Sdsp S(std::move(Graph));
   S.Acks = std::move(Acks);
 #ifndef NDEBUG
+  const DataflowGraph &G = *S.G;
   // Every interior arc covered exactly once; paths chain head-to-tail.
-  std::vector<unsigned> Covered(S.G.numArcs(), 0);
+  std::vector<unsigned> Covered(G.numArcs(), 0);
   for (const Ack &A : S.Acks) {
     assert(!A.Path.empty() && "empty acknowledgement path");
     for (size_t I = 0; I < A.Path.size(); ++I) {
       assert(S.isInteriorArc(A.Path[I]) && "ack covers a boundary arc");
-      assert(S.G.arc(A.Path[I]).From != S.G.arc(A.Path[I]).To &&
+      assert(G.arc(A.Path[I]).From != G.arc(A.Path[I]).To &&
              "self-feedback arcs must not be acknowledged");
       ++Covered[A.Path[I].index()];
       if (I + 1 < A.Path.size())
-        assert(S.G.arc(A.Path[I]).To == S.G.arc(A.Path[I + 1]).From &&
+        assert(G.arc(A.Path[I]).To == G.arc(A.Path[I + 1]).From &&
                "ack path is not a chain");
     }
     uint64_t Resident = 0;
     for (ArcId Arc : A.Path)
-      Resident += S.G.arc(Arc).Distance;
+      Resident += G.arc(Arc).Distance;
     assert(A.Slots + Resident >= 1 && "ack cycle would be token-free");
   }
-  for (ArcId A : S.G.arcIds())
-    if (S.isInteriorArc(A) && S.G.arc(A).From != S.G.arc(A).To)
+  for (ArcId A : G.arcIds())
+    if (S.isInteriorArc(A) && G.arc(A).From != G.arc(A).To)
       assert(Covered[A.index()] == 1 &&
              "interior arc not covered exactly once");
 #endif

@@ -33,6 +33,7 @@
 #include "support/Status.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace sdsp {
@@ -66,13 +67,23 @@ public:
   /// larger values model the FIFO-queued extension of Section 7).
   /// Feedback arcs get capacity max(Capacity, Distance).
   static Sdsp standard(DataflowGraph G, uint32_t Capacity = 1);
+  /// The same over a shared graph, which the SDSP then holds without a
+  /// copy (the session passes the transform artifact's graph).
+  static Sdsp standard(std::shared_ptr<const DataflowGraph> G,
+                       uint32_t Capacity = 1);
 
   /// Builds an SDSP with an explicit acknowledgement structure (used by
   /// the storage optimizer).  Every interior data arc must be covered
   /// exactly once.
   static Sdsp withAcks(DataflowGraph G, std::vector<Ack> Acks);
+  static Sdsp withAcks(std::shared_ptr<const DataflowGraph> G,
+                       std::vector<Ack> Acks);
 
-  const DataflowGraph &graph() const { return G; }
+  const DataflowGraph &graph() const { return *G; }
+  /// The graph, shared: copying an SDSP never copies it.
+  const std::shared_ptr<const DataflowGraph> &sharedGraph() const {
+    return G;
+  }
   const std::vector<Ack> &acks() const { return Acks; }
 
   /// True if arc \p A connects two compute nodes (is part of the
@@ -91,10 +102,10 @@ public:
   uint64_t storageLocations() const;
 
 private:
-  DataflowGraph G;
+  std::shared_ptr<const DataflowGraph> G;
   std::vector<Ack> Acks;
 
-  explicit Sdsp(DataflowGraph G) : G(std::move(G)) {}
+  explicit Sdsp(std::shared_ptr<const DataflowGraph> G) : G(std::move(G)) {}
 };
 
 /// Re-checks the structural invariants of \p S without asserting: the

@@ -113,21 +113,27 @@ void resolvePassSpan(TraceTrack *Trace, const char *How) {
   }
 }
 
-/// Closes out a failed pass run: counts the failure, and when the
-/// status is a cancellation (Cancelled / DeadlineExceeded) records the
-/// observation — a "cancelled" trace instant plus the cancel.observed
-/// gauge (a gauge, not a counter: where a deadline lands is
-/// wall-clock-dependent and must stay off the determinism surface).
-Status notePassFailure(TraceTrack *Trace, PassStats &PS, Status St) {
-  ++PS.Failures;
-  bool WasCancelled = St.code() == ErrorCode::Cancelled ||
-                      St.code() == ErrorCode::DeadlineExceeded;
-  if (WasCancelled)
-    MetricsRegistry::global().gaugeAdd("cancel.observed", 1);
-  if (Trace && WasCancelled) {
+/// Records an observed cancellation (Cancelled / DeadlineExceeded): a
+/// "cancelled" trace instant plus the cancel.observed gauge (a gauge,
+/// not a counter: where a deadline lands is wall-clock-dependent and
+/// must stay off the determinism surface).  False for any other status.
+bool noteCancellation(TraceTrack *Trace, const Status &St) {
+  if (St.code() != ErrorCode::Cancelled &&
+      St.code() != ErrorCode::DeadlineExceeded)
+    return false;
+  MetricsRegistry::global().gaugeAdd("cancel.observed", 1);
+  if (Trace) {
     Trace->instant("cancelled", "cancel");
     Trace->argStr("status", errorCodeName(St.code()));
   }
+  return true;
+}
+
+/// Closes out a failed pass run: counts the failure, records a
+/// cancellation, and closes the pass span.
+Status notePassFailure(TraceTrack *Trace, PassStats &PS, Status St) {
+  ++PS.Failures;
+  bool WasCancelled = noteCancellation(Trace, St);
   resolvePassSpan(Trace, WasCancelled ? "cancelled" : "failed");
   return St;
 }
@@ -158,7 +164,7 @@ const PassInfo &sdsp::passInfo(PassKind K) {
 
 uint64_t sdsp::artifactHash(const TransformedGraph &T) {
   HashStream HS(0x5d5370a0f1ULL);
-  HS.u64(artifactHash(T.Graph)).u64(artifactHash(T.Stats));
+  HS.u64(T.GraphHash).u64(artifactHash(T.Stats));
   return HS.hash();
 }
 
@@ -498,6 +504,7 @@ CompilationSession::transform(const ArtifactRef<DataflowGraph> &G,
             return U.status();
           Out.Graph = std::move(*U);
         }
+        Out.GraphHash = artifactHash(Out.Graph);
         return Out;
       });
 }
@@ -505,9 +512,10 @@ CompilationSession::transform(const ArtifactRef<DataflowGraph> &G,
 ArtifactRef<DataflowGraph> CompilationSession::transformedGraph(
     const ArtifactRef<TransformedGraph> &T) const {
   // Aliasing share: the graph stays owned by the TransformedGraph
-  // artifact; no copy is made.
+  // artifact; no copy is made, and no hash either (the artifact carries
+  // its graph's).
   std::shared_ptr<const DataflowGraph> G(T.ptr(), &T->Graph);
-  return ArtifactRef<DataflowGraph>(std::move(G), artifactHash(T->Graph));
+  return ArtifactRef<DataflowGraph>(std::move(G), T->GraphHash);
 }
 
 Expected<ArtifactRef<SdspArtifact>>
@@ -516,7 +524,7 @@ CompilationSession::buildSdsp(const ArtifactRef<DataflowGraph> &G,
   uint64_t Fp = HashStream(2).u64(Capacity).u64(OptimizeStorage).hash();
   return runPass<SdspArtifact>(
       PassKind::Sdsp, G.hash(), Fp, [&]() -> Expected<SdspArtifact> {
-        SdspArtifact Out{Sdsp::standard(*G, Capacity), std::nullopt};
+        SdspArtifact Out{Sdsp::standard(G.ptr(), Capacity), std::nullopt};
         if (OptimizeStorage) {
           Expected<StorageOptResult> R = minimizeStorageChecked(Out.S);
           if (!R)
@@ -817,8 +825,16 @@ CompilationSession::searchFrustum(const ArtifactRef<ExternalNet> &Ext,
 
 Expected<CompiledLoop> CompilationSession::finish(CompiledLoop CL,
                                                   const PipelineOptions &Opts) {
-  if (!Opts.Verify)
+  // Nothing polls after the last pass but this: a deadline that expired
+  // inside it fails the compile here.
+  if (!Opts.Verify) {
+    if (Cancel.cancelled()) {
+      Status St = Cancel.status("session", "after the last pass");
+      noteCancellation(Trace, St);
+      return St;
+    }
     return CL;
+  }
   // Same boundary checkpoint as runPass: verify is never cached but is
   // still a cancellation point and a fault site.
   if (Status St = enterPass(PassKind::Verify); !St)
@@ -829,6 +845,9 @@ Expected<CompiledLoop> CompilationSession::finish(CompiledLoop CL,
   PS.WallSeconds += secondsSince(T0);
   if (!St)
     return notePassFailure(Trace, PS, std::move(St));
+  if (Cancel.cancelled())
+    return notePassFailure(Trace, PS,
+                           Cancel.status("session", "after pass 'verify'"));
   resolvePassSpan(Trace, "computed");
   CL.Verified = true;
   return CL;

@@ -179,10 +179,12 @@ struct SessionConfig {
   /// Sessions are single-threaded, so the track needs no locking; the
   /// caller keeps ownership and the track must outlive the session.
   TraceTrack *Trace = nullptr;
-  /// Polled at every pass boundary, in finish(), and — through the
-  /// frustum pass — at every sampled instant of the search.  A
-  /// cancelled token fails the next checkpoint with Cancelled or
-  /// DeadlineExceeded; nothing already computed is discarded.
+  /// Polled at every pass boundary (verify's included), once more when
+  /// a compile ends (after verify, or after the last pass when verify
+  /// is off), and — through the frustum pass — at every sampled instant
+  /// of the search.  A cancelled token fails the next checkpoint with
+  /// Cancelled or DeadlineExceeded, so a deadline that expires inside
+  /// any pass fails the compile; nothing already computed is discarded.
   CancelToken Cancel = {};
   /// When set, arms the session's named fault sites ("pass:<id>",
   /// "cache:lookup", "cache:publish", "frustum:step"; see
@@ -197,6 +199,11 @@ struct SessionConfig {
 struct TransformedGraph {
   DataflowGraph Graph;
   TransformStats Stats;
+  /// artifactHash(Graph), computed once where the graph is: by the
+  /// transform pass, or by the codec from the graph it decoded.  It is
+  /// never persisted, so a store's integrity check still hashes what it
+  /// read.
+  uint64_t GraphHash = 0;
 };
 
 /// Output of the sdsp pass: the acknowledged SDSP plus the storage

@@ -19,6 +19,7 @@ SteadyStateNet sdsp::buildSteadyStateNet(const PetriNet &Net,
          "steady-state construction needs a marked graph");
 
   SteadyStateNet SSN;
+  PetriNetBuilder Builder;
   SSN.Occurrences = Frustum.FiringCounts;
   SSN.Instance.resize(Net.numTransitions());
 
@@ -26,8 +27,8 @@ SteadyStateNet sdsp::buildSteadyStateNet(const PetriNet &Net,
     uint32_t K = SSN.Occurrences[T.index()];
     assert(K >= 1 && "transition never fires in the frustum");
     for (uint32_t J = 0; J < K; ++J) {
-      TransitionId Inst = SSN.Net.addTransition(
-          Net.transition(T).Name + "#" + std::to_string(J),
+      TransitionId Inst = Builder.addTransition(
+          {Net.transition(T).Name, "#", std::to_string(J)},
           Net.transition(T).ExecTime);
       SSN.Instance[T.index()].push_back(Inst);
     }
@@ -51,11 +52,12 @@ SteadyStateNet sdsp::buildSteadyStateNet(const PetriNet &Net,
       int64_t Q = static_cast<int64_t>(J) - Tokens;
       int64_t O = ((Q % K) + K) % K;
       int64_t Wraps = (O - Q) / K;
-      PlaceId Inst = SSN.Net.addPlace(Pl.Name + "#" + std::to_string(J),
+      PlaceId Inst = Builder.addPlace({Pl.Name, "#", std::to_string(J)},
                                       static_cast<uint32_t>(Wraps));
-      SSN.Net.addArc(SSN.Instance[U.index()][static_cast<size_t>(O)], Inst);
-      SSN.Net.addArc(Inst, SSN.Instance[V.index()][J]);
+      Builder.addArc(SSN.Instance[U.index()][static_cast<size_t>(O)], Inst);
+      Builder.addArc(Inst, SSN.Instance[V.index()][J]);
     }
   }
+  SSN.Net = Builder.build();
   return SSN;
 }

@@ -18,7 +18,7 @@ using namespace sdsp;
 namespace {
 
 struct SearchState {
-  const DataflowGraph *G = nullptr;
+  std::shared_ptr<const DataflowGraph> G;
   Rational AlphaStar;
   Rational TargetRate;
   /// Fixed acknowledgements (feedback arcs).
@@ -52,7 +52,7 @@ struct SearchState {
 
   /// Whole-net verification of a complete cover.
   bool rateHolds(const std::vector<Sdsp::Ack> &Acks) const {
-    Sdsp Candidate = Sdsp::withAcks(*G, Acks);
+    Sdsp Candidate = Sdsp::withAcks(G, Acks);
     SdspPn Pn = buildSdspPn(Candidate);
     return analyzeRate(Pn).OptimalRate == TargetRate;
   }
@@ -123,7 +123,7 @@ sdsp::minimizeStorageExact(const Sdsp &S, uint64_t NodeBudget) {
   const DataflowGraph &G = S.graph();
 
   SearchState State;
-  State.G = &G;
+  State.G = S.sharedGraph();
   State.Budget = NodeBudget;
 
   {
@@ -166,7 +166,7 @@ sdsp::minimizeStorageExact(const Sdsp &S, uint64_t NodeBudget) {
   if (State.Exhausted || State.Best == ~0ull)
     return std::nullopt;
 
-  StorageOptResult Result{Sdsp::withAcks(G, State.BestAcks),
+  StorageOptResult Result{Sdsp::withAcks(S.sharedGraph(), State.BestAcks),
                           S.storageLocations(), 0, State.TargetRate};
   Result.StorageAfter = Result.Optimized.storageLocations();
   return Result;

@@ -113,7 +113,7 @@ StorageOptResult sdsp::minimizeStorage(const Sdsp &S) {
     }
   }
 
-  Sdsp Optimized = Sdsp::withAcks(G, std::move(Acks));
+  Sdsp Optimized = Sdsp::withAcks(S.sharedGraph(), std::move(Acks));
 
   // Verification: chain interactions must not have lowered the rate.
   // If they did, split the longest multi-arc chain and retry.
@@ -131,7 +131,7 @@ StorageOptResult sdsp::minimizeStorage(const Sdsp &S) {
     std::vector<ArcId> Tail(Path.begin() + Path.size() / 2, Path.end());
     Path.resize(Path.size() / 2);
     Split.push_back(Sdsp::Ack{std::move(Tail), 1});
-    Optimized = Sdsp::withAcks(G, std::move(Split));
+    Optimized = Sdsp::withAcks(S.sharedGraph(), std::move(Split));
   }
 
   Result.Optimized = std::move(Optimized);

@@ -69,13 +69,13 @@ void BehaviorGraph::printDot(std::ostream &OS, const std::string &GraphName,
   Dot.graphAttr("rankdir", "TB");
   for (size_t I = 0; I < Tokens.size(); ++I) {
     const TokenNode &Tok = Tokens[I];
-    std::string Label = Net.place(Tok.P).Name + "@" +
+    std::string Label = std::string(Net.place(Tok.P).Name) + "@" +
                         std::to_string(Tok.ProducedAt);
     Dot.node("k" + std::to_string(I), Label, "shape=circle,fontsize=10");
   }
   for (size_t I = 0; I < Firings.size(); ++I) {
     const FiringNode &F = Firings[I];
-    std::string Label = Net.transition(F.T).Name + "#" +
+    std::string Label = std::string(Net.transition(F.T).Name) + "#" +
                         std::to_string(F.Occurrence) + "@" +
                         std::to_string(F.StartTime);
     std::string Attrs = "shape=box";

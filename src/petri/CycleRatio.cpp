@@ -532,8 +532,14 @@ sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
 }
 
 std::optional<CriticalCycleInfo>
-sdsp::criticalCycle(const MarkedGraphView &G, size_t EnumerationLimit) {
+sdsp::criticalCycle(const MarkedGraphView &G,
+                    std::optional<uint64_t> *HowardIterationsOut,
+                    size_t EnumerationLimit) {
   if (G.numVertices() <= EnumerationLimit)
     return criticalCycleByEnumeration(G);
-  return maxCycleRatioHoward(G);
+  uint64_t Iterations = 0;
+  std::optional<CriticalCycleInfo> Info = maxCycleRatioHoward(G, &Iterations);
+  if (HowardIterationsOut)
+    *HowardIterationsOut = Iterations;
+  return Info;
 }

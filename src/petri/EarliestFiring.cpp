@@ -262,7 +262,7 @@ Status sdsp::validateTimedNet(const PetriNet &Net) {
   for (TransitionId T : Net.transitionIds())
     if (Net.transition(T).ExecTime < 1)
       return Status::error(ErrorCode::InvalidNet, "petri",
-                           "transition " + Net.transition(T).Name +
+                           "transition " + std::string(Net.transition(T).Name) +
                                " has execution time 0 (must be >= 1)");
   return Status::ok();
 }

@@ -101,6 +101,12 @@ bool sdsp::isTInvariant(const PetriNet &Net, const std::vector<Rational> &X) {
 }
 
 bool sdsp::hasUniformTInvariant(const PetriNet &Net) {
-  std::vector<Rational> Ones(Net.numTransitions(), Rational(1));
-  return isTInvariant(Net, Ones);
+  // With X = 1 every place's sum is its producer count minus its
+  // consumer count.
+  for (size_t I = 0; I < Net.numPlaces(); ++I) {
+    const PetriNet::Place &Pl = Net.place(PlaceId(I));
+    if (Pl.Producers.size() != Pl.Consumers.size())
+      return false;
+  }
+  return true;
 }

@@ -23,19 +23,39 @@ MarkedGraphView::MarkedGraphView(const PetriNet &Net) : Net(Net) {
 }
 
 bool MarkedGraphView::init() {
-  Out.resize(Net.numTransitions());
-  In.resize(Net.numTransitions());
+  const size_t N = Net.numTransitions();
+  // Pass 1: the edges, and each transition's degrees counted one slot
+  // ahead of its row.
+  OutStart.assign(N + 1, 0);
+  InStart.assign(N + 1, 0);
   Edges.reserve(Net.numPlaces());
-  for (PlaceId P : Net.placeIds()) {
+  for (size_t I = 0; I < Net.numPlaces(); ++I) {
+    const PlaceId P(I);
     const PetriNet::Place &Pl = Net.place(P);
     if (Pl.Producers.size() != 1 || Pl.Consumers.size() != 1)
       return false;
-    Edge E{Pl.Producers.front(), Pl.Consumers.front(), P, Pl.InitialTokens};
-    uint32_t Index = static_cast<uint32_t>(Edges.size());
-    Edges.push_back(E);
-    Out[E.From.index()].push_back(Index);
-    In[E.To.index()].push_back(Index);
+    Edges.push_back(
+        Edge{Pl.Producers.front(), Pl.Consumers.front(), P, Pl.InitialTokens});
+    ++OutStart[Pl.Producers.front().index() + 1];
+    ++InStart[Pl.Consumers.front().index() + 1];
   }
+  for (size_t T = 0; T < N; ++T) {
+    OutStart[T + 1] += OutStart[T];
+    InStart[T + 1] += InStart[T];
+  }
+  // Pass 2: edge indices in place order, each row filled through a
+  // cursor that ends at the next row's start; one shift restores it.
+  OutEdges.resize(Edges.size());
+  InEdges.resize(Edges.size());
+  for (uint32_t I = 0; I < Edges.size(); ++I) {
+    OutEdges[OutStart[Edges[I].From.index()]++] = I;
+    InEdges[InStart[Edges[I].To.index()]++] = I;
+  }
+  for (size_t T = N; T > 0; --T) {
+    OutStart[T] = OutStart[T - 1];
+    InStart[T] = InStart[T - 1];
+  }
+  OutStart[0] = InStart[0] = 0;
   return true;
 }
 
@@ -48,8 +68,8 @@ MarkedGraphView::tryBuild(const PetriNet &Net) {
 }
 
 bool sdsp::isMarkedGraph(const PetriNet &Net) {
-  for (PlaceId P : Net.placeIds()) {
-    const PetriNet::Place &Pl = Net.place(P);
+  for (size_t I = 0; I < Net.numPlaces(); ++I) {
+    const PetriNet::Place &Pl = Net.place(PlaceId(I));
     if (Pl.Producers.size() != 1 || Pl.Consumers.size() != 1)
       return false;
   }
@@ -143,8 +163,8 @@ bool sdsp::isSafeMarkedGraph(const PetriNet &Net) {
   // Edges as (from, to) pairs, split by token count.  An edge with two
   // or more tokens lies only on cycles with two or more: unsafe.
   std::vector<std::pair<uint32_t, uint32_t>> Free, Marked;
-  for (PlaceId P : Net.placeIds()) {
-    const PetriNet::Place &Pl = Net.place(P);
+  for (size_t I = 0; I < Net.numPlaces(); ++I) {
+    const PetriNet::Place &Pl = Net.place(PlaceId(I));
     if (Pl.Producers.size() != 1 || Pl.Consumers.size() != 1)
       return false; // Not a marked graph.
     if (Pl.InitialTokens > 1)
@@ -242,8 +262,8 @@ bool sdsp::isSafeMarkedGraph(const PetriNet &Net) {
 }
 
 bool sdsp::isStructurallyPersistent(const PetriNet &Net) {
-  for (PlaceId P : Net.placeIds())
-    if (Net.place(P).Consumers.size() > 1)
+  for (size_t I = 0; I < Net.numPlaces(); ++I)
+    if (Net.place(PlaceId(I)).Consumers.size() > 1)
       return false;
   return true;
 }

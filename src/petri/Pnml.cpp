@@ -675,7 +675,7 @@ public:
                        "net has no transitions (nothing to execute)");
 
     PnmlNet Out;
-    Out.Net = std::move(Built);
+    Out.Net = Built.build();
     std::string_view Id;
     Out.NetId = Doc.attr(Net, "id", Decoded, Id) && !Id.empty()
                     ? std::string(Id)
@@ -688,7 +688,7 @@ private:
   std::vector<uint32_t> NodeElems, ArcElems;
   IdTable Ids{0};
   ArcTable ArcSet{0};
-  PetriNet Built;
+  PetriNetBuilder Built;
   /// Attribute values that held references, decoded.
   std::deque<std::string> Decoded;
   std::string Scratch;
@@ -870,7 +870,7 @@ private:
 // Canonical writer
 //===----------------------------------------------------------------------===//
 
-void xmlEscape(std::ostream &OS, const std::string &S) {
+void xmlEscape(std::ostream &OS, std::string_view S) {
   for (char C : S) {
     switch (C) {
     case '<':
@@ -966,17 +966,18 @@ PetriNet sdsp::behaviorNet(const PetriNet &Net,
   for (const StepRecord &Rec : Trace)
     BG.recordStep(Rec);
 
-  PetriNet On;
+  PetriNetBuilder On;
   constexpr uint32_t NotIncluded = ~0u;
   std::vector<uint32_t> FiringIdx(BG.firings().size(), NotIncluded);
   for (size_t I = 0; I < BG.firings().size(); ++I) {
     const BehaviorGraph::FiringNode &F = BG.firings()[I];
     if (F.StartTime < From || F.StartTime >= To)
       continue;
+    const PetriNet::Transition &Tr = Net.transition(F.T);
     TransitionId T = On.addTransition(
-        Net.transition(F.T).Name + "#" + std::to_string(F.Occurrence) +
-            "@" + std::to_string(F.StartTime),
-        Net.transition(F.T).ExecTime);
+        {Tr.Name, "#", std::to_string(F.Occurrence), "@",
+         std::to_string(F.StartTime)},
+        Tr.ExecTime);
     FiringIdx[I] = static_cast<uint32_t>(T.index());
   }
   for (const BehaviorGraph::TokenNode &Tok : BG.tokens()) {
@@ -988,13 +989,13 @@ PetriNet sdsp::behaviorNet(const PetriNet &Net,
       continue;
     // A token produced before the window opens is simply present when
     // it does: initial marking of the occurrence net.
-    PlaceId P = On.addPlace(Net.place(Tok.P).Name + "@" +
-                                std::to_string(Tok.ProducedAt),
-                            ProducerIn ? 0 : 1);
+    PlaceId P = On.addPlace(
+        {Net.place(Tok.P).Name, "@", std::to_string(Tok.ProducedAt)},
+        ProducerIn ? 0 : 1);
     if (ProducerIn)
       On.addArc(TransitionId(FiringIdx[Tok.Producer]), P);
     if (ConsumerIn)
       On.addArc(P, TransitionId(FiringIdx[Tok.Consumer]));
   }
-  return On;
+  return On.build();
 }

@@ -26,16 +26,17 @@ Rational DepGraph::recurrenceMii() const {
   // Reuse the parametric cycle-ratio machinery by phrasing the
   // dependence graph as a marked graph: a transition per op, a place
   // per dependence carrying its distance as tokens.
-  PetriNet Net;
+  PetriNetBuilder Builder;
   std::vector<TransitionId> Ts;
   Ts.reserve(Ops.size());
   for (const Op &O : Ops)
-    Ts.push_back(Net.addTransition(O.Name, O.Latency));
+    Ts.push_back(Builder.addTransition(O.Name, O.Latency));
   for (const Dep &D : Deps) {
-    PlaceId P = Net.addPlace("d", D.Distance);
-    Net.addArc(Ts[D.From], P);
-    Net.addArc(P, Ts[D.To]);
+    PlaceId P = Builder.addPlace("d", D.Distance);
+    Builder.addArc(Ts[D.From], P);
+    Builder.addArc(P, Ts[D.To]);
   }
+  PetriNet Net = Builder.build();
   MarkedGraphView View(Net);
   std::optional<CriticalCycleInfo> Info = criticalCycleByParametricSearch(View);
   if (!Info)

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sdsp {
@@ -53,7 +54,7 @@ public:
     u64(Bits);
   }
 
-  void str(const std::string &S) {
+  void str(std::string_view S) {
     u64(S.size());
     Buf.insert(Buf.end(), S.begin(), S.end());
   }
@@ -111,12 +112,16 @@ public:
     return V;
   }
 
-  std::string str() {
+  std::string str() { return std::string(strView()); }
+
+  /// Like str(), but views the bytes in place: valid while the buffer
+  /// the reader reads is.
+  std::string_view strView() {
     uint64_t N = u64();
     if (!require(N))
-      return std::string();
-    std::string S(reinterpret_cast<const char *>(Data + Pos),
-                  static_cast<size_t>(N));
+      return {};
+    std::string_view S(reinterpret_cast<const char *>(Data + Pos),
+                       static_cast<size_t>(N));
     Pos += static_cast<size_t>(N);
     return S;
   }

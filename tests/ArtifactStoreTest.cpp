@@ -91,7 +91,7 @@ std::string summarize(const CompiledLoop &CL) {
      << CL.Frustum->RepeatTime << ")\n";
   std::vector<std::string> Names;
   for (TransitionId T : CL.Pn->Net.transitionIds())
-    Names.push_back(CL.Pn->Net.transition(T).Name);
+    Names.emplace_back(CL.Pn->Net.transition(T).Name);
   CL.Schedule->print(OS, Names);
   return OS.str();
 }

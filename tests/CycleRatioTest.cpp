@@ -30,12 +30,13 @@ TEST(CycleRatio, RingCycleTime) {
 }
 
 TEST(CycleRatio, AcyclicReturnsNothing) {
-  PetriNet Net;
-  TransitionId A = Net.addTransition("a");
-  TransitionId B = Net.addTransition("b");
-  PlaceId P = Net.addPlace("p", 1);
-  Net.addArc(A, P);
-  Net.addArc(P, B);
+  PetriNetBuilder NB;
+  TransitionId A = NB.addTransition("a");
+  TransitionId B = NB.addTransition("b");
+  PlaceId P = NB.addPlace("p", 1);
+  NB.addArc(A, P);
+  NB.addArc(P, B);
+  PetriNet Net = NB.build();
   MarkedGraphView View(Net);
   EXPECT_FALSE(criticalCycleByEnumeration(View).has_value());
   EXPECT_FALSE(criticalCycleByParametricSearch(View).has_value());
@@ -44,21 +45,22 @@ TEST(CycleRatio, AcyclicReturnsNothing) {
 TEST(CycleRatio, PicksTheWorstCycle) {
   // Two cycles sharing t0: fast (2 transitions / 1 token -> 2) and slow
   // (3 transitions / 1 token -> 3).
-  PetriNet Net;
-  TransitionId T0 = Net.addTransition("t0");
-  TransitionId T1 = Net.addTransition("t1");
-  TransitionId T2 = Net.addTransition("t2");
-  TransitionId T3 = Net.addTransition("t3");
+  PetriNetBuilder NB;
+  TransitionId T0 = NB.addTransition("t0");
+  TransitionId T1 = NB.addTransition("t1");
+  TransitionId T2 = NB.addTransition("t2");
+  TransitionId T3 = NB.addTransition("t3");
   auto Place = [&](TransitionId A, TransitionId B, uint32_t Tok) {
-    PlaceId P = Net.addPlace("p", Tok);
-    Net.addArc(A, P);
-    Net.addArc(P, B);
+    PlaceId P = NB.addPlace("p", Tok);
+    NB.addArc(A, P);
+    NB.addArc(P, B);
   };
   Place(T0, T1, 1);
   Place(T1, T0, 0);
   Place(T0, T2, 1);
   Place(T2, T3, 0);
   Place(T3, T0, 0);
+  PetriNet Net = NB.build();
   MarkedGraphView View(Net);
   auto Info = criticalCycleByEnumeration(View);
   ASSERT_TRUE(Info.has_value());
@@ -73,15 +75,16 @@ TEST(CycleRatio, PicksTheWorstCycle) {
 
 TEST(CycleRatio, RespectsExecutionTimes) {
   // 2-transition ring, times 3 and 4, one token: alpha* = 7.
-  PetriNet Net;
-  TransitionId A = Net.addTransition("a", 3);
-  TransitionId B = Net.addTransition("b", 4);
-  PlaceId P1 = Net.addPlace("p1", 1);
-  PlaceId P2 = Net.addPlace("p2", 0);
-  Net.addArc(A, P1);
-  Net.addArc(P1, B);
-  Net.addArc(B, P2);
-  Net.addArc(P2, A);
+  PetriNetBuilder NB;
+  TransitionId A = NB.addTransition("a", 3);
+  TransitionId B = NB.addTransition("b", 4);
+  PlaceId P1 = NB.addPlace("p1", 1);
+  PlaceId P2 = NB.addPlace("p2", 0);
+  NB.addArc(A, P1);
+  NB.addArc(P1, B);
+  NB.addArc(B, P2);
+  NB.addArc(P2, A);
+  PetriNet Net = NB.build();
   MarkedGraphView View(Net);
   auto Info = criticalCycleByParametricSearch(View);
   ASSERT_TRUE(Info.has_value());

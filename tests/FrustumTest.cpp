@@ -110,19 +110,21 @@ TEST(Frustum, TraceCoversPrefixAndCounts) {
 }
 
 TEST(Frustum, DeadNetReturnsNothing) {
-  PetriNet Net;
-  TransitionId A = Net.addTransition("a");
-  PlaceId P = Net.addPlace("p", 0);
-  Net.addArc(P, A);
-  Net.addArc(A, P);
+  PetriNetBuilder NB;
+  TransitionId A = NB.addTransition("a");
+  PlaceId P = NB.addPlace("p", 0);
+  NB.addArc(P, A);
+  NB.addArc(A, P);
+  PetriNet Net = NB.build();
   EXPECT_FALSE(detectFrustum(Net).has_value());
 }
 
 TEST(Frustum, SingleTransitionNoPlaces) {
   // Livermore loop 12's shape: one operation, no interior arcs; the
   // non-reentrancy self-loop caps the rate at 1.
-  PetriNet Net;
-  Net.addTransition("sub");
+  PetriNetBuilder NB;
+  NB.addTransition("sub");
+  PetriNet Net = NB.build();
   auto F = detectFrustum(Net);
   ASSERT_TRUE(F.has_value());
   EXPECT_EQ(F->computationRate(TransitionId(0u)), Rational(1));
@@ -130,15 +132,16 @@ TEST(Frustum, SingleTransitionNoPlaces) {
 
 TEST(Frustum, ExecTimesStretchThePeriod) {
   // 2-ring with times 3 and 4: cycle time 7 with one token.
-  PetriNet Net;
-  TransitionId A = Net.addTransition("a", 3);
-  TransitionId B = Net.addTransition("b", 4);
-  PlaceId P1 = Net.addPlace("p1", 1);
-  PlaceId P2 = Net.addPlace("p2", 0);
-  Net.addArc(A, P1);
-  Net.addArc(P1, B);
-  Net.addArc(B, P2);
-  Net.addArc(P2, A);
+  PetriNetBuilder NB;
+  TransitionId A = NB.addTransition("a", 3);
+  TransitionId B = NB.addTransition("b", 4);
+  PlaceId P1 = NB.addPlace("p1", 1);
+  PlaceId P2 = NB.addPlace("p2", 0);
+  NB.addArc(A, P1);
+  NB.addArc(P1, B);
+  NB.addArc(B, P2);
+  NB.addArc(P2, A);
+  PetriNet Net = NB.build();
   auto F = detectFrustum(Net);
   ASSERT_TRUE(F.has_value());
   EXPECT_EQ(F->computationRate(A), Rational(1, 7));

@@ -248,19 +248,20 @@ TEST(GoldenEquivalence, OverflowFormCrossesTheBreakEven) {
   // they drain, the sparse words win.  Station 0 (time 4) is the
   // slowest, so its buffer drains too, and the planes in use shrink.
   // The search must see both forms.
-  PetriNet Net;
-  TransitionId Fork = Net.addTransition("fork");
+  PetriNetBuilder NB;
+  TransitionId Fork = NB.addTransition("fork");
   for (uint32_t I = 0; I < 100; ++I) {
     std::string Id = std::to_string(I);
     TransitionId Station =
-        Net.addTransition("s" + Id, I == 0 ? 4 : 1 + I % 3);
-    PlaceId In = Net.addPlace("in" + Id, 0);
-    PlaceId Buf = Net.addPlace("buf" + Id, I == 0 ? 40 : 2);
-    Net.addArc(Fork, In);
-    Net.addArc(In, Station);
-    Net.addArc(Station, Buf);
-    Net.addArc(Buf, Fork);
+        NB.addTransition("s" + Id, I == 0 ? 4 : 1 + I % 3);
+    PlaceId In = NB.addPlace("in" + Id, 0);
+    PlaceId Buf = NB.addPlace("buf" + Id, I == 0 ? 40 : 2);
+    NB.addArc(Fork, In);
+    NB.addArc(In, Station);
+    NB.addArc(Station, Buf);
+    NB.addArc(Buf, Fork);
   }
+  PetriNet Net = NB.build();
   expectGolden(Net, "fork-join");
   Expected<FrustumInfo> F = detectFrustumChecked(Net);
   ASSERT_TRUE(F.ok());

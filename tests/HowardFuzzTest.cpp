@@ -116,12 +116,13 @@ TEST(HowardFuzz, RingsAndKnownRatios) {
 }
 
 TEST(HowardFuzz, AcyclicReturnsNothing) {
-  PetriNet Net;
-  TransitionId A = Net.addTransition("a");
-  TransitionId B = Net.addTransition("b");
-  PlaceId P = Net.addPlace("p", 1);
-  Net.addArc(A, P);
-  Net.addArc(P, B);
+  PetriNetBuilder NB;
+  TransitionId A = NB.addTransition("a");
+  TransitionId B = NB.addTransition("b");
+  PlaceId P = NB.addPlace("p", 1);
+  NB.addArc(A, P);
+  NB.addArc(P, B);
+  PetriNet Net = NB.build();
   MarkedGraphView View(Net);
   EXPECT_FALSE(maxCycleRatioHoward(View).has_value());
 }

@@ -52,29 +52,31 @@ TEST(Invariants, RingHasUniformTInvariant) {
 TEST(Invariants, NonMarkedGraphLacksUniformTInvariant) {
   // A fork: one producer, two consumers of different places; firing
   // everything once does not rebalance.
-  PetriNet Net;
-  TransitionId Src = Net.addTransition("src");
-  TransitionId A = Net.addTransition("a");
-  PlaceId P = Net.addPlace("p", 1);
-  Net.addArc(Src, P);
-  Net.addArc(P, A);
-  PlaceId Q = Net.addPlace("q", 0);
-  Net.addArc(A, Q); // q accumulates: no uniform T-invariant.
+  PetriNetBuilder NB;
+  TransitionId Src = NB.addTransition("src");
+  TransitionId A = NB.addTransition("a");
+  PlaceId P = NB.addPlace("p", 1);
+  NB.addArc(Src, P);
+  NB.addArc(P, A);
+  PlaceId Q = NB.addPlace("q", 0);
+  NB.addArc(A, Q); // q accumulates: no uniform T-invariant.
+  PetriNet Net = NB.build();
   EXPECT_FALSE(hasUniformTInvariant(Net));
 }
 
 TEST(Invariants, PairPlacePInvariant) {
   // A data/ack pair conserves data + ack tokens: the (1,1) weighting
   // over the two places is a P-invariant.
-  PetriNet Net;
-  TransitionId A = Net.addTransition("a");
-  TransitionId B = Net.addTransition("b");
-  PlaceId D = Net.addPlace("d", 0);
-  PlaceId K = Net.addPlace("k", 1);
-  Net.addArc(A, D);
-  Net.addArc(D, B);
-  Net.addArc(B, K);
-  Net.addArc(K, A);
+  PetriNetBuilder NB;
+  TransitionId A = NB.addTransition("a");
+  TransitionId B = NB.addTransition("b");
+  PlaceId D = NB.addPlace("d", 0);
+  PlaceId K = NB.addPlace("k", 1);
+  NB.addArc(A, D);
+  NB.addArc(D, B);
+  NB.addArc(B, K);
+  NB.addArc(K, A);
+  PetriNet Net = NB.build();
   RationalMatrix Basis = pInvariants(Net);
   ASSERT_FALSE(Basis.empty());
   // Verify some basis vector is proportional to (1, 1).

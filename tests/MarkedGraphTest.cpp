@@ -20,9 +20,10 @@ TEST(MarkedGraph, RecognizesMarkedGraphs) {
   EXPECT_TRUE(isMarkedGraph(Ring));
 
   // Add a second consumer to a place: no longer a marked graph.
-  PetriNet Net = buildRing(3, 1);
-  TransitionId Extra = Net.addTransition("extra");
-  Net.addArc(PlaceId(0u), Extra);
+  PetriNetBuilder NB = ringBuilder(3, 1);
+  TransitionId Extra = NB.addTransition("extra");
+  NB.addArc(PlaceId(0u), Extra);
+  PetriNet Net = NB.build();
   EXPECT_FALSE(isMarkedGraph(Net));
 }
 
@@ -53,24 +54,26 @@ TEST(MarkedGraph, SafetyThmA52) {
 TEST(MarkedGraph, SafetyWithParallelCycles) {
   // Two transitions joined by a data place (1 token) and an ack place
   // (0 tokens) in each direction: the 2-cycle has exactly 1 token.
-  PetriNet Net;
-  TransitionId A = Net.addTransition("a");
-  TransitionId B = Net.addTransition("b");
-  PlaceId D = Net.addPlace("d", 1);
-  PlaceId K = Net.addPlace("k", 0);
-  Net.addArc(A, D);
-  Net.addArc(D, B);
-  Net.addArc(B, K);
-  Net.addArc(K, A);
+  PetriNetBuilder NB;
+  TransitionId A = NB.addTransition("a");
+  TransitionId B = NB.addTransition("b");
+  PlaceId D = NB.addPlace("d", 1);
+  PlaceId K = NB.addPlace("k", 0);
+  NB.addArc(A, D);
+  NB.addArc(D, B);
+  NB.addArc(B, K);
+  NB.addArc(K, A);
+  PetriNet Net = NB.build();
   EXPECT_TRUE(isLiveMarkedGraph(Net));
   EXPECT_TRUE(isSafeMarkedGraph(Net));
 }
 
 TEST(MarkedGraph, StructuralPersistence) {
   EXPECT_TRUE(isStructurallyPersistent(buildRing(3, 1)));
-  PetriNet Net = buildRing(3, 1);
-  TransitionId Extra = Net.addTransition("extra");
-  Net.addArc(PlaceId(0u), Extra);
+  PetriNetBuilder NB = ringBuilder(3, 1);
+  TransitionId Extra = NB.addTransition("extra");
+  NB.addArc(PlaceId(0u), Extra);
+  PetriNet Net = NB.build();
   EXPECT_FALSE(isStructurallyPersistent(Net));
 }
 
@@ -80,17 +83,18 @@ TEST(MarkedGraph, StrongConnectivity) {
   EXPECT_TRUE(stronglyConnectedRoot(View).has_value());
 
   // Two disjoint rings: not strongly connected.
-  PetriNet Two;
+  PetriNetBuilder TwoB;
   for (int R = 0; R < 2; ++R) {
-    TransitionId A = Two.addTransition("a");
-    TransitionId B = Two.addTransition("b");
-    PlaceId P1 = Two.addPlace("p", 1);
-    PlaceId P2 = Two.addPlace("q", 0);
-    Two.addArc(A, P1);
-    Two.addArc(P1, B);
-    Two.addArc(B, P2);
-    Two.addArc(P2, A);
+    TransitionId A = TwoB.addTransition("a");
+    TransitionId B = TwoB.addTransition("b");
+    PlaceId P1 = TwoB.addPlace("p", 1);
+    PlaceId P2 = TwoB.addPlace("q", 0);
+    TwoB.addArc(A, P1);
+    TwoB.addArc(P1, B);
+    TwoB.addArc(B, P2);
+    TwoB.addArc(P2, A);
   }
+  PetriNet Two = TwoB.build();
   MarkedGraphView TwoView(Two);
   EXPECT_FALSE(stronglyConnectedRoot(TwoView).has_value());
 }

@@ -113,4 +113,30 @@ TEST(MetricsTest, CompilePopulatesEngineCounters) {
   MR.reset(); // Leave the process-wide registry clean for other tests.
 }
 
+/// The default rate engine counts Howard's policy iterations whenever
+/// Howard answers (nets above 64 transitions) and adds nothing when
+/// cycle enumeration does.
+TEST(MetricsTest, DefaultRateEngineCountsHowardIterations) {
+  const LivermoreKernel *K = findKernel("loop7");
+  ASSERT_NE(K, nullptr);
+  MetricsRegistry &MR = MetricsRegistry::global();
+  auto HowardIterations = [&](uint32_t Unroll) {
+    MR.reset();
+    CompilationSession Session;
+    PipelineOptions Opts;
+    Opts.Unroll = Unroll;
+    Opts.StopAfter = PipelineStage::Petri;
+    auto R = Session.compile(K->Source, Opts);
+    EXPECT_TRUE(bool(R)) << R.status().str();
+    uint64_t Iterations = 0;
+    for (const auto &[N, V] : MR.snapshot().Counters)
+      if (N == "rate.howard.iterations")
+        Iterations += V;
+    return Iterations;
+  };
+  EXPECT_GT(HowardIterations(16), 0u);
+  EXPECT_EQ(HowardIterations(1), 0u);
+  MR.reset();
+}
+
 } // namespace

@@ -132,13 +132,15 @@ std::string netDifference(const PetriNet &A, const PetriNet &B) {
   for (PlaceId P : A.placeIds()) {
     const PetriNet::Place &X = A.place(P), &Y = B.place(P);
     if (X.Name != Y.Name || X.InitialTokens != Y.InitialTokens ||
-        X.Producers != Y.Producers || X.Consumers != Y.Consumers)
+        !std::ranges::equal(X.Producers, Y.Producers) ||
+        !std::ranges::equal(X.Consumers, Y.Consumers))
       return "place " + std::to_string(P.index());
   }
   for (TransitionId T : A.transitionIds()) {
     const PetriNet::Transition &X = A.transition(T), &Y = B.transition(T);
     if (X.Name != Y.Name || X.ExecTime != Y.ExecTime ||
-        X.InputPlaces != Y.InputPlaces || X.OutputPlaces != Y.OutputPlaces)
+        !std::ranges::equal(X.InputPlaces, Y.InputPlaces) ||
+        !std::ranges::equal(X.OutputPlaces, Y.OutputPlaces))
       return "transition " + std::to_string(T.index());
   }
   if (artifactHash(A) != artifactHash(B))

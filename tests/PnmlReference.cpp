@@ -426,7 +426,7 @@ struct NodeRef {
 };
 
 struct ImportState {
-  PetriNet Net;
+  PetriNetBuilder Net;
   std::map<std::string, NodeRef> Ids;
   /// (source, target) id pairs seen, to reject weight-2-by-duplication.
   std::map<std::pair<std::string, std::string>, size_t> Arcs;
@@ -606,7 +606,7 @@ Expected<PnmlNet> sdsp::parsePnmlReference(const std::string &Text) {
                      "net has no transitions (nothing to execute)");
 
   PnmlNet Out;
-  Out.Net = std::move(St.Net);
+  Out.Net = St.Net.build();
   const std::string *Id = Net->attr("id");
   Out.NetId = Id && !Id->empty() ? *Id : "net";
   return Out;

@@ -302,14 +302,16 @@ TEST(PolicyEquivalence, BudgetDiagnosticsMatch) {
 /// two transitions becomes conflicting, each taking a token of one new
 /// place (holding 1 or 2 tokens) when it fires and returning it when it
 /// completes.  Returns the place; \p Conflicting receives the flags.
-PlaceId addResource(PetriNet &Net, Rng &R, std::vector<bool> &Conflicting) {
+PlaceId addResource(PetriNetBuilder &Net, Rng &R,
+                    std::vector<bool> &Conflicting) {
   PlaceId Res =
       Net.addPlace("res", static_cast<uint32_t>(R.range(1, 2)));
   Conflicting.assign(Net.numTransitions(), false);
   size_t Count = 0;
-  for (TransitionId T : Net.transitionIds())
-    if (R.chance(2, 3) || (Count < 2 && T.index() + 2 >= Net.numTransitions())) {
-      Conflicting[T.index()] = true;
+  for (size_t I = 0; I < Net.numTransitions(); ++I)
+    if (R.chance(2, 3) || (Count < 2 && I + 2 >= Net.numTransitions())) {
+      TransitionId T(I);
+      Conflicting[I] = true;
       Net.addArc(Res, T);
       Net.addArc(T, Res);
       ++Count;
@@ -327,25 +329,28 @@ TEST(PolicyEquivalence, GoldenFuzzCorpusWithResource) {
   for (int Case = 0; Case < 120; ++Case) {
     size_t N = static_cast<size_t>(R.range(3, 12));
     size_t Chords = static_cast<size_t>(R.range(0, 4));
-    PetriNet Net = buildRandomMarkedGraph(R, N, Chords);
+    PetriNetBuilder NB = randomMarkedGraphBuilder(R, N, Chords);
     std::vector<bool> Conflicting;
-    PlaceId Res = addResource(Net, R, Conflicting);
+    PlaceId Res = addResource(NB, R, Conflicting);
+    PetriNet Net = NB.build();
     expectSameBothPolicies(Net, Conflicting, {Res}, FrustumBudget{},
                            "fuzz-mg-" + std::to_string(Case), T);
   }
   for (int Case = 0; Case < 40; ++Case) {
-    PetriNet Net = buildRing(static_cast<size_t>(3 + Case % 9), 1);
+    PetriNetBuilder NB = ringBuilder(static_cast<size_t>(3 + Case % 9), 1);
     std::vector<bool> Conflicting;
-    PlaceId Res = addResource(Net, R, Conflicting);
+    PlaceId Res = addResource(NB, R, Conflicting);
+    PetriNet Net = NB.build();
     expectSameBothPolicies(Net, Conflicting, {Res}, FrustumBudget{},
                            "fuzz-ring1-" + std::to_string(Case), T);
   }
   for (int Case = 0; Case < 40; ++Case) {
     size_t N = static_cast<size_t>(R.range(2, 8));
     uint32_t Tokens = static_cast<uint32_t>(R.range(2, 4));
-    PetriNet Net = buildRing(N, Tokens);
+    PetriNetBuilder NB = ringBuilder(N, Tokens);
     std::vector<bool> Conflicting;
-    PlaceId Res = addResource(Net, R, Conflicting);
+    PlaceId Res = addResource(NB, R, Conflicting);
+    PetriNet Net = NB.build();
     expectSameBothPolicies(Net, Conflicting, {Res}, FrustumBudget{},
                            "fuzz-ringk-" + std::to_string(Case), T);
   }

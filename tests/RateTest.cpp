@@ -30,7 +30,7 @@ TEST(RateAnalysis, L1AndL2) {
   // The critical cycle is C -> D -> E (-> C): exactly those three.
   std::vector<std::string> Names;
   for (TransitionId T : R2.CriticalTransitions)
-    Names.push_back(L2.Net.transition(T).Name);
+    Names.emplace_back(L2.Net.transition(T).Name);
   std::sort(Names.begin(), Names.end());
   EXPECT_EQ(Names, (std::vector<std::string>{"C", "D", "E"}));
   EXPECT_EQ(R2.NumCriticalCycles, 1u);

@@ -38,15 +38,16 @@ TEST(Reachability, LivenessOracle) {
 TEST(Reachability, UnsafeNetDetected) {
   // Producer with a free-running source fills a place unboundedly; cap
   // exploration and check boundedness at small thresholds.
-  PetriNet Net;
-  TransitionId Src = Net.addTransition("src");
-  TransitionId Snk = Net.addTransition("snk");
-  PlaceId P = Net.addPlace("p", 0);
-  PlaceId Gate = Net.addPlace("gate", 1);
-  Net.addArc(Src, P);
-  Net.addArc(P, Snk);
-  Net.addArc(Gate, Snk);
-  Net.addArc(Snk, Gate);
+  PetriNetBuilder NB;
+  TransitionId Src = NB.addTransition("src");
+  TransitionId Snk = NB.addTransition("snk");
+  PlaceId P = NB.addPlace("p", 0);
+  PlaceId Gate = NB.addPlace("gate", 1);
+  NB.addArc(Src, P);
+  NB.addArc(P, Snk);
+  NB.addArc(Gate, Snk);
+  NB.addArc(Snk, Gate);
+  PetriNet Net = NB.build();
   ReachabilityGraph G = exploreReachability(Net, 64);
   EXPECT_FALSE(G.Complete) << "src fires forever, states blow up";
   EXPECT_FALSE(isBounded(G, 1));
@@ -60,16 +61,17 @@ TEST(Reachability, PersistenceOracle) {
 
   // ...a shared input place whose consumers do not immediately refill
   // it is not: firing one steals the token from the other.
-  PetriNet Conflict;
-  TransitionId A = Conflict.addTransition("a");
-  TransitionId B = Conflict.addTransition("b");
-  PlaceId P = Conflict.addPlace("p", 1);
-  PlaceId SinkA = Conflict.addPlace("sa", 0);
-  PlaceId SinkB = Conflict.addPlace("sb", 0);
-  Conflict.addArc(P, A);
-  Conflict.addArc(P, B);
-  Conflict.addArc(A, SinkA);
-  Conflict.addArc(B, SinkB);
+  PetriNetBuilder ConflictB;
+  TransitionId A = ConflictB.addTransition("a");
+  TransitionId B = ConflictB.addTransition("b");
+  PlaceId P = ConflictB.addPlace("p", 1);
+  PlaceId SinkA = ConflictB.addPlace("sa", 0);
+  PlaceId SinkB = ConflictB.addPlace("sb", 0);
+  ConflictB.addArc(P, A);
+  ConflictB.addArc(P, B);
+  ConflictB.addArc(A, SinkA);
+  ConflictB.addArc(B, SinkB);
+  PetriNet Conflict = ConflictB.build();
   ReachabilityGraph G2 = exploreReachability(Conflict);
   EXPECT_FALSE(isPersistent(Conflict, G2));
 }

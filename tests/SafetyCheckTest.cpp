@@ -83,7 +83,7 @@ size_t pick(Rng &R, size_t N) {
 }
 
 /// One place From -> To carrying \p Tokens: one transition-graph edge.
-void addEdge(PetriNet &Net, TransitionId From, TransitionId To,
+void addEdge(PetriNetBuilder &Net, TransitionId From, TransitionId To,
              uint32_t Tokens) {
   PlaceId P = Net.addPlace("p" + std::to_string(Net.numPlaces()), Tokens);
   Net.addArc(From, P);
@@ -93,7 +93,8 @@ void addEdge(PetriNet &Net, TransitionId From, TransitionId To,
 /// Adds \p N transitions and returns them in a random order, which the
 /// generators use as the topological order of the token-free edges (so
 /// it differs from the id order the check starts from).
-std::vector<TransitionId> addShuffledTransitions(Rng &R, PetriNet &Net,
+std::vector<TransitionId> addShuffledTransitions(Rng &R,
+                                                 PetriNetBuilder &Net,
                                                  size_t N) {
   std::vector<TransitionId> Order;
   for (size_t I = 0; I < N; ++I)
@@ -109,7 +110,7 @@ std::vector<TransitionId> addShuffledTransitions(Rng &R, PetriNet &Net,
 /// one back edge, makes it strongly connected, hence bounded, so
 /// exploration can finish.
 PetriNet buildForwardBackNet(Rng &R, size_t N, size_t Extra) {
-  PetriNet Net;
+  PetriNetBuilder Net;
   std::vector<TransitionId> Order = addShuffledTransitions(R, Net, N);
   auto Forward = [&] { return R.chance(1, 3) ? 1u : 0u; };
   auto Back = [&] { return R.chance(1, 10) ? 2u : 1u; };
@@ -120,7 +121,7 @@ PetriNet buildForwardBackNet(Rng &R, size_t N, size_t Extra) {
     size_t I = pick(R, N), J = pick(R, N);
     addEdge(Net, Order[I], Order[J], I < J ? Forward() : Back());
   }
-  return Net;
+  return Net.build();
 }
 
 /// Leans safe.  A union of one-token cycles, each through transitions in
@@ -129,7 +130,7 @@ PetriNet buildForwardBackNet(Rng &R, size_t N, size_t Extra) {
 /// with 0 or 1 token or back with 1.
 PetriNet buildCycleUnionNet(Rng &R, size_t N, size_t Cycles,
                             size_t MeanLength, bool Chord) {
-  PetriNet Net;
+  PetriNetBuilder Net;
   std::vector<TransitionId> Order = addShuffledTransitions(R, Net, N);
   for (size_t C = 0; C < Cycles; ++C) {
     std::vector<size_t> Members;
@@ -146,7 +147,7 @@ PetriNet buildCycleUnionNet(Rng &R, size_t N, size_t Cycles,
     size_t I = pick(R, N), J = pick(R, N);
     addEdge(Net, Order[I], Order[J], I < J && R.chance(1, 2) ? 0 : 1);
   }
-  return Net;
+  return Net.build();
 }
 
 uint32_t maxInitialTokens(const PetriNet &Net) {
@@ -240,15 +241,15 @@ TEST(SafetyCheck, DecidesDagReachabilityThroughTheReduction) {
   size_t Trials = 0, Safe = 0;
   for (int Trial = 0; Trial < 80; ++Trial) {
     size_t N = 2 + pick(R, Trial % 4 == 3 ? 300 : 60);
-    PetriNet Net;
-    std::vector<TransitionId> Order = addShuffledTransitions(R, Net, N);
+    PetriNetBuilder NB;
+    std::vector<TransitionId> Order = addShuffledTransitions(R, NB, N);
     std::vector<std::vector<size_t>> Succ(N);
     for (size_t I = 0; I + 1 < N; ++I)
       for (int K = static_cast<int>(R.range(0, 2)); K > 0; --K) {
         size_t J = I + 1 + pick(R, std::min<size_t>(N - I - 1, 8));
         Succ[I].push_back(J);
-        addEdge(Net, Order[I], Order[J], 0);
-        addEdge(Net, Order[J], Order[I], 1);
+        addEdge(NB, Order[I], Order[J], 0);
+        addEdge(NB, Order[J], Order[I], 1);
       }
     auto Reaches = [&](size_t S, size_t T) {
       std::vector<bool> Seen(N, false);
@@ -279,8 +280,9 @@ TEST(SafetyCheck, DecidesDagReachabilityThroughTheReduction) {
           T = Succ[T][pick(R, Succ[T].size())];
       }
       Expected = Expected && Reaches(S, T);
-      addEdge(Net, Order[T], Order[S], 1);
+      addEdge(NB, Order[T], Order[S], 1);
     }
+    PetriNet Net = NB.build();
     std::string What = "trial " + std::to_string(Trial);
     ASSERT_TRUE(isLiveMarkedGraph(Net)) << What;
     EXPECT_EQ(isSafeMarkedGraph(Net), Expected) << What;
@@ -295,11 +297,12 @@ TEST(SafetyCheck, DecidesDagReachabilityThroughTheReduction) {
 TEST(SafetyCheck, LongOneTokenRing) {
   // 16k transitions: the per-edge reference takes ~16 s here
   // (O(E (N + E))), so only the sweep runs.
-  PetriNet Ring = buildRing(16384, 1);
-  EXPECT_TRUE(isSafeMarkedGraph(Ring));
+  PetriNetBuilder NB = ringBuilder(16384, 1);
+  EXPECT_TRUE(isSafeMarkedGraph(buildRing(16384, 1)));
   // A one-token chord back to t0 needs a token-free return path from t0,
   // but t0's only out-edge holds the ring's token.
-  addEdge(Ring, TransitionId(8192u), TransitionId(0u), 1);
+  addEdge(NB, TransitionId(8192u), TransitionId(0u), 1);
+  PetriNet Ring = NB.build();
   ASSERT_TRUE(isLiveMarkedGraph(Ring));
   EXPECT_FALSE(isSafeMarkedGraph(Ring));
 }
@@ -308,9 +311,10 @@ TEST(SafetyCheck, NonLiveOrNonMarkedGraphIsNotSafe) {
   // A token-free cycle keeps its transitions out of the topological
   // order: the precondition fails and the check says false.
   EXPECT_FALSE(isSafeMarkedGraph(buildRing(3, 0)));
-  PetriNet Net = buildRing(3, 1);
-  TransitionId Extra = Net.addTransition("extra");
-  Net.addArc(PlaceId(0u), Extra);
+  PetriNetBuilder NB = ringBuilder(3, 1);
+  TransitionId Extra = NB.addTransition("extra");
+  NB.addArc(PlaceId(0u), Extra);
+  PetriNet Net = NB.build();
   EXPECT_FALSE(isSafeMarkedGraph(Net));
 }
 

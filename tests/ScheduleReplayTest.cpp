@@ -57,7 +57,7 @@ bool validateScheduleReference(const Sdsp &S, const SdspPn &Pn,
       TimeStep Prev = Sched.startTime(T, M - 1);
       TimeStep Cur = Sched.startTime(T, M);
       if (Cur < Prev + Tau(T))
-        return Fail("transition " + Pn.Net.transition(T).Name +
+        return Fail("transition " + std::string(Pn.Net.transition(T).Name) +
                     " iterations " + std::to_string(M - 1) + "/" +
                     std::to_string(M) + " overlap");
     }

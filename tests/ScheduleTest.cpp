@@ -135,7 +135,7 @@ TEST(Schedule, TimelineShowsOverlappingIterations) {
   std::vector<std::string> Names;
   std::vector<uint32_t> Taus;
   for (TransitionId T : D.Pn.Net.transitionIds()) {
-    Names.push_back(D.Pn.Net.transition(T).Name);
+    Names.emplace_back(D.Pn.Net.transition(T).Name);
     Taus.push_back(D.Pn.Net.transition(T).ExecTime);
   }
   std::ostringstream OS;
@@ -154,7 +154,7 @@ TEST(Schedule, PrintShowsKernelTable) {
   Derived D = derive(buildL1());
   std::vector<std::string> Names;
   for (TransitionId T : D.Pn.Net.transitionIds())
-    Names.push_back(D.Pn.Net.transition(T).Name);
+    Names.emplace_back(D.Pn.Net.transition(T).Name);
   std::ostringstream OS;
   D.Sched.print(OS, Names);
   std::string Out = OS.str();

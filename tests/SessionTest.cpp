@@ -60,7 +60,7 @@ std::string serializeOutputs(CompilationSession &S,
   std::ostringstream OS;
   std::vector<std::string> Names;
   for (TransitionId T : (*Pn)->Net.transitionIds())
-    Names.push_back((*Pn)->Net.transition(T).Name);
+    Names.emplace_back((*Pn)->Net.transition(T).Name);
   (*Sched)->print(OS, Names);
   (*Prog)->print(OS);
   OS << emitC(**Prog, "kernel").Source;
@@ -238,6 +238,34 @@ TEST(SessionTest, ExpiredDeadlineFailsWithDeadlineExceeded) {
   EXPECT_EQ(CL.status().code(), ErrorCode::DeadlineExceeded);
 }
 
+/// A deadline that expires inside verify fails the compile: the session
+/// polls once more after verify.  The delay fault at verify's boundary
+/// sleeps past the deadline after the boundary's own poll passed.
+TEST(SessionTest, DeadlineExpiringInsideVerifyFailsTheCompile) {
+  Expected<FaultSchedule> Sched =
+      FaultSchedule::parse("pass:verify:delay=600ms");
+  ASSERT_TRUE(Sched);
+  FaultContext Ctx(&*Sched, "kernel:loop7");
+  TraceCollector Collector;
+  SessionConfig Cfg{true};
+  Cfg.Trace = &Collector.track("job");
+  Cfg.Faults = &Ctx;
+  Cfg.Cancel =
+      CancelSource::withDeadline(std::chrono::milliseconds(300)).token();
+  CompilationSession S(std::move(Cfg));
+  PipelineOptions O;
+  O.Verify = true;
+  Expected<CompiledLoop> CL = S.compile(kernel("loop7").Source, O);
+  ASSERT_FALSE(bool(CL));
+  EXPECT_EQ(CL.status().code(), ErrorCode::DeadlineExceeded);
+  EXPECT_NE(CL.status().str().find("after pass 'verify'"),
+            std::string::npos);
+  EXPECT_EQ(S.passStats(PassKind::Verify).Failures, 1u);
+  std::ostringstream OS;
+  Collector.writeJson(OS);
+  EXPECT_NE(OS.str().find("\"cancelled\""), std::string::npos);
+}
+
 /// The in-session retry contract the batch layer relies on: a transient
 /// pass fault fails the compile, and because the pass boundary
 /// checkpoints before any cache insert, the retry through the same
@@ -269,7 +297,7 @@ TEST(SessionTest, TransientPassFaultRetriesCleanlyInTheSameSession) {
   auto ScheduleText = [](const CompiledLoop &CL) {
     std::vector<std::string> Names;
     for (TransitionId T : CL.machineNet().transitionIds())
-      Names.push_back(CL.machineNet().transition(T).Name);
+      Names.emplace_back(CL.machineNet().transition(T).Name);
     std::ostringstream OS;
     CL.Schedule->print(OS, Names);
     return OS.str();

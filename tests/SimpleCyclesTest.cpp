@@ -48,19 +48,20 @@ TEST(SimpleCycles, PairGraphCycleCount) {
 
 TEST(SimpleCycles, TwoNestedCycles) {
   // t0 -> t1 -> t0 and t0 -> t1 -> t2 -> t0.
-  PetriNet Net;
-  TransitionId T0 = Net.addTransition("t0");
-  TransitionId T1 = Net.addTransition("t1");
-  TransitionId T2 = Net.addTransition("t2");
+  PetriNetBuilder NB;
+  TransitionId T0 = NB.addTransition("t0");
+  TransitionId T1 = NB.addTransition("t1");
+  TransitionId T2 = NB.addTransition("t2");
   auto Place = [&](TransitionId A, TransitionId B, uint32_t Tok) {
-    PlaceId P = Net.addPlace("p", Tok);
-    Net.addArc(A, P);
-    Net.addArc(P, B);
+    PlaceId P = NB.addPlace("p", Tok);
+    NB.addArc(A, P);
+    NB.addArc(P, B);
   };
   Place(T0, T1, 1);
   Place(T1, T0, 0);
   Place(T1, T2, 0);
   Place(T2, T0, 1);
+  PetriNet Net = NB.build();
   MarkedGraphView View(Net);
   std::vector<SimpleCycle> Cycles = enumerateSimpleCycles(View);
   ASSERT_EQ(Cycles.size(), 2u);
@@ -84,11 +85,12 @@ TEST(SimpleCycles, CycleTransitionsMatchEdges) {
 }
 
 TEST(SimpleCycles, SelfLoopEdge) {
-  PetriNet Net;
-  TransitionId T = Net.addTransition("t");
-  PlaceId P = Net.addPlace("p", 1);
-  Net.addArc(T, P);
-  Net.addArc(P, T);
+  PetriNetBuilder NB;
+  TransitionId T = NB.addTransition("t");
+  PlaceId P = NB.addPlace("p", 1);
+  NB.addArc(T, P);
+  NB.addArc(P, T);
+  PetriNet Net = NB.build();
   MarkedGraphView View(Net);
   std::vector<SimpleCycle> Cycles = enumerateSimpleCycles(View);
   ASSERT_EQ(Cycles.size(), 1u);

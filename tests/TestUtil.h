@@ -65,19 +65,23 @@ inline DataflowGraph buildL2Direct() {
 }
 
 /// A simple ring net: n transitions in a cycle with \p Tokens tokens on
-/// the first place; unit execution times.
-inline PetriNet buildRing(size_t N, uint32_t Tokens) {
-  PetriNet Net;
+/// the first place; unit execution times.  The builder form lets a test
+/// extend the ring before building it.
+inline PetriNetBuilder ringBuilder(size_t N, uint32_t Tokens) {
+  PetriNetBuilder NB;
   std::vector<TransitionId> Ts;
   for (size_t I = 0; I < N; ++I)
-    Ts.push_back(Net.addTransition("t" + std::to_string(I)));
+    Ts.push_back(NB.addTransition("t" + std::to_string(I)));
   for (size_t I = 0; I < N; ++I) {
-    PlaceId P = Net.addPlace("p" + std::to_string(I),
-                             I == 0 ? Tokens : 0);
-    Net.addArc(Ts[I], P);
-    Net.addArc(P, Ts[(I + 1) % N]);
+    PlaceId P = NB.addPlace("p" + std::to_string(I), I == 0 ? Tokens : 0);
+    NB.addArc(Ts[I], P);
+    NB.addArc(P, Ts[(I + 1) % N]);
   }
-  return Net;
+  return NB;
+}
+
+inline PetriNet buildRing(size_t N, uint32_t Tokens) {
+  return ringBuilder(N, Tokens).build();
 }
 
 /// A random live safe strongly connected marked graph built the SDSP
@@ -86,19 +90,20 @@ inline PetriNet buildRing(size_t N, uint32_t Tokens) {
 /// Every cycle alternates through at least one ack (live); every edge
 /// lies on its 2-cycle with exactly one token (safe); the pairing makes
 /// the graph strongly connected.
-inline PetriNet buildRandomMarkedGraph(Rng &R, size_t N, size_t Chords) {
-  PetriNet Net;
+inline PetriNetBuilder randomMarkedGraphBuilder(Rng &R, size_t N,
+                                                size_t Chords) {
+  PetriNetBuilder NB;
   std::vector<TransitionId> Ts;
   for (size_t I = 0; I < N; ++I)
-    Ts.push_back(Net.addTransition("t" + std::to_string(I),
-                                   static_cast<TimeUnits>(1 + R.range(0, 2))));
+    Ts.push_back(NB.addTransition("t" + std::to_string(I),
+                                  static_cast<TimeUnits>(1 + R.range(0, 2))));
   auto AddPair = [&](size_t U, size_t V, const std::string &Tag) {
-    PlaceId Data = Net.addPlace("d" + Tag, 0);
-    Net.addArc(Ts[U], Data);
-    Net.addArc(Data, Ts[V]);
-    PlaceId Ack = Net.addPlace("a" + Tag, 1);
-    Net.addArc(Ts[V], Ack);
-    Net.addArc(Ack, Ts[U]);
+    PlaceId Data = NB.addPlace("d" + Tag, 0);
+    NB.addArc(Ts[U], Data);
+    NB.addArc(Data, Ts[V]);
+    PlaceId Ack = NB.addPlace("a" + Tag, 1);
+    NB.addArc(Ts[V], Ack);
+    NB.addArc(Ack, Ts[U]);
   };
   for (size_t I = 0; I + 1 < N; ++I)
     AddPair(I, I + 1, std::to_string(I));
@@ -108,7 +113,11 @@ inline PetriNet buildRandomMarkedGraph(Rng &R, size_t N, size_t Chords) {
         R.range(static_cast<int64_t>(U) + 1, static_cast<int64_t>(N) - 1));
     AddPair(U, V, "c" + std::to_string(C));
   }
-  return Net;
+  return NB;
+}
+
+inline PetriNet buildRandomMarkedGraph(Rng &R, size_t N, size_t Chords) {
+  return randomMarkedGraphBuilder(R, N, Chords).build();
 }
 
 /// Local boundary test to keep TestUtil independent of core headers.

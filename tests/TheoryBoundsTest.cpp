@@ -55,13 +55,14 @@ TEST(TheoryBounds, MeasuredConvergenceWithinTheBound) {
 }
 
 TEST(TheoryBounds, AcyclicNetHasNoBounds) {
-  PetriNet Net;
-  TransitionId A = Net.addTransition("a");
-  TransitionId B = Net.addTransition("b");
-  PlaceId P = Net.addPlace("p", 1);
-  Net.addArc(A, P);
-  Net.addArc(P, B);
+  PetriNetBuilder NB;
+  TransitionId A = NB.addTransition("a");
+  TransitionId B = NB.addTransition("b");
+  PlaceId P = NB.addPlace("p", 1);
+  NB.addArc(A, P);
+  NB.addArc(P, B);
   SdspPn Pn;
+  PetriNet Net = NB.build();
   Pn.Net = std::move(Net);
   EXPECT_FALSE(computeBounds(Pn).has_value());
 }

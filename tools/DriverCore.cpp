@@ -572,7 +572,7 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
       Err << "sdspc: --scp supports --emit=schedule only\n";
     std::vector<std::string> Names;
     for (TransitionId T : Scp.Net.transitionIds())
-      Names.push_back(Scp.Net.transition(T).Name);
+      Names.emplace_back(Scp.Net.transition(T).Name);
     // Print the issue slots of SDSP transitions per kernel cycle.
     for (TimeStep T = F.StartTime; T < F.RepeatTime; ++T) {
       Out << "  t+" << (T - F.StartTime) << ":";
@@ -604,7 +604,7 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
     std::vector<std::string> Names;
     std::vector<uint32_t> Taus;
     for (TransitionId T : Pn.Net.transitionIds()) {
-      Names.push_back(Pn.Net.transition(T).Name);
+      Names.emplace_back(Pn.Net.transition(T).Name);
       Taus.push_back(Pn.Net.transition(T).ExecTime);
     }
     Sched.print(Out, Names);
