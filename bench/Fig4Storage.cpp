@@ -66,7 +66,7 @@ void printFigure(std::ostream &OS) {
   Sdsp S = buildKernelSdsp("l2");
   StorageOptResult R = minimizeStorage(S);
   const DataflowGraph &G = R.Optimized.graph();
-  for (const Sdsp::Ack &A : R.Optimized.acks()) {
+  for (Sdsp::AckView A : R.Optimized.acks()) {
     OS << "  ack " << G.node(G.arc(A.Path.back()).To).Name << " -> "
        << G.node(G.arc(A.Path.front()).From).Name << " covers";
     for (ArcId Arc : A.Path)

@@ -30,7 +30,7 @@ namespace {
 
 void printAcks(const Sdsp &S) {
   const DataflowGraph &G = S.graph();
-  for (const Sdsp::Ack &A : S.acks()) {
+  for (Sdsp::AckView A : S.acks()) {
     std::cout << "  ack " << G.node(G.arc(A.Path.back()).To).Name
               << " -> " << G.node(G.arc(A.Path.front()).From).Name
               << " covering";

@@ -13,6 +13,13 @@ using namespace sdsp;
 
 LoopProgram sdsp::generateLoopProgram(const Sdsp &S, const SdspPn &Pn,
                                       const SoftwarePipelineSchedule &Sched) {
+  return generateLoopProgram(
+      S, Pn, std::make_shared<const SoftwarePipelineSchedule>(Sched));
+}
+
+LoopProgram sdsp::generateLoopProgram(
+    const Sdsp &S, const SdspPn &Pn,
+    std::shared_ptr<const SoftwarePipelineSchedule> Sched) {
   const DataflowGraph &G = S.graph();
 
   // Register allocation: a ring per acknowledgement buffer, shared by
@@ -25,7 +32,7 @@ LoopProgram sdsp::generateLoopProgram(const Sdsp &S, const SdspPn &Pn,
   std::vector<bool> HasRing(G.numArcs(), false);
   uint32_t NextReg = 0;
 
-  for (const Sdsp::Ack &Ack : S.acks()) {
+  for (Sdsp::AckView Ack : S.acks()) {
     uint64_t Resident = 0;
     for (ArcId A : Ack.Path)
       Resident += G.arc(A).Distance;
@@ -52,53 +59,62 @@ LoopProgram sdsp::generateLoopProgram(const Sdsp &S, const SdspPn &Pn,
          "register count must equal the Section 6 storage accounting");
 
   // One VmOp per transition, in transition order.
-  std::vector<VmOp> Ops;
-  Ops.reserve(Pn.Net.numTransitions());
+  LoopProgram Program(std::move(Sched));
+  size_t NumOperands = 0, NumFanout = 0, NameBytes = 0;
   for (NodeId N : Pn.TransitionToNode) {
-    const DataflowGraph::Node &Node = G.node(N);
-    VmOp Op;
-    Op.Kind = Node.Kind;
-    Op.Name = Node.Name;
-    Op.ExecTime = Node.ExecTime;
+    const DataflowGraph::Node Node = G.node(N);
+    NumOperands += Node.Operands.size();
+    NumFanout += Node.Fanout.size();
+    NameBytes += Node.Name.size();
+    for (ArcId AI : Node.Operands)
+      NameBytes += G.node(G.arc(AI).From).Name.size();
+    for (ArcId AI : Node.Fanout)
+      NameBytes += G.node(G.arc(AI).To).Name.size();
+  }
+  Program.reserve(Pn.TransitionToNode.size(), NumOperands, NumFanout,
+                  NumFanout, NameBytes);
+  for (NodeId N : Pn.TransitionToNode) {
+    const DataflowGraph::Node Node = G.node(N);
+    Program.addOp(Node.Kind, Node.Name, Node.ExecTime);
 
     for (ArcId AI : Node.Operands) {
-      const DataflowGraph::Arc &Arc = G.arc(AI);
-      const DataflowGraph::Node &Src = G.node(Arc.From);
+      const DataflowGraph::Arc Arc = G.arc(AI);
+      const DataflowGraph::Node Src = G.node(Arc.From);
       if (Src.Kind == OpKind::Input) {
-        Op.Operands.push_back(OperandRef::stream(Src.Name));
+        Program.addOperand(
+            {.K = OperandRef::Kind::Stream, .StreamName = Src.Name});
         continue;
       }
       if (Src.Kind == OpKind::Const) {
-        Op.Operands.push_back(OperandRef::immediate(Src.ConstValue));
+        Program.addOperand(
+            {.K = OperandRef::Kind::Immediate, .Value = Src.ConstValue});
         continue;
       }
       assert(HasRing[AI.index()] && "interior operand without a buffer");
       const RingInfo &Ring = ArcRing[AI.index()];
-      Op.Operands.push_back(OperandRef::ring(
-          Ring.Base, Ring.Capacity, Arc.Distance, Arc.InitialValues));
+      Program.addOperand({.K = OperandRef::Kind::Ring,
+                          .Base = Ring.Base,
+                          .Capacity = Ring.Capacity,
+                          .Distance = Arc.Distance,
+                          .InitialValues = Arc.InitialValues});
     }
 
     for (ArcId AI : Node.Fanout) {
-      const DataflowGraph::Arc &Arc = G.arc(AI);
-      const DataflowGraph::Node &Dst = G.node(Arc.To);
+      const DataflowGraph::Arc Arc = G.arc(AI);
+      const DataflowGraph::Node Dst = G.node(Arc.To);
       if (Dst.Kind == OpKind::Output) {
         assert(Arc.FromPort == 0 &&
                "outputs from switch ports are not supported yet");
-        Op.Captures.push_back(Dst.Name);
+        Program.addCapture(Dst.Name);
         continue;
       }
       if (isBoundaryOp(Dst.Kind))
         continue;
       assert(HasRing[AI.index()] && "interior fanout without a buffer");
       const RingInfo &Ring = ArcRing[AI.index()];
-      WriteRef W;
-      W.Base = Ring.Base;
-      W.Capacity = Ring.Capacity;
-      W.Port = Arc.FromPort;
-      Op.Writes.push_back(W);
+      Program.addWrite(WriteRef{Ring.Base, Ring.Capacity, Arc.FromPort});
     }
-    Ops.push_back(std::move(Op));
   }
-
-  return LoopProgram(std::move(Ops), Sched, NextReg);
+  Program.setNumRegisters(NextReg);
+  return Program;
 }

@@ -27,10 +27,15 @@
 namespace sdsp {
 
 /// Generates the loop program for \p S under \p Sched (derived from
-/// \p Pn's frustum).  Ops are indexed like \p Pn's transitions.
-/// Requires every Output node to be fed by a compute node (the loopir
-/// frontend guarantees this except for direct stream aliases, which
-/// assert).
+/// \p Pn's frustum), which the program shares.  Ops are indexed like
+/// \p Pn's transitions.  Requires every Output node to be fed by a
+/// compute node (the loopir frontend guarantees this except for direct
+/// stream aliases, which assert).
+LoopProgram
+generateLoopProgram(const Sdsp &S, const SdspPn &Pn,
+                    std::shared_ptr<const SoftwarePipelineSchedule> Sched);
+
+/// The same over a schedule the program keeps a copy of.
 LoopProgram generateLoopProgram(const Sdsp &S, const SdspPn &Pn,
                                 const SoftwarePipelineSchedule &Sched);
 

@@ -49,7 +49,7 @@ void evalOp(const VmOp &Op, const std::vector<TokenValue> &Operands,
 VmResult sdsp::executeLoopProgram(const LoopProgram &Program,
                                   const StreamMap &Inputs,
                                   size_t Iterations) {
-  const std::vector<VmOp> &Ops = Program.ops();
+  const auto Ops = Program.ops();
 
   // Event list: (time, phase 0=write 1=read, op, iteration).
   struct Event {
@@ -61,10 +61,11 @@ VmResult sdsp::executeLoopProgram(const LoopProgram &Program,
   std::vector<Event> Events;
   Events.reserve(Ops.size() * Iterations * 2);
   for (uint32_t I = 0; I < Ops.size(); ++I) {
+    const uint32_t ExecTime = Ops[I].ExecTime;
     for (uint64_t M = 0; M < Iterations; ++M) {
       TimeStep Start = Program.startTime(I, M);
       Events.push_back(Event{Start, 1, I, M});
-      Events.push_back(Event{Start + Ops[I].ExecTime, 0, I, M});
+      Events.push_back(Event{Start + ExecTime, 0, I, M});
     }
   }
   std::sort(Events.begin(), Events.end(),
@@ -90,7 +91,7 @@ VmResult sdsp::executeLoopProgram(const LoopProgram &Program,
   std::vector<TokenValue> Operands;
 
   for (const Event &E : Events) {
-    const VmOp &Op = Ops[E.Op];
+    const VmOp Op = Ops[E.Op];
     if (E.Phase == 1) {
       // Read phase: gather operands and compute; result commits later.
       Operands.clear();
@@ -105,7 +106,7 @@ VmResult sdsp::executeLoopProgram(const LoopProgram &Program,
                 Regs[O.Base + (E.Iter - O.Distance) % O.Capacity]);
           break;
         case OperandRef::Kind::Stream: {
-          auto It = Inputs.find(O.StreamName);
+          auto It = Inputs.find(std::string(O.StreamName));
           assert(It != Inputs.end() && "missing input stream");
           assert(It->second.size() > E.Iter && "input stream too short");
           Operands.push_back(TokenValue::real(It->second[E.Iter]));
@@ -127,10 +128,11 @@ VmResult sdsp::executeLoopProgram(const LoopProgram &Program,
     for (const WriteRef &W : Op.Writes)
       Regs[W.Base + E.Iter % W.Capacity] =
           InFlight[E.Op].Results[W.Port];
-    for (const std::string &Capture : Op.Captures) {
+    for (std::string_view Capture : Op.Captures) {
       const TokenValue &V = InFlight[E.Op].Results[0];
-      Result.Outputs[Capture].push_back(V.IsDummy ? 0.0 : V.Num);
-      Result.DummyMask[Capture].push_back(V.IsDummy);
+      std::string Name(Capture);
+      Result.Outputs[Name].push_back(V.IsDummy ? 0.0 : V.Num);
+      Result.DummyMask[Name].push_back(V.IsDummy);
     }
     InFlight[E.Op].Valid = false;
     Result.Cycles = std::max(Result.Cycles, E.Time);

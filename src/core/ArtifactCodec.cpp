@@ -84,17 +84,17 @@ bool getIdVec(ByteReader &R, uint64_t Limit, bool AllowInvalid,
 void encodeGraph(const DataflowGraph &G, ByteWriter &W) {
   W.u64(G.numNodes());
   for (NodeId N : G.nodeIds()) {
-    const DataflowGraph::Node &Node = G.node(N);
+    const DataflowGraph::Node Node = G.node(N);
     W.u8(static_cast<uint8_t>(Node.Kind));
     W.str(Node.Name);
     W.f64(Node.ConstValue);
     W.u32(Node.ExecTime);
   }
   // Arcs in ArcId order == creation order: replaying connect() calls in
-  // this order reproduces the Fanout vectors and Operand slots exactly.
+  // this order reproduces the fanout lists and operand slots exactly.
   W.u64(G.numArcs());
   for (ArcId A : G.arcIds()) {
-    const DataflowGraph::Arc &Arc = G.arc(A);
+    const DataflowGraph::Arc Arc = G.arc(A);
     W.u32(Arc.From.index());
     W.u32(Arc.FromPort);
     W.u32(Arc.To.index());
@@ -109,11 +109,9 @@ bool decodeGraph(ByteReader &R, DataflowGraph &G) {
   uint64_t NumNodes = R.seqLen(14);
   if (!R.ok())
     return false;
-  std::vector<OpKind> Kinds;
-  Kinds.reserve(NumNodes);
   for (uint64_t I = 0; I < NumNodes; ++I) {
     uint8_t RawKind = R.u8();
-    std::string Name = R.str();
+    std::string_view Name = R.strView();
     double ConstValue = R.f64();
     uint32_t ExecTime = R.u32();
     if (!R.ok() || RawKind > MaxOpKind || ExecTime < 1 || Name.empty())
@@ -122,27 +120,24 @@ bool decodeGraph(ByteReader &R, DataflowGraph &G) {
     NodeId N = Kind == OpKind::Const ? G.addConst(ConstValue, Name)
                                      : G.addNode(Kind, Name);
     G.setExecTime(N, ExecTime);
-    Kinds.push_back(Kind);
   }
   uint64_t NumArcs = R.seqLen(24);
   if (!R.ok())
     return false;
-  std::vector<std::vector<bool>> PortTaken(NumNodes);
-  for (uint64_t I = 0; I < NumNodes; ++I)
-    PortTaken[I].assign(opArity(Kinds[I]), false);
+  std::vector<double> Init;
   for (uint64_t I = 0; I < NumArcs; ++I) {
     uint32_t From = R.u32();
     uint32_t FromPort = R.u32();
     uint32_t To = R.u32();
     uint32_t ToPort = R.u32();
     uint64_t NumInit = R.seqLen(8);
-    if (!R.ok() || From >= NumNodes || To >= NumNodes ||
-        FromPort >= opResults(Kinds[From]) || ToPort >= opArity(Kinds[To]) ||
-        PortTaken[To][ToPort])
+    if (!R.ok() || From >= NumNodes || To >= NumNodes)
       return false;
-    PortTaken[To][ToPort] = true;
-    std::vector<double> Init;
-    Init.reserve(NumInit);
+    const DataflowGraph::Node Dst = G.node(NodeId(To));
+    if (FromPort >= opResults(G.node(NodeId(From)).Kind) ||
+        ToPort >= Dst.Operands.size() || Dst.Operands[ToPort].isValid())
+      return false;
+    Init.clear();
     for (uint64_t J = 0; J < NumInit; ++J)
       Init.push_back(R.f64());
     if (!R.ok())
@@ -150,8 +145,7 @@ bool decodeGraph(ByteReader &R, DataflowGraph &G) {
     if (Init.empty())
       G.connect(NodeId(From), FromPort, NodeId(To), ToPort);
     else
-      G.connectFeedback(NodeId(From), FromPort, NodeId(To), ToPort,
-                        std::move(Init));
+      G.connectFeedback(NodeId(From), FromPort, NodeId(To), ToPort, Init);
   }
   return true;
 }
@@ -257,57 +251,52 @@ bool decodeNetImpl(ByteReader &R, PetriNet &Out) {
 void encodeSdsp(const Sdsp &S, ByteWriter &W) {
   encodeGraph(S.graph(), W);
   W.u64(S.acks().size());
-  for (const Sdsp::Ack &A : S.acks()) {
+  for (Sdsp::AckView A : S.acks()) {
     putIdVec(W, A.Path);
     W.u32(A.Slots);
   }
 }
 
 bool decodeSdsp(ByteReader &R, std::shared_ptr<Sdsp> &Out) {
-  DataflowGraph G;
-  if (!decodeGraph(R, G))
+  auto G = std::make_shared<DataflowGraph>();
+  if (!decodeGraph(R, *G))
     return false;
   uint64_t NumAcks = R.seqLen(12);
   if (!R.ok())
     return false;
-  std::vector<Sdsp::Ack> Acks;
-  Acks.reserve(NumAcks);
-  for (uint64_t I = 0; I < NumAcks; ++I) {
-    Sdsp::Ack A;
-    if (!getIdVec(R, G.numArcs(), false, A.Path))
-      return false;
-    A.Slots = R.u32();
-    if (!R.ok())
-      return false;
-    Acks.push_back(std::move(A));
-  }
   // Re-establish the withAcks() invariants before the asserting
   // constructor sees the data: paths chain head-to-tail over interior
   // non-self-loop arcs, each covered exactly once, each cycle tokened.
-  std::vector<unsigned> Covered(G.numArcs(), 0);
+  std::vector<unsigned> Covered(G->numArcs(), 0);
   auto Interior = [&](ArcId AI) {
-    const DataflowGraph::Arc &Arc = G.arc(AI);
-    return !isBoundaryOp(G.node(Arc.From).Kind) &&
-           !isBoundaryOp(G.node(Arc.To).Kind);
+    const DataflowGraph::Arc Arc = G->arc(AI);
+    return !isBoundaryOp(G->node(Arc.From).Kind) &&
+           !isBoundaryOp(G->node(Arc.To).Kind);
   };
-  for (const Sdsp::Ack &A : Acks) {
-    if (A.Path.empty())
+  Sdsp::AckList Acks;
+  std::vector<ArcId> Path;
+  for (uint64_t I = 0; I < NumAcks; ++I) {
+    if (!getIdVec(R, G->numArcs(), false, Path))
+      return false;
+    uint32_t Slots = R.u32();
+    if (!R.ok() || Path.empty())
       return false;
     uint64_t Resident = 0;
-    for (size_t I = 0; I < A.Path.size(); ++I) {
-      const DataflowGraph::Arc &Arc = G.arc(A.Path[I]);
-      if (!Interior(A.Path[I]) || Arc.From == Arc.To)
+    for (size_t J = 0; J < Path.size(); ++J) {
+      const DataflowGraph::Arc Arc = G->arc(Path[J]);
+      if (!Interior(Path[J]) || Arc.From == Arc.To)
         return false;
-      if (I + 1 < A.Path.size() && Arc.To != G.arc(A.Path[I + 1]).From)
+      if (J + 1 < Path.size() && Arc.To != G->arc(Path[J + 1]).From)
         return false;
       Resident += Arc.Distance;
-      ++Covered[A.Path[I].index()];
+      ++Covered[Path[J].index()];
     }
-    if (A.Slots + Resident < 1)
+    if (Slots + Resident < 1)
       return false;
+    Acks.add(Path, Slots);
   }
-  for (ArcId AI : G.arcIds()) {
-    const DataflowGraph::Arc &Arc = G.arc(AI);
+  for (ArcId AI : G->arcIds()) {
+    const DataflowGraph::Arc Arc = G->arc(AI);
     if (!Interior(AI) || Arc.From == Arc.To)
       continue;
     if (Covered[AI.index()] != 1)
@@ -353,9 +342,9 @@ bool decodeRational(ByteReader &R, Rational &Out) {
 //===----------------------------------------------------------------------===//
 
 void encodeSchedule(const SoftwarePipelineSchedule &S, ByteWriter &W) {
-  // The per-transition index vectors are derived from the op lists in
-  // insertion order, so replaying addPrologueOp/addKernelOp in stored
-  // order reproduces the object exactly.
+  // The start-time index is derived from the op lists, so replaying
+  // addPrologueOp/addKernelOp in stored order and finishing reproduces
+  // the object exactly.
   W.u64(S.numTransitions());
   W.u64(S.prologueEnd());
   W.u64(S.kernelLength());
@@ -386,10 +375,13 @@ bool decodeSchedule(ByteReader &R,
     return false;
   auto S = std::make_shared<SoftwarePipelineSchedule>(
       static_cast<size_t>(NumTransitions), Start, Period, K);
+  // Per transition: prologue ops seen, then all ops seen.
+  std::vector<uint64_t> SeenPrologue(NumTransitions, 0);
   std::vector<uint64_t> SeenIterations(NumTransitions, 0);
   uint64_t NumPrologue = R.seqLen(20);
   if (!R.ok())
     return false;
+  S->reserve(NumPrologue, 0);
   for (uint64_t I = 0; I < NumPrologue; ++I) {
     uint64_t Time = R.u64();
     uint32_t T = R.u32();
@@ -398,11 +390,13 @@ bool decodeSchedule(ByteReader &R,
         Iteration != SeenIterations[T])
       return false;
     S->addPrologueOp(Time, TransitionId(T), Iteration);
+    ++SeenPrologue[T];
     ++SeenIterations[T];
   }
   uint64_t NumKernel = R.seqLen(16);
-  if (!R.ok())
+  if (!R.ok() || NumKernel != NumTransitions * K)
     return false;
+  S->reserve(NumPrologue, NumKernel);
   for (uint64_t I = 0; I < NumKernel; ++I) {
     uint32_t Slot = R.u32();
     uint32_t T = R.u32();
@@ -414,9 +408,10 @@ bool decodeSchedule(ByteReader &R,
     ++SeenIterations[T];
   }
   // startTime() indexes k kernel slots per transition.
-  for (size_t T = 0; T < SeenIterations.size(); ++T)
-    if (SeenIterations[T] - S->prologueCount(TransitionId(T)) != K)
+  for (size_t T = 0; T < NumTransitions; ++T)
+    if (SeenIterations[T] - SeenPrologue[T] != K)
       return false;
+  S->finish();
   Out = std::move(S);
   return true;
 }
@@ -450,27 +445,52 @@ void encodeProgram(const LoopProgram &P, ByteWriter &W) {
       W.u32(Wr.Port);
     }
     W.u64(Op.Captures.size());
-    for (const std::string &C : Op.Captures)
+    for (std::string_view C : Op.Captures)
       W.str(C);
   }
   encodeSchedule(P.schedule(), W);
   W.u32(P.numRegisters());
 }
 
+/// Checks what executeLoopProgram and emitC index by: one op per
+/// schedule transition, only compute operators, each with its operator's
+/// operand count; rings and writes inside the register file, rings with
+/// at least one slot and an initial value per unit of distance, writes
+/// from a result port the operator has.
+bool validProgram(const LoopProgram &P) {
+  const uint64_t NumRegisters = P.numRegisters();
+  if (P.schedule().numTransitions() != P.ops().size())
+    return false;
+  for (const VmOp &Op : P.ops()) {
+    if (isBoundaryOp(Op.Kind) || Op.Operands.size() != opArity(Op.Kind))
+      return false;
+    for (const OperandRef &O : Op.Operands)
+      if (O.K == OperandRef::Kind::Ring &&
+          (O.Capacity < 1 || O.InitialValues.size() < O.Distance ||
+           uint64_t(O.Base) + O.Capacity > NumRegisters))
+        return false;
+    for (const WriteRef &Wr : Op.Writes)
+      if (Wr.Port >= opResults(Op.Kind) ||
+          uint64_t(Wr.Base) + Wr.Capacity > NumRegisters)
+        return false;
+  }
+  return true;
+}
+
 bool decodeProgram(ByteReader &R, std::shared_ptr<LoopProgram> &Out) {
   uint64_t NumOps = R.seqLen(30);
   if (!R.ok())
     return false;
-  std::vector<VmOp> Ops;
-  Ops.reserve(NumOps);
+  // The schedule follows the ops; the program receives it once decoded.
+  auto P = std::make_shared<LoopProgram>(nullptr);
+  std::vector<double> Init;
   for (uint64_t I = 0; I < NumOps; ++I) {
-    VmOp Op;
     uint8_t RawKind = R.u8();
-    Op.Name = R.str();
-    Op.ExecTime = R.u32();
+    std::string_view Name = R.strView();
+    uint32_t ExecTime = R.u32();
     if (!R.ok() || RawKind > MaxOpKind)
       return false;
-    Op.Kind = static_cast<OpKind>(RawKind);
+    P->addOp(static_cast<OpKind>(RawKind), Name, ExecTime);
     uint64_t NumOperands = R.seqLen(33);
     if (!R.ok())
       return false;
@@ -484,14 +504,15 @@ bool decodeProgram(ByteReader &R, std::shared_ptr<LoopProgram> &Out) {
       if (!R.ok() || K > static_cast<uint8_t>(OperandRef::Kind::Immediate))
         return false;
       O.K = static_cast<OperandRef::Kind>(K);
-      O.InitialValues.reserve(NumInit);
+      Init.clear();
       for (uint64_t V = 0; V < NumInit; ++V)
-        O.InitialValues.push_back(R.f64());
-      O.StreamName = R.str();
+        Init.push_back(R.f64());
+      O.InitialValues = Init;
+      O.StreamName = R.strView();
       O.Value = R.f64();
       if (!R.ok())
         return false;
-      Op.Operands.push_back(std::move(O));
+      P->addOperand(O);
     }
     uint64_t NumWrites = R.seqLen(12);
     if (!R.ok())
@@ -503,16 +524,17 @@ bool decodeProgram(ByteReader &R, std::shared_ptr<LoopProgram> &Out) {
       Wr.Port = R.u32();
       if (!R.ok() || Wr.Capacity < 1)
         return false;
-      Op.Writes.push_back(Wr);
+      P->addWrite(Wr);
     }
     uint64_t NumCaptures = R.seqLen(8);
     if (!R.ok())
       return false;
-    for (uint64_t J = 0; J < NumCaptures; ++J)
-      Op.Captures.push_back(R.str());
-    if (!R.ok())
-      return false;
-    Ops.push_back(std::move(Op));
+    for (uint64_t J = 0; J < NumCaptures; ++J) {
+      std::string_view C = R.strView();
+      if (!R.ok())
+        return false;
+      P->addCapture(C);
+    }
   }
   std::shared_ptr<SoftwarePipelineSchedule> Sched;
   if (!decodeSchedule(R, Sched))
@@ -520,8 +542,11 @@ bool decodeProgram(ByteReader &R, std::shared_ptr<LoopProgram> &Out) {
   uint32_t NumRegisters = R.u32();
   if (!R.ok())
     return false;
-  Out = std::make_shared<LoopProgram>(std::move(Ops), std::move(*Sched),
-                                      NumRegisters);
+  P->setSchedule(std::move(Sched));
+  P->setNumRegisters(NumRegisters);
+  if (!validProgram(*P))
+    return false;
+  Out = std::move(P);
   return true;
 }
 

@@ -109,19 +109,6 @@ uint64_t stepRecordsBytes(const std::vector<StepRecord> &Trace) {
   return B;
 }
 
-uint64_t graphBytes(const DataflowGraph &G) {
-  uint64_t B = G.numNodes() * sizeof(DataflowGraph::Node) +
-               G.numArcs() * sizeof(DataflowGraph::Arc);
-  for (NodeId N : G.nodeIds()) {
-    const DataflowGraph::Node &Node = G.node(N);
-    B += Node.Name.size() +
-         (Node.Operands.size() + Node.Fanout.size()) * sizeof(ArcId);
-  }
-  for (ArcId A : G.arcIds())
-    B += G.arc(A).InitialValues.size() * sizeof(double);
-  return B;
-}
-
 } // namespace
 
 HashStream &HashStream::u64(uint64_t V) {
@@ -178,7 +165,7 @@ uint64_t sdsp::artifactHash(const Sdsp &S) {
   HashStream HS(SeedSdsp);
   hashGraph(HS, S.graph());
   HS.u64(S.acks().size());
-  for (const Sdsp::Ack &A : S.acks()) {
+  for (Sdsp::AckView A : S.acks()) {
     HS.u64(A.Slots).u64(A.Path.size());
     for (ArcId Arc : A.Path)
       HS.u64(Arc.index());
@@ -286,7 +273,7 @@ uint64_t sdsp::artifactHash(const LoopProgram &P) {
     for (const WriteRef &W : Op.Writes)
       HS.u64(W.Base).u64(W.Capacity).u64(W.Port);
     HS.u64(Op.Captures.size());
-    for (const std::string &C : Op.Captures)
+    for (std::string_view C : Op.Captures)
       HS.str(C);
   }
   hashSchedule(HS, P.schedule());
@@ -298,12 +285,13 @@ uint64_t sdsp::artifactSizeBytes(const std::string &Source) {
 }
 
 uint64_t sdsp::artifactSizeBytes(const DataflowGraph &G) {
-  return graphBytes(G);
+  return G.sizeBytes();
 }
 
 uint64_t sdsp::artifactSizeBytes(const Sdsp &S) {
-  uint64_t B = graphBytes(S.graph()) + S.acks().size() * sizeof(Sdsp::Ack);
-  for (const Sdsp::Ack &A : S.acks())
+  // Per ack: its path's range and slots, then the path itself.
+  uint64_t B = S.graph().sizeBytes() + S.acks().size() * 3 * sizeof(uint32_t);
+  for (Sdsp::AckView A : S.acks())
     B += A.Path.size() * sizeof(ArcId);
   return B;
 }
@@ -347,15 +335,6 @@ uint64_t sdsp::artifactSizeBytes(const SoftwarePipelineSchedule &S) {
 }
 
 uint64_t sdsp::artifactSizeBytes(const LoopProgram &P) {
-  uint64_t B = sizeof(LoopProgram) + P.ops().size() * sizeof(VmOp) +
-               artifactSizeBytes(P.schedule());
-  for (const VmOp &Op : P.ops()) {
-    B += Op.Name.size() + Op.Operands.size() * sizeof(OperandRef) +
-         Op.Writes.size() * sizeof(WriteRef);
-    for (const OperandRef &O : Op.Operands)
-      B += O.StreamName.size() + O.InitialValues.size() * sizeof(double);
-    for (const std::string &C : Op.Captures)
-      B += C.size() + sizeof(std::string);
-  }
-  return B;
+  return sizeof(LoopProgram) + P.sizeBytes() +
+         artifactSizeBytes(P.schedule());
 }

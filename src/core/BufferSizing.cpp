@@ -49,7 +49,7 @@ sdsp::sizeBuffers(const DataflowGraph &G,
   // (Sdsp::standard already applies the deadlock spare slot where
   // needed).
   std::map<uint32_t, uint32_t> Capacity; // arc index -> capacity
-  for (const Sdsp::Ack &A : Result.Sized.acks()) {
+  for (Sdsp::AckView A : Result.Sized.acks()) {
     ArcId Arc = A.Path.front();
     Capacity[Arc.index()] = A.Slots + G.arc(Arc).Distance;
   }

@@ -19,42 +19,60 @@ SoftwarePipelineSchedule::SoftwarePipelineSchedule(size_t NumTransitions,
                                                    TimeStep Period,
                                                    uint32_t IterationsPerKernel)
     : NumTransitions(NumTransitions), Start(Start), Period(Period),
-      K(IterationsPerKernel), PrologueTimes(NumTransitions),
-      KernelSlots(NumTransitions) {
+      K(IterationsPerKernel) {
   assert(Period >= 1 && "kernel must have positive length");
   assert(K >= 1 && "kernel must execute at least one iteration");
 }
 
 void SoftwarePipelineSchedule::addPrologueOp(TimeStep Time, TransitionId T,
                                              uint64_t Iteration) {
+  assert(!Finished && "op added after finish()");
   assert(Time < Start && "prologue op at or past kernel start");
-  assert(Iteration == PrologueTimes[T.index()].size() &&
-         "prologue ops must arrive in iteration order");
   Prologue.push_back(PrologueOp{Time, T, Iteration});
-  PrologueTimes[T.index()].push_back(Time);
 }
 
 void SoftwarePipelineSchedule::addKernelOp(uint32_t Slot, TransitionId T,
                                            uint64_t FirstIteration) {
+  assert(!Finished && "op added after finish()");
   assert(Slot < Period && "kernel slot out of range");
-  assert(FirstIteration ==
-             PrologueTimes[T.index()].size() + KernelSlots[T.index()].size() &&
-         "kernel ops must arrive in iteration order");
   Kernel.push_back(KernelOp{Slot, T, FirstIteration});
-  KernelSlots[T.index()].push_back(Slot);
+}
+
+void SoftwarePipelineSchedule::finish() {
+  assert(!Finished && "finish() called twice");
+  // Prologue times: count per transition, prefix-sum into row starts,
+  // then place each time at its iteration within its row.
+  PrologueStart.assign(NumTransitions + 1, 0);
+  for (const PrologueOp &Op : Prologue)
+    ++PrologueStart[Op.T.index() + 1];
+  for (size_t T = 0; T < NumTransitions; ++T)
+    PrologueStart[T + 1] += PrologueStart[T];
+  PrologueTimes.assign(Prologue.size(), 0);
+  for (const PrologueOp &Op : Prologue) {
+    size_t At = PrologueStart[Op.T.index()] + Op.Iteration;
+    assert(At < PrologueStart[Op.T.index() + 1] &&
+           "prologue ops must cover iterations 0.. of their transition");
+    PrologueTimes[At] = Op.Time;
+  }
+  // Kernel slots: row T holds iterations prologueCount(T) .. + k.
+  assert(Kernel.size() == NumTransitions * K &&
+         "every transition needs exactly k kernel ops");
+  KernelSlots.assign(NumTransitions * K, 0);
+  Finished = true;
+  for (const KernelOp &Op : Kernel) {
+    uint64_t J = Op.FirstIteration - prologueCount(Op.T);
+    assert(J < K && "kernel op outside its transition's k iterations");
+    KernelSlots[static_cast<size_t>(Op.T.index()) * K + J] = Op.Slot;
+  }
 }
 
 TimeStep SoftwarePipelineSchedule::startTime(TransitionId T,
                                              uint64_t Iteration) const {
-  const std::vector<TimeStep> &Pro = PrologueTimes[T.index()];
-  if (Iteration < Pro.size())
-    return Pro[Iteration];
-  const std::vector<uint32_t> &Slots = KernelSlots[T.index()];
-  assert(Slots.size() == K && "transition missing from kernel");
-  uint64_t J = Iteration - Pro.size();
-  uint64_t Q = J / K;
-  uint64_t R = J % K;
-  return Start + Q * Period + Slots[R];
+  uint64_t Count = prologueCount(T);
+  if (Iteration < Count)
+    return PrologueTimes[PrologueStart[T.index()] + Iteration];
+  uint64_t J = Iteration - Count;
+  return Start + (J / K) * Period + kernelSlots(T)[J % K];
 }
 
 void SoftwarePipelineSchedule::printTimeline(

@@ -16,6 +16,13 @@
 ///   prologue time                       (m among t's prologue firings)
 ///   Start + q*p + slot(t, r)            (m = prologue count + q*k + r).
 ///
+/// Layout.  The op lists are what the schedule hashes and encodes.  Once
+/// every op is added, finish() builds the start-time index from them in
+/// two flat arrays: each transition's prologue times as one
+/// compressed-sparse-row list, and the kernel slots as an N x k array.
+/// Building, copying and freeing a schedule therefore cost a constant
+/// number of allocations, whatever its size.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SDSP_CORE_SCHEDULE_H
@@ -24,7 +31,9 @@
 #include "petri/EarliestFiring.h"
 #include "support/Rational.h"
 
+#include <cassert>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,8 +76,21 @@ public:
   /// time alpha of the paper).
   Rational initiationInterval() const { return rate().reciprocal(); }
 
+  /// Makes room for the given numbers of ops.
+  void reserve(size_t PrologueOps, size_t KernelOps) {
+    Prologue.reserve(PrologueOps);
+    Kernel.reserve(KernelOps);
+  }
+
+  /// Adds one firing.  Each transition's ops must arrive in iteration
+  /// order, its prologue ops first, and it must end with exactly k
+  /// kernel ops.
   void addPrologueOp(TimeStep Time, TransitionId T, uint64_t Iteration);
   void addKernelOp(uint32_t Slot, TransitionId T, uint64_t FirstIteration);
+
+  /// Builds the start-time index once the last op is added; the queries
+  /// below read it.
+  void finish();
 
   const std::vector<PrologueOp> &prologue() const { return Prologue; }
   const std::vector<KernelOp> &kernel() const { return Kernel; }
@@ -77,7 +99,14 @@ public:
   /// start times are periodic: startTime(T, m + k) = startTime(T, m) + p
   /// for every m >= prologueCount(T).
   uint64_t prologueCount(TransitionId T) const {
-    return PrologueTimes[T.index()].size();
+    assert(Finished && "schedule queried before finish()");
+    return PrologueStart[T.index() + 1] - PrologueStart[T.index()];
+  }
+
+  /// The kernel slots of \p T's k kernel ops, in iteration order.
+  std::span<const uint32_t> kernelSlots(TransitionId T) const {
+    assert(Finished && "schedule queried before finish()");
+    return {KernelSlots.data() + static_cast<size_t>(T.index()) * K, K};
   }
 
   /// Start time of iteration \p Iteration of transition \p T under the
@@ -104,10 +133,13 @@ private:
   uint32_t K;
   std::vector<PrologueOp> Prologue;
   std::vector<KernelOp> Kernel;
-  /// Per transition: prologue firing times (by iteration order).
-  std::vector<std::vector<TimeStep>> PrologueTimes;
-  /// Per transition: kernel slots in occurrence order.
-  std::vector<std::vector<uint32_t>> KernelSlots;
+  /// Transition T's prologue firing times, by iteration:
+  /// PrologueTimes[PrologueStart[T] .. PrologueStart[T + 1]).
+  std::vector<uint32_t> PrologueStart;
+  std::vector<TimeStep> PrologueTimes;
+  /// Transition T's kernel slots, by iteration: KernelSlots[T*k .. T*k+k).
+  std::vector<uint32_t> KernelSlots;
+  bool Finished = false;
 };
 
 } // namespace sdsp

@@ -42,6 +42,10 @@ sdsp::deriveScheduleChecked(const SdspPn &Pn, const FrustumInfo &Frustum) {
   }
 
   SoftwarePipelineSchedule Sched(N, Frustum.StartTime, Frustum.length(), K);
+  size_t Firings = 0;
+  for (const StepRecord &Rec : Frustum.Trace)
+    Firings += Rec.Fired.size();
+  Sched.reserve(Firings > N * K ? Firings - N * K : 0, N * K);
   std::vector<uint64_t> Occurrence(N, 0);
   for (const StepRecord &Rec : Frustum.Trace) {
     for (TransitionId T : Rec.Fired) {
@@ -53,6 +57,7 @@ sdsp::deriveScheduleChecked(const SdspPn &Pn, const FrustumInfo &Frustum) {
                           T, Iter);
     }
   }
+  Sched.finish();
   return Sched;
 }
 
@@ -118,22 +123,24 @@ bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
     TransitionId V = Pn.NodeToTransition[Arc.To.index()];
     uint64_t M = FirstViolation(V, U, Arc.Distance);
     if (M < CheckIterations)
-      return Fail("dependence violated on arc " + G.node(Arc.From).Name +
-                  " -> " + G.node(Arc.To).Name + " at iteration " +
+      return Fail("dependence violated on arc " +
+                  std::string(G.node(Arc.From).Name) + " -> " +
+                  std::string(G.node(Arc.To).Name) + " at iteration " +
                   std::to_string(M));
   }
 
   // Buffer capacities: the producer at the head of each ack chain must
   // wait for the chain consumer's acknowledgement.
-  for (const Sdsp::Ack &Ack : S.acks()) {
+  for (Sdsp::AckView Ack : S.acks()) {
     const DataflowGraph::Arc &Head = G.arc(Ack.Path.front());
     const DataflowGraph::Arc &Tail = G.arc(Ack.Path.back());
     TransitionId U = Pn.NodeToTransition[Head.From.index()];
     TransitionId V = Pn.NodeToTransition[Tail.To.index()];
     uint64_t M = FirstViolation(U, V, Ack.Slots);
     if (M < CheckIterations)
-      return Fail("capacity violated on ack " + G.node(Tail.To).Name +
-                  " -> " + G.node(Head.From).Name + " at iteration " +
+      return Fail("capacity violated on ack " +
+                  std::string(G.node(Tail.To).Name) + " -> " +
+                  std::string(G.node(Head.From).Name) + " at iteration " +
                   std::to_string(M));
   }
 

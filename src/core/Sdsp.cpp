@@ -40,9 +40,26 @@ size_t Sdsp::loopBodySize() const {
   return N;
 }
 
+void Sdsp::AckList::add(std::span<const ArcId> Path, uint32_t Slots) {
+  Record R;
+  R.PathBegin = static_cast<uint32_t>(PathArcs.size());
+  PathArcs.insert(PathArcs.end(), Path.begin(), Path.end());
+  R.PathEnd = static_cast<uint32_t>(PathArcs.size());
+  R.Slots = Slots;
+  Records.push_back(R);
+}
+
+std::vector<Sdsp::Ack> Sdsp::ackRecords() const {
+  std::vector<Ack> Out;
+  Out.reserve(Acks.size());
+  for (AckView A : acks())
+    Out.push_back(Ack{{A.Path.begin(), A.Path.end()}, A.Slots});
+  return Out;
+}
+
 uint64_t Sdsp::storageLocations() const {
   uint64_t Total = 0;
-  for (const Ack &A : Acks) {
+  for (AckView A : acks()) {
     uint64_t Resident = 0;
     for (ArcId Arc : A.Path)
       Resident += G->arc(Arc).Distance;
@@ -96,6 +113,8 @@ Sdsp Sdsp::standard(std::shared_ptr<const DataflowGraph> Graph,
   SDSP_CHECK(Capacity >= 1, "buffers need at least one slot");
   Sdsp S(std::move(Graph));
   const DataflowGraph &G = *S.G;
+  S.Acks.Records.reserve(G.numArcs());
+  S.Acks.PathArcs.reserve(G.numArcs());
   for (ArcId A : G.arcIds()) {
     if (!S.isInteriorArc(A))
       continue;
@@ -116,28 +135,38 @@ Sdsp Sdsp::standard(std::shared_ptr<const DataflowGraph> Graph,
     if (Arc.isFeedback() && Cap == Arc.Distance &&
         forwardReaches(G, Arc.From, Arc.To))
       ++Cap;
-    Ack Ak;
-    Ak.Path = {A};
-    Ak.Slots = Cap - Arc.Distance;
-    S.Acks.push_back(std::move(Ak));
+    S.Acks.add({&A, 1}, Cap - Arc.Distance);
   }
   return S;
 }
 
-Sdsp Sdsp::withAcks(DataflowGraph Graph, std::vector<Ack> Acks) {
+Sdsp Sdsp::withAcks(DataflowGraph Graph, const std::vector<Ack> &Acks) {
   return withAcks(std::make_shared<const DataflowGraph>(std::move(Graph)),
-                  std::move(Acks));
+                  Acks);
 }
 
 Sdsp Sdsp::withAcks(std::shared_ptr<const DataflowGraph> Graph,
-                    std::vector<Ack> Acks) {
+                    const std::vector<Ack> &Acks) {
+  AckList List;
+  size_t NumArcs = 0;
+  for (const Ack &A : Acks)
+    NumArcs += A.Path.size();
+  List.Records.reserve(Acks.size());
+  List.PathArcs.reserve(NumArcs);
+  for (const Ack &A : Acks)
+    List.add(A.Path, A.Slots);
+  return withAcks(std::move(Graph), std::move(List));
+}
+
+Sdsp Sdsp::withAcks(std::shared_ptr<const DataflowGraph> Graph,
+                    AckList Acks) {
   Sdsp S(std::move(Graph));
   S.Acks = std::move(Acks);
 #ifndef NDEBUG
   const DataflowGraph &G = *S.G;
   // Every interior arc covered exactly once; paths chain head-to-tail.
   std::vector<unsigned> Covered(G.numArcs(), 0);
-  for (const Ack &A : S.Acks) {
+  for (AckView A : S.acks()) {
     assert(!A.Path.empty() && "empty acknowledgement path");
     for (size_t I = 0; I < A.Path.size(); ++I) {
       assert(S.isInteriorArc(A.Path[I]) && "ack covers a boundary arc");
@@ -169,7 +198,7 @@ Status sdsp::validateSdsp(const Sdsp &S) {
     return Status::error(ErrorCode::InvalidGraph, "sdsp", std::move(Msg));
   };
   std::vector<unsigned> Covered(G.numArcs(), 0);
-  for (const Sdsp::Ack &A : S.acks()) {
+  for (Sdsp::AckView A : S.acks()) {
     if (A.Path.empty())
       return Fail("empty acknowledgement path");
     uint64_t Resident = 0;
@@ -179,9 +208,10 @@ Status sdsp::validateSdsp(const Sdsp &S) {
       const DataflowGraph::Arc &Arc = G.arc(A.Path[I]);
       if (!S.isInteriorArc(A.Path[I]))
         return Fail("acknowledgement covers boundary arc " +
-                    G.node(Arc.From).Name + " -> " + G.node(Arc.To).Name);
+                    std::string(G.node(Arc.From).Name) + " -> " +
+                    std::string(G.node(Arc.To).Name));
       if (Arc.From == Arc.To)
-        return Fail("self-feedback arc " + G.node(Arc.From).Name +
+        return Fail("self-feedback arc " + std::string(G.node(Arc.From).Name) +
                     " must not be acknowledged");
       if (I + 1 < A.Path.size() && Arc.To != G.arc(A.Path[I + 1]).From)
         return Fail("acknowledgement path is not a head-to-tail chain");
@@ -190,15 +220,16 @@ Status sdsp::validateSdsp(const Sdsp &S) {
     }
     if (A.Slots + Resident < 1)
       return Fail("acknowledgement cycle through " +
-                  G.node(G.arc(A.Path.front()).From).Name +
+                  std::string(G.node(G.arc(A.Path.front()).From).Name) +
                   " would be token-free (deadlock)");
   }
   for (ArcId A : G.arcIds()) {
     if (!S.isInteriorArc(A) || G.arc(A).From == G.arc(A).To)
       continue;
     if (Covered[A.index()] != 1)
-      return Fail("interior arc " + G.node(G.arc(A).From).Name + " -> " +
-                  G.node(G.arc(A).To).Name + " covered " +
+      return Fail("interior arc " + std::string(G.node(G.arc(A).From).Name) +
+                  " -> " + std::string(G.node(G.arc(A).To).Name) +
+                  " covered " +
                   std::to_string(Covered[A.index()]) +
                   " times (must be exactly once)");
   }

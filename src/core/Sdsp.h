@@ -24,6 +24,11 @@
 /// data/ack pair per buffer slot; storageLocations() is what Table "Fig
 /// 4" compares before/after optimization.
 ///
+/// Layout.  The graph is shared, never copied, and every ack's covered
+/// path lives in one compressed-sparse-row array, so copying an SDSP
+/// costs a constant number of allocations.  acks() hands out views into
+/// it, valid while the SDSP lives and is not assigned to.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SDSP_CORE_SDSP_H
@@ -31,9 +36,11 @@
 
 #include "dataflow/DataflowGraph.h"
 #include "support/Status.h"
+#include "support/ViewRange.h"
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace sdsp {
@@ -48,8 +55,8 @@ bool isBoundaryOp(OpKind Kind);
 class Sdsp {
 public:
   /// One acknowledgement arc covering a directed chain of interior data
-  /// arcs.  The ack runs from the consumer of Path.back() to the
-  /// producer of Path.front().
+  /// arcs, as withAcks() takes it.  The ack runs from the consumer of
+  /// Path.back() to the producer of Path.front().
   struct Ack {
     /// Covered data arcs, head to tail (consecutive: arc[i].To ==
     /// arc[i+1].From).  A single-element path is the standard per-arc
@@ -60,6 +67,39 @@ public:
     /// and capacity c it is c - d (the d slots holding initial values
     /// are occupied).
     uint32_t Slots = 1;
+  };
+
+  /// One stored acknowledgement: a view into the SDSP.
+  struct AckView {
+    std::span<const ArcId> Path;
+    uint32_t Slots = 1;
+  };
+
+  /// Acknowledgements in order: built by add(), read through acks().
+  class AckList {
+  public:
+    /// Appends an ack covering \p Path with \p Slots free slots.
+    void add(std::span<const ArcId> Path, uint32_t Slots);
+
+    size_t size() const { return Records.size(); }
+
+  private:
+    friend class Sdsp;
+    template <typename, typename> friend class ViewRange;
+
+    AckView view(const AckView *, size_t I) const {
+      return {{PathArcs.data() + Records[I].PathBegin,
+               PathArcs.data() + Records[I].PathEnd},
+              Records[I].Slots};
+    }
+
+    struct Record {
+      uint32_t PathBegin = 0;
+      uint32_t PathEnd = 0;
+      uint32_t Slots = 1;
+    };
+    std::vector<Record> Records;
+    std::vector<ArcId> PathArcs;
   };
 
   /// Builds the standard SDSP: one ack per interior data arc, capacity
@@ -73,18 +113,23 @@ public:
                        uint32_t Capacity = 1);
 
   /// Builds an SDSP with an explicit acknowledgement structure (used by
-  /// the storage optimizer).  Every interior data arc must be covered
-  /// exactly once.
-  static Sdsp withAcks(DataflowGraph G, std::vector<Ack> Acks);
+  /// the storage optimizer and the artifact decoder).  Every interior
+  /// data arc must be covered exactly once.
+  static Sdsp withAcks(std::shared_ptr<const DataflowGraph> G, AckList Acks);
   static Sdsp withAcks(std::shared_ptr<const DataflowGraph> G,
-                       std::vector<Ack> Acks);
+                       const std::vector<Ack> &Acks);
+  static Sdsp withAcks(DataflowGraph G, const std::vector<Ack> &Acks);
 
   const DataflowGraph &graph() const { return *G; }
   /// The graph, shared: copying an SDSP never copies it.
   const std::shared_ptr<const DataflowGraph> &sharedGraph() const {
     return G;
   }
-  const std::vector<Ack> &acks() const { return Acks; }
+  ViewRange<AckList, AckView> acks() const {
+    return {&Acks, 0, Acks.size()};
+  }
+  /// The acknowledgements as owned records, for building another SDSP.
+  std::vector<Ack> ackRecords() const;
 
   /// True if arc \p A connects two compute nodes (is part of the
   /// Petri-net model).
@@ -103,7 +148,7 @@ public:
 
 private:
   std::shared_ptr<const DataflowGraph> G;
-  std::vector<Ack> Acks;
+  AckList Acks;
 
   explicit Sdsp(std::shared_ptr<const DataflowGraph> G) : G(std::move(G)) {}
 };

@@ -48,7 +48,7 @@ Expected<SdspPn> sdsp::buildSdspPnChecked(const Sdsp &S) {
 
   // Ack places: from the consumer of the covered chain's tail back to
   // the producer of its head, marked with the free slots.
-  for (const Sdsp::Ack &Ack : S.acks()) {
+  for (Sdsp::AckView Ack : S.acks()) {
     const DataflowGraph::Arc &Head = G.arc(Ack.Path.front());
     const DataflowGraph::Arc &Tail = G.arc(Ack.Path.back());
     PlaceId P = Net.addPlace(

@@ -684,7 +684,7 @@ Expected<ArtifactRef<LoopProgram>> CompilationSession::generateProgram(
       HashStream(7).u64(S.hash()).u64(Pn.hash()).u64(Sched.hash()).hash();
   return runPass<LoopProgram>(
       PassKind::Codegen, Inputs, 0, [&]() -> Expected<LoopProgram> {
-        return generateLoopProgram(S->S, *Pn, *Sched);
+        return generateLoopProgram(S->S, *Pn, Sched.ptr());
       });
 }
 

@@ -133,11 +133,12 @@ sdsp::minimizeStorageExact(const Sdsp &S, uint64_t NodeBudget) {
     State.AlphaStar = Rate.CycleTime;
   }
 
-  for (const Sdsp::Ack &A : S.acks()) {
+  for (Sdsp::AckView A : S.acks()) {
     assert(A.Path.size() == 1 &&
            "minimizeStorageExact expects per-arc acknowledgements");
     if (G.arc(A.Path.front()).isFeedback())
-      State.FixedAcks.push_back(A);
+      State.FixedAcks.push_back(
+          Sdsp::Ack{{A.Path.begin(), A.Path.end()}, A.Slots});
   }
 
   // Forward interior arcs in topological order of their sources, so

@@ -36,7 +36,7 @@ Rational rateOf(const Sdsp &S) {
 Expected<StorageOptResult> sdsp::minimizeStorageChecked(const Sdsp &S) {
   if (Status St = validateSdsp(S); !St)
     return St;
-  for (const Sdsp::Ack &A : S.acks()) {
+  for (Sdsp::AckView A : S.acks()) {
     if (A.Path.size() != 1)
       return Status::error(ErrorCode::InvalidGraph, "storage",
                            "minimizeStorage expects per-arc "
@@ -68,11 +68,11 @@ StorageOptResult sdsp::minimizeStorage(const Sdsp &S) {
   std::vector<Sdsp::Ack> Acks;
 
   // Feedback arcs keep their original acknowledgement structure.
-  for (const Sdsp::Ack &A : S.acks()) {
+  for (Sdsp::AckView A : S.acks()) {
     SDSP_CHECK(A.Path.size() == 1,
                "minimizeStorage expects per-arc acknowledgements");
     if (G.arc(A.Path.front()).isFeedback()) {
-      Acks.push_back(A);
+      Acks.push_back(Sdsp::Ack{{A.Path.begin(), A.Path.end()}, A.Slots});
       Covered[A.Path.front().index()] = true;
     }
   }
@@ -118,7 +118,7 @@ StorageOptResult sdsp::minimizeStorage(const Sdsp &S) {
   // Verification: chain interactions must not have lowered the rate.
   // If they did, split the longest multi-arc chain and retry.
   while (rateOf(Optimized) < Result.OptimalRate) {
-    std::vector<Sdsp::Ack> Split = Optimized.acks();
+    std::vector<Sdsp::Ack> Split = Optimized.ackRecords();
     size_t Longest = Split.size();
     for (size_t I = 0; I < Split.size(); ++I)
       if (Split[I].Path.size() > 1 &&

@@ -8,67 +8,85 @@
 #include "dataflow/DataflowGraph.h"
 
 #include "support/Dot.h"
+#include "support/Status.h"
 
 #include <cassert>
+#include <limits>
 #include <ostream>
 
 using namespace sdsp;
 
-NodeId DataflowGraph::addNode(OpKind Kind, const std::string &Name) {
+void DataflowGraph::assignName(NodeRecord &R, std::string_view Name) {
+  R.NameBegin = static_cast<uint32_t>(Names.size());
+  Names.append(Name);
+  SDSP_CHECK(Names.size() <= std::numeric_limits<uint32_t>::max(),
+             "graph names exceed the 4 GiB arena");
+  R.NameEnd = static_cast<uint32_t>(Names.size());
+}
+
+NodeId DataflowGraph::addNode(OpKind Kind, std::string_view Name) {
   NodeId N(Nodes.size());
-  Node Nd;
-  Nd.Kind = Kind;
-  Nd.Name = Name.empty() ? std::string(opName(Kind)) + std::to_string(N.index())
-                         : Name;
-  Nd.Operands.assign(opArity(Kind), ArcId::invalid());
-  Nodes.push_back(std::move(Nd));
+  NodeRecord R;
+  R.Kind = Kind;
+  R.Arity = static_cast<uint8_t>(opArity(Kind));
+  if (Name.empty()) {
+    std::string Default = opName(Kind) + std::to_string(N.index());
+    assignName(R, Default);
+  } else {
+    assignName(R, Name);
+  }
+  Nodes.push_back(R);
   return N;
 }
 
-NodeId DataflowGraph::addConst(double Value, const std::string &Name) {
-  NodeId N = addNode(OpKind::Const,
-                     Name.empty() ? std::to_string(Value) : Name);
+NodeId DataflowGraph::addConst(double Value, std::string_view Name) {
+  NodeId N = Name.empty() ? addNode(OpKind::Const, std::to_string(Value))
+                          : addNode(OpKind::Const, Name);
   Nodes[N.index()].ConstValue = Value;
   return N;
 }
 
-ArcId DataflowGraph::addArc(Arc A) {
-  assert(A.FromPort < opResults(Nodes[A.From.index()].Kind) &&
+ArcId DataflowGraph::addArc(NodeId From, uint32_t FromPort, NodeId To,
+                            uint32_t ToPort,
+                            std::span<const double> InitialValues) {
+  assert(FromPort < opResults(Nodes[From.index()].Kind) &&
          "result port out of range");
-  assert(A.ToPort < opArity(Nodes[A.To.index()].Kind) &&
+  assert(ToPort < opArity(Nodes[To.index()].Kind) &&
          "operand port out of range");
-  assert(!Nodes[A.To.index()].Operands[A.ToPort].isValid() &&
+  assert(!Nodes[To.index()].Operands[ToPort].isValid() &&
          "operand port already connected");
   ArcId Id(Arcs.size());
-  Nodes[A.From.index()].Fanout.push_back(Id);
-  Nodes[A.To.index()].Operands[A.ToPort] = Id;
-  Arcs.push_back(std::move(A));
+  ArcRecord A;
+  A.From = From;
+  A.To = To;
+  A.FromPort = FromPort;
+  A.ToPort = ToPort;
+  A.Distance = static_cast<uint32_t>(InitialValues.size());
+  A.InitBegin = static_cast<uint32_t>(InitValues.size());
+  InitValues.insert(InitValues.end(), InitialValues.begin(),
+                    InitialValues.end());
+  Arcs.push_back(A);
+  NodeRecord &Src = Nodes[From.index()];
+  if (Src.NumOut == 0)
+    Src.FirstOut = Id.index();
+  else
+    Arcs[Src.LastOut].NextOut = Id.index();
+  Src.LastOut = Id.index();
+  ++Src.NumOut;
+  Nodes[To.index()].Operands[ToPort] = Id;
   return Id;
 }
 
 ArcId DataflowGraph::connect(NodeId From, uint32_t FromPort, NodeId To,
                              uint32_t ToPort) {
-  Arc A;
-  A.From = From;
-  A.FromPort = FromPort;
-  A.To = To;
-  A.ToPort = ToPort;
-  A.Distance = 0;
-  return addArc(std::move(A));
+  return addArc(From, FromPort, To, ToPort, {});
 }
 
 ArcId DataflowGraph::connectFeedback(NodeId From, uint32_t FromPort,
                                      NodeId To, uint32_t ToPort,
-                                     std::vector<double> InitialValues) {
+                                     std::span<const double> InitialValues) {
   assert(!InitialValues.empty() && "feedback arc needs initial values");
-  Arc A;
-  A.From = From;
-  A.FromPort = FromPort;
-  A.To = To;
-  A.ToPort = ToPort;
-  A.Distance = static_cast<uint32_t>(InitialValues.size());
-  A.InitialValues = std::move(InitialValues);
-  return addArc(std::move(A));
+  return addArc(From, FromPort, To, ToPort, InitialValues);
 }
 
 void DataflowGraph::setExecTime(NodeId N, uint32_t Cycles) {
@@ -76,37 +94,22 @@ void DataflowGraph::setExecTime(NodeId N, uint32_t Cycles) {
   Nodes[N.index()].ExecTime = Cycles;
 }
 
-void DataflowGraph::setName(NodeId N, const std::string &Name) {
-  Nodes[N.index()].Name = Name;
-}
-
-std::vector<NodeId> DataflowGraph::nodeIds() const {
-  std::vector<NodeId> Ids;
-  Ids.reserve(Nodes.size());
-  for (size_t I = 0; I < Nodes.size(); ++I)
-    Ids.push_back(NodeId(I));
-  return Ids;
-}
-
-std::vector<ArcId> DataflowGraph::arcIds() const {
-  std::vector<ArcId> Ids;
-  Ids.reserve(Arcs.size());
-  for (size_t I = 0; I < Arcs.size(); ++I)
-    Ids.push_back(ArcId(I));
-  return Ids;
+void DataflowGraph::setName(NodeId N, std::string_view Name) {
+  // The old name's bytes stay in the arena, unreferenced.
+  assignName(Nodes[N.index()], Name);
 }
 
 bool DataflowGraph::hasLoopCarriedDependence() const {
-  for (const Arc &A : Arcs)
-    if (A.isFeedback())
+  for (const ArcRecord &A : Arcs)
+    if (A.Distance > 0)
       return true;
   return false;
 }
 
 std::vector<NodeId> DataflowGraph::forwardTopoOrder() const {
   std::vector<uint32_t> InDegree(Nodes.size(), 0);
-  for (const Arc &A : Arcs)
-    if (!A.isFeedback())
+  for (const ArcRecord &A : Arcs)
+    if (A.Distance == 0)
       ++InDegree[A.To.index()];
 
   std::vector<NodeId> Order;
@@ -119,9 +122,9 @@ std::vector<NodeId> DataflowGraph::forwardTopoOrder() const {
     size_t V = Ready.back();
     Ready.pop_back();
     Order.push_back(NodeId(V));
-    for (ArcId AI : Nodes[V].Fanout) {
-      const Arc &A = Arcs[AI.index()];
-      if (A.isFeedback())
+    for (ArcId AI : node(NodeId(V)).Fanout) {
+      const ArcRecord &A = Arcs[AI.index()];
+      if (A.Distance > 0)
         continue;
       if (--InDegree[A.To.index()] == 0)
         Ready.push_back(A.To.index());
@@ -132,21 +135,34 @@ std::vector<NodeId> DataflowGraph::forwardTopoOrder() const {
   return Order;
 }
 
+void DataflowGraph::reserve(size_t NumNodes, size_t NumArcs,
+                            size_t NameBytes, size_t NumInitValues) {
+  Nodes.reserve(NumNodes);
+  Arcs.reserve(NumArcs);
+  Names.reserve(NameBytes);
+  InitValues.reserve(NumInitValues);
+}
+
+uint64_t DataflowGraph::sizeBytes() const {
+  return Nodes.size() * sizeof(NodeRecord) + Arcs.size() * sizeof(ArcRecord) +
+         Names.size() + InitValues.size() * sizeof(double);
+}
+
 void DataflowGraph::printDot(std::ostream &OS,
                              const std::string &GraphName) const {
   DotWriter Dot(OS, GraphName);
   Dot.graphAttr("rankdir", "TB");
   for (size_t I = 0; I < Nodes.size(); ++I) {
-    const Node &N = Nodes[I];
-    std::string Label = N.Name;
+    const Node N = node(NodeId(I));
+    std::string Label(N.Name);
     if (N.Kind != OpKind::Const && N.Name != opName(N.Kind))
       Label += "\\n" + std::string(opName(N.Kind));
     Dot.node("n" + std::to_string(I), Label, "shape=ellipse");
   }
-  for (const Arc &A : Arcs) {
-    std::string Attrs = A.isFeedback() ? "style=dashed" : "";
+  for (const ArcRecord &A : Arcs) {
+    std::string Attrs = A.Distance > 0 ? "style=dashed" : "";
     std::string Label;
-    if (A.isFeedback())
+    if (A.Distance > 0)
       Label = "d=" + std::to_string(A.Distance);
     Dot.edge("n" + std::to_string(A.From.index()),
              "n" + std::to_string(A.To.index()), Label, Attrs);

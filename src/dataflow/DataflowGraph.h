@@ -20,6 +20,16 @@
 /// ("loop-carried dependences are from one iteration to the next");
 /// d > 1 is supported as a documented extension.
 ///
+/// Layout.  A graph is stored flat: nodes and arcs are fixed-size
+/// records, each node keeps its operand arcs in inline slots (arity is
+/// at most 3) and its fanout as a list threaded through the arc records
+/// in creation order, every name lives in one character arena, and every
+/// feedback arc's initial values live in one arena of doubles.
+/// Building, copying, hashing and freeing a graph therefore cost a
+/// constant number of allocations, whatever its size.  node() and arc()
+/// hand out small views into the arrays, valid while the graph lives and
+/// is not modified.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SDSP_DATAFLOW_DATAFLOWGRAPH_H
@@ -28,9 +38,14 @@
 #include "dataflow/Ops.h"
 #include "support/Ids.h"
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
+#include <iterator>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sdsp {
@@ -42,23 +57,87 @@ using ArcId = Id<ArcTag>;
 
 /// A single-assignment dataflow graph for a loop body.
 class DataflowGraph {
+  /// Largest operand count of any operator (merge).
+  static constexpr unsigned MaxArity = 3;
+  static constexpr uint32_t NoArc = ArcId::InvalidValue;
+
+  struct ArcRecord {
+    NodeId From;
+    NodeId To;
+    uint32_t FromPort = 0;
+    uint32_t ToPort = 0;
+    uint32_t Distance = 0;
+    /// First of Distance initial values in the value arena.
+    uint32_t InitBegin = 0;
+    /// Next arc in From's fanout list, or NoArc.
+    uint32_t NextOut = NoArc;
+  };
+
 public:
-  /// One operator instance.
+  /// A node's outgoing data arcs, in creation order.
+  class FanoutRange {
+  public:
+    class iterator {
+    public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = ArcId;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const ArcId *;
+      using reference = ArcId;
+
+      iterator() = default;
+      ArcId operator*() const { return ArcId(At); }
+      iterator &operator++() {
+        At = Arcs[At].NextOut;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator Old = *this;
+        ++*this;
+        return Old;
+      }
+      friend bool operator==(const iterator &A, const iterator &B) {
+        return A.At == B.At;
+      }
+
+    private:
+      friend class FanoutRange;
+      iterator(const ArcRecord *Arcs, uint32_t At) : Arcs(Arcs), At(At) {}
+      const ArcRecord *Arcs = nullptr;
+      uint32_t At = NoArc;
+    };
+
+    iterator begin() const { return iterator(Arcs, First); }
+    iterator end() const { return iterator(Arcs, NoArc); }
+    size_t size() const { return Count; }
+    bool empty() const { return Count == 0; }
+
+  private:
+    friend class DataflowGraph;
+    FanoutRange(const ArcRecord *Arcs, uint32_t First, uint32_t Count)
+        : Arcs(Arcs), First(First), Count(Count) {}
+    const ArcRecord *Arcs;
+    uint32_t First;
+    uint32_t Count;
+  };
+
+  /// One operator instance: a view into the graph.
   struct Node {
     OpKind Kind;
     /// Display name; also the stream name for Input/Output nodes.
-    std::string Name;
+    std::string_view Name;
     /// Constant payload (Const nodes only).
     double ConstValue = 0.0;
     /// Execution time in cycles (tau_i); the paper uses 1.
     uint32_t ExecTime = 1;
-    /// Incoming data arc per operand port (size == opArity(Kind)).
-    std::vector<ArcId> Operands;
-    /// Outgoing data arcs, any order.
-    std::vector<ArcId> Fanout;
+    /// Incoming data arc per operand port (size == opArity(Kind));
+    /// invalid while the port is unconnected.
+    std::span<const ArcId> Operands;
+    /// Outgoing data arcs, in creation order.
+    FanoutRange Fanout;
   };
 
-  /// One data arc.
+  /// One data arc: a view into the graph.
   struct Arc {
     NodeId From;
     /// Producing result port of From (only Switch has port 1).
@@ -70,16 +149,17 @@ public:
     /// (E~) carrying that many initial values.
     uint32_t Distance = 0;
     /// Initial values on a feedback arc (size == Distance).
-    std::vector<double> InitialValues;
+    std::span<const double> InitialValues;
 
     bool isFeedback() const { return Distance > 0; }
   };
 
-  /// Creates a node; its operand ports start unconnected.
-  NodeId addNode(OpKind Kind, const std::string &Name = "");
+  /// Creates a node; its operand ports start unconnected.  An empty
+  /// \p Name is replaced by the operator name and the node's index.
+  NodeId addNode(OpKind Kind, std::string_view Name = {});
 
   /// Creates a Const node producing \p Value.
-  NodeId addConst(double Value, const std::string &Name = "");
+  NodeId addConst(double Value, std::string_view Name = {});
 
   /// Connects result port \p FromPort of \p From to operand port
   /// \p ToPort of \p To as a forward arc.
@@ -87,21 +167,41 @@ public:
 
   /// Connects as a feedback arc with distance InitialValues.size().
   ArcId connectFeedback(NodeId From, uint32_t FromPort, NodeId To,
-                        uint32_t ToPort, std::vector<double> InitialValues);
+                        uint32_t ToPort,
+                        std::span<const double> InitialValues);
+  ArcId connectFeedback(NodeId From, uint32_t FromPort, NodeId To,
+                        uint32_t ToPort,
+                        std::initializer_list<double> InitialValues) {
+    return connectFeedback(From, FromPort, To, ToPort,
+                           std::span<const double>(InitialValues.begin(),
+                                                   InitialValues.size()));
+  }
 
   void setExecTime(NodeId N, uint32_t Cycles);
 
   /// Renames \p N (display name / stream name).
-  void setName(NodeId N, const std::string &Name);
+  void setName(NodeId N, std::string_view Name);
 
   size_t numNodes() const { return Nodes.size(); }
   size_t numArcs() const { return Arcs.size(); }
 
-  const Node &node(NodeId N) const { return Nodes[N.index()]; }
-  const Arc &arc(ArcId A) const { return Arcs[A.index()]; }
+  Node node(NodeId N) const {
+    const NodeRecord &R = Nodes[N.index()];
+    return {R.Kind,
+            {Names.data() + R.NameBegin, R.NameEnd - R.NameBegin},
+            R.ConstValue,
+            R.ExecTime,
+            {R.Operands, R.Arity},
+            FanoutRange(Arcs.data(), R.FirstOut, R.NumOut)};
+  }
+  Arc arc(ArcId A) const {
+    const ArcRecord &R = Arcs[A.index()];
+    return {R.From,     R.FromPort, R.To, R.ToPort, R.Distance,
+            {InitValues.data() + R.InitBegin, R.Distance}};
+  }
 
-  std::vector<NodeId> nodeIds() const;
-  std::vector<ArcId> arcIds() const;
+  IdRange<NodeId> nodeIds() const { return IdRange<NodeId>(Nodes.size()); }
+  IdRange<ArcId> arcIds() const { return IdRange<ArcId>(Arcs.size()); }
 
   /// Number of nodes that execute repeatedly, i.e. the paper's "size of
   /// loop body" n.  All nodes in this IR are repetitive, so this is
@@ -116,15 +216,43 @@ public:
   /// The forward subgraph must be acyclic (checked by validate()).
   std::vector<NodeId> forwardTopoOrder() const;
 
+  /// Makes room for the given numbers of nodes, arcs, name bytes and
+  /// initial values.
+  void reserve(size_t NumNodes, size_t NumArcs, size_t NameBytes,
+               size_t NumInitValues);
+
+  /// Bytes held by the graph's arrays (the artifact-size accounting).
+  uint64_t sizeBytes() const;
+
   /// Renders the graph in DOT syntax: solid arcs for forward data,
   /// dashed for feedback.
   void printDot(std::ostream &OS, const std::string &GraphName) const;
 
 private:
-  std::vector<Node> Nodes;
-  std::vector<Arc> Arcs;
+  struct NodeRecord {
+    OpKind Kind = OpKind::Identity;
+    /// opArity(Kind), kept so node() costs no call.
+    uint8_t Arity = 0;
+    uint32_t NameBegin = 0;
+    uint32_t NameEnd = 0;
+    uint32_t ExecTime = 1;
+    double ConstValue = 0.0;
+    ArcId Operands[MaxArity];
+    /// Fanout list: first and last arc (NoArc while empty) and length.
+    uint32_t FirstOut = NoArc;
+    uint32_t LastOut = NoArc;
+    uint32_t NumOut = 0;
+  };
 
-  ArcId addArc(Arc A);
+  std::vector<NodeRecord> Nodes;
+  std::vector<ArcRecord> Arcs;
+  std::string Names;
+  std::vector<double> InitValues;
+
+  ArcId addArc(NodeId From, uint32_t FromPort, NodeId To, uint32_t ToPort,
+               std::span<const double> InitialValues);
+  /// Points \p R's name at \p Name, appended to the arena.
+  void assignName(NodeRecord &R, std::string_view Name);
 };
 
 } // namespace sdsp

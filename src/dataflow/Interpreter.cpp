@@ -42,13 +42,14 @@ Expected<InterpResult> sdsp::interpretChecked(const DataflowGraph &G,
     const DataflowGraph::Node &Node = G.node(N);
     if (Node.Kind != OpKind::Input)
       continue;
-    auto It = Inputs.find(Node.Name);
+    const std::string Name(Node.Name);
+    auto It = Inputs.find(Name);
     if (It == Inputs.end())
       return Status::error(ErrorCode::InvalidInput, "interpret",
-                           "missing input stream '" + Node.Name + "'");
+                           "missing input stream '" + Name + "'");
     if (It->second.size() < Iterations)
       return Status::error(ErrorCode::InvalidInput, "interpret",
-                           "input stream '" + Node.Name + "' has " +
+                           "input stream '" + Name + "' has " +
                                std::to_string(It->second.size()) +
                                " elements for " +
                                std::to_string(Iterations) + " iterations");
@@ -81,12 +82,13 @@ Expected<InterpResult> sdsp::interpretChecked(const DataflowGraph &G,
         break;
       case OpKind::Input:
         Values.at(N, 0, Iter) =
-            TokenValue::real(Inputs.at(Node.Name)[Iter]);
+            TokenValue::real(Inputs.at(std::string(Node.Name))[Iter]);
         break;
       case OpKind::Output: {
         TokenValue V = ReadOperand(Node, 0, Iter);
-        Result.Outputs[Node.Name].push_back(V.IsDummy ? 0.0 : V.Num);
-        Result.DummyMask[Node.Name].push_back(V.IsDummy);
+        const std::string Name(Node.Name);
+        Result.Outputs[Name].push_back(V.IsDummy ? 0.0 : V.Num);
+        Result.DummyMask[Name].push_back(V.IsDummy);
         break;
       }
       case OpKind::Switch: {

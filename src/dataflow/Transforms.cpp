@@ -30,7 +30,7 @@ rebuildGraph(const DataflowGraph &G, const std::vector<bool> &Kept,
   for (NodeId N : G.nodeIds()) {
     if (!Kept[N.index()])
       continue;
-    const DataflowGraph::Node &Node = G.node(N);
+    const DataflowGraph::Node Node = G.node(N);
     NewId[N.index()] = Node.Kind == OpKind::Const
                            ? Out.addConst(Node.ConstValue, Node.Name)
                            : Out.addNode(Node.Kind, Node.Name);
@@ -146,7 +146,7 @@ sdsp::eliminateCommonSubexpressions(const DataflowGraph &G,
     if (Node.Kind == OpKind::Const)
       return Key + ":" + std::to_string(Node.ConstValue);
     if (Node.Kind == OpKind::Input)
-      return Key + ":" + Node.Name;
+      return Key + ":" + std::string(Node.Name);
     for (ArcId AI : Node.Operands) {
       const DataflowGraph::Arc &A = G.arc(AI);
       NodeId Src = A.isFeedback() ? A.From : Canon[A.From.index()];

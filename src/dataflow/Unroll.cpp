@@ -24,30 +24,42 @@ Expected<DataflowGraph> sdsp::unrollLoopChecked(const DataflowGraph &G,
     return S;
 
   DataflowGraph Out;
-  // Clone[j][n] = copy j of original node n.
-  std::vector<std::vector<NodeId>> Clone(
-      Factor, std::vector<NodeId>(G.numNodes()));
+  // Copy j of original node n is node j * numNodes() + n.
+  const size_t N = G.numNodes();
+  auto Clone = [N](size_t J, NodeId Orig) {
+    return NodeId(J * N + Orig.index());
+  };
 
+  // Copy j of a node is named "<name>@j" (just "<name>" when U = 1).
+  const size_t MaxSuffix =
+      Factor > 1 ? 1 + std::to_string(Factor - 1).size() : 0;
+  size_t NameBytes = 0, NumInit = 0;
+  for (NodeId Orig : G.nodeIds())
+    NameBytes += G.node(Orig).Name.size() + MaxSuffix;
+  for (ArcId AI : G.arcIds())
+    NumInit += G.arc(AI).Distance;
+  Out.reserve(Factor * N, Factor * G.numArcs(), Factor * NameBytes, NumInit);
+  std::string Name, Suffix;
   for (uint32_t J = 0; J < Factor; ++J) {
-    for (NodeId N : G.nodeIds()) {
-      const DataflowGraph::Node &Node = G.node(N);
-      std::string Name = Node.Name;
-      if (Factor > 1)
-        Name += "@" + std::to_string(J);
+    if (Factor > 1)
+      Suffix = "@" + std::to_string(J);
+    for (NodeId Orig : G.nodeIds()) {
+      const DataflowGraph::Node Node = G.node(Orig);
+      Name.assign(Node.Name).append(Suffix);
       NodeId C = Node.Kind == OpKind::Const
                      ? Out.addConst(Node.ConstValue, Name)
                      : Out.addNode(Node.Kind, Name);
       Out.setExecTime(C, Node.ExecTime);
-      Clone[J][N.index()] = C;
     }
   }
 
+  std::vector<double> Init;
   for (uint32_t J = 0; J < Factor; ++J) {
     for (ArcId AI : G.arcIds()) {
-      const DataflowGraph::Arc &A = G.arc(AI);
-      NodeId To = Clone[J][A.To.index()];
+      const DataflowGraph::Arc A = G.arc(AI);
+      NodeId To = Clone(J, A.To);
       if (!A.isFeedback()) {
-        Out.connect(Clone[J][A.From.index()], A.FromPort, To, A.ToPort);
+        Out.connect(Clone(J, A.From), A.FromPort, To, A.ToPort);
         continue;
       }
       // Copy j of macro-iteration i consumes original iteration
@@ -56,22 +68,21 @@ Expected<DataflowGraph> sdsp::unrollLoopChecked(const DataflowGraph &G,
       int64_t SrcJ = ((static_cast<int64_t>(J) - D) % Factor + Factor) %
                      Factor;
       int64_t Q = (SrcJ - static_cast<int64_t>(J) + D) / Factor;
-      NodeId From = Clone[static_cast<size_t>(SrcJ)][A.From.index()];
+      NodeId From = Clone(static_cast<size_t>(SrcJ), A.From);
       if (Q == 0) {
         Out.connect(From, A.FromPort, To, A.ToPort);
         continue;
       }
       // Initial values: macro-iteration i < q corresponds to original
       // iteration U*i + j < d.
-      std::vector<double> Init(static_cast<size_t>(Q));
+      Init.resize(static_cast<size_t>(Q));
       for (int64_t I = 0; I < Q; ++I) {
         size_t Orig = static_cast<size_t>(I) * Factor + J;
         assert(Orig < A.InitialValues.size() &&
                "initial window slice out of range");
         Init[static_cast<size_t>(I)] = A.InitialValues[Orig];
       }
-      Out.connectFeedback(From, A.FromPort, To, A.ToPort,
-                          std::move(Init));
+      Out.connectFeedback(From, A.FromPort, To, A.ToPort, Init);
     }
   }
 

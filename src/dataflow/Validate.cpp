@@ -16,28 +16,17 @@ std::vector<ValidationError> sdsp::validate(const DataflowGraph &G) {
   };
 
   for (NodeId N : G.nodeIds()) {
-    const DataflowGraph::Node &Node = G.node(N);
+    const DataflowGraph::Node Node = G.node(N);
+    const std::string_view Name = Node.Name;
     if (Node.ExecTime < 1)
-      Error("node " + Node.Name + " has execution time 0");
+      Error("node " + std::string(Name) + " has execution time 0");
     for (size_t Port = 0; Port < Node.Operands.size(); ++Port)
       if (!Node.Operands[Port].isValid())
-        Error("node " + Node.Name + " operand port " +
+        Error("node " + std::string(Name) + " operand port " +
               std::to_string(Port) + " is unconnected");
     if (opResults(Node.Kind) > 0 && Node.Fanout.empty() &&
         Node.Kind != OpKind::Input)
-      Error("node " + Node.Name + " computes a value nobody uses");
-  }
-
-  for (ArcId AI : G.arcIds()) {
-    const DataflowGraph::Arc &A = G.arc(AI);
-    if (A.isFeedback() && A.InitialValues.size() != A.Distance)
-      Error("feedback arc " + G.node(A.From).Name + " -> " +
-            G.node(A.To).Name + " has " +
-            std::to_string(A.InitialValues.size()) +
-            " initial values for distance " + std::to_string(A.Distance));
-    if (!A.isFeedback() && !A.InitialValues.empty())
-      Error("forward arc " + G.node(A.From).Name + " -> " +
-            G.node(A.To).Name + " carries initial values");
+      Error("node " + std::string(Name) + " computes a value nobody uses");
   }
 
   // The forward subgraph must be acyclic: Kahn's algorithm must consume
@@ -45,7 +34,7 @@ std::vector<ValidationError> sdsp::validate(const DataflowGraph &G) {
   {
     std::vector<uint32_t> InDegree(G.numNodes(), 0);
     for (ArcId AI : G.arcIds()) {
-      const DataflowGraph::Arc &A = G.arc(AI);
+      const DataflowGraph::Arc A = G.arc(AI);
       if (!A.isFeedback())
         ++InDegree[A.To.index()];
     }

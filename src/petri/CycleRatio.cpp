@@ -11,10 +11,43 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 using namespace sdsp;
 
 namespace {
+
+/// Edge lists per vertex in compressed-sparse-row form: vertex V's
+/// edges are Items[Start[V] .. Start[V + 1]).
+struct EdgeLists {
+  std::vector<uint32_t> Start;
+  std::vector<uint32_t> Items;
+
+  std::span<const uint32_t> row(size_t V) const {
+    return {Items.data() + Start[V], Items.data() + Start[V + 1]};
+  }
+
+  /// Fills the lists of \p N vertices with the edges \p Keep accepts,
+  /// each under its source vertex, in ascending edge order.
+  template <typename KeepFn>
+  void assign(const MarkedGraphView &G, size_t N, KeepFn Keep) {
+    // Counting sort by source, stable: Start[V] serves as row V's fill
+    // cursor and ends at row V + 1's begin; one shift restores it.
+    Start.assign(N + 1, 0);
+    for (size_t EI = 0; EI < G.numEdges(); ++EI)
+      if (Keep(static_cast<uint32_t>(EI)))
+        ++Start[G.edge(EI).From.index() + 1];
+    for (size_t V = 0; V < N; ++V)
+      Start[V + 1] += Start[V];
+    Items.resize(Start[N]);
+    for (size_t EI = 0; EI < G.numEdges(); ++EI)
+      if (Keep(static_cast<uint32_t>(EI)))
+        Items[Start[G.edge(EI).From.index()]++] = static_cast<uint32_t>(EI);
+    for (size_t V = N; V > 0; --V)
+      Start[V] = Start[V - 1];
+    Start[0] = 0;
+  }
+};
 
 Rational cycleRatio(const SimpleCycle &C) {
   assert(C.TokenSum > 0 && "token-free cycle in a live net");
@@ -94,15 +127,14 @@ verticesOnTightCycles(const MarkedGraphView &G,
                       const std::vector<uint8_t> *Include = nullptr,
                       TightCycleStructure *StructureOut = nullptr) {
   size_t N = G.numVertices();
-  std::vector<std::vector<uint32_t>> TightOut(N);
-  for (size_t EI = 0; EI < G.numEdges(); ++EI) {
+  EdgeLists TightOut;
+  TightOut.assign(G, N, [&](uint32_t EI) {
     const MarkedGraphView::Edge &E = G.edge(EI);
     if (Include &&
         (!(*Include)[E.From.index()] || !(*Include)[E.To.index()]))
-      continue;
-    if (Pi[E.From.index()] + Weight[EI] == Pi[E.To.index()])
-      TightOut[E.From.index()].push_back(static_cast<uint32_t>(EI));
-  }
+      return false;
+    return Pi[E.From.index()] + Weight[EI] == Pi[E.To.index()];
+  });
 
   // Tarjan SCC (iterative) over the tight subgraph.
   std::vector<int64_t> Index(N, -1), Low(N, 0);
@@ -130,8 +162,8 @@ verticesOnTightCycles(const MarkedGraphView &G,
     while (!Frames.empty()) {
       Frame &F = Frames.back();
       size_t V = F.V;
-      if (F.EdgePos < TightOut[V].size()) {
-        const MarkedGraphView::Edge &E = G.edge(TightOut[V][F.EdgePos++]);
+      if (F.EdgePos < TightOut.row(V).size()) {
+        const MarkedGraphView::Edge &E = G.edge(TightOut.row(V)[F.EdgePos++]);
         size_t W = E.To.index();
         if (W == V)
           HasTightSelfLoop[V] = true;
@@ -188,7 +220,7 @@ verticesOnTightCycles(const MarkedGraphView &G,
     // adjacency, matters: two parallel tight edges between the same
     // vertex pair are two distinct critical cycles.
     for (size_t V = 0; V < N; ++V)
-      for (uint32_t EI : TightOut[V])
+      for (uint32_t EI : TightOut.row(V))
         if (SccId[G.edge(EI).To.index()] == SccId[V] &&
             Nontrivial[SccId[V]])
           ++St.SccEdges;
@@ -311,21 +343,23 @@ sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
     }
   }
 
-  // Surviving out-edges per vertex (targets alive too), in ascending
-  // edge order so every tie-break below is deterministic.
-  std::vector<std::vector<uint32_t>> FOut(N);
+  // Surviving out-edges per vertex (both ends alive), in ascending edge
+  // order so every tie-break below is deterministic.
   bool AnyAlive = false;
-  for (size_t V = 0; V < N; ++V) {
-    if (!Alive[V])
-      continue;
-    AnyAlive = true;
-    for (uint32_t EI : G.outEdges(TransitionId(V)))
-      if (Alive[G.edge(EI).To.index()])
-        FOut[V].push_back(EI);
-    assert(!FOut[V].empty() && "trimmed vertex without surviving edge");
-  }
+  for (size_t V = 0; V < N && !AnyAlive; ++V)
+    AnyAlive = Alive[V];
   if (!AnyAlive)
     return std::nullopt; // Acyclic graph.
+  EdgeLists FOut;
+  FOut.assign(G, N, [&](uint32_t EI) {
+    const MarkedGraphView::Edge &E = G.edge(EI);
+    return Alive[E.From.index()] && Alive[E.To.index()];
+  });
+#ifndef NDEBUG
+  for (size_t V = 0; V < N; ++V)
+    assert((!Alive[V] || !FOut.row(V).empty()) &&
+           "trimmed vertex without surviving edge");
+#endif
 
   auto EdgeTau = [&](uint32_t EI) -> int64_t {
     return G.net().transition(G.edge(EI).From).ExecTime;
@@ -341,7 +375,7 @@ sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
   std::vector<uint32_t> Pol(N, UINT32_MAX);
   for (size_t V = 0; V < N; ++V)
     if (Alive[V])
-      Pol[V] = FOut[V].front();
+      Pol[V] = FOut.row(V).front();
 
   // Per-vertex policy value: the ratio of the policy cycle the vertex
   // leads to (Lam) and the reduced-weight bias along the policy path to
@@ -440,7 +474,7 @@ sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
         continue;
       Rational BestLam = Lam[U];
       uint32_t BestE = Pol[U];
-      for (uint32_t EI : FOut[U])
+      for (uint32_t EI : FOut.row(U))
         if (Lam[Target(EI)] > BestLam) {
           BestLam = Lam[Target(EI)];
           BestE = EI;
@@ -458,7 +492,7 @@ sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
         continue;
       int64_t Best = Val[U];
       uint32_t BestE = Pol[U];
-      for (uint32_t EI : FOut[U]) {
+      for (uint32_t EI : FOut.row(U)) {
         uint32_t X = Target(EI);
         if (Lam[X] != Lam[U])
           continue;

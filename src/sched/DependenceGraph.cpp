@@ -65,7 +65,7 @@ DepGraph buildBase(const Sdsp &S, const OpIndexMap &Map) {
     const DataflowGraph::Node &Node = G.node(N);
     if (isBoundaryOp(Node.Kind))
       continue;
-    D.Ops.push_back(DepGraph::Op{Node.Name, Node.ExecTime});
+    D.Ops.push_back(DepGraph::Op{std::string(Node.Name), Node.ExecTime});
   }
   for (ArcId A : G.arcIds()) {
     if (!S.isInteriorArc(A))
@@ -89,7 +89,7 @@ DepGraph sdsp::depGraphFromSdspWithAcks(const Sdsp &S) {
   OpIndexMap Map(S);
   DepGraph D = buildBase(S, Map);
   const DataflowGraph &G = S.graph();
-  for (const Sdsp::Ack &Ack : S.acks()) {
+  for (Sdsp::AckView Ack : S.acks()) {
     const DataflowGraph::Arc &Head = G.arc(Ack.Path.front());
     const DataflowGraph::Arc &Tail = G.arc(Ack.Path.back());
     // The head producer's iteration m waits for the tail consumer's

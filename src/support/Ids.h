@@ -10,6 +10,8 @@
 /// transitions, dataflow nodes, and arcs are all stored in flat vectors;
 /// wrapping the index in a distinct type per entity kind prevents the
 /// classic bug of indexing the place table with a transition id.
+/// IdRange walks every id of one table without building a vector of
+/// them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 
 namespace sdsp {
@@ -56,6 +59,45 @@ public:
 
 private:
   ValueType Value;
+};
+
+/// The ids 0 .. N-1 of one table, in order, without a vector of them.
+template <typename IdT> class IdRange {
+public:
+  class iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = IdT;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const IdT *;
+    using reference = IdT;
+
+    iterator() = default;
+    IdT operator*() const { return IdT(I); }
+    iterator &operator++() {
+      ++I;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator Old = *this;
+      ++I;
+      return Old;
+    }
+    friend bool operator==(iterator A, iterator B) { return A.I == B.I; }
+
+  private:
+    friend class IdRange;
+    explicit iterator(size_t I) : I(I) {}
+    size_t I = 0;
+  };
+
+  explicit IdRange(size_t N) : N(N) {}
+  size_t size() const { return N; }
+  iterator begin() const { return iterator(0); }
+  iterator end() const { return iterator(N); }
+
+private:
+  size_t N;
 };
 
 } // namespace sdsp

@@ -16,6 +16,7 @@
 
 #include "core/ArtifactStore.h"
 
+#include "codegen/LoopProgram.h"
 #include "core/ArtifactCodec.h"
 #include "core/ArtifactHash.h"
 #include "core/Frustum.h"
@@ -378,6 +379,107 @@ TEST(ArtifactStoreTest, ScheduleWithIncompleteKernelIsCorrupt) {
     ByteReader R(W.bytes().data(), W.size());
     EXPECT_EQ(decodeArtifact(PassKind::Schedule, R), nullptr)
         << T0 << " + " << T1 << " kernel ops";
+  }
+}
+
+/// The ways a stored loop program can index past what the VM holds.
+enum class ProgramMutation {
+  None,
+  RingCapacityZero,
+  RingDistancePastInitialValues,
+  RingPastRegisters,
+  WritePastRegisters,
+  WriteToPort7,
+  BinaryOpWithOneOperand,
+  MoreOpsThanTransitions,
+};
+
+/// A copy of \p P with the first place \p M applies to broken.
+LoopProgram mutatedProgram(const LoopProgram &P, ProgramMutation M) {
+  using MK = ProgramMutation;
+  LoopProgram Out(
+      std::make_shared<const SoftwarePipelineSchedule>(P.schedule()));
+  bool Done = M == MK::None;
+  auto Copy = [&](const VmOp &Op) {
+    Out.addOp(Op.Kind, Op.Name, Op.ExecTime);
+    size_t NumOperands = Op.Operands.size();
+    if (!Done && M == MK::BinaryOpWithOneOperand && NumOperands == 2) {
+      NumOperands = 1;
+      Done = true;
+    }
+    for (size_t I = 0; I < NumOperands; ++I) {
+      OperandRef O = Op.Operands[I];
+      if (!Done && O.K == OperandRef::Kind::Ring) {
+        Done = true;
+        if (M == MK::RingCapacityZero)
+          O.Capacity = 0;
+        else if (M == MK::RingDistancePastInitialValues)
+          O.Distance = static_cast<uint32_t>(O.InitialValues.size()) + 1;
+        else if (M == MK::RingPastRegisters)
+          O.Base = P.numRegisters();
+        else
+          Done = false;
+      }
+      Out.addOperand(O);
+    }
+    for (WriteRef W : Op.Writes) {
+      if (!Done && M == MK::WritePastRegisters) {
+        W.Base = P.numRegisters();
+        Done = true;
+      } else if (!Done && M == MK::WriteToPort7) {
+        W.Port = 7;
+        Done = true;
+      }
+      Out.addWrite(W);
+    }
+    for (std::string_view C : Op.Captures)
+      Out.addCapture(C);
+  };
+  for (const VmOp &Op : P.ops())
+    Copy(Op);
+  if (M == MK::MoreOpsThanTransitions) {
+    Copy(P.ops()[0]);
+    Done = true;
+  }
+  EXPECT_TRUE(Done) << "mutation " << static_cast<int>(M) << " found no site";
+  Out.setNumRegisters(P.numRegisters());
+  return Out;
+}
+
+TEST(ArtifactStoreTest, ProgramTheVmWouldIndexOutOfBoundsIsCorrupt) {
+  // sdspc --run executes a program served from the store, so the
+  // decoder must reject every program the VM would index past its
+  // register file, result ports, operands or schedule.
+  CompilationSession S;
+  PipelineOptions O;
+  O.Capacity = 2;
+  auto G = S.lower(kernelSource("loop7"));
+  ASSERT_TRUE(G);
+  auto Sd = S.buildSdsp(*G, O.Capacity, false);
+  ASSERT_TRUE(Sd);
+  auto Pn = S.buildPn(*Sd);
+  ASSERT_TRUE(Pn);
+  auto F = S.searchFrustum(*Pn, FrustumOptions{});
+  ASSERT_TRUE(F);
+  auto Sched = S.deriveSchedule(*Sd, *Pn, *F, O.ValidateIterations);
+  ASSERT_TRUE(Sched);
+  auto P = S.generateProgram(*Sd, *Pn, *Sched);
+  ASSERT_TRUE(P);
+
+  using MK = ProgramMutation;
+  for (MK M : {MK::None, MK::RingCapacityZero,
+               MK::RingDistancePastInitialValues, MK::RingPastRegisters,
+               MK::WritePastRegisters, MK::WriteToPort7,
+               MK::BinaryOpWithOneOperand, MK::MoreOpsThanTransitions}) {
+    LoopProgram Mutated = mutatedProgram(**P, M);
+    ByteWriter W;
+    encodeArtifact(PassKind::Codegen, &Mutated, W);
+    ByteReader R(W.bytes().data(), W.size());
+    std::shared_ptr<const void> Decoded = decodeArtifact(PassKind::Codegen, R);
+    if (M == MK::None)
+      EXPECT_NE(Decoded, nullptr) << "the unmutated program";
+    else
+      EXPECT_EQ(Decoded, nullptr) << "mutation " << static_cast<int>(M);
   }
 }
 

@@ -100,7 +100,7 @@ TEST(BufferSizing, SizedNeverExceedsUniformAmpleStorage) {
     // A uniform capacity equal to the largest sized capacity would use
     // at least as much storage.
     uint64_t MaxCap = 1;
-    for (const Sdsp::Ack &A : R.Sized.acks())
+    for (Sdsp::AckView A : R.Sized.acks())
       MaxCap = std::max<uint64_t>(
           MaxCap, A.Slots + R.Sized.graph().arc(A.Path.front()).Distance);
     Sdsp Uniform = Sdsp::standard(G, static_cast<uint32_t>(MaxCap));

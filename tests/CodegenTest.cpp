@@ -207,7 +207,7 @@ TEST(Codegen, RandomGraphsExecuteCorrectly) {
       std::vector<double> V(N);
       for (double &X : V)
         X = R.uniform();
-      In[G.node(Node).Name] = V;
+      In[std::string(G.node(Node).Name)] = V;
     }
     expectMatchesInterpreter(G, S, In, N);
   }
@@ -227,7 +227,7 @@ TEST(Codegen, MixedExecTimesOnRandomGraphs) {
       std::vector<double> V(N);
       for (double &X : V)
         X = R.uniform();
-      In[G.node(Node).Name] = V;
+      In[std::string(G.node(Node).Name)] = V;
     }
     expectMatchesInterpreter(G, S, In, N);
   }

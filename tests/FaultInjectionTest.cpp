@@ -71,8 +71,9 @@ TEST(FaultInjectionTest, RejectsMalformedSpecs) {
   for (const char *Spec : Bad) {
     Expected<FaultSchedule> S = FaultSchedule::parse(Spec);
     EXPECT_FALSE(S) << "accepted: " << Spec;
-    if (!S)
+    if (!S) {
       EXPECT_EQ(S.status().code(), ErrorCode::InvalidInput) << Spec;
+    }
   }
 }
 

@@ -72,13 +72,14 @@ bool validateScheduleReference(const Sdsp &S, const SdspPn &Pn,
     for (uint64_t M = Arc.Distance; M < CheckIterations; ++M) {
       TimeStep Produced = Sched.startTime(U, M - Arc.Distance) + Tau(U);
       if (Sched.startTime(V, M) < Produced)
-        return Fail("dependence violated on arc " + G.node(Arc.From).Name +
-                    " -> " + G.node(Arc.To).Name + " at iteration " +
+        return Fail("dependence violated on arc " +
+                    std::string(G.node(Arc.From).Name) + " -> " +
+                    std::string(G.node(Arc.To).Name) + " at iteration " +
                     std::to_string(M));
     }
   }
 
-  for (const Sdsp::Ack &Ack : S.acks()) {
+  for (Sdsp::AckView Ack : S.acks()) {
     const DataflowGraph::Arc &Head = G.arc(Ack.Path.front());
     const DataflowGraph::Arc &Tail = G.arc(Ack.Path.back());
     TransitionId U = Pn.NodeToTransition[Head.From.index()];
@@ -86,8 +87,9 @@ bool validateScheduleReference(const Sdsp &S, const SdspPn &Pn,
     for (uint64_t M = Ack.Slots; M < CheckIterations; ++M) {
       TimeStep AckReady = Sched.startTime(V, M - Ack.Slots) + Tau(V);
       if (Sched.startTime(U, M) < AckReady)
-        return Fail("capacity violated on ack " + G.node(Tail.To).Name +
-                    " -> " + G.node(Head.From).Name + " at iteration " +
+        return Fail("capacity violated on ack " +
+                    std::string(G.node(Tail.To).Name) + " -> " +
+                    std::string(G.node(Head.From).Name) + " at iteration " +
                     std::to_string(M));
     }
   }
@@ -116,7 +118,7 @@ std::vector<Constraint> constraintsOf(const Sdsp &S, const SdspPn &Pn) {
     Out.push_back({Pn.NodeToTransition[Arc.To.index()],
                    Pn.NodeToTransition[Arc.From.index()], Arc.Distance});
   }
-  for (const Sdsp::Ack &Ack : S.acks())
+  for (Sdsp::AckView Ack : S.acks())
     Out.push_back({Pn.NodeToTransition[G.arc(Ack.Path.front()).From.index()],
                    Pn.NodeToTransition[G.arc(Ack.Path.back()).To.index()],
                    Ack.Slots});
@@ -196,6 +198,7 @@ SoftwarePipelineSchedule perturbed(const SoftwarePipelineSchedule &Sched,
                                             : Op.Slot,
                     Op.T, Op.FirstIteration);
   }
+  Out.finish();
   return Out;
 }
 

@@ -84,6 +84,7 @@ TEST(Schedule, ValidatorCatchesBrokenDependence) {
   SoftwarePipelineSchedule Bad(Pn.Net.numTransitions(), 0, 1, 1);
   for (TransitionId T : Pn.Net.transitionIds())
     Bad.addKernelOp(0, T, 0);
+  Bad.finish();
   std::string Error;
   EXPECT_FALSE(validateSchedule(S, Pn, Bad, 8, &Error));
   EXPECT_FALSE(Error.empty());
@@ -99,6 +100,7 @@ TEST(Schedule, ValidatorRejectsRateAboveOptimal) {
     Bad.addKernelOp(0, T, 0);
     Bad.addKernelOp(1, T, 1);
   }
+  Bad.finish();
   std::string Error;
   EXPECT_FALSE(validateSchedule(S, Pn, Bad, 8, &Error));
 }
@@ -125,6 +127,7 @@ TEST(Schedule, ValidatorCatchesPureCapacityViolation) {
   // u's kernel occurrence: iteration 1 at time 1+0=1? addKernelOp slots
   // are within [0,p); u iteration m at time 1 + (m-1).
   Bad.addKernelOp(0, TU, 1);
+  Bad.finish();
   std::string Error;
   EXPECT_FALSE(validateSchedule(S, Pn, Bad, 8, &Error));
   EXPECT_NE(Error.find("capacity"), std::string::npos) << Error;

@@ -30,7 +30,7 @@ TEST(Sdsp, L1StandardConstruction) {
   EXPECT_EQ(S.acks().size(), 5u);
   // One storage location per data/ack pair (Section 6).
   EXPECT_EQ(S.storageLocations(), 5u);
-  for (const Sdsp::Ack &A : S.acks()) {
+  for (Sdsp::AckView A : S.acks()) {
     EXPECT_EQ(A.Path.size(), 1u);
     EXPECT_EQ(A.Slots, 1u);
   }
@@ -45,7 +45,7 @@ TEST(Sdsp, L2CountsFeedbackStorage) {
   // The feedback pair's slots are zero: the buffer initially holds the
   // loop-carried value.
   bool FoundFeedback = false;
-  for (const Sdsp::Ack &A : S.acks())
+  for (Sdsp::AckView A : S.acks())
     if (S.graph().arc(A.Path.front()).isFeedback()) {
       FoundFeedback = true;
       EXPECT_EQ(A.Slots, 0u);
@@ -56,7 +56,7 @@ TEST(Sdsp, L2CountsFeedbackStorage) {
 TEST(Sdsp, CapacityTwoDoublesSlots) {
   Sdsp S = Sdsp::standard(buildL1(), /*Capacity=*/2);
   EXPECT_EQ(S.storageLocations(), 10u);
-  for (const Sdsp::Ack &A : S.acks())
+  for (Sdsp::AckView A : S.acks())
     EXPECT_EQ(A.Slots, 2u);
 }
 

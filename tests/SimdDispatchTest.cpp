@@ -89,8 +89,9 @@ TEST(SimdDispatch, ActiveTierIsSupportedAndHonorsOverride) {
     std::string Want = Env;
     for (int T = 0; T <= static_cast<int>(SimdTier::Avx512); ++T) {
       SimdTier Tier = static_cast<SimdTier>(T);
-      if (Want == simdTierName(Tier) && simdTierSupported(Tier))
+      if (Want == simdTierName(Tier) && simdTierSupported(Tier)) {
         EXPECT_EQ(Active, Tier) << "SDSP_SIMD=" << Want << " not honored";
+      }
     }
   }
 }

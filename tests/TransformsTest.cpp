@@ -209,7 +209,7 @@ TEST(Transforms, RandomGraphsSurviveOptimization) {
         std::vector<double> V(N);
         for (double &X : V)
           X = R.uniform();
-        In[G.node(Node).Name] = V;
+        In[std::string(G.node(Node).Name)] = V;
       }
     InterpResult Want = interpret(G, In, N);
     InterpResult Got = interpret(Opt, In, N);

@@ -493,7 +493,7 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
         << " operations\nstorage: " << S.storageLocations()
         << " locations\n";
     const DataflowGraph &Graph = S.graph();
-    for (const Sdsp::Ack &A : S.acks()) {
+    for (Sdsp::AckView A : S.acks()) {
       Out << "  ack " << Graph.node(Graph.arc(A.Path.back()).To).Name
           << " -> "
           << Graph.node(Graph.arc(A.Path.front()).From).Name
@@ -629,7 +629,7 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
         std::vector<double> V(Opts.RunIterations);
         for (double &X : V)
           X = R.uniform() * 2.0 - 1.0;
-        In[CL.Graph.node(N).Name] = V;
+        In[std::string(CL.Graph.node(N).Name)] = V;
       }
     VmResult Result = executeLoopProgram(*Program, In, Opts.RunIterations);
     Out << "executed " << Opts.RunIterations << " iterations in "
