@@ -7,6 +7,7 @@
 
 #include "codegen/LoopProgram.h"
 
+#include "support/HashStream.h"
 #include "support/Status.h"
 
 #include <cassert>
@@ -73,6 +74,29 @@ void LoopProgram::reserve(size_t NumOps, size_t NumOperands, size_t NumWrites,
   Writes.reserve(NumWrites);
   Captures.reserve(NumCaptures);
   Names.reserve(NameBytes);
+}
+
+void LoopProgram::hashContent(HashStream &HS) const {
+  HS.u64(NumRegisters).u64(Ops.size());
+  for (const OpRecord &R : Ops)
+    HS.u64(static_cast<uint64_t>(R.Kind) | uint64_t{R.ExecTime} << 32)
+        .str(name(R.Name))
+        .u64((R.OperandEnd - R.OperandBegin) |
+             uint64_t{R.WriteEnd - R.WriteBegin} << 32)
+        .u64(R.CaptureEnd - R.CaptureBegin);
+  HS.u64(Operands.size());
+  for (const OperandRecord &O : Operands)
+    HS.u64(static_cast<uint64_t>(O.K) | uint64_t{O.Base} << 32)
+        .u64(O.Capacity | uint64_t{O.Distance} << 32)
+        .u64(O.InitEnd - O.InitBegin)
+        .str(name(O.StreamName))
+        .f64(O.Value);
+  // Operands append their initial values, so the arena is exactly every
+  // operand's values in operand order.
+  HS.f64s(InitValues).u32Records(std::span<const WriteRef>(Writes));
+  HS.u64(Captures.size());
+  for (NameRange C : Captures)
+    HS.str(name(C));
 }
 
 VmOp LoopProgram::view(const VmOp *, size_t I) const {

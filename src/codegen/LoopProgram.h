@@ -44,6 +44,7 @@
 
 namespace sdsp {
 
+class HashStream;
 class LoopProgram;
 
 /// Where an operand's value comes from at iteration m: a view into the
@@ -137,6 +138,12 @@ public:
   /// Bytes held by the program's arrays, not counting the shared
   /// schedule (the artifact-size accounting).
   uint64_t sizeBytes() const;
+
+  /// Feeds the program's own content to \p HS: the register count, one
+  /// record per op (operator, execution time, name by value, row
+  /// counts), one per operand, all initial values and writes whole, and
+  /// the capture names.  The schedule is not fed.
+  void hashContent(HashStream &HS) const;
 
   /// Pretty-prints an assembly-like listing.
   void print(std::ostream &OS) const;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 using namespace sdsp;
 
@@ -46,10 +47,40 @@ void evalOp(const VmOp &Op, const std::vector<TokenValue> &Operands,
 
 } // namespace
 
-VmResult sdsp::executeLoopProgram(const LoopProgram &Program,
-                                  const StreamMap &Inputs,
-                                  size_t Iterations) {
+Expected<VmResult> sdsp::executeLoopProgramChecked(const LoopProgram &Program,
+                                                   const StreamMap &Inputs,
+                                                   size_t Iterations) {
   const auto Ops = Program.ops();
+
+  // Every operand's input stream, resolved once: operand J of op I reads
+  // StreamOf[FirstOperand[I] + J] (null unless it is a stream operand;
+  // a run of zero iterations reads none).
+  std::vector<size_t> FirstOperand(Ops.size());
+  std::vector<const double *> StreamOf;
+  for (uint32_t I = 0; I < Ops.size(); ++I) {
+    FirstOperand[I] = StreamOf.size();
+    for (const OperandRef &O : Ops[I].Operands) {
+      const double *Values = nullptr;
+      if (O.K == OperandRef::Kind::Stream && Iterations > 0) {
+        std::string Name(O.StreamName);
+        auto It = Inputs.find(Name);
+        if (It == Inputs.end())
+          return Status::error(ErrorCode::InvalidInput, "vm",
+                               "op '" + std::string(Ops[I].Name) +
+                                   "' reads input stream '" + Name +
+                                   "', which the run does not supply");
+        if (It->second.size() < Iterations)
+          return Status::error(
+              ErrorCode::InvalidInput, "vm",
+              "input stream '" + Name + "' holds " +
+                  std::to_string(It->second.size()) +
+                  " values, fewer than the " + std::to_string(Iterations) +
+                  " iterations run");
+        Values = It->second.data();
+      }
+      StreamOf.push_back(Values);
+    }
+  }
 
   // Event list: (time, phase 0=write 1=read, op, iteration).
   struct Event {
@@ -95,6 +126,7 @@ VmResult sdsp::executeLoopProgram(const LoopProgram &Program,
     if (E.Phase == 1) {
       // Read phase: gather operands and compute; result commits later.
       Operands.clear();
+      const double *const *Stream = StreamOf.data() + FirstOperand[E.Op];
       for (const OperandRef &O : Op.Operands) {
         switch (O.K) {
         case OperandRef::Kind::Ring:
@@ -105,17 +137,14 @@ VmResult sdsp::executeLoopProgram(const LoopProgram &Program,
             Operands.push_back(
                 Regs[O.Base + (E.Iter - O.Distance) % O.Capacity]);
           break;
-        case OperandRef::Kind::Stream: {
-          auto It = Inputs.find(std::string(O.StreamName));
-          assert(It != Inputs.end() && "missing input stream");
-          assert(It->second.size() > E.Iter && "input stream too short");
-          Operands.push_back(TokenValue::real(It->second[E.Iter]));
+        case OperandRef::Kind::Stream:
+          Operands.push_back(TokenValue::real((*Stream)[E.Iter]));
           break;
-        }
         case OperandRef::Kind::Immediate:
           Operands.push_back(TokenValue::real(O.Value));
           break;
         }
+        ++Stream;
       }
       assert(!InFlight[E.Op].Valid && "op issued while still in flight");
       evalOp(Op, Operands, InFlight[E.Op].Results);
@@ -138,4 +167,14 @@ VmResult sdsp::executeLoopProgram(const LoopProgram &Program,
     Result.Cycles = std::max(Result.Cycles, E.Time);
   }
   return Result;
+}
+
+VmResult sdsp::executeLoopProgram(const LoopProgram &Program,
+                                  const StreamMap &Inputs,
+                                  size_t Iterations) {
+  Expected<VmResult> R =
+      executeLoopProgramChecked(Program, Inputs, Iterations);
+  SDSP_CHECK(R, "every input stream the program reads is supplied, with "
+                "a value per iteration");
+  return std::move(*R);
 }

@@ -22,6 +22,7 @@
 
 #include "codegen/LoopProgram.h"
 #include "dataflow/Interpreter.h"
+#include "support/Status.h"
 
 #include <cstdint>
 #include <map>
@@ -41,6 +42,19 @@ struct VmResult {
 };
 
 /// Runs \p Iterations loop iterations of \p Program on \p Inputs.
+/// Unless \p Iterations is 0, every stream an operand reads must be in
+/// \p Inputs with at least \p Iterations values: a stream missing or
+/// too short fails with InvalidInput naming it (stage "vm") before
+/// anything runs.  A program
+/// read from a store is checked against the graph it was compiled
+/// from, not against the streams a run supplies, so this is where a
+/// run meets them.
+Expected<VmResult> executeLoopProgramChecked(const LoopProgram &Program,
+                                             const StreamMap &Inputs,
+                                             size_t Iterations);
+
+/// executeLoopProgramChecked for callers that supply every stream: a
+/// missing or short stream is an SDSP_CHECK failure.
 VmResult executeLoopProgram(const LoopProgram &Program,
                             const StreamMap &Inputs, size_t Iterations);
 

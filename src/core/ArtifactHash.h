@@ -16,19 +16,23 @@
 /// artifact cache keys on (pass, input content hashes, options
 /// fingerprint); docs/ARCHITECTURE.md describes the scheme.
 ///
-/// The mixer is the same boost-style hashCombine of support/Hashing.h
-/// seeded per artifact kind, deliberately not std::hash (whose values
-/// may differ between standard libraries): hashes must be stable enough
-/// to compare across processes in the cache-equivalence CI job.
+/// The hasher is support/HashStream.h's block hash, seeded per artifact
+/// kind, deliberately not std::hash (whose values may differ between
+/// standard libraries): hashes must be stable enough to compare across
+/// processes and hosts.  Each artifact feeds its flat arrays whole,
+/// length-prefixes every variable-length section, hashes names by value
+/// and never walks a list the layout derives from others; an artifact
+/// that shares a graph or schedule folds in that value's own hash.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SDSP_CORE_ARTIFACTHASH_H
 #define SDSP_CORE_ARTIFACTHASH_H
 
+#include "support/HashStream.h"
+
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace sdsp {
 
@@ -43,36 +47,18 @@ class SoftwarePipelineSchedule;
 class LoopProgram;
 struct TransformStats;
 
-/// Accumulates a deterministic 64-bit content hash.  A tiny explicit
-/// stream (rather than overloads of hashCombine) so call sites read as
-/// a serialization of the artifact's observable content.
-class HashStream {
-public:
-  explicit HashStream(uint64_t Seed) : H(Seed) {}
-
-  HashStream &u64(uint64_t V);
-  HashStream &i64(int64_t V) { return u64(static_cast<uint64_t>(V)); }
-  HashStream &f64(double V);
-  HashStream &str(std::string_view S);
-
-  uint64_t hash() const { return H; }
-
-private:
-  uint64_t H;
-};
-
 /// Content hash of a loop source string (the "lower" pass input).
 uint64_t artifactHash(const std::string &Source);
 
 uint64_t artifactHash(const DataflowGraph &G);
 uint64_t artifactHash(const TransformStats &S);
-uint64_t artifactHash(const Sdsp &S);
 uint64_t artifactHash(const PetriNet &Net);
 uint64_t artifactHash(const SdspPn &Pn);
 uint64_t artifactHash(const ScpPn &Scp);
 uint64_t artifactHash(const RateReport &R);
 uint64_t artifactHash(const FrustumInfo &F);
 uint64_t artifactHash(const SoftwarePipelineSchedule &S);
+/// Folds in the hash of P's schedule.
 uint64_t artifactHash(const LoopProgram &P);
 
 /// Approximate resident bytes of each artifact, for the per-pass

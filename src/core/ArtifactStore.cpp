@@ -9,6 +9,7 @@
 
 #include "core/ArtifactCodec.h"
 #include "support/Bytes.h"
+#include "support/HashStream.h"
 #include "support/FaultInjection.h"
 
 #include <algorithm>
@@ -28,18 +29,30 @@ ArtifactStore::~ArtifactStore() = default;
 namespace {
 
 /// Object file layout (all integers little-endian, support/Bytes.h):
-///   magic "SDSPSTO1"
+///   magic "SDSPSTO2"
 ///   u32 Pass, u64 Inputs, u64 Options      the key, re-checked on read
 ///   u64 ContentHash, u64 Bytes             the entry header
-///   u64 PayloadSize, u64 PayloadFnv1a      checksum before decoding
+///   u64 PayloadSize, u64 PayloadChecksum   checked before decoding
 ///   payload                                core/ArtifactCodec.h bytes
-constexpr char Magic[8] = {'S', 'D', 'S', 'P', 'S', 'T', 'O', '1'};
+/// An object of any other format (such as "SDSPSTO1", whose keys and
+/// checksum came from another hasher) fails the magic check: counted
+/// corrupt and recomputed, never served.
+constexpr char Magic[8] = {'S', 'D', 'S', 'P', 'S', 'T', 'O', '2'};
 constexpr size_t HeaderBytes = 8 + 4 + 8 * 6;
 
+/// The payload checksum: the content hasher over the payload bytes.
+uint64_t payloadChecksum(const uint8_t *Data, size_t Size) {
+  return HashStream(0x5d5370a0c5ULL)
+      .str({reinterpret_cast<const char *>(Data), Size})
+      .hash();
+}
+
 std::string keyDigest(const ArtifactKey &K) {
-  HashStream HS(0x5d5370a0d15cULL);
-  HS.u64(K.Pass).u64(K.Inputs).u64(K.Options);
-  uint64_t H = HS.hash();
+  uint64_t H = HashStream(0x5d5370a0d15cULL)
+                   .u64(K.Pass)
+                   .u64(K.Inputs)
+                   .u64(K.Options)
+                   .hash();
   char Buf[17];
   std::snprintf(Buf, sizeof(Buf), "%016llx",
                 static_cast<unsigned long long>(H));
@@ -251,7 +264,7 @@ std::optional<ArtifactEntry> DiskStore::get(const ArtifactKey &K,
     return Corrupt();
   const uint8_t *Payload =
       reinterpret_cast<const uint8_t *>(Raw.data()) + HeaderBytes;
-  if (fnv1a64(Payload, static_cast<size_t>(PayloadSize)) != Checksum)
+  if (payloadChecksum(Payload, static_cast<size_t>(PayloadSize)) != Checksum)
     return Corrupt();
   if (Pass >= NumPassKinds || !passHasCodec(static_cast<PassKind>(Pass)))
     return Corrupt();
@@ -309,7 +322,7 @@ uint64_t DiskStore::put(const ArtifactKey &K, const ArtifactEntry &E,
   H.u64(E.ContentHash);
   H.u64(E.Bytes);
   H.u64(Payload.size());
-  H.u64(fnv1a64(Payload.data(), Payload.size()));
+  H.u64(payloadChecksum(Payload.data(), Payload.size()));
 
   std::string Path = objectPath(Digest);
   std::error_code EC;

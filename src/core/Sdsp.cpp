@@ -8,6 +8,7 @@
 #include "core/Sdsp.h"
 
 #include "dataflow/Validate.h"
+#include "support/HashStream.h"
 
 #include <cassert>
 
@@ -55,6 +56,14 @@ std::vector<Sdsp::Ack> Sdsp::ackRecords() const {
   for (AckView A : acks())
     Out.push_back(Ack{{A.Path.begin(), A.Path.end()}, A.Slots});
   return Out;
+}
+
+void Sdsp::hashAcks(HashStream &HS) const {
+  HS.u64(Acks.Records.size());
+  for (const AckList::Record &R : Acks.Records)
+    HS.u64(R.Slots | uint64_t{R.PathEnd - R.PathBegin} << 32);
+  // add() appends each path, so the arcs are every path in ack order.
+  HS.ids(Acks.PathArcs);
 }
 
 uint64_t Sdsp::storageLocations() const {

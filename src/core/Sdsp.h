@@ -131,6 +131,11 @@ public:
   /// The acknowledgements as owned records, for building another SDSP.
   std::vector<Ack> ackRecords() const;
 
+  /// Feeds the acknowledgements to \p HS: their count, one word per ack
+  /// (slots and path length), then every path's arcs whole.  The graph
+  /// is not fed: hashes of an SDSP fold in its graph's hash.
+  void hashAcks(HashStream &HS) const;
+
   /// True if arc \p A connects two compute nodes (is part of the
   /// Petri-net model).
   bool isInteriorArc(ArcId A) const;

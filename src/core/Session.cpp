@@ -174,7 +174,8 @@ uint64_t sdsp::artifactSizeBytes(const TransformedGraph &T) {
 
 uint64_t sdsp::artifactHash(const SdspArtifact &S) {
   HashStream HS(0x5d5370a0f2ULL);
-  HS.u64(artifactHash(S.S));
+  HS.u64(artifactHash(S.S.graph()));
+  S.S.hashAcks(HS);
   HS.u64(S.Storage.has_value());
   if (S.Storage) {
     HS.u64(S.Storage->Before).u64(S.Storage->After);
@@ -404,6 +405,7 @@ Expected<ArtifactRef<T>> CompilationSession::runPass(PassKind K,
   }
   KeyGuard Guard(Store, Key);
   Clock::time_point T0 = Clock::now();
+  const uint64_t WordsBefore = hashWordsFed();
   Expected<T> R = Compute();
   // The owner-death fault site: firing "cache:publish" after a
   // successful compute makes this session die holding the key, so
@@ -424,6 +426,7 @@ Expected<ArtifactRef<T>> CompilationSession::runPass(PassKind K,
   }
   auto Ptr = std::make_shared<const T>(std::move(*R));
   uint64_t Hash = artifactHash(*Ptr);
+  MetricsRegistry::global().add("hash.words", hashWordsFed() - WordsBefore);
   uint64_t Bytes = artifactSizeBytes(*Ptr);
   PS.WallSeconds += secondsSince(T0);
   PS.ArtifactBytes += Bytes;

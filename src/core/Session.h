@@ -435,7 +435,8 @@ private:
 
   /// Looks up (K, InputsHash, OptionsFp) in the store; on a miss runs
   /// \p Compute (returning Expected<T>), publishing and instrumenting
-  /// the result.
+  /// the result.  The words a computed pass feeds to HashStreams, its
+  /// content hash's included, are added to the hash.words counter once.
   template <typename T, typename Fn>
   Expected<ArtifactRef<T>> runPass(PassKind K, uint64_t InputsHash,
                                    uint64_t OptionsFp, Fn &&Compute);

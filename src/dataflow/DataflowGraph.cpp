@@ -8,6 +8,7 @@
 #include "dataflow/DataflowGraph.h"
 
 #include "support/Dot.h"
+#include "support/HashStream.h"
 #include "support/Status.h"
 
 #include <cassert>
@@ -146,6 +147,22 @@ void DataflowGraph::reserve(size_t NumNodes, size_t NumArcs,
 uint64_t DataflowGraph::sizeBytes() const {
   return Nodes.size() * sizeof(NodeRecord) + Arcs.size() * sizeof(ArcRecord) +
          Names.size() + InitValues.size() * sizeof(double);
+}
+
+void DataflowGraph::hashContent(HashStream &HS) const {
+  HS.u64(Nodes.size());
+  for (const NodeRecord &R : Nodes)
+    HS.u64(static_cast<uint64_t>(R.Kind) | uint64_t{R.ExecTime} << 32)
+        .f64(R.ConstValue)
+        .str({Names.data() + R.NameBegin, R.NameEnd - R.NameBegin});
+  HS.u64(Arcs.size());
+  for (const ArcRecord &A : Arcs)
+    HS.u64(A.From.index() | uint64_t{A.To.index()} << 32)
+        .u64(A.FromPort | uint64_t{A.ToPort} << 32)
+        .u64(A.Distance);
+  // Arcs append their initial values, so the arena is exactly every
+  // arc's values in arc order.
+  HS.f64s(InitValues);
 }
 
 void DataflowGraph::printDot(std::ostream &OS,

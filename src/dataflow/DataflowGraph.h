@@ -50,6 +50,8 @@
 
 namespace sdsp {
 
+class HashStream;
+
 struct NodeTag {};
 using NodeId = Id<NodeTag>;
 struct ArcTag {};
@@ -223,6 +225,12 @@ public:
 
   /// Bytes held by the graph's arrays (the artifact-size accounting).
   uint64_t sizeBytes() const;
+
+  /// Feeds the graph's content to \p HS: every node (operator,
+  /// execution time, constant, name by value), every arc (endpoints,
+  /// ports, distance), then all initial values whole.  Operand slots
+  /// and fanout lists follow from the arcs and are not fed.
+  void hashContent(HashStream &HS) const;
 
   /// Renders the graph in DOT syntax: solid arcs for forward data,
   /// dashed for feedback.

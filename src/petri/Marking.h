@@ -20,6 +20,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,8 @@ public:
   size_t size() const { return Tokens.size(); }
 
   uint32_t tokens(PlaceId P) const { return Tokens[P.index()]; }
+  /// Every place's token count, by place index.
+  std::span<const uint32_t> counts() const { return Tokens; }
   void setTokens(PlaceId P, uint32_t N) { Tokens[P.index()] = N; }
 
   /// Adds one token to \p P.

@@ -8,6 +8,7 @@
 #include "petri/PetriNet.h"
 
 #include "support/Dot.h"
+#include "support/HashStream.h"
 #include "support/Status.h"
 
 #include <cassert>
@@ -22,6 +23,12 @@ void PetriNet::Csr<IdT>::append(std::span<const IdT> Row) {
     Start.push_back(0);
   Items.insert(Items.end(), Row.begin(), Row.end());
   Start.push_back(static_cast<uint32_t>(Items.size()));
+}
+
+template <typename IdT>
+void PetriNet::Csr<IdT>::hashContent(HashStream &HS) const {
+  HS.u32s(std::span<const uint32_t>(Start).subspan(Start.empty() ? 0 : 1))
+      .ids(std::span<const IdT>(Items));
 }
 
 template <typename IdT>
@@ -122,6 +129,19 @@ PetriNet PetriNetBuilder::build() {
   PetriNet Out = std::move(Net);
   Net = PetriNet();
   return Out;
+}
+
+void PetriNet::hashContent(HashStream &HS) const {
+  HS.u64(Places.size());
+  for (const Record &R : Places)
+    HS.str(name(R)).u64(R.Value);
+  HS.u64(Transitions.size());
+  for (const Record &R : Transitions)
+    HS.str(name(R)).u64(R.Value);
+  Producers.hashContent(HS);
+  Consumers.hashContent(HS);
+  InputPlaces.hashContent(HS);
+  OutputPlaces.hashContent(HS);
 }
 
 Marking PetriNet::initialMarking() const {

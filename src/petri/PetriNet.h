@@ -53,6 +53,7 @@ using TransitionId = Id<TransitionTag>;
 /// Execution (firing) time of a transition, in machine cycles.
 using TimeUnits = uint32_t;
 
+class HashStream;
 class PetriNetBuilder;
 
 /// A timed place/transition net, immutable in structure once built (see
@@ -131,6 +132,12 @@ public:
   /// Bytes held by the net's arrays (the artifact-size accounting).
   uint64_t sizeBytes() const;
 
+  /// Feeds the net's content to \p HS: every place, then every
+  /// transition (name by value, then token count or execution time),
+  /// then the four adjacency lists, each as its row ends and its items
+  /// whole.
+  void hashContent(HashStream &HS) const;
+
   /// Renders the net (structure + initial marking) in DOT syntax:
   /// circles for places, boxes for transitions, token counts as labels.
   void printDot(std::ostream &OS, const std::string &GraphName) const;
@@ -158,6 +165,9 @@ private:
     }
     /// Appends one row holding \p Row.
     void append(std::span<const IdT> Row);
+    /// Feeds the row ends (Start without its leading 0, which is
+    /// absent while there are no rows) and the items.
+    void hashContent(HashStream &HS) const;
     /// Refills \p Rows rows from \p Pairs: row RowOf(X) gains ItemOf(X),
     /// and each row keeps its pairs in their order in \p Pairs.
     template <typename Pair, typename RowFn, typename ItemFn>

@@ -154,18 +154,6 @@ private:
   bool Failed = false;
 };
 
-/// FNV-1a over a raw byte range; the payload checksum of stored
-/// artifact objects.  Process-stable by construction, like the
-/// HashStream of core/ArtifactHash.h.
-inline uint64_t fnv1a64(const uint8_t *Data, size_t Size) {
-  uint64_t H = 1469598103934665603ull;
-  for (size_t I = 0; I < Size; ++I) {
-    H ^= Data[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 } // namespace sdsp
 
 #endif // SDSP_SUPPORT_BYTES_H

@@ -16,6 +16,7 @@
 
 #include "core/ArtifactStore.h"
 
+#include "TestUtil.h"
 #include "codegen/LoopProgram.h"
 #include "core/ArtifactCodec.h"
 #include "core/ArtifactHash.h"
@@ -24,12 +25,15 @@
 #include "core/SharedArtifactCache.h"
 #include "livermore/Livermore.h"
 #include "support/FaultInjection.h"
+#include "tools/DriverCore.h"
 
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -392,6 +396,9 @@ enum class ProgramMutation {
   WriteToPort7,
   BinaryOpWithOneOperand,
   MoreOpsThanTransitions,
+  /// Not out of bounds: the decoder cannot know which streams a run
+  /// supplies, so the run itself must reject this one.
+  FirstStreamRenamed,
 };
 
 /// A copy of \p P with the first place \p M applies to broken.
@@ -409,6 +416,11 @@ LoopProgram mutatedProgram(const LoopProgram &P, ProgramMutation M) {
     }
     for (size_t I = 0; I < NumOperands; ++I) {
       OperandRef O = Op.Operands[I];
+      if (!Done && M == MK::FirstStreamRenamed &&
+          O.K == OperandRef::Kind::Stream) {
+        O.StreamName = "nosuch";
+        Done = true;
+      }
       if (!Done && O.K == OperandRef::Kind::Ring) {
         Done = true;
         if (M == MK::RingCapacityZero)
@@ -481,6 +493,141 @@ TEST(ArtifactStoreTest, ProgramTheVmWouldIndexOutOfBoundsIsCorrupt) {
     else
       EXPECT_EQ(Decoded, nullptr) << "mutation " << static_cast<int>(M);
   }
+}
+
+/// Remembers the last artifact a session publishes for one pass.
+class CapturingStore final : public ArtifactStore {
+public:
+  explicit CapturingStore(PassKind K) : K(K) {}
+  ArtifactKey Key;
+  ArtifactEntry Entry;
+
+  std::optional<ArtifactEntry> lookupOrLock(const ArtifactKey &,
+                                            FaultContext *) override {
+    return std::nullopt;
+  }
+  PublishResult publish(const ArtifactKey &Key, ArtifactEntry E,
+                        FaultContext *) override {
+    if (Key.Pass == static_cast<uint32_t>(K)) {
+      this->Key = Key;
+      Entry = std::move(E);
+    }
+    return {};
+  }
+  void abandon(const ArtifactKey &) override {}
+
+private:
+  PassKind K;
+};
+
+TEST(ArtifactStoreTest, StoredProgramReadingAnUnsuppliedStreamFailsTheRun) {
+  // What `sdspc -k loop7 --run=8` publishes for the codegen pass.
+  CapturingStore Capture(PassKind::Codegen);
+  {
+    CompilationSession S(storeConfig(Capture));
+    PipelineOptions O;
+    auto G = S.lower(kernelSource("loop7"));
+    ASSERT_TRUE(G);
+    auto Sd = S.buildSdsp(*G, O.Capacity, false);
+    ASSERT_TRUE(Sd);
+    auto Pn = S.buildPn(*Sd);
+    ASSERT_TRUE(Pn);
+    auto F = S.searchFrustum(*Pn, FrustumOptions{});
+    ASSERT_TRUE(F);
+    auto Sched = S.deriveSchedule(*Sd, *Pn, *F, O.ValidateIterations);
+    ASSERT_TRUE(Sched);
+    ASSERT_TRUE(S.generateProgram(*Sd, *Pn, *Sched));
+  }
+  ASSERT_NE(Capture.Entry.Value, nullptr);
+  const auto &P = *static_cast<const LoopProgram *>(Capture.Entry.Value.get());
+
+  // The program with its first stream operand renamed still decodes.
+  LoopProgram Renamed = mutatedProgram(P, ProgramMutation::FirstStreamRenamed);
+  ByteWriter W;
+  encodeArtifact(PassKind::Codegen, &Renamed, W);
+  ByteReader R(W.bytes().data(), W.size());
+  auto Decoded = std::static_pointer_cast<const LoopProgram>(
+      decodeArtifact(PassKind::Codegen, R));
+  ASSERT_NE(Decoded, nullptr);
+
+  // Run straight from the store: exit 1, naming the stream.  The driver
+  // reads the store only with the cache on, so this run turns it on
+  // whatever SDSP_DISABLE_ARTIFACT_CACHE says (and restores it).
+  struct CacheOn {
+    std::optional<std::string> Saved;
+    CacheOn() {
+      if (const char *V = std::getenv("SDSP_DISABLE_ARTIFACT_CACHE"))
+        Saved = V;
+      unsetenv("SDSP_DISABLE_ARTIFACT_CACHE");
+    }
+    ~CacheOn() {
+      if (Saved)
+        setenv("SDSP_DISABLE_ARTIFACT_CACHE", Saved->c_str(), 1);
+    }
+  } Guard;
+  TempDir Dir;
+  Process Proc(Dir.str());
+  ASSERT_GT(Proc.Disk.put(Capture.Key,
+                          ArtifactEntry{Decoded, artifactHash(*Decoded),
+                                        artifactSizeBytes(*Decoded)},
+                          nullptr),
+            0u);
+  driver::Options Opts;
+  std::ostringstream Out, Err;
+  ASSERT_EQ(driver::parseArgs({"-k", "loop7", "--run=8"}, Opts, Out, Err),
+            driver::ParseResult::Ok);
+  driver::Env E;
+  E.Store = &Proc.Tiered;
+  E.Memory = &Proc.Memory;
+  E.Disk = &Proc.Disk;
+  EXPECT_EQ(driver::run(Opts, E, Out, Err), 1) << Err.str();
+  EXPECT_EQ(Proc.Disk.counters().Hits, 1u);
+  EXPECT_NE(Err.str().find("input stream 'nosuch'"), std::string::npos)
+      << Err.str();
+  EXPECT_EQ(Out.str().find("executed"), std::string::npos) << Out.str();
+}
+
+TEST(ArtifactStoreTest, FirstFormatObjectIsCorruptAndRecomputed) {
+  // A store written before the block hasher holds "SDSPSTO1" objects
+  // whose checksum is FNV-1a.  Even one that sits at a current key's
+  // path must be counted corrupt and recomputed, never served.
+  TempDir Dir;
+  std::string ColdSummary;
+  uint64_t Objects = 0;
+  {
+    Process Cold(Dir.str());
+    ColdSummary = compileSummary(Cold.Tiered, kernelSource("loop7"));
+    Objects = Cold.Disk.entries();
+    ASSERT_GT(Objects, 0u);
+  }
+  constexpr size_t ChecksumAt = 8 + 4 + 8 * 5, PayloadAt = ChecksumAt + 8;
+  for (auto &E : fs::recursive_directory_iterator(Dir.Path / "objects")) {
+    if (!E.is_regular_file())
+      continue;
+    std::string Raw;
+    {
+      std::ifstream In(E.path(), std::ios::binary);
+      std::ostringstream OS;
+      OS << In.rdbuf();
+      Raw = std::move(OS).str();
+    }
+    ASSERT_GT(Raw.size(), PayloadAt);
+    ASSERT_EQ(Raw.compare(0, 8, "SDSPSTO2"), 0);
+    const uint64_t Fnv = testutil::fnv1a64(
+        {reinterpret_cast<const uint8_t *>(Raw.data()) + PayloadAt,
+         Raw.size() - PayloadAt});
+    Raw.replace(0, 8, "SDSPSTO1");
+    for (int I = 0; I < 8; ++I)
+      Raw[ChecksumAt + I] = static_cast<char>(Fnv >> (8 * I));
+    std::ofstream(E.path(), std::ios::binary | std::ios::trunc) << Raw;
+  }
+
+  Process Warm(Dir.str());
+  EXPECT_EQ(compileSummary(Warm.Tiered, kernelSource("loop7")), ColdSummary);
+  auto C = Warm.Disk.counters();
+  EXPECT_EQ(C.Hits, 0u);
+  EXPECT_EQ(C.Corrupt, Objects);
+  EXPECT_EQ(C.Writes, Objects);
 }
 
 //===----------------------------------------------------------------------===//

@@ -118,6 +118,45 @@ TEST(Codegen, EveryKernelExecutesCorrectly) {
   }
 }
 
+TEST(Codegen, VmRejectsAStreamOneValueShortOrMissing) {
+  const LivermoreKernel *K = findKernel("loop7");
+  ASSERT_NE(K, nullptr);
+  DiagnosticEngine Diags;
+  auto G = compileLoop(K->Source, Diags);
+  ASSERT_TRUE(G.has_value());
+  LoopProgram Program = compileToProgram(Sdsp::standard(*G));
+  const size_t N = 16;
+  StreamMap In = K->MakeInputs(N, 779);
+  ASSERT_FALSE(In.empty());
+  Expected<VmResult> Full = executeLoopProgramChecked(Program, In, N);
+  ASSERT_TRUE(Full) << Full.status().str();
+  EXPECT_EQ(Full->Outputs, executeLoopProgram(Program, In, N).Outputs);
+
+  for (auto &[Name, Values] : In) {
+    // One value short.
+    StreamMap Short = In;
+    Short[Name].pop_back();
+    Expected<VmResult> R = executeLoopProgramChecked(Program, Short, N);
+    ASSERT_FALSE(R) << Name;
+    EXPECT_EQ(R.status().code(), ErrorCode::InvalidInput);
+    EXPECT_EQ(R.status().stage(), "vm");
+    EXPECT_NE(R.status().message().find("'" + Name + "' holds 15 values"),
+              std::string::npos)
+        << R.status().str();
+    EXPECT_DEATH(executeLoopProgram(Program, Short, N), "every input stream");
+
+    // Missing.
+    StreamMap Missing = In;
+    Missing.erase(Name);
+    R = executeLoopProgramChecked(Program, Missing, N);
+    ASSERT_FALSE(R) << Name;
+    EXPECT_EQ(R.status().code(), ErrorCode::InvalidInput);
+    EXPECT_NE(R.status().message().find("input stream '" + Name + "'"),
+              std::string::npos)
+        << R.status().str();
+  }
+}
+
 TEST(Codegen, OptimizedKernelsExecuteCorrectly) {
   for (const LivermoreKernel &K : livermoreKernels()) {
     DiagnosticEngine Diags;

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Hand-built versions of the paper's example loops (independent of the
-/// loopir frontend, so core tests do not depend on the parser), plus
-/// small net generators shared by property tests.
+/// loopir frontend, so core tests do not depend on the parser), small
+/// net generators shared by property tests, and a test-side FNV-1a.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +19,21 @@
 #include "petri/PetriNet.h"
 #include "support/Random.h"
 
+#include <cstdint>
+#include <span>
+
 namespace sdsp {
 namespace testutil {
+
+/// Byte-serial FNV-1a: the first store format's object checksum, and the
+/// golden hash table's check that no codec payload moved, independent of
+/// the hasher the store uses.
+inline uint64_t fnv1a64(std::span<const uint8_t> Bytes) {
+  uint64_t H = 1469598103934665603ull;
+  for (uint8_t B : Bytes)
+    H = (H ^ B) * 1099511628211ull;
+  return H;
+}
 
 /// The paper's L1 (Figure 1): a five-node DOALL body.
 inline DataflowGraph buildL1() {

@@ -631,10 +631,13 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
           X = R.uniform() * 2.0 - 1.0;
         In[std::string(CL.Graph.node(N).Name)] = V;
       }
-    VmResult Result = executeLoopProgram(*Program, In, Opts.RunIterations);
+    Expected<VmResult> Result =
+        executeLoopProgramChecked(*Program, In, Opts.RunIterations);
+    if (!Result)
+      return reportFailure(Result.status(), Diags, Err);
     Out << "executed " << Opts.RunIterations << " iterations in "
-        << Result.Cycles << " cycles\n";
-    for (const auto &[Name, Values] : Result.Outputs) {
+        << Result->Cycles << " cycles\n";
+    for (const auto &[Name, Values] : Result->Outputs) {
       Out << Name << ":";
       for (double V : Values)
         Out << " " << V;

@@ -63,7 +63,7 @@ def default_reports():
     batch = {"speedup_by_threads": {"1": 1.0, "2": 1.8, "4": 3.1, "8": 4.0},
              "gate": dict(gate_common, num_cpus=8, skipped=False,
                           speedup=4.0)}
-    metrics = {"counters": {"engine.firings": 42},
+    metrics = {"counters": {"engine.firings": 42, "hash.words": 5117},
                "scp_counters": {"policy.readiness_checks": 7},
                "cap2_counters": {"packedstate.arena_words": 93}}
     return {
@@ -232,6 +232,16 @@ def test_counter_drift_still_fails():
     assert "exact match required" in str(err)
 
 
+def test_hash_words_drift_fails():
+    # hash.words counts the words content hashes fed; hashing more or
+    # less of any artifact moves it.
+    def fresh(r):
+        r["BENCH_metrics.json"]["counters"]["hash.words"] = 6000
+    out, err = run_compare(fresh)
+    assert err is not None, "a hash.words delta must fail the compare"
+    assert "counter hash.words: baseline 5117, current 6000" in str(err)
+
+
 def test_scp_counter_drift_fails():
     def fresh(r):
         r["BENCH_metrics.json"]["scp_counters"][
@@ -284,9 +294,11 @@ def test_host_dependent_counters_are_dropped():
         "cache.shard03.hits": 2,
         "cache.bytes": 4096,
         "marked_graph.safe.edge_scans": 640,
+        "hash.words": 5117,
     })
     assert kept == {"engine.firings": 217,
-                    "marked_graph.safe.edge_scans": 640}, kept
+                    "marked_graph.safe.edge_scans": 640,
+                    "hash.words": 5117}, kept
 
 
 def main():
