@@ -691,6 +691,21 @@ Expected<ArtifactRef<LoopProgram>> CompilationSession::generateProgram(
       });
 }
 
+NetClassification sdsp::classifyNet(const PetriNet &Net) {
+  NetClassification C;
+  C.MarkedGraph = isMarkedGraph(Net);
+  if (C.MarkedGraph) {
+    C.Live = isLiveMarkedGraph(Net);
+    if (C.Live)
+      C.Safe = isSafeMarkedGraph(Net);
+    MarkedGraphView View(Net);
+    C.StronglyConnected = stronglyConnectedRoot(View).has_value();
+  }
+  C.Persistent = isStructurallyPersistent(Net);
+  C.Consistent = hasUniformTInvariant(Net);
+  return C;
+}
+
 Expected<ArtifactRef<ExternalNet>>
 CompilationSession::importPnml(const std::string &Text) {
   return runPass<ExternalNet>(
@@ -704,32 +719,30 @@ CompilationSession::importPnml(const std::string &Text) {
           if (Status St = Faults->checkpoint("pnml:parse"); !St)
             return St;
         // Two child spans split the import: reading the document, and
-        // classifying the net it holds.
+        // classifying the net it holds.  The reader polls the session's
+        // token as it goes, and the session polls again before
+        // classifying.
         if (Trace)
           Trace->beginSpan("pnml-parse", "pnml");
-        Expected<PnmlNet> P = parsePnml(Text);
-        if (Trace)
+        MetricsRegistry::global().add("pnml.import.bytes", Text.size());
+        Expected<PnmlNet> P = parsePnml(Text, Cancel);
+        if (Trace) {
           Trace->endSpan();
+          Trace->argU64("bytes", Text.size());
+        }
         if (!P) {
-          MetricsRegistry::global().add("pnml.rejects", 1);
+          if (P.status().code() == ErrorCode::InvalidInput)
+            MetricsRegistry::global().add("pnml.rejects", 1);
           return P.status();
         }
+        if (Cancel.cancelled())
+          return Cancel.status("pnml", "before classification");
         ExternalNet Out;
         Out.Net = std::move(P->Net);
         Out.NetId = std::move(P->NetId);
         if (Trace)
           Trace->beginSpan("pnml-classify", "pnml");
-        NetClassification &C = Out.Class;
-        C.MarkedGraph = isMarkedGraph(Out.Net);
-        if (C.MarkedGraph) {
-          C.Live = isLiveMarkedGraph(Out.Net);
-          if (C.Live)
-            C.Safe = isSafeMarkedGraph(Out.Net);
-          MarkedGraphView View(Out.Net);
-          C.StronglyConnected = stronglyConnectedRoot(View).has_value();
-        }
-        C.Persistent = isStructurallyPersistent(Out.Net);
-        C.Consistent = hasUniformTInvariant(Out.Net);
+        Out.Class = classifyNet(Out.Net);
         if (Trace)
           Trace->endSpan();
         uint64_t Arcs = 0;

@@ -244,6 +244,9 @@ struct NetClassification {
   bool Consistent = false;
 };
 
+/// Classifies \p Net as the import-pnml pass does.
+NetClassification classifyNet(const PetriNet &Net);
+
 /// Output of the import-pnml pass: the parsed net, its document
 /// identity, and its structural classification.
 struct ExternalNet {

@@ -41,6 +41,7 @@
 
 #include "petri/EarliestFiring.h"
 #include "petri/PetriNet.h"
+#include "support/CancelToken.h"
 #include "support/Status.h"
 
 #include <iosfwd>
@@ -61,8 +62,12 @@ struct PnmlNet {
 /// must hold exactly one <net>; <page> nesting is flattened.  Element
 /// and attribute names are matched by local name, so namespace-prefixed
 /// documents import too.  Rejections are [InvalidInput] with stage
-/// "pnml" (the catalog is in docs/ERRORS.md).
-Expected<PnmlNet> parsePnml(const std::string &Text);
+/// "pnml" (the catalog is in docs/ERRORS.md).  The reader polls
+/// \p Cancel at its start, once per 64 KiB scanned and once per 4,096
+/// elements imported, and stops with its Cancelled or DeadlineExceeded
+/// status, stage "pnml".
+Expected<PnmlNet> parsePnml(const std::string &Text,
+                            const CancelToken &Cancel = {});
 
 /// Writes \p Net to \p OS in the canonical PNML form: places then
 /// transitions then arcs, ids p0../t0../a0.. in index order, every node

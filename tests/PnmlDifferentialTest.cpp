@@ -282,6 +282,70 @@ TEST(PnmlDifferential, EveryBytePrefix) {
   EXPECT_LT(T.Accepted, 3 * Docs.size());
 }
 
+/// The labels and attribute values of \p Doc as [begin, end) byte
+/// ranges: the character data of each element whose start tag is
+/// followed by its end tag with only character data between them, and
+/// the bytes between the quotes of each attribute.
+std::vector<std::pair<size_t, size_t>> labelsAndValues(const std::string &Doc) {
+  std::vector<std::pair<size_t, size_t>> Ranges;
+  for (size_t I = 0; I < Doc.size(); ++I) {
+    if (Doc[I] != '<' || I + 1 == Doc.size() ||
+        !std::isalpha(static_cast<unsigned char>(Doc[I + 1])))
+      continue;
+    // A start tag: its attribute values, then its content if it is a
+    // leaf.
+    size_t J = I + 1;
+    while (J < Doc.size() && Doc[J] != '>') {
+      if (Doc[J] == '"' || Doc[J] == '\'') {
+        size_t Close = Doc.find(Doc[J], J + 1);
+        Ranges.push_back({J + 1, Close});
+        J = Close;
+      }
+      ++J;
+    }
+    if (J == Doc.size() || Doc[J - 1] == '/')
+      continue;
+    size_t Next = Doc.find('<', J + 1);
+    if (Next != std::string::npos && Doc.compare(Next, 2, "</") == 0)
+      Ranges.push_back({J + 1, Next});
+  }
+  return Ranges;
+}
+
+TEST(PnmlDifferential, LabelAndValueBoundaries) {
+  // A reference, comment, CDATA section, PI or child element at any
+  // offset of a label or an attribute value must be decoded, or
+  // rejected, exactly as the reference reader does: the byte searches
+  // that cross character data and values must stop at each of them,
+  // and a label holding one is no longer a plain view of the document.
+  const char *const Inserts[] = {"&gt;",     "&#x41;",   "<!-- c -->",
+                                 "<![CDATA[x]]>", "<?pi x?>", "<b/>"};
+  Tally T;
+  size_t Ranges = 0;
+  std::vector<std::pair<std::string, std::string>> Docs = {
+      {"ring.pnml", readFile(std::filesystem::path(SDSP_PNML_CORPUS_DIR) /
+                             "ring.pnml")},
+      {"entity.pnml", readFile(std::filesystem::path(SDSP_PNML_CORPUS_DIR) /
+                               "entity.pnml")},
+      {"l1 export", kernelExport(*findKernel("l1"), 1)}};
+  for (const auto &[Name, Text] : Docs) {
+    ASSERT_FALSE(Text.empty()) << Name;
+    for (auto [Begin, End] : labelsAndValues(Text)) {
+      ++Ranges;
+      for (size_t At = Begin; At <= End; ++At)
+        for (const char *Insert : Inserts)
+          compareReaders(Text.substr(0, At) + Insert + Text.substr(At),
+                         Name + " + " + Insert + " at " + std::to_string(At),
+                         T);
+    }
+  }
+  report("label and value boundaries", T);
+  EXPECT_EQ(T.Mismatches, 0u);
+  EXPECT_GE(Ranges, 150u);
+  EXPECT_GE(T.Accepted, 1800u);
+  EXPECT_GE(T.Docs - T.Accepted, 4000u);
+}
+
 //===----------------------------------------------------------------------===//
 // Mutations
 //===----------------------------------------------------------------------===//

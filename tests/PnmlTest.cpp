@@ -20,13 +20,16 @@
 #include "petri/Pnml.h"
 
 #include "core/Session.h"
+#include "core/SharedArtifactCache.h"
 #include "petri/EarliestFiring.h"
 #include "petri/MarkedGraph.h"
 #include "support/FaultInjection.h"
+#include "support/Metrics.h"
 
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -422,6 +425,24 @@ TEST(PnmlReject, NodeLimitBoundary) {
                 ": document exceeds the node limit [InvalidInput]");
 }
 
+TEST(PnmlReject, CancelledTokenStopsTheReader) {
+  CancelSource Src;
+  Src.cancel();
+  Expected<PnmlNet> N = parsePnml(doc(RingBody), Src.token());
+  ASSERT_FALSE(bool(N));
+  EXPECT_EQ(N.status().code(), ErrorCode::Cancelled);
+  EXPECT_EQ(N.status().stage(), "pnml");
+  // An expired deadline says so.
+  CancelSource Late = CancelSource::withDeadline(std::chrono::milliseconds(0));
+  Expected<PnmlNet> M = parsePnml(doc(RingBody), Late.token());
+  ASSERT_FALSE(bool(M));
+  EXPECT_EQ(M.status().code(), ErrorCode::DeadlineExceeded);
+  EXPECT_EQ(M.status().str(), "pnml: deadline exceeded while reading the "
+                              "document [DeadlineExceeded]");
+  // A token that never fires changes nothing.
+  EXPECT_TRUE(bool(parsePnml(doc(RingBody), CancelSource().token())));
+}
+
 TEST(PnmlReject, DiagnosticsCarryLineNumbers) {
   Expected<PnmlNet> N = parsePnml("<pnml>\n<net id=\"n\">\n<page id=\"p\">\n"
                                   "<place id=\"q\"/>\n<place id=\"q\"/>\n"
@@ -754,6 +775,61 @@ TEST(PnmlSession, ParseFaultSiteFiresInsideTheCompute) {
   // trigger) and succeeds.
   Expected<ArtifactRef<ExternalNet>> Second = S.importPnml(doc(RingBody));
   ASSERT_TRUE(bool(Second)) << Second.status().str();
+}
+
+TEST(PnmlSession, DeadlineInsideTheReaderFailsThePassUncached) {
+  // The delay fault sleeps past the deadline after the pass boundary's
+  // poll; the reader's own poll stops the import.
+  Expected<FaultSchedule> Sched =
+      FaultSchedule::parse("pnml:parse:delay=600ms");
+  ASSERT_TRUE(bool(Sched));
+  FaultContext Ctx(&*Sched, "pnml:test");
+  MemoryStore Store(MemoryStore::Config{1, 0});
+  CancelSource Deadline =
+      CancelSource::withDeadline(std::chrono::milliseconds(300));
+  SessionConfig Late;
+  Late.EnableCache = true;
+  Late.Store = &Store;
+  Late.Cancel = Deadline.token();
+  Late.Faults = &Ctx;
+  CompilationSession S(Late);
+  Expected<ArtifactRef<ExternalNet>> First = S.importPnml(doc(RingBody));
+  ASSERT_FALSE(bool(First));
+  EXPECT_EQ(First.status().code(), ErrorCode::DeadlineExceeded);
+  EXPECT_EQ(First.status().stage(), "pnml");
+  // Nothing was stored: a session on time computes the import again.
+  SessionConfig OnTime;
+  OnTime.EnableCache = true;
+  OnTime.Store = &Store;
+  CompilationSession T(OnTime);
+  Expected<ArtifactRef<ExternalNet>> Second = T.importPnml(doc(RingBody));
+  ASSERT_TRUE(bool(Second)) << Second.status().str();
+  EXPECT_EQ(T.trace().totalCacheHits(), 0u);
+}
+
+/// The current value of counter \p Name in the global registry.
+uint64_t counter(std::string_view Name) {
+  for (const auto &[Key, Value] : MetricsRegistry::global().snapshot().Counters)
+    if (Key == Name)
+      return Value;
+  return 0;
+}
+
+TEST(PnmlSession, ImportBytesCountComputedImportsOnly) {
+  std::filesystem::path Ring =
+      std::filesystem::path(SDSP_PNML_CORPUS_DIR) / "ring.pnml";
+  std::ifstream In(Ring, std::ios::binary);
+  std::string Text(std::istreambuf_iterator<char>(In), {});
+  ASSERT_FALSE(Text.empty());
+  CompilationSession S(SessionConfig{true});
+  uint64_t Before = counter("pnml.import.bytes");
+  ASSERT_TRUE(bool(S.importPnml(Text)));
+  EXPECT_EQ(counter("pnml.import.bytes") - Before,
+            std::filesystem::file_size(Ring));
+  // A repeat is a hit: the reader never sees the document.
+  uint64_t AfterFirst = counter("pnml.import.bytes");
+  ASSERT_TRUE(bool(S.importPnml(Text)));
+  EXPECT_EQ(counter("pnml.import.bytes"), AfterFirst);
 }
 
 //===----------------------------------------------------------------------===//

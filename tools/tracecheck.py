@@ -47,9 +47,10 @@ message on the first violation:
       at most one of each in a failed or cancelled one, none in a cache
       hit), and the computed spans must reconcile with the pnml.*
       counters — computed imports == pnml.imports, computed exports ==
-      pnml.exports, failed imports >= pnml.rejects, and the structural
-      counters (places/transitions/arcs, export bytes) must be
-      consistent with the imports/exports that produced them.
+      pnml.exports, failed imports >= pnml.rejects, the "bytes"
+      arguments of the pnml-parse spans sum to pnml.import.bytes, and
+      the structural counters (places/transitions/arcs, export bytes)
+      must be consistent with the imports/exports that produced them.
 """
 
 import json
@@ -278,6 +279,7 @@ def check_pnml(trace_path, metrics_path):
     open_child = {}
     children = {}
     resolved = {"import-pnml": {}, "export-pnml": {}}
+    parsed_bytes = 0
     for i, ev in enumerate(doc["traceEvents"]):
         name = ev.get("name")
         if name not in ("import-pnml", "export-pnml") + PNML_IMPORT_CHILDREN:
@@ -297,6 +299,12 @@ def check_pnml(trace_path, metrics_path):
                     fail(f"{where}: 'E' for {name} without a matching 'B' "
                          f"on tid {tid}")
                 open_child[tid] = None
+                if name == "pnml-parse":
+                    size = ev.get("args", {}).get("bytes")
+                    if not isinstance(size, int) or size < 0:
+                        fail(f"{where}: pnml-parse span carries bytes "
+                             f"{size!r}, expected the document size")
+                    parsed_bytes += size
             continue
         if ev.get("ph") == "B":
             if open_pnml.get(tid):
@@ -351,6 +359,9 @@ def check_pnml(trace_path, metrics_path):
     if imports.get("failed", 0) < c.get("pnml.rejects", 0):
         fail(f"pnml.rejects is {c.get('pnml.rejects', 0)} but only "
              f"{imports.get('failed', 0)} import-pnml span(s) failed")
+    if c.get("pnml.import.bytes", 0) != parsed_bytes:
+        fail(f"pnml.import.bytes is {c.get('pnml.import.bytes', 0)} but "
+             f"the pnml-parse spans read {parsed_bytes} byte(s)")
     # Structural counters: every computed import counts at least one
     # transition and two arcs (a net needs a transition, and arcs come
     # in producer/consumer pairs for anything cyclic); every computed
@@ -361,7 +372,8 @@ def check_pnml(trace_path, metrics_path):
     if computed_exports and c.get("pnml.export.bytes", 0) < computed_exports:
         fail(f"pnml.export.bytes is {c.get('pnml.export.bytes', 0)} for "
              f"{computed_exports} computed export(s)")
-    print(f"tracecheck: pnml ok — imports {imports}, exports {exports}")
+    print(f"tracecheck: pnml ok — imports {imports}, exports {exports}, "
+          f"{parsed_bytes} byte(s) read")
 
 
 def main(argv):
