@@ -580,7 +580,7 @@ void encodeFrustum(const FrustumInfo &F, ByteWriter &W) {
   encodeU32Vec(W, F.State.Residual);
   encodeU32Vec(W, F.State.PolicyFingerprint);
   W.u64(F.Trace.size());
-  for (const StepRecord &S : F.Trace) {
+  for (StepView S : F.Trace) {
     W.u64(S.Time);
     putIdVec(W, S.Completed);
     putIdVec(W, S.Fired);
@@ -605,14 +605,14 @@ bool decodeFrustum(ByteReader &R, std::shared_ptr<FrustumInfo> &Out) {
   uint64_t NumSteps = R.seqLen(24);
   if (!R.ok())
     return false;
-  F->Trace.reserve(NumSteps);
+  F->Trace.reserveRows(NumSteps);
+  std::vector<TransitionId> Completed, Fired;
   for (uint64_t I = 0; I < NumSteps; ++I) {
-    StepRecord S;
-    S.Time = R.u64();
-    if (!R.ok() || !getIdVec(R, NumTransitions, false, S.Completed) ||
-        !getIdVec(R, NumTransitions, false, S.Fired))
+    TimeStep Time = R.u64();
+    if (!R.ok() || !getIdVec(R, NumTransitions, false, Completed) ||
+        !getIdVec(R, NumTransitions, false, Fired))
       return false;
-    F->Trace.push_back(std::move(S));
+    F->Trace.append(StepView(Time, Completed, Fired));
   }
   if (!decodeU32Vec(R, F->FiringCounts))
     return false;

@@ -41,13 +41,6 @@ void hashRational(HashStream &HS, const Rational &R) {
   HS.i64(R.num()).i64(R.den());
 }
 
-uint64_t stepRecordsBytes(const std::vector<StepRecord> &Trace) {
-  uint64_t B = Trace.size() * sizeof(StepRecord);
-  for (const StepRecord &R : Trace)
-    B += (R.Completed.size() + R.Fired.size()) * sizeof(TransitionId);
-  return B;
-}
-
 } // namespace
 
 uint64_t sdsp::artifactHash(const std::string &Source) {
@@ -122,7 +115,7 @@ uint64_t sdsp::artifactHash(const FrustumInfo &F) {
       .u32s(F.State.Residual)
       .u32s(F.State.PolicyFingerprint);
   HS.u64(F.Trace.size());
-  for (const StepRecord &Rec : F.Trace)
+  for (StepView Rec : F.Trace)
     HS.u64(Rec.Time).ids(Rec.Completed).ids(Rec.Fired);
   HS.u32s(F.FiringCounts);
   return HS.hash();
@@ -195,7 +188,7 @@ uint64_t sdsp::artifactSizeBytes(const FrustumInfo &F) {
   return sizeof(FrustumInfo) + F.State.M.size() * sizeof(uint32_t) +
          F.State.Residual.size() * sizeof(TimeUnits) +
          F.State.PolicyFingerprint.size() * sizeof(uint32_t) +
-         stepRecordsBytes(F.Trace) +
+         F.Trace.sizeBytes() +
          F.FiringCounts.size() * sizeof(uint32_t);
 }
 

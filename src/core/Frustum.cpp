@@ -70,15 +70,14 @@ namespace {
 /// report byte-identical diagnostics and results.
 
 FrustumInfo makeInfo(const PetriNet &Net, TimeStep Start, TimeStep Repeat,
-                     InstantaneousState State,
-                     std::vector<StepRecord> Trace) {
+                     InstantaneousState State, FiringTrace Trace) {
   FrustumInfo Info;
   Info.StartTime = Start;
   Info.RepeatTime = Repeat;
   Info.State = std::move(State);
   Info.Trace = std::move(Trace);
   Info.FiringCounts.assign(Net.numTransitions(), 0);
-  for (const StepRecord &Rec : Info.Trace)
+  for (StepView Rec : Info.Trace)
     if (Rec.Time >= Info.StartTime)
       for (TransitionId T : Rec.Fired)
         ++Info.FiringCounts[T.index()];
@@ -99,7 +98,7 @@ Status deadNetError(TimeStep Now, uint64_t TotalFirings) {
 /// end early (budget, cancellation, deadline).
 std::string partialTraceContext(const PetriNet &Net, TimeStep Now,
                                 uint64_t TotalFirings,
-                                const std::vector<StepRecord> &Trace) {
+                                const FiringTrace &Trace) {
   std::string Msg = "(simulated to t=" + std::to_string(Now) + ", " +
                     std::to_string(TotalFirings) + " firings over " +
                     std::to_string(Net.numTransitions()) +
@@ -117,8 +116,7 @@ std::string partialTraceContext(const PetriNet &Net, TimeStep Now,
 }
 
 Status budgetError(const PetriNet &Net, TimeStep MaxSteps, TimeStep Now,
-                   uint64_t TotalFirings,
-                   const std::vector<StepRecord> &Trace) {
+                   uint64_t TotalFirings, const FiringTrace &Trace) {
   // Budget exhausted: describe where the search got stuck so the
   // caller's diagnostic carries partial-trace context.
   return Status::error(ErrorCode::BudgetExceeded, "frustum",
@@ -130,7 +128,7 @@ Status budgetError(const PetriNet &Net, TimeStep MaxSteps, TimeStep Now,
 
 Status cancelError(const CancelToken &Cancel, const PetriNet &Net,
                    TimeStep Now, uint64_t TotalFirings,
-                   const std::vector<StepRecord> &Trace) {
+                   const FiringTrace &Trace) {
   ErrorCode Code = Cancel.reason();
   if (Code == ErrorCode::Ok)
     Code = ErrorCode::Cancelled;
@@ -147,8 +145,7 @@ Status cancelError(const CancelToken &Cancel, const PetriNet &Net,
 /// the search may sample the instant.
 Status pollInstant(const CancelToken &Cancel, FaultContext *Faults,
                    const PetriNet &Net, TimeStep Now,
-                   uint64_t TotalFirings,
-                   const std::vector<StepRecord> &Trace) {
+                   uint64_t TotalFirings, const FiringTrace &Trace) {
   if (Cancel.cancelled())
     return cancelError(Cancel, Net, Now, TotalFirings, Trace);
   if (Faults)
@@ -165,6 +162,7 @@ struct EngineMetricsFlusher {
   const EarliestFiringEngine &Engine;
   const PackedStateTable &Seen;
   const FiringPolicy *Policy;
+  const uint64_t &FalseMatches;
   ~EngineMetricsFlusher() {
     MetricsRegistry &MR = MetricsRegistry::global();
     const EarliestFiringEngine::Counters &C = Engine.counters();
@@ -176,14 +174,17 @@ struct EngineMetricsFlusher {
     MR.add("packedstate.collisions", Seen.collisions());
     MR.add("packedstate.states_interned", Seen.size());
     MR.add("packedstate.arena_words", Seen.arenaWords());
+    MR.add("packedstate.false_matches", FalseMatches);
     MR.add("hash.delta_validations", Seen.deltaValidations());
     // Which SIMD tier served the readiness sweeps: a per-tier counter
     // (process-wide constant, so still deterministic across -j).
     MR.add(std::string("simd.tier.") + simdTierName(activeSimdTier()),
            1);
     MR.add("frustum.detections", 1);
-    if (Policy)
+    if (Policy) {
       MR.add("policy.readiness_checks", Policy->readinessChecks());
+      MR.add("policy.list_visits", Policy->listVisits());
+    }
   }
 };
 
@@ -201,9 +202,20 @@ Expected<FrustumInfo> sdsp::detectFrustumChecked(const PetriNet &Net,
 
   EarliestFiringEngine Engine(Net, Policy);
   PackedStateTable Seen;
-  EngineMetricsFlusher Flusher{Engine, Seen, Policy};
+  // A policy with a summary packs it in place of its fingerprint, so a
+  // match of the packed words is a repeat only once the policy confirms
+  // the machine conditions equal; a rejected match is counted.
+  bool Summarized = Policy && Policy->conditionSummary().has_value();
+  uint64_t FalseMatches = 0;
+  auto Exact = [&](uint64_t Then) {
+    if (!Summarized || Policy->sameConditionAt(Then))
+      return true;
+    ++FalseMatches;
+    return false;
+  };
+  EngineMetricsFlusher Flusher{Engine, Seen, Policy, FalseMatches};
   PackedState PS;
-  std::vector<StepRecord> Trace;
+  FiringTrace Trace;
   uint64_t TotalFirings = 0;
   // Instants observed so far; the budget counts every instant, leapt or
   // not, so budget diagnostics match the reference detector exactly.
@@ -219,18 +231,17 @@ Expected<FrustumInfo> sdsp::detectFrustumChecked(const PetriNet &Net,
     Engine.prepare();
     uint64_t Raw = Engine.packStateHashed(PS);
     std::optional<uint64_t> Prev =
-        Seen.insertOrFindHashed(PS, Raw, Engine.now());
+        Seen.insertOrFindHashed(PS, Raw, Engine.now(), Exact);
     ++Sampled;
     if (Prev)
       return makeInfo(Net, *Prev, Engine.now(), Engine.state(),
                       std::move(Trace));
     if (Engine.isQuiescent())
       return deadNetError(Engine.now(), TotalFirings);
-    StepRecord Rec = Engine.fireAndAdvance();
-    bool Idle = Rec.Completed.empty() && Rec.Fired.empty();
+    Engine.fireAndAdvance(Trace);
+    StepView Rec = Trace.back();
     TotalFirings += Rec.Fired.size();
-    Trace.push_back(std::move(Rec));
-    if (!Idle)
+    if (!Rec.Completed.empty() || !Rec.Fired.empty())
       continue;
 
     // Event-driven time leap: the step did nothing, so the state can
@@ -255,7 +266,8 @@ Expected<FrustumInfo> sdsp::detectFrustumChecked(const PetriNet &Net,
         return S;
       }
       Raw = PS.decrementResiduals(MarkWords, Raw);
-      std::optional<uint64_t> PrevV = Seen.insertOrFindHashed(PS, Raw, V);
+      std::optional<uint64_t> PrevV =
+          Seen.insertOrFindHashed(PS, Raw, V, Exact);
       ++Sampled;
       if (PrevV) {
         // The repeat landed on a leapt instant: move the engine there
@@ -266,9 +278,7 @@ Expected<FrustumInfo> sdsp::detectFrustumChecked(const PetriNet &Net,
         Engine.prepare();
         return makeInfo(Net, *PrevV, V, Engine.state(), std::move(Trace));
       }
-      StepRecord Empty;
-      Empty.Time = V;
-      Trace.push_back(std::move(Empty));
+      Trace.append(StepView(V, {}, {}));
     }
     Engine.leapTo(*NextF);
   }
@@ -285,7 +295,7 @@ Expected<FrustumInfo> sdsp::detectFrustumReference(const PetriNet &Net,
 
   ReferenceEngine Engine(Net, Policy);
   std::unordered_map<InstantaneousState, TimeStep> Seen;
-  std::vector<StepRecord> Trace;
+  FiringTrace Trace;
   uint64_t TotalFirings = 0;
   // The reference engine keeps no counters of its own; report its step
   // and firing totals under a separate prefix so a mixed run (fast +
@@ -316,7 +326,7 @@ Expected<FrustumInfo> sdsp::detectFrustumReference(const PetriNet &Net,
       return deadNetError(Engine.now(), TotalFirings);
     StepRecord Rec = Engine.fireAndAdvance();
     TotalFirings += Rec.Fired.size();
-    Trace.push_back(std::move(Rec));
+    Trace.append(Rec);
   }
 
   return budgetError(Net, MaxSteps, Engine.now(), TotalFirings, Trace);
@@ -374,8 +384,7 @@ Expected<FrustumInfo> sdsp::detectFrustumAnalytic(const PetriNet &Net,
   if (!A.periodic() || A.repeatTime() > MaxSteps) {
     // The simulators sample instants 0..MaxSteps, record each one, and
     // report from t = MaxSteps+1; reconstruct exactly that.
-    std::vector<StepRecord> Trace;
-    A.appendSteps(MaxSteps + 1, Trace);
+    FiringTrace Trace = A.steps(MaxSteps + 1);
     return budgetError(Net, MaxSteps, MaxSteps + 1,
                        A.firingsThrough(MaxSteps), Trace);
   }
@@ -383,10 +392,8 @@ Expected<FrustumInfo> sdsp::detectFrustumAnalytic(const PetriNet &Net,
   // Qualifying nets are live and strongly connected, so quiescence
   // (the dead-net diagnostic) is impossible: the remaining outcome is
   // the frustum itself.
-  std::vector<StepRecord> Trace;
-  A.appendSteps(A.repeatTime(), Trace);
   return makeInfo(Net, A.startTime(), A.repeatTime(),
-                  A.stateAt(A.repeatTime()), std::move(Trace));
+                  A.stateAt(A.repeatTime()), A.steps(A.repeatTime()));
 }
 
 std::optional<FrustumInfo> sdsp::detectFrustum(const PetriNet &Net,

@@ -17,7 +17,11 @@
 ///
 /// Detection hashes every sampled instantaneous state (marking, residual
 /// firing times, and machine condition for conflict policies) and stops
-/// at the first recurrence.  The recorded trace covers [0, RepeatTime)
+/// at the first recurrence.  A policy that summarizes its machine
+/// condition in one word (the FIFO/LIFO ready list's rolling hash) is
+/// stored by that word, and a match is confirmed exactly against the
+/// earlier condition before it counts as the repeat.  The recorded
+/// trace covers [0, RepeatTime)
 /// so schedule derivation and behavior-graph rendering can replay it.
 ///
 //===----------------------------------------------------------------------===//
@@ -72,8 +76,9 @@ struct FrustumInfo {
   TimeStep RepeatTime = 0;
   /// The repeated instantaneous state.
   InstantaneousState State;
-  /// The full earliest-firing trace over [0, RepeatTime).
-  std::vector<StepRecord> Trace;
+  /// The full earliest-firing trace over [0, RepeatTime), one row per
+  /// instant.
+  FiringTrace Trace;
   /// Firings of each transition within [StartTime, RepeatTime).
   std::vector<uint32_t> FiringCounts;
 

@@ -43,11 +43,11 @@ sdsp::deriveScheduleChecked(const SdspPn &Pn, const FrustumInfo &Frustum) {
 
   SoftwarePipelineSchedule Sched(N, Frustum.StartTime, Frustum.length(), K);
   size_t Firings = 0;
-  for (const StepRecord &Rec : Frustum.Trace)
+  for (StepView Rec : Frustum.Trace)
     Firings += Rec.Fired.size();
   Sched.reserve(Firings > N * K ? Firings - N * K : 0, N * K);
   std::vector<uint64_t> Occurrence(N, 0);
-  for (const StepRecord &Rec : Frustum.Trace) {
+  for (StepView Rec : Frustum.Trace) {
     for (TransitionId T : Rec.Fired) {
       uint64_t Iter = Occurrence[T.index()]++;
       if (Rec.Time < Frustum.StartTime)

@@ -430,6 +430,12 @@ public:
   Expected<CompiledLoop> compile(DataflowGraph G,
                                  const PipelineOptions &Opts);
 
+  /// The session's cancellation token and fault context (null when
+  /// none), for checks that run outside a pass, such as sdspc's verify
+  /// of an imported net.
+  const CancelToken &cancelToken() const { return Cancel; }
+  FaultContext *faults() const { return Faults; }
+
 private:
   /// The pass-boundary prologue of runPass and finish(): counts the
   /// invocation, opens the pass span, then polls cancellation and the

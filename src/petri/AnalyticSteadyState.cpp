@@ -373,29 +373,43 @@ InstantaneousState AnalyticSteadyState::stateAt(TimeStep T) const {
   return St;
 }
 
-void AnalyticSteadyState::appendSteps(TimeStep End,
-                                      std::vector<StepRecord> &Out) const {
-  size_t Base = Out.size();
-  Out.resize(Base + static_cast<size_t>(End));
-  for (TimeStep V = 0; V < End; ++V)
-    Out[Base + static_cast<size_t>(V)].Time = V;
-  // Outer loop ascending by transition, inner by round: each instant's
-  // lists come out in index order (one firing per transition per
-  // instant, since epochs are strictly increasing), matching the
-  // engines' bitset walks.
-  for (size_t T = 0; T < N; ++T) {
-    uint64_t MaxK = Periodic ? UINT64_MAX : NumRounds;
-    for (uint64_t K = 0; K < MaxK; ++K) {
-      TimeStep F = roundTime(T, K);
-      if (F >= End)
-        break;
-      Out[Base + static_cast<size_t>(F)].Fired.push_back(TransitionId(T));
-      TimeStep C = F + Tau[T];
-      if (C < End)
-        Out[Base + static_cast<size_t>(C)].Completed.push_back(
-            TransitionId(T));
+FiringTrace AnalyticSteadyState::steps(TimeStep End) const {
+  // Two passes over the same firings: count each row's lists, then
+  // fill them.  Outer loop ascending by transition, inner by round:
+  // each instant's lists come out in index order (one firing per
+  // transition per instant, since epochs are strictly increasing),
+  // matching the engines' bitset walks.
+  size_t Rows = static_cast<size_t>(End);
+  std::vector<uint32_t> NumCompleted(Rows, 0), NumFired(Rows, 0);
+  auto ForEachFiring = [&](auto &&Visit) {
+    for (size_t T = 0; T < N; ++T) {
+      uint64_t MaxK = Periodic ? UINT64_MAX : NumRounds;
+      for (uint64_t K = 0; K < MaxK; ++K) {
+        TimeStep F = roundTime(T, K);
+        if (F >= End)
+          break;
+        Visit(T, static_cast<size_t>(F), F + Tau[T]);
+      }
     }
-  }
+  };
+  ForEachFiring([&](size_t, size_t F, TimeStep C) {
+    ++NumFired[F];
+    if (C < End)
+      ++NumCompleted[static_cast<size_t>(C)];
+  });
+  FiringTrace Out;
+  Out.layOut(NumCompleted, NumFired);
+  std::fill(NumCompleted.begin(), NumCompleted.end(), 0);
+  std::fill(NumFired.begin(), NumFired.end(), 0);
+  ForEachFiring([&](size_t T, size_t F, TimeStep C) {
+    TransitionId Id(static_cast<uint32_t>(T));
+    Out.firedAt(F)[NumFired[F]++] = Id;
+    if (C < End) {
+      size_t R = static_cast<size_t>(C);
+      Out.completedAt(R)[NumCompleted[R]++] = Id;
+    }
+  });
+  return Out;
 }
 
 uint64_t AnalyticSteadyState::firingsThrough(TimeStep T) const {

@@ -125,10 +125,10 @@ public:
   /// engines: completions at T drained, firings at T not yet started.
   InstantaneousState stateAt(TimeStep T) const;
 
-  /// Appends one StepRecord per instant in [0, End) — completion and
-  /// firing lists in transition-index order, empty records for idle
+  /// The trace over [0, End), one row per instant — completion and
+  /// firing lists in transition-index order, empty rows for idle
   /// instants — matching the simulators' traces byte for byte.
-  void appendSteps(TimeStep End, std::vector<StepRecord> &Out) const;
+  FiringTrace steps(TimeStep End) const;
 
   /// Total firings at instants <= \p T (the budget diagnostics count).
   uint64_t firingsThrough(TimeStep T) const;

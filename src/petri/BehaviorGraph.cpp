@@ -30,7 +30,7 @@ uint32_t BehaviorGraph::addToken(PlaceId P, TimeStep At, uint32_t Producer) {
   return Id;
 }
 
-void BehaviorGraph::recordStep(const StepRecord &Rec) {
+void BehaviorGraph::recordStep(StepView Rec) {
   // Completions first, mirroring the engine's phase order.
   for (TransitionId T : Rec.Completed) {
     uint32_t F = InFlight[T.index()];

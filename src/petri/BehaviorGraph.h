@@ -60,7 +60,7 @@ public:
   explicit BehaviorGraph(const PetriNet &Net);
 
   /// Appends one engine step.  Steps must be fed in execution order.
-  void recordStep(const StepRecord &Rec);
+  void recordStep(StepView Rec);
 
   const std::vector<FiringNode> &firings() const { return Firings; }
   const std::vector<TokenNode> &tokens() const { return Tokens; }

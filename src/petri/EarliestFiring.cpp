@@ -53,6 +53,29 @@ std::string InstantaneousState::str() const {
 }
 
 //===----------------------------------------------------------------------===//
+// FiringTrace
+//===----------------------------------------------------------------------===//
+
+void FiringTrace::layOut(std::span<const uint32_t> Completions,
+                         std::span<const uint32_t> Firings) {
+  assert(empty() && Completions.size() == Firings.size() &&
+         "laying out rows of a nonempty trace");
+  size_t Rows = Completions.size();
+  Times.resize(Rows);
+  CompletedEnd.resize(Rows);
+  FiredEnd.resize(Rows);
+  uint64_t At = 0;
+  for (size_t I = 0; I < Rows; ++I) {
+    Times[I] = I;
+    At += Completions[I];
+    CompletedEnd[I] = At;
+    At += Firings[I];
+    FiredEnd[I] = At;
+  }
+  Ids.resize(At);
+}
+
+//===----------------------------------------------------------------------===//
 // Policies
 //===----------------------------------------------------------------------===//
 
@@ -89,6 +112,8 @@ void FiringPolicy::orderEnabled(const PetriNet &Net, const Marking &M,
   orderCandidates(Net, M, Completed, Out);
 }
 
+bool FiringPolicy::sameConditionAt(TimeStep) const { return true; }
+
 ReadyListPolicy::ReadyListPolicy(std::vector<bool> IsConflicting,
                                  std::vector<PlaceId> ResourcePlaces,
                                  bool NewestFirst)
@@ -104,24 +129,40 @@ ReadyListPolicy::ReadyListPolicy(std::vector<bool> IsConflicting,
   for (size_t I = 0; I < N; ++I)
     if (IsConflicting[I])
       ConflictBits[I >> 6] |= 1ull << (I & 63);
-  InList.assign(N, false);
-  DirtyFlag.assign(N, false);
+  ListHash = pairMix(HeadMark, Tail);
+}
+
+uint64_t ReadyListPolicy::pairMix(uint32_t A, uint32_t B) {
+  // splitmix64's finalizer over the packed pair: a bijection, so
+  // distinct pairs give distinct terms.
+  uint64_t Z = (static_cast<uint64_t>(A) << 32) | B;
+  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
+  return Z ^ (Z >> 31);
 }
 
 void ReadyListPolicy::reset() {
-  List.clear();
-  Head = 0;
-  NumDead = 0;
-  std::fill(InList.begin(), InList.end(), false);
+  for (uint32_t V = First; V != None;) {
+    uint32_t N = Next[V];
+    Next[V] = None;
+    V = N == Tail ? None : N;
+  }
+  First = Last = None;
+  ListHash = pairMix(HeadMark, Tail);
+  Joined.clear();
+  JoinedAt.clear();
+  LeftAt.clear();
+  Clock = 0;
   for (uint32_t I : Dirty)
     DirtyFlag[I] = false;
   Dirty.clear();
   ScanAll = true;
   Checks = 0;
+  Visits = 0;
 }
 
 void ReadyListPolicy::markDirty(uint32_t I) {
-  if (isConflicting(I) && !InList[I] && !DirtyFlag[I]) {
+  if (isConflicting(I) && !isListed(I) && !DirtyFlag[I]) {
     DirtyFlag[I] = true;
     Dirty.push_back(I);
   }
@@ -129,24 +170,78 @@ void ReadyListPolicy::markDirty(uint32_t I) {
 
 void ReadyListPolicy::enqueueIfDataReady(const PetriNet &Net,
                                          const Marking &M, uint32_t I) {
-  assert(!InList[I] && "transition already waiting in the ready list");
+  assert(!isListed(I) && "transition already waiting in the ready list");
   ++Checks;
   // The shared resource does not gate data readiness.
   for (PlaceId P : Net.transition(TransitionId(I)).InputPlaces)
     if (!isResourcePlace(P) && M.tokens(P) == 0)
       return;
-  List.push_back(I);
-  InList[I] = true;
+  // Append: the pair (Last, Tail) becomes (Last, I), (I, Tail).
+  uint32_t Before = Last == None ? HeadMark : Last;
+  ListHash ^= pairMix(Before, Tail) ^ pairMix(Before, I) ^ pairMix(I, Tail);
+  Prev[I] = Last;
+  Next[I] = Tail;
+  if (Last == None)
+    First = I;
+  else
+    Next[Last] = I;
+  Last = I;
+  JoinOf[I] = static_cast<uint32_t>(Joined.size());
+  Joined.push_back(I);
+  JoinedAt.push_back(Clock);
+  LeftAt.push_back(Never);
 }
 
-void ReadyListPolicy::compact() {
-  size_t Out = 0;
-  for (size_t I = Head; I < List.size(); ++I)
-    if (List[I] != Dead)
-      List[Out++] = List[I];
-  List.resize(Out);
-  Head = 0;
-  NumDead = 0;
+void ReadyListPolicy::observe(TimeStep Now, const PetriNet &Net,
+                              const Marking &M,
+                              const std::vector<TransitionId> &Completed) {
+  Clock = Now;
+  // Enqueue newly data-ready conflicting transitions in index order;
+  // index order mirrors the adjacency-list tie-break of Section 5.2.
+  if (ScanAll) {
+    ScanAll = false;
+    size_t N = ConflictBits.size() * 64;
+    if (Next.size() < N) {
+      Prev.assign(N, None);
+      Next.assign(N, None);
+      JoinOf.assign(N, 0);
+      DirtyFlag.assign(N, false);
+    }
+    for (size_t W = 0; W < ConflictBits.size(); ++W)
+      for (uint64_t Word = ConflictBits[W]; Word; Word &= Word - 1)
+        enqueueIfDataReady(
+            Net, M, static_cast<uint32_t>(W * 64 + std::countr_zero(Word)));
+  } else {
+    for (TransitionId C : Completed)
+      for (PlaceId P : Net.transition(C).OutputPlaces)
+        if (!isResourcePlace(P))
+          for (TransitionId T : Net.place(P).Consumers)
+            markDirty(T.index());
+    std::sort(Dirty.begin(), Dirty.end());
+    for (uint32_t I : Dirty)
+      enqueueIfDataReady(Net, M, I);
+  }
+  for (uint32_t I : Dirty)
+    DirtyFlag[I] = false;
+  Dirty.clear();
+}
+
+void ReadyListPolicy::appendOrder(const uint64_t *Enabled, size_t NumWords,
+                                  std::vector<TransitionId> &Out) const {
+  // Non-conflicting candidates first (their relative order is
+  // irrelevant: they cannot disable each other), then list order.
+  for (size_t W = 0; W < NumWords; ++W) {
+    uint64_t Word =
+        Enabled[W] & ~(W < ConflictBits.size() ? ConflictBits[W] : 0);
+    while (Word) {
+      Out.push_back(TransitionId(
+          static_cast<uint32_t>(W * 64 + std::countr_zero(Word))));
+      Word &= Word - 1;
+    }
+  }
+  for (uint32_t V = front(); V != None; V = after(V))
+    if (testBit(Enabled, V))
+      Out.push_back(TransitionId(V));
 }
 
 void ReadyListPolicy::orderCandidates(
@@ -165,73 +260,47 @@ void ReadyListPolicy::orderEnabled(const PetriNet &Net, const Marking &M,
                                    const std::vector<TransitionId> &Completed,
                                    const uint64_t *Enabled, size_t NumWords,
                                    std::vector<TransitionId> &Out) {
-  // Enqueue newly data-ready conflicting transitions in index order;
-  // index order mirrors the adjacency-list tie-break of Section 5.2.
-  if (ScanAll) {
-    ScanAll = false;
-    for (size_t I = 0; I < InList.size(); ++I)
-      if (isConflicting(I) && !InList[I])
-        enqueueIfDataReady(Net, M, static_cast<uint32_t>(I));
-  } else {
-    for (TransitionId C : Completed)
-      for (PlaceId P : Net.transition(C).OutputPlaces)
-        if (!isResourcePlace(P))
-          for (TransitionId T : Net.place(P).Consumers)
-            markDirty(T.index());
-    std::sort(Dirty.begin(), Dirty.end());
-    for (uint32_t I : Dirty)
-      enqueueIfDataReady(Net, M, I);
-  }
-  for (uint32_t I : Dirty)
-    DirtyFlag[I] = false;
-  Dirty.clear();
-
-  // Non-conflicting candidates first (their relative order is
-  // irrelevant: they cannot disable each other), then list order.
+  // The vector-form callers (the reference engine) step every instant
+  // from 0, so the instant is the number of calls so far.
+  observe(ScanAll ? 0 : Clock + 1, Net, M, Completed);
   Out.clear();
-  for (size_t W = 0; W < NumWords; ++W) {
-    uint64_t Word =
-        Enabled[W] & ~(W < ConflictBits.size() ? ConflictBits[W] : 0);
-    while (Word) {
-      Out.push_back(TransitionId(
-          static_cast<uint32_t>(W * 64 + std::countr_zero(Word))));
-      Word &= Word - 1;
-    }
-  }
-  auto Take = [&](uint32_t V) {
-    if (V != Dead && testBit(Enabled, V))
-      Out.push_back(TransitionId(V));
-  };
-  if (NewestFirst)
-    for (size_t I = List.size(); I-- > Head;)
-      Take(List[I]);
-  else
-    for (size_t I = Head; I < List.size(); ++I)
-      Take(List[I]);
+  appendOrder(Enabled, NumWords, Out);
 }
 
 void ReadyListPolicy::noteFired(TransitionId T) {
   uint32_t V = T.index();
-  if (V >= InList.size() || !InList[V])
+  if (!isListed(V))
     return;
-  InList[V] = false;
+  uint32_t P = Prev[V], N = Next[V];
+  ListHash ^= pairMix(P == None ? HeadMark : P, V) ^ pairMix(V, N) ^
+              pairMix(P == None ? HeadMark : P, N);
+  if (P == None)
+    First = N == Tail ? None : N;
+  else
+    Next[P] = N;
+  if (N == Tail)
+    Last = P;
+  else
+    Prev[N] = P;
+  Next[V] = None;
+  LeftAt[JoinOf[V]] = Clock;
   // Its inputs may still hold tokens: re-test it at the next call.
   markDirty(V);
-  auto It = std::find(List.begin() + static_cast<ptrdiff_t>(Head),
-                      List.end(), V);
-  assert(It != List.end() && "listed transition missing from the list");
-  *It = Dead;
-  ++NumDead;
-  while (Head < List.size() && List[Head] == Dead) {
-    ++Head;
-    --NumDead;
+}
+
+bool ReadyListPolicy::sameConditionAt(TimeStep Then) const {
+  // The list sampled at Then held every transition that joined at or
+  // before Then and had not left before it, in joining order.  Joins
+  // are logged in time order, so the scan stops at the first later one.
+  uint32_t V = First;
+  for (size_t K = 0; K < Joined.size() && JoinedAt[K] <= Then; ++K) {
+    if (LeftAt[K] < Then)
+      continue;
+    if (V != Joined[K])
+      return false;
+    V = Next[V] == Tail ? None : Next[V];
   }
-  while (List.size() > Head && List.back() == Dead) {
-    List.pop_back();
-    --NumDead;
-  }
-  if (NumDead * 2 > List.size() - Head)
-    compact();
+  return V == None;
 }
 
 std::vector<uint32_t> ReadyListPolicy::stateFingerprint() const {
@@ -241,11 +310,8 @@ std::vector<uint32_t> ReadyListPolicy::stateFingerprint() const {
 }
 
 void ReadyListPolicy::appendFingerprint(std::vector<uint32_t> &Out) const {
-  size_t At = Out.size();
-  Out.resize(At + (List.size() - Head - NumDead));
-  for (size_t I = Head; I < List.size(); ++I)
-    if (List[I] != Dead)
-      Out[At++] = List[I];
+  for (uint32_t V = First; V != None; V = Next[V] == Tail ? None : Next[V])
+    Out.push_back(V);
 }
 
 //===----------------------------------------------------------------------===//
@@ -269,8 +335,9 @@ Status sdsp::validateTimedNet(const PetriNet &Net) {
 
 EarliestFiringEngine::EarliestFiringEngine(const PetriNet &Net,
                                            FiringPolicy *Policy)
-    : Net(Net), Policy(Policy), M(Net.initialMarking()), L(Net),
-      Sweep(readinessSweep()) {
+    : Net(Net), Policy(Policy),
+      Ready(dynamic_cast<ReadyListPolicy *>(Policy)),
+      M(Net.initialMarking()), L(Net), Sweep(readinessSweep()) {
   HS.init(L);
 
   for (PlaceId P : Net.placeIds()) {
@@ -283,6 +350,9 @@ EarliestFiringEngine::EarliestFiringEngine(const PetriNet &Net,
       setExcess(S, 0, C - 1);
     }
   }
+  ExactEnabled = Policy != nullptr;
+  if (ExactEnabled)
+    ZeroIdle.assign(L.BitWords, 0);
   for (TransitionId T : Net.transitionIds()) {
     uint32_t Missing = 0;
     for (PlaceId P : Net.transition(T).InputPlaces)
@@ -319,7 +389,16 @@ EarliestFiringEngine::EarliestFiringEngine(const PetriNet &Net,
     Policy->reset();
 }
 
-void EarliestFiringEngine::setEnabledIdle(uint32_t T) {
+bool EarliestFiringEngine::noteZero(uint32_t T) {
+  ZeroIdle[T >> 6] |= 1ull << (T & 63);
+  return L.GatePlace.empty() || !hasEmptyGatedInput(T);
+}
+
+// Inline: the token walks of every engine call these, and the policy
+// engines' extra bookkeeping must not push them out of line.
+inline void EarliestFiringEngine::setEnabledIdle(uint32_t T) {
+  if (ExactEnabled && !noteZero(T))
+    return;
   // Callers only reach this on an exact 0-crossing of Readiness[T], so
   // the bit is known clear.
   assert(!(HS.EnabledIdle[T >> 6] & (1ull << (T & 63))) &&
@@ -328,9 +407,11 @@ void EarliestFiringEngine::setEnabledIdle(uint32_t T) {
   ++EnabledIdleCount;
 }
 
-void EarliestFiringEngine::clearEnabledIdle(uint32_t T) {
+inline void EarliestFiringEngine::clearEnabledIdle(uint32_t T) {
   uint64_t &Word = HS.EnabledIdle[T >> 6];
   uint64_t Bit = 1ull << (T & 63);
+  if (ExactEnabled)
+    ZeroIdle[T >> 6] &= ~Bit;
   // Only a closed gate can have cleared the bit of a transition whose
   // readiness word reads zero.
   assert(((Word & Bit) || hasEmptyGatedInput(T)) &&
@@ -355,12 +436,56 @@ void EarliestFiringEngine::closeGate(uint32_t G) {
   const uint64_t *Mask = L.GateMask.data() + G * L.BitWords;
   uint64_t *En = HS.EnabledIdle;
   size_t Removed = 0;
-  for (size_t W = 0, NW = L.BitWords; W < NW; ++W) {
+  for (size_t W = L.GateBegin[G], NW = L.GateEnd[G]; W < NW; ++W) {
     uint64_t Off = En[W] & Mask[W];
     Removed += static_cast<size_t>(std::popcount(Off));
     En[W] ^= Off;
   }
   EnabledIdleCount -= Removed;
+}
+
+void EarliestFiringEngine::openGate(uint32_t G) {
+  const uint64_t *Mask = L.GateMask.data() + G * L.BitWords;
+  const uint64_t *Zero = ZeroIdle.data();
+  uint64_t *En = HS.EnabledIdle;
+  size_t Added = 0;
+  if (L.GatePlace.size() == 1) {
+    for (size_t W = L.GateBegin[G], NW = L.GateEnd[G]; W < NW; ++W) {
+      uint64_t On = Zero[W] & Mask[W] & ~En[W];
+      En[W] |= On;
+      Added += static_cast<size_t>(std::popcount(On));
+    }
+  } else {
+    for (size_t W = L.GateBegin[G], NW = L.GateEnd[G]; W < NW; ++W) {
+      uint64_t On = Zero[W] & Mask[W] & ~En[W];
+      // A consumer behind a second gate that is still closed stays out.
+      for (uint64_t B = On; B; B &= B - 1)
+        if (hasEmptyGatedInput(
+                static_cast<uint32_t>(W * 64 + std::countr_zero(B))))
+          On &= ~(B & -B);
+      En[W] |= On;
+      Added += static_cast<size_t>(std::popcount(On));
+    }
+  }
+  EnabledIdleCount += Added;
+}
+
+bool EarliestFiringEngine::enabledMatchesSweep() const {
+  // Word by word, without allocating: the census tests count this
+  // engine's allocations in builds that run the check.
+  size_t Count = 0;
+  for (size_t W = 0; W < L.BitWords; ++W) {
+    uint64_t Want = 0;
+    for (size_t B = 0; B < 64; ++B)
+      Want |= static_cast<uint64_t>(HS.Readiness[W * 64 + B] == 0) << B;
+    for (uint32_t G = 0; G < L.GatePlace.size(); ++G)
+      if (!testBit(HS.Mark, L.PlaceSlot[L.GatePlace[G]]))
+        Want &= ~L.GateMask[G * L.BitWords + W];
+    if (Want != HS.EnabledIdle[W])
+      return false;
+    Count += static_cast<size_t>(std::popcount(Want));
+  }
+  return Count == EnabledIdleCount;
 }
 
 void EarliestFiringEngine::setExcess(uint32_t S, uint32_t From, uint32_t To) {
@@ -432,10 +557,14 @@ void EarliestFiringEngine::produceToken(uint32_t P) {
     }
   }
   // The place was empty.  A gated place walks no consumers: prepare()'s
-  // sweep re-opens its gate.
+  // sweep re-opens its gate, or openGate() does on an ExactEnabled
+  // engine.
   Word |= Bit;
-  if (L.GateOf[P] != EngineLayout::NoGate)
+  if (uint32_t G = L.GateOf[P]; G != EngineLayout::NoGate) {
+    if (ExactEnabled)
+      openGate(G);
     return;
+  }
   for (uint32_t K = L.ConsOff[P], E = L.ConsOff[P + 1]; K < E; ++K) {
     uint32_t I = L.ConsList[K];
     assert((HS.Readiness[I] & (BusyBias - 1)) > 0 &&
@@ -643,14 +772,19 @@ void EarliestFiringEngine::prepare() {
   // overwritten.  The sweep reads whole 64-lane words (the counter
   // array is sentinel-padded) through the per-tier kernel selected at
   // construction (petri/SimdDispatch.h).
-  EnabledIdleCount = Sweep(HS.Readiness, HS.EnabledIdle, L.BitWords);
-  // The counters leave gated places out: mask the consumers of the
-  // empty ones.
-  for (uint32_t G = 0, NG = static_cast<uint32_t>(L.GatePlace.size());
-       G < NG; ++G) {
-    if (!testBit(HS.Mark, L.PlaceSlot[L.GatePlace[G]]))
-      closeGate(G);
+  // An ExactEnabled engine kept the set exact as tokens moved.
+  if (!ExactEnabled) {
+    EnabledIdleCount = Sweep(HS.Readiness, HS.EnabledIdle, L.BitWords);
+    // The counters leave gated places out: mask the consumers of the
+    // empty ones.
+    for (uint32_t G = 0, NG = static_cast<uint32_t>(L.GatePlace.size());
+         G < NG; ++G) {
+      if (!testBit(HS.Mark, L.PlaceSlot[L.GatePlace[G]]))
+        closeGate(G);
+    }
   }
+  assert((!ExactEnabled || enabledMatchesSweep()) &&
+         "event-kept enabled set diverged from the readiness sweep");
 
   // Phase A2+A3: candidate set = enabled idle transitions, index order,
   // then the machine observes the state and orders its choices.  With no
@@ -658,7 +792,10 @@ void EarliestFiringEngine::prepare() {
   // list waits until someone asks (candidates()); the firing loop walks
   // the bitset directly.  A policy reads the bitset itself.
   OrderedValid = false;
-  if (Policy) {
+  if (Ready) {
+    // The firing walk reads the list in place (fireAndAdvance).
+    Ready->observe(Now, Net, M, CompletedThisStep);
+  } else if (Policy) {
     Policy->orderEnabled(Net, M, CompletedThisStep, HS.EnabledIdle,
                          L.BitWords, Ordered);
     OrderedValid = true;
@@ -710,13 +847,20 @@ void EarliestFiringEngine::packState(PackedState &Out) const {
       }
     }
   }
-  forEachSetBit(HS.Busy, L.BitWords, [&](uint32_t I) {
-    Out.appendBusy(I, static_cast<uint32_t>(HS.FinishTime[I] - Now));
-  });
+  // A unit-time net's busy set is always empty here (prepare() drained
+  // it), so skip the walk when nothing is in flight.
+  if (BusyCount != 0)
+    forEachSetBit(HS.Busy, L.BitWords, [&](uint32_t I) {
+      Out.appendBusy(I, static_cast<uint32_t>(HS.FinishTime[I] - Now));
+    });
   if (Policy) {
-    FpScratch.clear();
-    Policy->appendFingerprint(FpScratch);
-    Out.appendFingerprint(FpScratch);
+    if (std::optional<uint64_t> Summary = Policy->conditionSummary()) {
+      Out.appendSummary(*Summary);
+    } else {
+      FpScratch.clear();
+      Policy->appendFingerprint(FpScratch);
+      Out.appendFingerprint(FpScratch);
+    }
   }
   Out.finishState();
 }
@@ -753,25 +897,102 @@ const std::vector<TransitionId> &EarliestFiringEngine::candidates() const {
   assert(Prepared && "candidates requested before prepare()");
   if (!OrderedValid) {
     Ordered.clear();
-    forEachSetBit(HS.EnabledIdle, L.BitWords,
-                  [&](uint32_t I) { Ordered.push_back(TransitionId(I)); });
+    if (Ready)
+      Ready->appendOrder(HS.EnabledIdle, L.BitWords, Ordered);
+    else
+      forEachSetBit(HS.EnabledIdle, L.BitWords,
+                    [&](uint32_t I) { Ordered.push_back(TransitionId(I)); });
     OrderedValid = true;
   }
   return Ordered;
 }
 
+void EarliestFiringEngine::startFiring(uint32_t I) {
+  uint32_t B = L.InOff[I], E = L.InOff[I + 1];
+  for (uint32_t K = B; K < E; ++K)
+    consumeToken(L.InList[K]);
+  if (HS.Readiness[I] == 0)
+    clearEnabledIdle(I);
+  HS.Readiness[I] += BusyBias;
+  HS.Busy[I >> 6] |= 1ull << (I & 63);
+  ++BusyCount;
+  if (!L.UnitTime) {
+    // Unit-time nets complete the whole busy set next step, so the
+    // finish bookkeeping below would never be read.
+    TimeStep F = Now + L.Exec[I];
+    HS.FinishTime[I] = F;
+    if (L.UseRing)
+      ++HS.RingCount[static_cast<size_t>(F % (L.MaxExec + 1))];
+    else
+      ++Far[F];
+  }
+}
+
+/// The firing phase of an engine with a policy: a ReadyListPolicy's
+/// list walked in place, or another policy's materialized order.
+/// Policies force exact-count mode, so only the generic consume path
+/// applies here (FastFire is zeroed in the constructor).
+void EarliestFiringEngine::firePolicyCandidates(FiringTrace &Rec) {
+  if (Ready) {
+    // Non-conflicting candidates first, in index order.
+    const std::vector<uint64_t> &Conflict = Ready->ConflictBits;
+    for (size_t W = 0, NW = L.BitWords; W < NW; ++W) {
+      uint64_t Word =
+          HS.EnabledIdle[W] & ~(W < Conflict.size() ? Conflict[W] : 0);
+      while (Word) {
+        uint32_t I = static_cast<uint32_t>(W * 64 + std::countr_zero(Word));
+        Word &= Word - 1;
+        if (!testBit(HS.EnabledIdle, I))
+          continue; // An earlier firing consumed a shared token.
+        startFiring(I);
+        Rec.addFired(TransitionId(I));
+      }
+    }
+    // Then the ready list in place.  Firings within a step only take
+    // tokens, and every enabled conflicting transition is listed, so
+    // the walk ends once nothing is left enabled: typically when the
+    // step's resource tokens are spent.
+    uint64_t Visits = 0;
+    for (uint32_t V = Ready->front();
+         V != ReadyListPolicy::None && EnabledIdleCount != 0;) {
+      uint32_t After = Ready->after(V);
+      ++Visits;
+      if (testBit(HS.EnabledIdle, V)) {
+        startFiring(V);
+        Rec.addFired(TransitionId(V));
+        Ready->noteFired(TransitionId(V));
+      }
+      V = After;
+    }
+    Ready->Visits += Visits;
+  } else {
+    for (TransitionId T : Ordered) {
+      uint32_t I = T.index();
+      if (!testBit(HS.EnabledIdle, I))
+        continue; // An earlier firing consumed a shared token.
+      startFiring(I);
+      Rec.addFired(T);
+      Policy->noteFired(T);
+    }
+  }
+}
+
 StepRecord EarliestFiringEngine::fireAndAdvance() {
+  FiringTrace One;
+  fireAndAdvance(One);
+  StepView S = One.back();
+  return StepRecord{S.Time, {S.Completed.begin(), S.Completed.end()},
+                    {S.Fired.begin(), S.Fired.end()}};
+}
+
+void EarliestFiringEngine::fireAndAdvance(FiringTrace &Rec) {
   prepare();
 
-  StepRecord Rec;
-  Rec.Time = Now;
-  // The unit drain already consumed LastFired, and it is rebuilt from
-  // Rec.Fired below — hand its buffer to the record instead of copying.
-  if (CompletedIsLastFired)
-    Rec.Completed = std::move(LastFired);
-  else
-    Rec.Completed = CompletedThisStep;
-  Rec.Fired.reserve(EnabledIdleCount);
+  // The unit drain already consumed LastFired; it is rebuilt from this
+  // step's firings below.
+  Rec.beginStep(Now, CompletedIsLastFired ? LastFired : CompletedThisStep);
+  size_t NumCompleted = CompletedIsLastFired ? LastFired.size()
+                                             : CompletedThisStep.size();
 
   // Greedy maximal firing in policy order.  Consumption happens now;
   // production is deferred to completion, so firings within one step
@@ -790,8 +1011,7 @@ StepRecord EarliestFiringEngine::fireAndAdvance() {
     uint64_t *MarkP = HS.Mark;
     uint64_t *EnP = HS.EnabledIdle;
     uint64_t *BusyP = HS.Busy;
-    Rec.Fired.resize(EnabledIdleCount);
-    TransitionId *Out = Rec.Fired.data();
+    TransitionId *Out = Rec.growFired(EnabledIdleCount);
     size_t NF = 0;
     for (size_t W = 0, NW = L.BitWords; W < NW; ++W) {
       uint64_t Word = EnP[W];
@@ -839,8 +1059,6 @@ StepRecord EarliestFiringEngine::fireAndAdvance() {
     assert(NF == EnabledIdleCount && "marked-graph candidate was skipped");
     BusyCount += NF;
     EnabledIdleCount = 0;
-    if (L.UnitTime)
-      LastFired = Rec.Fired;
   } else if (!Policy) {
     // Candidate order is bitset index order; walk the words directly
     // and collect each word's fast-path firings into one pair of
@@ -858,6 +1076,12 @@ StepRecord EarliestFiringEngine::fireAndAdvance() {
     uint64_t *BusyP = HS.Busy;
     size_t EnCount = EnabledIdleCount;
     size_t BusyCnt = BusyCount;
+    // Every firing is a candidate now, so the enabled count bounds the
+    // step's firings: write them through a raw pointer and give back
+    // the unused room after the walk.
+    size_t Room = EnCount;
+    TransitionId *Out = Rec.growFired(Room);
+    size_t NF = 0;
     for (size_t W = 0, NW = L.BitWords; W < NW; ++W) {
       uint64_t Word = EnP[W];
       if (!Word)
@@ -906,7 +1130,7 @@ StepRecord EarliestFiringEngine::fireAndAdvance() {
           else
             ++Far[F];
         }
-        Rec.Fired.push_back(TransitionId(I));
+        Out[NF++] = TransitionId(I);
       } while (Word);
       EnP[W] &= ~FiredW;
       EnCount -= static_cast<size_t>(std::popcount(FiredW));
@@ -915,43 +1139,19 @@ StepRecord EarliestFiringEngine::fireAndAdvance() {
     }
     EnabledIdleCount = EnCount;
     BusyCount = BusyCnt;
-    if (L.UnitTime)
-      LastFired = Rec.Fired;
+    Rec.shrinkFired(Room - NF);
   } else {
-    for (TransitionId T : Ordered) {
-      uint32_t I = T.index();
-      if (!testBit(HS.EnabledIdle, I))
-        continue; // An earlier firing consumed a shared token.
-      uint32_t B = L.InOff[I], E = L.InOff[I + 1];
-      // Policies force exact-count mode, so only the generic consume
-      // path applies here (FastFire is zeroed in the constructor).
-      for (uint32_t K = B; K < E; ++K)
-        consumeToken(L.InList[K]);
-      if (HS.Readiness[I] == 0)
-        clearEnabledIdle(I);
-      HS.Readiness[I] += BusyBias;
-      HS.Busy[I >> 6] |= 1ull << (I & 63);
-      ++BusyCount;
-      if (!L.UnitTime) {
-        // Unit-time nets complete the whole busy set next step, so the
-        // finish bookkeeping below would never be read.
-        TimeStep F = Now + L.Exec[I];
-        HS.FinishTime[I] = F;
-        if (L.UseRing)
-          ++HS.RingCount[static_cast<size_t>(F % (L.MaxExec + 1))];
-        else
-          ++Far[F];
-      }
-      Rec.Fired.push_back(T);
-      Policy->noteFired(T);
-    }
+    firePolicyCandidates(Rec);
   }
 
-  Ctrs.Firings += Rec.Fired.size();
-  Ctrs.Completions += Rec.Completed.size();
+  std::span<const TransitionId> Fired = Rec.openFired();
+  Rec.endStep();
+  if (L.UnitTime && !Policy)
+    LastFired.assign(Fired.begin(), Fired.end());
+  Ctrs.Firings += Fired.size();
+  Ctrs.Completions += NumCompleted;
   ++Now;
   Prepared = false;
-  return Rec;
 }
 
 std::optional<TimeStep> EarliestFiringEngine::nextFinishTime() const {

@@ -47,8 +47,9 @@
 /// bitsets, the packed marking, finish times, and the finish ring share
 /// one contiguous allocation and one index space, and the per-instant
 /// enabled-set rebuild is the runtime-dispatched SIMD sweep of
-/// petri/SimdDispatch.h.  The engine also maintains the packed-marking
-/// section of the state hash incrementally (an XOR of position-keyed
+/// petri/SimdDispatch.h (engines with a policy skip it: they keep the
+/// set exact as tokens move, see ExactEnabled).  The engine also
+/// maintains the packed-marking section of the state hash incrementally (an XOR of position-keyed
 /// word mixes, updated at every marking-word write), so interning a
 /// state in the frustum detector's PackedStateTable costs
 /// O(touched words + busy), not a rehash of the whole packed state —
@@ -65,9 +66,11 @@
 #include "petri/SimdDispatch.h"
 #include "support/Status.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,6 +143,24 @@ public:
   /// function of the net and the policy alone); the frustum detector
   /// flushes it once per search as policy.readiness_checks.
   virtual uint64_t readinessChecks() const { return 0; }
+
+  /// Candidates the engine's firing walk examined since the last
+  /// reset() (policy.list_visits).  Exact.
+  virtual uint64_t listVisits() const { return 0; }
+
+  /// A one-word summary of the machine condition, or nullopt (the
+  /// default) for a policy that has none.  With a summary,
+  /// EarliestFiringEngine::packState() stores it in place of the
+  /// fingerprint, and the frustum detector confirms every packed-state
+  /// match with sameConditionAt() before taking it as a repeat.
+  virtual std::optional<uint64_t> conditionSummary() const {
+    return std::nullopt;
+  }
+
+  /// Whether the machine condition sampled at the earlier instant
+  /// \p Then equals the current one.  Only asked of policies with a
+  /// summary, and only for instants of the current run.
+  virtual bool sameConditionAt(TimeStep Then) const;
 };
 
 /// The queue machinery shared by the FIFO and LIFO decision mechanisms
@@ -160,6 +181,17 @@ public:
 /// re-tested, in index order, which yields exactly the list a full
 /// rescan would.  The first call after reset() scans every transition.
 /// Candidacy is a bit test against the engine's enabled set.
+///
+/// The list is intrusive and doubly linked through per-transition
+/// links, so a firing leaves it in O(1), and the engine's firing walk
+/// (EarliestFiringEngine) stops as soon as nothing is left enabled.
+/// The machine condition is summarized by a rolling hash over adjacent
+/// list pairs (the pairs determine the list, since no transition is
+/// listed twice), updated in O(1) per join and leave.  Every join and
+/// leave is also logged with its instant, which is what
+/// sameConditionAt() rebuilds an earlier list from.  The links and the
+/// log are sized on the first call after construction, so building a
+/// policy costs what it did before either existed.
 class ReadyListPolicy : public FiringPolicy {
 public:
   void reset() override;
@@ -174,6 +206,17 @@ public:
   std::vector<uint32_t> stateFingerprint() const override;
   void appendFingerprint(std::vector<uint32_t> &Out) const override;
   uint64_t readinessChecks() const override { return Checks; }
+  uint64_t listVisits() const override { return Visits; }
+  std::optional<uint64_t> conditionSummary() const override {
+    return ListHash & SummaryMask;
+  }
+  bool sameConditionAt(TimeStep Then) const override;
+
+  /// Test seam: keeps only the low \p Bits bits of the summary, so
+  /// distinct lists collide and the exact check has to reject them.
+  void truncateSummaryForTesting(unsigned Bits) {
+    SummaryMask = Bits >= 64 ? ~0ull : (1ull << Bits) - 1;
+  }
 
 protected:
   /// \p IsConflicting flags, per transition index, whether the
@@ -184,38 +227,76 @@ protected:
                   std::vector<PlaceId> ResourcePlaces, bool NewestFirst);
 
 private:
-  /// List entries equal to Dead are tombstones: noteFired marks in
-  /// O(1)-amortized instead of erasing from the middle, and iteration
-  /// skips them.  Entries in [Head, List.size()) are in arrival order.
-  static constexpr uint32_t Dead = ~0u;
+  friend class EarliestFiringEngine;
+
+  /// Link value of "no transition": the list's ends, and the Next link
+  /// of a transition that is not listed.  Tail is the Next link of the
+  /// last entry, so a listed transition never links to None; it and
+  /// HeadMark also stand for the list's ends in the hash's pairs.
+  static constexpr uint32_t None = ~0u;
+  static constexpr uint32_t Tail = ~0u - 1;
+  static constexpr uint32_t HeadMark = ~0u - 2;
+  static constexpr TimeStep Never = ~static_cast<TimeStep>(0);
 
   /// Bit t set iff transition t competes for a resource place.
   std::vector<uint64_t> ConflictBits;
   std::vector<bool> IsResourcePlace;
   bool NewestFirst;
-  std::vector<uint32_t> List;
-  size_t Head = 0;
-  size_t NumDead = 0;
-  std::vector<bool> InList;
+  /// The list, oldest first, linked through Prev/Next (None-terminated).
+  /// Sized lazily: empty until the first call after construction.
+  std::vector<uint32_t> Prev;
+  std::vector<uint32_t> Next;
+  uint32_t First = None;
+  uint32_t Last = None;
+  /// XOR of pairMix over the adjacent pairs of HeadMark, the list,
+  /// Tail.
+  uint64_t ListHash = 0;
+  uint64_t SummaryMask = ~0ull;
+  /// The join log: who joined, when, and when they left (Never while
+  /// listed); JoinOf[t] is t's current entry.  Instants are those the
+  /// caller passed to observe().
+  std::vector<uint32_t> Joined;
+  std::vector<TimeStep> JoinedAt;
+  std::vector<TimeStep> LeftAt;
+  std::vector<uint32_t> JoinOf;
+  TimeStep Clock = 0;
   /// Transitions to re-test at the next call, each once (DirtyFlag).
   std::vector<uint32_t> Dirty;
   std::vector<bool> DirtyFlag;
   bool ScanAll = true;
   uint64_t Checks = 0;
+  uint64_t Visits = 0;
   /// Scratch of the vector-form orderCandidates() (member so steps
   /// allocate nothing at steady state).
   std::vector<TransitionId> Scratch;
   std::vector<uint64_t> CandidateBits;
 
   bool isConflicting(size_t I) const {
-    return I < InList.size() && ((ConflictBits[I >> 6] >> (I & 63)) & 1);
+    return (I >> 6) < ConflictBits.size() &&
+           ((ConflictBits[I >> 6] >> (I & 63)) & 1);
   }
   bool isResourcePlace(PlaceId P) const {
     return P.index() < IsResourcePlace.size() && IsResourcePlace[P.index()];
   }
+  bool isListed(uint32_t I) const {
+    return I < Next.size() && Next[I] != None;
+  }
+  /// First entry in firing order, and the entry after \p V.
+  uint32_t front() const { return NewestFirst ? Last : First; }
+  uint32_t after(uint32_t V) const {
+    return NewestFirst ? Prev[V] : (Next[V] == Tail ? None : Next[V]);
+  }
+  /// Enqueues newly data-ready conflicting transitions at instant
+  /// \p Now: the readiness half of orderEnabled().
+  void observe(TimeStep Now, const PetriNet &Net, const Marking &M,
+               const std::vector<TransitionId> &Completed);
+  /// The firing order over the enabled set \p Enabled: the
+  /// non-conflicting candidates in index order, then the list.
+  void appendOrder(const uint64_t *Enabled, size_t NumWords,
+                   std::vector<TransitionId> &Out) const;
   void markDirty(uint32_t I);
   void enqueueIfDataReady(const PetriNet &Net, const Marking &M, uint32_t I);
-  void compact();
+  static uint64_t pairMix(uint32_t A, uint32_t B);
 };
 
 /// The FIFO decision mechanism of Section 5.2: the longest-waiting
@@ -245,6 +326,131 @@ struct StepRecord {
   std::vector<TransitionId> Completed;
   /// Transitions that started firing (consumed tokens) at this step.
   std::vector<TransitionId> Fired;
+};
+
+/// One step of a trace, viewed in place (a StepRecord or a FiringTrace
+/// row).
+struct StepView {
+  TimeStep Time = 0;
+  std::span<const TransitionId> Completed;
+  std::span<const TransitionId> Fired;
+
+  StepView() = default;
+  StepView(TimeStep Time, std::span<const TransitionId> Completed,
+           std::span<const TransitionId> Fired)
+      : Time(Time), Completed(Completed), Fired(Fired) {}
+  StepView(const StepRecord &R)
+      : Time(R.Time), Completed(R.Completed), Fired(R.Fired) {}
+};
+
+/// An earliest-firing trace, one row per step in time order, stored
+/// flat: the rows' times, where each row's completed and fired ids end,
+/// and one id array that holds every row's completed ids followed by
+/// its fired ids.  Appending a row allocates nothing once the arrays
+/// have grown, and copying a trace copies four arrays.
+class FiringTrace {
+public:
+  size_t size() const { return Times.size(); }
+  bool empty() const { return Times.empty(); }
+  StepView operator[](size_t I) const {
+    const TransitionId *D = Ids.data();
+    size_t B = I ? FiredEnd[I - 1] : 0;
+    return StepView(Times[I], {D + B, D + CompletedEnd[I]},
+                    {D + CompletedEnd[I], D + FiredEnd[I]});
+  }
+  StepView back() const { return (*this)[size() - 1]; }
+  /// Bytes of the four arrays.
+  size_t sizeBytes() const {
+    return Times.size() * (sizeof(TimeStep) + 2 * sizeof(uint64_t)) +
+           Ids.size() * sizeof(TransitionId);
+  }
+
+  /// Row iteration, for range-for over a trace.
+  class Iterator {
+  public:
+    Iterator(const FiringTrace *T, size_t I) : T(T), I(I) {}
+    StepView operator*() const { return (*T)[I]; }
+    Iterator &operator++() {
+      ++I;
+      return *this;
+    }
+    friend bool operator==(const Iterator &A, const Iterator &B) {
+      return A.I == B.I;
+    }
+
+  private:
+    const FiringTrace *T;
+    size_t I;
+  };
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size()); }
+
+  /// Opens the row of step \p Time with its completions; the firings
+  /// follow through addFired() or growFired(), then endStep().
+  void beginStep(TimeStep Time, std::span<const TransitionId> Completed) {
+    makeRoom(Times, 1);
+    makeRoom(CompletedEnd, 1);
+    makeRoom(FiredEnd, 1);
+    makeRoom(Ids, Completed.size());
+    Times.push_back(Time);
+    Ids.insert(Ids.end(), Completed.begin(), Completed.end());
+    CompletedEnd.push_back(Ids.size());
+  }
+  void addFired(TransitionId T) {
+    makeRoom(Ids, 1);
+    Ids.push_back(T);
+  }
+  /// Room for \p N firings of the open row, written through the
+  /// returned pointer; shrinkFired() gives back what went unused.
+  TransitionId *growFired(size_t N) {
+    makeRoom(Ids, N);
+    Ids.resize(Ids.size() + N);
+    return Ids.data() + (Ids.size() - N);
+  }
+  void shrinkFired(size_t Unused) { Ids.resize(Ids.size() - Unused); }
+  void endStep() { FiredEnd.push_back(Ids.size()); }
+  /// The firings of the open row so far.
+  std::span<const TransitionId> openFired() const {
+    return {Ids.data() + CompletedEnd.back(), Ids.data() + Ids.size()};
+  }
+  void reserveRows(size_t Rows) {
+    Times.reserve(Rows);
+    CompletedEnd.reserve(Rows);
+    FiredEnd.reserve(Rows);
+  }
+  void append(StepView S) {
+    beginStep(S.Time, S.Completed);
+    Ids.insert(Ids.end(), S.Fired.begin(), S.Fired.end());
+    endStep();
+  }
+
+  /// Lays out rows for steps 0 .. Completions.size() - 1 with room for
+  /// the given numbers of completions and firings, which the caller
+  /// then writes through completedAt() and firedAt() in any order.  The
+  /// trace must be empty.
+  void layOut(std::span<const uint32_t> Completions,
+              std::span<const uint32_t> Firings);
+  TransitionId *completedAt(size_t I) {
+    return Ids.data() + (I ? FiredEnd[I - 1] : 0);
+  }
+  TransitionId *firedAt(size_t I) { return Ids.data() + CompletedEnd[I]; }
+
+private:
+  std::vector<TimeStep> Times;
+  std::vector<uint64_t> CompletedEnd;
+  std::vector<uint64_t> FiredEnd;
+  std::vector<TransitionId> Ids;
+
+  /// Grows \p V eightfold, not the usual twofold, when \p Extra more
+  /// elements would not fit.  A trace is written once, front to back,
+  /// so fewer reallocations mean fewer copies and fewer freshly touched
+  /// pages in a search that runs once per process, and capacity that is
+  /// never written is never touched.
+  template <typename T>
+  static void makeRoom(std::vector<T> &V, size_t Extra) {
+    if (V.capacity() - V.size() < Extra)
+      V.reserve(std::max(V.size() + Extra, 8 * V.capacity()));
+  }
 };
 
 /// The execution engine.  Maintains, incrementally:
@@ -295,8 +501,11 @@ public:
   /// prepare() must have run.
   const std::vector<TransitionId> &candidates() const;
 
-  /// Phase B: fires and advances the clock.  Returns the step record
-  /// (completions observed during prepare + firings performed here).
+  /// Phase B: fires and advances the clock, appending the step's row
+  /// (completions observed during prepare + firings performed here) to
+  /// \p Out.
+  void fireAndAdvance(FiringTrace &Out);
+  /// fireAndAdvance() into a StepRecord of its own.
   StepRecord fireAndAdvance();
 
   TimeStep now() const { return Now; }
@@ -356,6 +565,9 @@ public:
 private:
   const PetriNet &Net;
   FiringPolicy *Policy;
+  /// Policy, when it is a ReadyListPolicy: the engine then walks its
+  /// list in place instead of asking for a materialized order.
+  ReadyListPolicy *Ready = nullptr;
   /// Mutable: in bit-marking mode (below) the counts are synchronized
   /// from the packed marking only when a caller asks for them.
   mutable Marking M;
@@ -454,6 +666,15 @@ private:
   /// Reusable fingerprint scratch for packState().
   mutable std::vector<uint32_t> FpScratch;
 
+  /// Policy engines keep the enabled-idle set exact by events instead
+  /// of re-deriving it in every prepare(): ZeroIdle has bit t set iff
+  /// t's readiness word reads zero, a 0-crossing enables t unless a
+  /// closed gate masks it, and a gate that opens ORs its zero consumers
+  /// back in.  prepare() then runs neither the readiness sweep nor the
+  /// gate pass, each a walk over the whole net per instant.
+  bool ExactEnabled = false;
+  std::vector<uint64_t> ZeroIdle;
+
   void produceToken(uint32_t P);
   void consumeToken(uint32_t P);
   /// Moves slot \p S's plane bits from excess \p From to \p To.
@@ -462,14 +683,29 @@ private:
   size_t planesInUse() const;
   /// Masks gate \p G's consumers out of the enabled-idle set.
   void closeGate(uint32_t G);
+  /// Lets gate \p G's consumers whose readiness word reads zero back
+  /// into the enabled-idle set (ExactEnabled engines).
+  void openGate(uint32_t G);
   /// Whether some gated input place of \p T is empty, i.e. a closed
-  /// gate masks \p T (assertions only).
+  /// gate masks \p T.
   bool hasEmptyGatedInput(uint32_t T) const;
+  /// Whether the enabled-idle set and count equal what the readiness
+  /// sweep and the gate pass would derive (assertions only).
+  bool enabledMatchesSweep() const;
   void produceOutputs(uint32_t I);
   void completeTransition(uint32_t I);
+  /// Starts firing \p I through the generic consume path.
+  void startFiring(uint32_t I);
+  /// fireAndAdvance()'s firing phase on an engine with a policy.
+  void firePolicyCandidates(FiringTrace &Rec);
   void leaveBitMarking(uint32_t P);
   void syncMarking() const;
   void setEnabledIdle(uint32_t T);
+  /// ExactEnabled engines: records that \p T's readiness word reached
+  /// zero, and returns whether \p T is enabled, i.e. no closed gate
+  /// masks it.  Kept out of setEnabledIdle() so that stays small on the
+  /// engines without a policy.
+  bool noteZero(uint32_t T);
   /// Clears \p T's enabled-idle bit unless a closed gate already did.
   void clearEnabledIdle(uint32_t T);
 

@@ -57,8 +57,14 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
     GatePlace.push_back(P);
     GateMask.resize(GateMask.size() + BitWords, 0);
     uint64_t *Mask = GateMask.data() + GateMask.size() - BitWords;
-    for (uint32_t K = ConsOff[P]; K < ConsOff[P + 1]; ++K)
+    uint32_t Lo = ~0u, Hi = 0;
+    for (uint32_t K = ConsOff[P]; K < ConsOff[P + 1]; ++K) {
       Mask[ConsList[K] >> 6] |= 1ull << (ConsList[K] & 63);
+      Lo = std::min(Lo, ConsList[K] >> 6);
+      Hi = std::max(Hi, ConsList[K] >> 6);
+    }
+    GateBegin.push_back(Lo);
+    GateEnd.push_back(Hi + 1);
   }
 
   // Marked-graph fast-path metadata (see petri/EarliestFiring.h).

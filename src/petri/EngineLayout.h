@@ -104,6 +104,11 @@ struct EngineLayout {
   std::vector<uint32_t> GateOf;
   std::vector<uint32_t> GatePlace;
   std::vector<uint64_t> GateMask;
+  /// Gate g's mask words outside [GateBegin[g], GateEnd[g]) are zero,
+  /// so the mask passes walk only that span (an SCP run place's
+  /// consumers are the SDSP transitions, numbered first).
+  std::vector<uint32_t> GateBegin;
+  std::vector<uint32_t> GateEnd;
 
   TimeUnits MaxExec = 1;
   /// Every execution time is 1 (the paper's unit-time setting).

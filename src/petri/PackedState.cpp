@@ -123,29 +123,17 @@ std::optional<uint64_t> PackedStateTable::insertOrFind(const PackedState &S,
   return insertOrFindHashed(S, S.rawHash(), T);
 }
 
-std::optional<uint64_t>
-PackedStateTable::insertOrFindHashed(const PackedState &S, uint64_t RawHash,
-                                     uint64_t T) {
+uint64_t PackedStateTable::beginProbe(const PackedState &S,
+                                      uint64_t RawHash) {
 #ifndef NDEBUG
   ++DeltaValidations;
   assert(RawHash == S.rawHash() &&
          "incremental raw hash diverged from full rehash");
+#else
+  (void)S;
 #endif
   if (Count * 10 >= Slots.size() * 7)
     grow();
   ++Probes;
-  uint64_t Hash = PackedState::finalizeHash(RawHash);
-  size_t Mask = Slots.size() - 1;
-  size_t I = static_cast<size_t>(Hash) & Mask;
-  while (!Slots[I].empty()) {
-    if (slotMatches(Slots[I], Hash, S))
-      return Slots[I].Time;
-    ++Collisions;
-    I = (I + 1) & Mask;
-  }
-  Slots[I].Hash = Hash;
-  Slots[I].Record = store(S);
-  Slots[I].Time = T;
-  ++Count;
-  return std::nullopt;
+  return PackedState::finalizeHash(RawHash);
 }

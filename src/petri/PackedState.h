@@ -29,7 +29,9 @@
 ///                                 overflow field counts the planes
 ///   [...busy...]        (transition << 32 | residual) for busy
 ///                       transitions, ascending transition index
-///   [...fingerprint...] policy fingerprint values, one per word
+///   [...fingerprint...] policy fingerprint values, one per word, or
+///                       the policy's one-word summary
+///                       (FiringPolicy::conditionSummary)
 ///
 /// The engine emits whichever overflow form is shorter, the sparse one
 /// on a tie: K words for K multi-token places against P * W words for
@@ -116,6 +118,11 @@ public:
   void appendFingerprint(const std::vector<uint32_t> &Values) {
     Words.insert(Words.end(), Values.begin(), Values.end());
     NumFp += Values.size();
+  }
+  /// A policy's one-word summary, in place of its fingerprint.
+  void appendSummary(uint64_t Summary) {
+    Words.push_back(Summary);
+    ++NumFp;
   }
   /// Seals the header; must be the last builder call.
   void finishState() {
@@ -212,7 +219,33 @@ public:
   /// builds validate \p RawHash against a full recompute and count the
   /// validations (deltaValidations()).
   std::optional<uint64_t> insertOrFindHashed(const PackedState &S,
-                                             uint64_t RawHash, uint64_t T);
+                                             uint64_t RawHash, uint64_t T) {
+    return insertOrFindHashed(S, RawHash, T, [](uint64_t) { return true; });
+  }
+
+  /// insertOrFindHashed() for packed states that summarize part of the
+  /// state: a stored state with equal words counts as found only if
+  /// \p Exact(its time) confirms it.  A rejected one is stepped over
+  /// like any other occupied slot, so equal words may be stored more
+  /// than once, each confirmed on its own.
+  template <typename ExactFn>
+  std::optional<uint64_t> insertOrFindHashed(const PackedState &S,
+                                             uint64_t RawHash, uint64_t T,
+                                             ExactFn &&Exact) {
+    uint64_t Hash = beginProbe(S, RawHash);
+    size_t Mask = Slots.size() - 1;
+    size_t I = static_cast<size_t>(Hash) & Mask;
+    for (; !Slots[I].empty(); I = (I + 1) & Mask) {
+      if (slotMatches(Slots[I], Hash, S) && Exact(Slots[I].Time))
+        return Slots[I].Time;
+      ++Collisions;
+    }
+    Slots[I].Hash = Hash;
+    Slots[I].Record = store(S);
+    Slots[I].Time = T;
+    ++Count;
+    return std::nullopt;
+  }
 
   size_t size() const { return Count; }
   /// Words of the stored records, one length word plus the packed words
@@ -257,6 +290,9 @@ private:
 
   bool slotMatches(const Slot &S, uint64_t Hash,
                    const PackedState &State) const;
+  /// The probe's preamble: validates \p RawHash (debug builds), grows
+  /// the slots if due, counts the probe and returns the final hash.
+  uint64_t beginProbe(const PackedState &S, uint64_t RawHash);
   void grow();
   const uint64_t *store(const PackedState &S);
 };

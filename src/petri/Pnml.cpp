@@ -31,10 +31,9 @@ namespace {
 // XML reader
 //===----------------------------------------------------------------------===//
 
-/// Hostile-input bounds: a PNML document deeper than this is not a net,
-/// and one with more nodes than this is an attack, not an import.
+/// Hostile-input bound: a PNML document deeper than this is not a net.
+/// (The element bound is parsePnml's MaxElements.)
 constexpr size_t MaxDepth = 64;
-constexpr size_t MaxNodes = 1u << 20;
 
 /// Cancellation cadence: the scan polls once per this many bytes, the
 /// importer once per this many elements.
@@ -159,8 +158,10 @@ enum class RefError {
 /// line counted from its byte offset, where it is found.
 class XmlDocument {
 public:
-  XmlDocument(const std::string &Text, const CancelToken &Cancel)
-      : S(Text), P(Text.data()), N(Text.size()), Cancel(Cancel) {}
+  XmlDocument(const std::string &Text, const CancelToken &Cancel,
+              size_t MaxElements)
+      : S(Text), P(Text.data()), N(Text.size()), Cancel(Cancel),
+        MaxElements(MaxElements) {}
 
   /// Scans the document into the table; false on the first rejection,
   /// which failure() then holds.
@@ -254,6 +255,7 @@ private:
   const char *const P;
   const size_t N;
   const CancelToken &Cancel;
+  const size_t MaxElements;
   std::vector<Element> Elems;
   std::vector<Attribute> Attrs;
   Status Failure;
@@ -480,7 +482,7 @@ private:
     if (Depth >= MaxDepth)
       return fail(I, "element nesting exceeds depth limit " +
                          std::to_string(MaxDepth));
-    if (Elems.size() >= MaxNodes)
+    if (Elems.size() >= MaxElements)
       return fail(I, "document exceeds the node limit");
     if (I == N || P[I] != '<')
       return fail(I, "expected '<'");
@@ -1039,8 +1041,9 @@ void xmlEscape(std::ostream &OS, std::string_view S) {
 } // namespace
 
 Expected<PnmlNet> sdsp::parsePnml(const std::string &Text,
-                                  const CancelToken &Cancel) {
-  XmlDocument Doc(Text, Cancel);
+                                  const CancelToken &Cancel,
+                                  size_t MaxElements) {
+  XmlDocument Doc(Text, Cancel, MaxElements);
   if (!Doc.parse())
     return std::move(Doc.failure());
   Importer Import(Doc, Cancel);
@@ -1106,11 +1109,10 @@ std::string sdsp::pnmlString(const PetriNet &Net, const std::string &NetId) {
   return OS.str();
 }
 
-PetriNet sdsp::behaviorNet(const PetriNet &Net,
-                           const std::vector<StepRecord> &Trace,
+PetriNet sdsp::behaviorNet(const PetriNet &Net, const FiringTrace &Trace,
                            TimeStep From, TimeStep To) {
   BehaviorGraph BG(Net);
-  for (const StepRecord &Rec : Trace)
+  for (StepView Rec : Trace)
     BG.recordStep(Rec);
 
   PetriNetBuilder On;

@@ -65,9 +65,13 @@ struct PnmlNet {
 /// "pnml" (the catalog is in docs/ERRORS.md).  The reader polls
 /// \p Cancel at its start, once per 64 KiB scanned and once per 4,096
 /// elements imported, and stops with its Cancelled or DeadlineExceeded
-/// status, stage "pnml".
+/// status, stage "pnml".  A document of more than \p MaxElements
+/// elements is rejected as hostile; the default bound is the one every
+/// untrusted document gets.
+inline constexpr size_t PnmlMaxElements = size_t(1) << 20;
 Expected<PnmlNet> parsePnml(const std::string &Text,
-                            const CancelToken &Cancel = {});
+                            const CancelToken &Cancel = {},
+                            size_t MaxElements = PnmlMaxElements);
 
 /// Writes \p Net to \p OS in the canonical PNML form: places then
 /// transitions then arcs, ids p0../t0../a0.. in index order, every node
@@ -93,9 +97,8 @@ std::string pnmlString(const PetriNet &Net, const std::string &NetId);
 /// marking (they are simply present when the window opens).  Pass
 /// From=0, To=~0 for the whole trace; [StartTime, RepeatTime) for the
 /// cyclic frustum.
-PetriNet behaviorNet(const PetriNet &Net,
-                     const std::vector<StepRecord> &Trace, TimeStep From,
-                     TimeStep To);
+PetriNet behaviorNet(const PetriNet &Net, const FiringTrace &Trace,
+                     TimeStep From, TimeStep To);
 
 } // namespace sdsp
 

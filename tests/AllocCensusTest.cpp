@@ -12,7 +12,10 @@
 // CompiledLoop costs a constant number of allocations, so each count may
 // grow by only a small constant between the two sizes.  loop7's frustum
 // trace has the same 12 steps at both sizes, so the frustum copy does
-// not grow either.
+// not grow either.  On the SCP machine (--scp=2) the trace grows with
+// the unroll factor; it is stored flat, so a compile, and a second
+// compile that every pass answers from the cache, again differ by only
+// a small constant between x16 and x64.
 //
 // This binary replaces the global allocation functions to count calls;
 // no other test binary does.
@@ -211,15 +214,16 @@ Census census(uint32_t Unroll) {
   return C;
 }
 
+/// How many more operator new calls the larger size may make.  What
+/// still grows with the unroll factor is vectors doubling as they fill:
+/// a handful per pass, and across a whole compile also the frustum
+/// engine's and the verify checks' working arrays.
+constexpr uint64_t PassSlack = 32;
+constexpr uint64_t CompileSlack = 128;
+
 TEST(AllocCensus, PassesAllocateAConstantNumberOfTimes) {
   Census Small = census(16);
   Census Large = census(256);
-  // How many more operator new calls x256 may make than x16.  What
-  // still grows with the unroll factor is vectors doubling as they fill:
-  // a handful per pass, and across a whole compile also the frustum
-  // engine's and the verify checks' working arrays.
-  constexpr uint64_t PassSlack = 32;
-  constexpr uint64_t CompileSlack = 128;
   auto Check = [&](const char *What, uint64_t S, uint64_t L,
                    uint64_t Slack) {
     EXPECT_LE(L, S + Slack) << What << ": " << S << " allocations at x16, "
@@ -233,6 +237,41 @@ TEST(AllocCensus, PassesAllocateAConstantNumberOfTimes) {
   Check("CompiledLoop copies", Small.Copies, Large.Copies, PassSlack);
   Check("compile with verify and codegen", Small.Compile, Large.Compile,
         CompileSlack);
+}
+
+/// operator new calls of one loop7 --scp=2 compile in a fresh session,
+/// and of the same compile again, which every pass answers from the
+/// session's cache.
+struct ScpCensus {
+  uint64_t Compile = 0;
+  uint64_t CacheHit = 0;
+};
+
+ScpCensus scpCensus(uint32_t Unroll) {
+  const std::string &Source = findKernel("loop7")->Source;
+  ScpCensus C;
+  CompilationSession S(requestConfig());
+  PipelineOptions O;
+  O.Unroll = Unroll;
+  O.ScpDepth = 2;
+  for (uint64_t *Count : {&C.Compile, &C.CacheHit})
+    counted(*Count, [&] {
+      Expected<CompiledLoop> CL = S.compile(Source, O);
+      EXPECT_TRUE(CL) << CL.status().message();
+      return true;
+    });
+  return C;
+}
+
+TEST(AllocCensus, ScpCompilesAllocateAConstantNumberOfTimes) {
+  ScpCensus Small = scpCensus(16);
+  ScpCensus Large = scpCensus(64);
+  EXPECT_LE(Large.Compile, Small.Compile + CompileSlack)
+      << Small.Compile << " allocations at x16, " << Large.Compile
+      << " at x64";
+  EXPECT_LE(Large.CacheHit, Small.CacheHit + PassSlack)
+      << Small.CacheHit << " allocations at x16, " << Large.CacheHit
+      << " at x64";
 }
 
 } // namespace

@@ -56,11 +56,12 @@ void expectSameResult(const Expected<FrustumInfo> &Ana,
   EXPECT_EQ(Ana->FiringCounts, Sim->FiringCounts) << Label;
   ASSERT_EQ(Ana->Trace.size(), Sim->Trace.size()) << Label;
   for (size_t I = 0; I < Ana->Trace.size(); ++I) {
-    const StepRecord &A = Ana->Trace[I];
-    const StepRecord &B = Sim->Trace[I];
+    StepView A = Ana->Trace[I];
+    StepView B = Sim->Trace[I];
     EXPECT_EQ(A.Time, B.Time) << Label << " step " << I;
-    EXPECT_EQ(A.Completed, B.Completed) << Label << " step " << I;
-    EXPECT_EQ(A.Fired, B.Fired) << Label << " step " << I;
+    EXPECT_EQ(idList(A.Completed), idList(B.Completed))
+        << Label << " step " << I;
+    EXPECT_EQ(idList(A.Fired), idList(B.Fired)) << Label << " step " << I;
   }
 }
 

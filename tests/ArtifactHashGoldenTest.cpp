@@ -442,14 +442,24 @@ void addWithEdits(IdentityTable &Table, PassKind K, const void *A,
       if (E == Edit::Token && F.State.M.size() > 0) {
         F.State.M.produce(PlaceId(0u));
         Done = true;
-      } else if (E == Edit::Trace && !F.Trace.empty() &&
-                 !F.Trace[0].Fired.empty()) {
-        F.Trace[0].Fired[0] =
-            TransitionId(F.Trace[0].Fired[0].index() + 1);
-        Done = true;
-      } else if (E == Edit::Swap) {
-        for (StepRecord &Rec : F.Trace)
-          swapFirstPair(Rec.Fired, Done);
+      } else if (E == Edit::Trace || E == Edit::Swap) {
+        // The trace rebuilt row by row, with the first row's first
+        // firing renumbered, or the first two firings of the first row
+        // that has two swapped.
+        FiringTrace Edited;
+        for (StepView Rec : F.Trace) {
+          std::vector<TransitionId> Fired(Rec.Fired.begin(), Rec.Fired.end());
+          if (E == Edit::Trace && !Done && !Fired.empty()) {
+            Fired[0] = TransitionId(Fired[0].index() + 1);
+            Done = true;
+          } else if (E == Edit::Swap) {
+            swapFirstPair(Fired, Done);
+          }
+          Edited.append(StepView(Rec.Time, Rec.Completed, Fired));
+          if (E == Edit::Trace && !Done)
+            break;
+        }
+        F.Trace = std::move(Edited);
       }
       if (Done)
         Add(F);

@@ -75,7 +75,7 @@ TEST(EdgeCase, SingleIterationScheduleStartTimes) {
   SoftwarePipelineSchedule Sched = deriveSchedule(Pn, *F);
   // Replay the trace and compare against startTime for every firing.
   std::vector<uint64_t> Seen(Pn.Net.numTransitions(), 0);
-  for (const StepRecord &Rec : F->Trace)
+  for (StepView Rec : F->Trace)
     for (TransitionId T : Rec.Fired)
       EXPECT_EQ(Sched.startTime(T, Seen[T.index()]++), Rec.Time);
 }

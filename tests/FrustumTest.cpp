@@ -102,7 +102,7 @@ TEST(Frustum, TraceCoversPrefixAndCounts) {
   EXPECT_EQ(F->Trace.size(), F->RepeatTime);
   // Counts only cover [StartTime, RepeatTime).
   std::vector<uint32_t> Recount(Pn.Net.numTransitions(), 0);
-  for (const StepRecord &Rec : F->Trace)
+  for (StepView Rec : F->Trace)
     if (Rec.Time >= F->StartTime)
       for (TransitionId T : Rec.Fired)
         ++Recount[T.index()];

@@ -64,11 +64,12 @@ void expectGolden(const PetriNet &Net, FiringPolicy *OptPolicy,
   EXPECT_EQ(Opt->FiringCounts, Ref->FiringCounts) << Label;
   ASSERT_EQ(Opt->Trace.size(), Ref->Trace.size()) << Label;
   for (size_t I = 0; I < Opt->Trace.size(); ++I) {
-    const StepRecord &A = Opt->Trace[I];
-    const StepRecord &B = Ref->Trace[I];
+    StepView A = Opt->Trace[I];
+    StepView B = Ref->Trace[I];
     EXPECT_EQ(A.Time, B.Time) << Label << " step " << I;
-    EXPECT_EQ(A.Completed, B.Completed) << Label << " step " << I;
-    EXPECT_EQ(A.Fired, B.Fired) << Label << " step " << I;
+    EXPECT_EQ(idList(A.Completed), idList(B.Completed))
+        << Label << " step " << I;
+    EXPECT_EQ(idList(A.Fired), idList(B.Fired)) << Label << " step " << I;
   }
 }
 

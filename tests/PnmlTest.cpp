@@ -610,9 +610,9 @@ TEST(PnmlBehavior, OccurrenceNetOfARing) {
   NB.addArc(P, A);
   PetriNet Net = NB.build();
   EarliestFiringEngine Engine(Net);
-  std::vector<StepRecord> Trace;
+  FiringTrace Trace;
   for (int I = 0; I < 4; ++I)
-    Trace.push_back(Engine.fireAndAdvance());
+    Engine.fireAndAdvance(Trace);
   PetriNet Occ = behaviorNet(Net, Trace, 0, 4);
   // An occurrence net is acyclic and conflict-free: every place has at
   // most one producer and one consumer.
@@ -637,9 +637,9 @@ TEST(PnmlBehavior, WindowRestrictionSeedsInitialMarking) {
   NB.addArc(P, A);
   PetriNet Net = NB.build();
   EarliestFiringEngine Engine(Net);
-  std::vector<StepRecord> Trace;
+  FiringTrace Trace;
   for (int I = 0; I < 6; ++I)
-    Trace.push_back(Engine.fireAndAdvance());
+    Engine.fireAndAdvance(Trace);
   // Window [3, 6): tokens produced before step 3 become the initial
   // marking of the windowed occurrence net.
   PetriNet Occ = behaviorNet(Net, Trace, 3, 6);

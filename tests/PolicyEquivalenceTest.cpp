@@ -15,7 +15,10 @@
 // success and the same diagnostic on failure.  Inputs: SDSP-SCP-PNs and
 // multi-FU nets of every bundled kernel at capacity 1-3, pipeline depth
 // 1-8 and 1-2 pipelines, exhausted budgets on the SCP nets, and the
-// golden fuzz corpus with a shared resource place bolted on.
+// golden fuzz corpus with a shared resource place bolted on.  A last
+// case truncates the policies' state summary so that distinct ready
+// lists collide, and checks that the exact confirmation rejects every
+// false match and still finds the reference frustum.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +31,7 @@
 #include "core/SdspPn.h"
 #include "livermore/Livermore.h"
 #include "loopir/Lowering.h"
+#include "support/Metrics.h"
 #include "gtest/gtest.h"
 
 using namespace sdsp;
@@ -144,9 +148,10 @@ void expectSameOutcome(const Expected<FrustumInfo> &A,
   ASSERT_EQ(A->Trace.size(), B->Trace.size()) << Label;
   for (size_t I = 0; I < A->Trace.size(); ++I) {
     EXPECT_EQ(A->Trace[I].Time, B->Trace[I].Time) << Label << " step " << I;
-    EXPECT_EQ(A->Trace[I].Completed, B->Trace[I].Completed)
+    EXPECT_EQ(idList(A->Trace[I].Completed), idList(B->Trace[I].Completed))
         << Label << " step " << I;
-    ASSERT_EQ(A->Trace[I].Fired, B->Trace[I].Fired) << Label << " step " << I;
+    ASSERT_EQ(idList(A->Trace[I].Fired), idList(B->Trace[I].Fired))
+        << Label << " step " << I;
   }
 }
 
@@ -356,6 +361,56 @@ TEST(PolicyEquivalence, GoldenFuzzCorpusWithResource) {
   }
   EXPECT_EQ(T.Configs, 400u);
   EXPECT_GE(T.Succeeded, T.Configs * 9 / 10);
+}
+
+/// The packedstate.false_matches counter's current value.
+uint64_t falseMatches() {
+  MetricsRegistry::Snapshot S = MetricsRegistry::global().snapshot();
+  for (const auto &[Name, Value] : S.Counters)
+    if (Name == "packedstate.false_matches")
+      return Value;
+  return 0;
+}
+
+TEST(PolicyEquivalence, TruncatedSummaryIsConfirmedExactly) {
+  // The policy's summary truncated to a few bits (none, at zero) makes
+  // distinct ready lists collide, so the table offers the search false
+  // matches.  The exact check must reject each one, count it, and
+  // still reach the frustum the reference detector finds; the full
+  // summary on the same nets must meet none.
+  uint64_t Truncated = 0;
+  for (const LivermoreKernel &K : livermoreKernels())
+    for (uint32_t Capacity : {1u, 2u}) {
+      KernelNets KN = compileKernel(K, Capacity);
+      for (uint32_t Depth : {1u, 2u, 4u})
+        for (uint32_t Pipelines : {1u, 2u}) {
+          ScpPn Scp = buildScpPn(KN.Pn, Depth, Pipelines);
+          std::string Label = labelOf(K, Capacity, Depth, Pipelines);
+          for (bool Lifo : {false, true}) {
+            auto Make = [&]() -> std::unique_ptr<ReadyListPolicy> {
+              if (Lifo)
+                return Scp.makeLifoPolicy();
+              return Scp.makeFifoPolicy();
+            };
+            Expected<FrustumInfo> Want =
+                detectFrustumReference(Scp.Net, Make().get());
+            uint64_t Before = falseMatches();
+            expectSameOutcome(detectFrustumChecked(Scp.Net, Make().get()),
+                              Want, Label + " full");
+            EXPECT_EQ(falseMatches(), Before) << Label;
+            for (unsigned Bits : {0u, 2u}) {
+              std::unique_ptr<ReadyListPolicy> Cut = Make();
+              Cut->truncateSummaryForTesting(Bits);
+              Before = falseMatches();
+              expectSameOutcome(detectFrustumChecked(Scp.Net, Cut.get()),
+                                Want, Label + " bits " + std::to_string(Bits));
+              Truncated += falseMatches() - Before;
+            }
+          }
+        }
+    }
+  // Anti-vacuity: the truncated summaries did collide.
+  EXPECT_GT(Truncated, 0u);
 }
 
 } // namespace

@@ -36,6 +36,11 @@ inline uint64_t fnv1a64(std::span<const uint8_t> Bytes) {
 }
 
 /// The paper's L1 (Figure 1): a five-node DOALL body.
+/// A trace row's id list as a vector, for EXPECT_EQ.
+inline std::vector<TransitionId> idList(std::span<const TransitionId> S) {
+  return {S.begin(), S.end()};
+}
+
 inline DataflowGraph buildL1() {
   GraphBuilder B;
   auto A = B.add(B.input("X"), B.constant(5), "A");

@@ -573,14 +573,19 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
     std::vector<std::string> Names;
     for (TransitionId T : Scp.Net.transitionIds())
       Names.emplace_back(Scp.Net.transition(T).Name);
-    // Print the issue slots of SDSP transitions per kernel cycle.
+    // Print the issue slots of SDSP transitions per kernel cycle.  The
+    // trace's rows are in time order, so one pass over them serves the
+    // whole window.
+    size_t Row = 0;
     for (TimeStep T = F.StartTime; T < F.RepeatTime; ++T) {
       Out << "  t+" << (T - F.StartTime) << ":";
-      for (const StepRecord &Rec : F.Trace)
+      for (; Row < F.Trace.size() && F.Trace[Row].Time <= T; ++Row) {
+        StepView Rec = F.Trace[Row];
         if (Rec.Time == T)
           for (TransitionId Fired : Rec.Fired)
             if (Scp.IsSdspTransition[Fired.index()])
               Out << " " << Names[Fired.index()];
+      }
       Out << "\n";
     }
     return {0, ErrorCode::Ok};
@@ -808,16 +813,38 @@ RenderResult verifyExternalNet(CompilationSession &Session,
     return Broken("marked graph without a uniform T-invariant");
 
   // Round-trip stability: the canonical export must re-import to a net
-  // that exports to the same bytes (the CI gate's in-process leg).
+  // that exports to the same bytes (the CI gate's in-process leg).  The
+  // re-import runs under the session's deadline.  Its element bound is
+  // sized from the export, text this run wrote itself: the canonical
+  // form names every node, so a net accepted near the reader's default
+  // bound exports to more elements than that bound.
   Expected<ArtifactRef<PnmlText>> P = Session.exportPnml(Ext);
   if (!P)
     return {exitCodeFor(P.status()), P.status().code()};
-  Expected<PnmlNet> Again = parsePnml((*P)->Text);
-  if (!Again)
+  auto Stopped = [&](const Status &St) {
+    Err << "sdspc: " << St.str() << "\n";
+    return RenderResult{exitCodeFor(St), St.code()};
+  };
+  const CancelToken &Cancel = Session.cancelToken();
+  if (FaultContext *Faults = Session.faults())
+    if (Status St = Faults->checkpoint("pnml:verify"); !St)
+      return Stopped(St);
+  const std::string &Text = (*P)->Text;
+  size_t Elements = static_cast<size_t>(
+      std::count(Text.begin(), Text.end(), '<'));
+  Expected<PnmlNet> Again =
+      parsePnml(Text, Cancel, std::max(PnmlMaxElements, Elements));
+  if (!Again) {
+    ErrorCode Code = Again.status().code();
+    if (Code == ErrorCode::Cancelled || Code == ErrorCode::DeadlineExceeded)
+      return Stopped(Again.status());
     return Broken("canonical export does not re-import: " +
                   Again.status().str());
-  if (pnmlString(Again->Net, Again->NetId) != (*P)->Text)
+  }
+  if (pnmlString(Again->Net, Again->NetId) != Text)
     return Broken("canonical export is not round-trip byte-stable");
+  if (Cancel.cancelled())
+    return Stopped(Cancel.status("pnml-verify", "after the round trip"));
 
   if (!(C.MarkedGraph && C.Live)) {
     Err << "verify: ok (classification consistent, round-trip stable)\n";

@@ -53,7 +53,12 @@ marked non-gating.
                        times these are exact work counts, so --compare
                        diffs them for equality — any drift means the
                        pipeline is doing different work, not that the
-                       machine is slower.
+                       machine is slower.  A `scaling` section holds
+                       the same counters for `sdspc -k loop7 --scp=2
+                       --verify` at x64/x128/x256; --compare also fails
+                       a counter whose log-log slope between the two
+                       largest points exceeds 1.1, except the counters
+                       the section exempts, each with its reason.
   BENCH_store.json     store_throughput: the six Livermore kernels
                        compiled through the persistent tiered artifact
                        store (core/ArtifactStore.h, docs/SERVICE.md)
@@ -117,6 +122,23 @@ METRICS_LEGS = [
     ("scp_counters", ["--scp=2", "--pipelines=2"]),
     ("cap2_counters", ["--capacity=2"]),
 ]
+
+# The scaling leg: one SCP compile at three unroll factors.  --compare
+# checks its counters exactly, like the batch legs, and fits each
+# counter's log-log slope between the two largest points: a slope above
+# SCALING_MAX_SLOPE fails, unless the counter is exempt for the reason
+# given (the reasons are written into BENCH_metrics.json).
+SCALING_FLAGS = ["-k", "loop7", "--scp=2", "--verify"]
+SCALING_UNROLLS = [64, 128, 256]
+SCALING_MAX_SLOPE = 1.1
+SCALING_EXEMPT = {
+    "packedstate.arena_words":
+        "every stored state holds the whole marking, so the state table "
+        "stays O(W*N/64) words until it keeps fingerprints only",
+    "marked_graph.safe.edge_scans":
+        "the safety sweep is O((N+E)*N/64) until verify checks "
+        "certificates instead",
+}
 
 # Set by main() from --allow-debug: a debug capture then produces
 # reports whose gates are loudly marked non-gating instead of being
@@ -558,25 +580,42 @@ def metrics_report(build_dir, out_dir):
     raw = os.path.join(out_dir, "BENCH_metrics.json.raw")
     for key, flags in METRICS_LEGS:
         cmd = [sdspc, "--batch-kernels"] + flags + ["--verify", "-j", "2"]
-        proc = subprocess.run(cmd + ["--metrics-json=%s" % raw],
-                              stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout.decode("utf-8", "replace"))
-            raise SystemExit("%s failed (exit %d)" %
-                             (" ".join(cmd), proc.returncode))
-        with open(raw) as f:
-            metrics = json.load(f)
-        os.remove(raw)
-        if metrics.get("schema") != "sdsp-metrics-v1":
-            raise SystemExit("unexpected metrics schema: %r" %
-                             metrics.get("schema"))
+        metrics = run_metrics(cmd, raw)
         label = " ".join(["sdspc", "--batch-kernels"] + flags +
                          ["--verify", "--metrics-json"])
         report["benchmark" if key == "counters" else key + "_benchmark"] = \
             label
         report[key] = host_independent_counters(metrics.get("counters", {}))
+    points = {}
+    for unroll in SCALING_UNROLLS:
+        cmd = [sdspc] + SCALING_FLAGS + ["--unroll=%d" % unroll]
+        points[str(unroll)] = host_independent_counters(
+            run_metrics(cmd, raw).get("counters", {}))
+    report["scaling"] = {
+        "benchmark": " ".join(["sdspc"] + SCALING_FLAGS +
+                              ["--unroll=U", "--metrics-json"]),
+        "points": points,
+        "max_slope": SCALING_MAX_SLOPE,
+        "exempt": SCALING_EXEMPT,
+    }
     return report
+
+
+def run_metrics(cmd, raw):
+    """Runs cmd with --metrics-json=raw and returns the document."""
+    proc = subprocess.run(cmd + ["--metrics-json=%s" % raw],
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout.decode("utf-8", "replace"))
+        raise SystemExit("%s failed (exit %d)" %
+                         (" ".join(cmd), proc.returncode))
+    with open(raw) as f:
+        metrics = json.load(f)
+    os.remove(raw)
+    if metrics.get("schema") != "sdsp-metrics-v1":
+        raise SystemExit("unexpected metrics schema: %r" %
+                         metrics.get("schema"))
+    return metrics
 
 
 def smoke(bench_dir, min_time):
@@ -697,6 +736,47 @@ def kernel_shares(report, name):
               "shares are undefined" % (name, total))
         return None
     return {n: v["real_time_ns"] / total for n, v in kernels.items()}
+
+
+def compare_scaling(fresh, base, failures):
+    """The scaling leg: every counter of every point exactly, then each
+    fresh counter's log-log slope between the two largest points."""
+    points = require(fresh, "points", "fresh BENCH_metrics.json scaling")
+    base_points = require(base, "points",
+                          "baseline BENCH_metrics.json scaling")
+    for unroll in sorted(set(points) | set(base_points), key=int):
+        fc, bc = points.get(unroll, {}), base_points.get(unroll, {})
+        for key in sorted(set(fc) | set(bc)):
+            fv, bv = fc.get(key), bc.get(key)
+            if fv != bv:
+                failures.append("counter scaling@%s/%s: baseline %s, "
+                                "current %s (exact match required)" %
+                                (unroll, key, bv, fv))
+    max_slope = require(fresh, "max_slope",
+                        "fresh BENCH_metrics.json scaling")
+    exempt = fresh.get("exempt", {})
+    if len(points) < 2:
+        failures.append("scaling leg has %d point(s); the slope needs two"
+                        % len(points))
+        return
+    lo, hi = sorted(points, key=int)[-2:]
+    for key in sorted(set(points[lo]) | set(points[hi])):
+        a, b = points[lo].get(key, 0), points[hi].get(key, 0)
+        if b == 0:
+            continue
+        if a == 0:
+            slope = float("inf")
+        else:
+            _, slope = fit_power_law([(int(lo), a), (int(hi), b)])
+        if slope <= max_slope:
+            print("[compare] scaling %s: slope %.3f (x%s -> x%s) -> ok" %
+                  (key, slope, lo, hi))
+        elif key in exempt:
+            print("[compare] scaling %s: slope %.3f EXEMPT: %s" %
+                  (key, slope, exempt[key]))
+        else:
+            failures.append("scaling %s grows with slope %.3f from x%s to "
+                            "x%s (max %s)" % (key, slope, lo, hi, max_slope))
 
 
 def compare_reports(fresh_dir, base_dir):
@@ -827,6 +907,10 @@ def compare_reports(fresh_dir, base_dir):
             else:
                 print("[compare] counter %s%s: %s == %s -> ok" %
                       (prefix, key, bv, fv))
+
+    compare_scaling(require(fresh, "scaling", "fresh BENCH_metrics.json"),
+                    require(base, "scaling", "baseline BENCH_metrics.json"),
+                    failures)
 
     if failures:
         raise SystemExit("perf regressions vs %s:\n  " % base_dir +

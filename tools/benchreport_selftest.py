@@ -65,7 +65,17 @@ def default_reports():
                           speedup=4.0)}
     metrics = {"counters": {"engine.firings": 42, "hash.words": 5117},
                "scp_counters": {"policy.readiness_checks": 7},
-               "cap2_counters": {"packedstate.arena_words": 93}}
+               "cap2_counters": {"packedstate.arena_words": 93},
+               "scaling": {
+                   "points": {
+                       "64": {"engine.firings": 100,
+                              "packedstate.arena_words": 50},
+                       "128": {"engine.firings": 200,
+                               "packedstate.arena_words": 200},
+                       "256": {"engine.firings": 400,
+                               "packedstate.arena_words": 800}},
+                   "max_slope": 1.1,
+                   "exempt": {"packedstate.arena_words": "quadratic"}}}
     return {
         "BENCH_frustum.json": frustum,
         "BENCH_pipeline.json": pipeline,
@@ -284,6 +294,42 @@ def test_missing_cap2_section_names_the_file():
     assert err is not None, "a baseline without the capacity-2 leg must fail"
     assert ("baseline BENCH_metrics.json has no 'cap2_counters' key"
             in str(err))
+
+
+def test_linear_and_exempt_slopes_pass():
+    out, err = run_compare()
+    assert err is None, err
+    assert ("scaling engine.firings: slope 1.000 (x128 -> x256) -> ok"
+            in out), out
+    assert ("scaling packedstate.arena_words: slope 2.000 EXEMPT: "
+            "quadratic" in out), out
+
+
+def test_super_linear_slope_fails():
+    def grow(r):
+        r["BENCH_metrics.json"]["scaling"]["points"]["256"][
+            "engine.firings"] = 1000
+    out, err = run_compare(grow, grow)
+    assert err is not None, "a slope above 1.1 must fail the compare"
+    assert ("scaling engine.firings grows with slope 2.322 from x128 to "
+            "x256 (max 1.1)" in str(err)), str(err)
+
+
+def test_scaling_counter_drift_fails():
+    def fresh(r):
+        r["BENCH_metrics.json"]["scaling"]["points"]["64"][
+            "engine.firings"] = 101
+    out, err = run_compare(fresh)
+    assert err is not None, "scaling counter drift must fail the compare"
+    assert "counter scaling@64/engine.firings" in str(err)
+
+
+def test_missing_scaling_section_names_the_file():
+    def base(r):
+        del r["BENCH_metrics.json"]["scaling"]
+    out, err = run_compare(mutate_base=base)
+    assert err is not None, "a baseline without the scaling leg must fail"
+    assert "baseline BENCH_metrics.json has no 'scaling' key" in str(err)
 
 
 def test_host_dependent_counters_are_dropped():
