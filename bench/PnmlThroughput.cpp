@@ -85,7 +85,7 @@ void measure(std::vector<Document> &Docs, int Rounds) {
       PnmlNet N = SDSP_EXPECT_OK(parsePnml(D.Text));
       D.Parse.push_back(secondsSince(T0));
       T0 = Clock::now();
-      NetClassification C = classifyNet(N.Net);
+      NetClassification C = SDSP_EXPECT_OK(classifyNet(N.Net));
       D.Classify.push_back(secondsSince(T0));
       benchmark::DoNotOptimize(C);
     }

@@ -59,6 +59,13 @@ bool FrustumInfo::hasUniformCount(const std::vector<TransitionId> &Ts) const {
   return true;
 }
 
+bool FrustumInfo::hasUniformCount(size_t NumTransitions) const {
+  for (size_t I = 1; I < NumTransitions; ++I)
+    if (FiringCounts[I] != FiringCounts[0])
+      return false;
+  return true;
+}
+
 Rational FrustumInfo::computationRate(TransitionId T) const {
   SDSP_CHECK(length() > 0, "empty frustum");
   return Rational(transitionCount(T), static_cast<int64_t>(length()));

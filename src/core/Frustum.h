@@ -94,6 +94,9 @@ struct FrustumInfo {
   /// True if all listed transitions fire equally often in the frustum
   /// (guaranteed for marked graphs by Thm A.5.3).
   bool hasUniformCount(const std::vector<TransitionId> &Ts) const;
+  /// The same over transitions 0 .. \p NumTransitions - 1, without
+  /// listing them.
+  bool hasUniformCount(size_t NumTransitions) const;
 
   /// "Computation rate": average firing rate of \p T, i.e.
   /// transitionCount / length.

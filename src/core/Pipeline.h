@@ -49,6 +49,7 @@
 #include "core/SdspPn.h"
 #include "dataflow/Transforms.h"
 #include "loopir/Diagnostics.h"
+#include "support/CancelToken.h"
 #include "support/Status.h"
 
 #include <memory>
@@ -56,6 +57,8 @@
 #include <string>
 
 namespace sdsp {
+
+class FaultContext;
 
 /// Largest accepted per-arc buffer capacity.
 inline constexpr uint32_t MaxBufferCapacity = 1u << 16;
@@ -171,9 +174,14 @@ Expected<CompiledLoop> runPipeline(DataflowGraph G,
 ///   - the derived schedule replays without dependence, capacity, or
 ///     reentrancy violations.
 /// Failures are InternalInvariant: the pipeline contradicted its own
-/// theory.
+/// theory.  Before each check the `verify:check` fault site is checked
+/// in \p Faults (when given) and \p Cancel polled; the safety check's
+/// sweep, when it runs, polls \p Cancel once per 64-source batch too.
+/// A cancelled verify returns the token's status, naming the check.
 Status verifyCompiledLoop(const CompiledLoop &CL,
-                          const PipelineOptions &Opts);
+                          const PipelineOptions &Opts,
+                          const CancelToken &Cancel = {},
+                          FaultContext *Faults = nullptr);
 
 /// The documented sdspc exit code for \p S (see file comment).
 int exitCodeFor(const Status &S);

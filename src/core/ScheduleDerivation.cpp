@@ -106,7 +106,8 @@ bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
   };
 
   // Non-reentrancy: firings of one transition are serialized.
-  for (TransitionId T : Pn.Net.transitionIds()) {
+  for (size_t I = 0; I < Pn.Net.numTransitions(); ++I) {
+    const TransitionId T(I);
     uint64_t M = FirstViolation(T, T, 1);
     if (M < CheckIterations)
       return Fail("transition " + std::string(Pn.Net.transition(T).Name) +

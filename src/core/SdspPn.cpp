@@ -79,3 +79,29 @@ Expected<SdspPn> sdsp::buildSdspPnChecked(const Sdsp &S) {
 SdspPn sdsp::buildSdspPn(const Sdsp &S) {
   return SDSP_EXPECT_OK(buildSdspPnChecked(S));
 }
+
+AckCycles sdsp::ackCycles(const Sdsp &S, const SdspPn &Pn) {
+  AckCycles C;
+  size_t Cycles = 0, Places = 0;
+  for (Sdsp::AckView Ack : S.acks())
+    if (Ack.Path.size() > 1) {
+      ++Cycles;
+      Places += Ack.Path.size() + 1;
+    }
+  if (Cycles == 0)
+    return C;
+  C.Start.reserve(Cycles + 1);
+  C.Places.reserve(Places);
+  C.Start.push_back(0);
+  size_t I = 0;
+  for (Sdsp::AckView Ack : S.acks()) {
+    const PlaceId AckPlace = Pn.AckPlaces[I++];
+    if (Ack.Path.size() <= 1)
+      continue;
+    for (ArcId A : Ack.Path)
+      C.Places.push_back(Pn.ArcToPlace[A.index()]);
+    C.Places.push_back(AckPlace);
+    C.Start.push_back(static_cast<uint32_t>(C.Places.size()));
+  }
+  return C;
+}

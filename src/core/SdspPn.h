@@ -61,6 +61,25 @@ Expected<SdspPn> buildSdspPnChecked(const Sdsp &S);
 /// type) instead of returning the error.
 SdspPn buildSdspPn(const Sdsp &S);
 
+/// The cycles of the SDSP's chained acknowledgements in its SDSP-PN, as
+/// witnesses for the safety check (CycleWitnesses in
+/// petri/MarkedGraph.h): walk I is the data places of a chained ack's
+/// covered chain, head to tail, then its ack place.  At capacity 1 the
+/// walk holds the chain's distances plus the ack's free slots, one token
+/// in all, which makes each place of a storage-minimized chain safe
+/// without a search.  An ack over one arc is left out: its cycle is the
+/// data/ack pair the reverse-partner witness covers.
+struct AckCycles {
+  std::vector<uint32_t> Start;
+  std::vector<PlaceId> Places;
+};
+
+/// Lists the cycles of \p S's acks over more than one arc in \p Pn, its
+/// SDSP-PN.  In the pipeline only storage minimization chains acks:
+/// without it the result is empty and nothing is allocated, with it two
+/// allocations, whatever the size.
+AckCycles ackCycles(const Sdsp &S, const SdspPn &Pn);
+
 } // namespace sdsp
 
 #endif // SDSP_CORE_SDSPPN_H

@@ -691,15 +691,23 @@ Expected<ArtifactRef<LoopProgram>> CompilationSession::generateProgram(
       });
 }
 
-NetClassification sdsp::classifyNet(const PetriNet &Net) {
+Expected<NetClassification> sdsp::classifyNet(const PetriNet &Net,
+                                              const CancelToken &Cancel,
+                                              FaultContext *Faults) {
   NetClassification C;
   C.MarkedGraph = isMarkedGraph(Net);
   if (C.MarkedGraph) {
-    C.Live = isLiveMarkedGraph(Net);
-    if (C.Live)
-      C.Safe = isSafeMarkedGraph(Net);
-    MarkedGraphView View(Net);
-    C.StronglyConnected = stronglyConnectedRoot(View).has_value();
+    SafetyCheckOptions SO;
+    SO.Cancel = &Cancel;
+    SO.Faults = Faults;
+    SO.FaultSite = "pnml:classify";
+    SO.Stage = "pnml";
+    Expected<MarkedGraphVerdicts> V = classifyMarkedGraph(Net, SO);
+    if (!V)
+      return V.status();
+    C.Live = V->Live;
+    C.Safe = V->Safe;
+    C.StronglyConnected = V->StronglyConnected;
   }
   C.Persistent = isStructurallyPersistent(Net);
   C.Consistent = hasUniformTInvariant(Net);
@@ -735,16 +743,25 @@ CompilationSession::importPnml(const std::string &Text) {
             MetricsRegistry::global().add("pnml.rejects", 1);
           return P.status();
         }
+        if (Faults)
+          if (Status St = Faults->checkpoint("pnml:classify"); !St)
+            return St;
         if (Cancel.cancelled())
           return Cancel.status("pnml", "before classification");
         ExternalNet Out;
         Out.Net = std::move(P->Net);
         Out.NetId = std::move(P->NetId);
+        // Classification's safety sweep polls the token and the same
+        // fault site once per 64-source batch.
         if (Trace)
           Trace->beginSpan("pnml-classify", "pnml");
-        Out.Class = classifyNet(Out.Net);
+        Expected<NetClassification> Class =
+            classifyNet(Out.Net, Cancel, Faults);
         if (Trace)
           Trace->endSpan();
+        if (!Class)
+          return Class.status();
+        Out.Class = *Class;
         uint64_t Arcs = 0;
         for (TransitionId T : Out.Net.transitionIds())
           Arcs += Out.Net.transition(T).InputPlaces.size() +
@@ -857,7 +874,7 @@ Expected<CompiledLoop> CompilationSession::finish(CompiledLoop CL,
     return St;
   PassStats &PS = Stats[static_cast<size_t>(PassKind::Verify)];
   Clock::time_point T0 = Clock::now();
-  Status St = verifyCompiledLoop(CL, Opts);
+  Status St = verifyCompiledLoop(CL, Opts, Cancel, Faults);
   PS.WallSeconds += secondsSince(T0);
   if (!St)
     return notePassFailure(Trace, PS, std::move(St));

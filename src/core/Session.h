@@ -244,8 +244,13 @@ struct NetClassification {
   bool Consistent = false;
 };
 
-/// Classifies \p Net as the import-pnml pass does.
-NetClassification classifyNet(const PetriNet &Net);
+/// Classifies \p Net as the import-pnml pass does, polling \p Cancel
+/// and checking the `pnml:classify` fault site in \p Faults (when
+/// given) before each batch of the safety check's sweep; fails with the
+/// status that stopped it.
+Expected<NetClassification> classifyNet(const PetriNet &Net,
+                                        const CancelToken &Cancel = {},
+                                        FaultContext *Faults = nullptr);
 
 /// Output of the import-pnml pass: the parsed net, its document
 /// identity, and its structural classification.

@@ -22,8 +22,10 @@
 /// MarkedGraphView is that transition graph, stored flat like the net
 /// itself (petri/PetriNet.h): one edge record per place plus compressed-
 /// sparse-row out- and in-edge arrays, so building one costs a constant
-/// number of allocations.  A request builds it three times (the SDSP-PN
-/// liveness check, rate analysis, and --verify's liveness check).
+/// number of allocations.  Rate analysis and the analytic engine build
+/// one; the theorem checks below build none: they read the net's own
+/// adjacency lists, since in a marked graph a transition's output places
+/// are its out-edges and each place's one consumer is the edge's head.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,13 +33,18 @@
 #define SDSP_PETRI_MARKEDGRAPH_H
 
 #include "petri/PetriNet.h"
+#include "support/Status.h"
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace sdsp {
+
+class CancelToken;
+class FaultContext;
 
 /// The transition graph of a marked graph: one directed edge per place,
 /// edge I standing for place I.  The view is flat: the edges, plus each
@@ -105,8 +112,9 @@ bool isMarkedGraph(const PetriNet &Net);
 
 /// Thm A.5.1 check: the initial marking is live iff every simple cycle
 /// carries at least one token.  Equivalently (and far cheaper): the
-/// subgraph restricted to token-free edges is acyclic.  \p Net must be a
-/// marked graph.
+/// subgraph restricted to token-free edges is acyclic, which Kahn's
+/// algorithm decides by ordering every transition.  One pass over the
+/// net's lists and one allocation.  \p Net must be a marked graph.
 bool isLiveMarkedGraph(const PetriNet &Net);
 
 /// Thm A.5.2 check: a live marking is safe iff every edge lies on a
@@ -114,31 +122,93 @@ bool isLiveMarkedGraph(const PetriNet &Net);
 /// k >= 2 fails at once; any other needs a return walk v -> u carrying
 /// at most 1 - k tokens.
 ///
-/// All edges are answered together by word-parallel reachability over a
-/// two-layer "token budget" graph: layer 0 holds walks that used no
-/// token, layer 1 walks that used one.  A token-free edge stays within
-/// its layer; a one-token edge leads from layer 0 to layer 1.  Liveness
-/// makes the token-free edges a DAG, so one topological order serves
-/// both layers.  Sources go 64 at a time, one bit each of a uint64_t per
-/// transition and layer, and each batch makes two sweeps over reused
-/// scratch words: layer 0 from the batch's first position on, then
-/// layer 1, seeded through the one-token edges.  Edge (u, v, k) is
-/// covered iff v's bit is set in u's layer-0 word (k = 1) or in either
-/// of u's words (k = 0); the first batch with an uncovered edge returns
-/// false.
+/// Most edges are proven by a witness, a closed walk through the edge
+/// with one token in all, found or checked in O(N + E):
+///   - the cycles a caller offers (SafetyCheckOptions::Witnesses);
+///   - a reverse partner: a place v -> u beside the edge u -> v, the two
+///     holding one token together (every data/ack pair of a capacity-1
+///     SDSP-PN), or a one-token self-loop;
+///   - a strongly connected component whose places hold one token in
+///     total: a cycle through the edge stays inside it, so it carries at
+///     most that token, and liveness gives it at least one (rings).
+/// An edge between two components lies on no cycle: not safe.
 ///
-/// Cost: O((N + E) * ceil(N / 64)) word operations, O(N + E) memory.
-/// No linear bound is on offer: checking any set of reachability pairs
-/// in a DAG reduces to this check (each pair becomes a one-token back
-/// edge, and every DAG edge gets a one-token reverse edge).
+/// The edges no witness covers go to the sweep, which answers them
+/// together by word-parallel reachability over a two-layer "token
+/// budget" graph: layer 0 holds walks that used no token, layer 1 walks
+/// that used one.  A token-free edge stays within its layer; a one-token
+/// edge leads from layer 0 to layer 1.  Liveness makes the token-free
+/// edges a DAG, so one topological order serves both layers.  The
+/// sources are the heads of the uncovered edges, taken in topological
+/// order 64 at a time, one bit each of a uint64_t per transition and
+/// layer.  Each batch makes two sweeps over reused scratch words: layer
+/// 0 from the batch's first source on, then layer 1 up to its last,
+/// seeded through the one-token edges.  Edge (u, v, k) into a source v
+/// is covered iff v's bit is set in u's layer-0 word (k = 1) or in
+/// either of u's words (k = 0); the first batch with an uncovered edge
+/// returns false.
+///
+/// Cost: O(N + E) for the witnesses, plus O((N + E) * ceil(S / 64))
+/// word operations for S swept sources; O(N + E) memory.  No linear
+/// bound is on offer for the sweep: checking any set of reachability
+/// pairs in a DAG reduces to this check (each pair becomes a one-token
+/// back edge, and every DAG edge gets a one-token reverse edge).
 ///
 /// \p Net must be a live marked graph.  Returns false when it is not: a
 /// place without exactly one producer and one consumer, or a token-free
-/// cycle (the topological order then misses a transition).  Each call
-/// adds 1 to the `marked_graph.safe.checks` counter and the edges its
-/// sweeps scanned to `marked_graph.safe.edge_scans`
-/// (docs/OBSERVABILITY.md).
+/// cycle (Kahn's order then misses a transition).  Each call adds 1 to
+/// the `marked_graph.safe.checks` counter, the places its witnesses
+/// covered to `marked_graph.safe.covered_places`, the sources it swept
+/// to `marked_graph.safe.swept_sources` and the edges its sweeps
+/// scanned to `marked_graph.safe.edge_scans` (docs/OBSERVABILITY.md).
 bool isSafeMarkedGraph(const PetriNet &Net);
+
+/// Closed walks a caller offers the safety check as one-token cycles:
+/// walk I is the places Places[Start[I] .. Start[I + 1]), in order, each
+/// place's consumer the next place's producer and the last place's
+/// consumer the first one's producer.  A walk that is not closed, or
+/// whose places do not hold exactly one token in all, covers nothing.
+struct CycleWitnesses {
+  std::span<const uint32_t> Start;
+  std::span<const PlaceId> Places;
+};
+
+/// What the safety check takes beyond the net: offered witnesses, and
+/// where its sweep may stop.  Before each 64-source batch the sweep
+/// checks \p FaultSite in \p Faults (when both are given) and polls
+/// \p Cancel, so a deadline overshoots by at most one batch.
+struct SafetyCheckOptions {
+  CycleWitnesses Witnesses;
+  const CancelToken *Cancel = nullptr;
+  /// The stage a cancelled sweep's status names; required with Cancel.
+  std::string_view Stage;
+  FaultContext *Faults = nullptr;
+  std::string_view FaultSite;
+};
+
+/// isSafeMarkedGraph with witnesses and polls.  Returns the verdict, or
+/// the status that stopped the sweep: the token's Cancelled or
+/// DeadlineExceeded, or an injected fault.
+Expected<bool> checkSafeMarkedGraph(const PetriNet &Net,
+                                    const SafetyCheckOptions &Opts);
+
+/// The verdicts import classification reports for a marked graph.
+struct MarkedGraphVerdicts {
+  /// Thm A.5.1 (isLiveMarkedGraph).
+  bool Live = false;
+  /// Thm A.5.2 (isSafeMarkedGraph); false unless Live.
+  bool Safe = false;
+  /// The transition graph is one strongly connected component.
+  bool StronglyConnected = false;
+};
+
+/// Liveness, safety and strong connectivity of \p Net, which must be a
+/// marked graph, from one Kahn pass and one component search shared
+/// with the safety witnesses.  The safety check runs (and counts) only
+/// on a live net whose places hold at most one token each; \p Opts is
+/// as for checkSafeMarkedGraph.
+Expected<MarkedGraphVerdicts>
+classifyMarkedGraph(const PetriNet &Net, const SafetyCheckOptions &Opts);
 
 /// True iff \p Net is structurally persistent: no place has more than
 /// one consumer (sufficient condition; marked graphs always satisfy it).

@@ -27,9 +27,9 @@ constexpr std::string_view KnownSites[] = {
     "pass:lower",     "pass:import",   "pass:transform", "pass:sdsp",
     "pass:sdsp-pn",   "pass:rate",     "pass:scp",       "pass:frustum",
     "pass:schedule",  "pass:codegen",  "pass:verify",    "pass:import-pnml",
-    "pass:export-pnml", "pnml:parse",  "pnml:verify", "cache:lookup",
-    "cache:publish",  "executor:dispatch", "frustum:step", "store:read",
-    "store:write",    "daemon:accept",
+    "pass:export-pnml", "pnml:parse",  "pnml:classify", "pnml:verify",
+    "verify:check",   "cache:lookup",  "cache:publish", "executor:dispatch",
+    "frustum:step",   "store:read",    "store:write",   "daemon:accept",
 };
 
 /// Upper bound on an injected delay; anything longer is a typo, not a

@@ -21,6 +21,12 @@
 ///   executor:dispatch  at the start of every batch job attempt
 ///   frustum:step       every sampled instant of the frustum search,
 ///                      on the same cadence as the step budget
+///   verify:check       before each check of verifyCompiledLoop
+///   pnml:parse         inside the import-pnml pass, before the reader
+///   pnml:classify      before an imported net's classification and
+///                      before each 64-source batch of its safety sweep
+///   pnml:verify        in `sdspc --pnml --verify`, before the canonical
+///                      export is re-parsed
 ///   store:read         before the persistent disk store reads an
 ///                      object (failing degrades to a disk miss)
 ///   store:write        before the disk store writes an object (failing

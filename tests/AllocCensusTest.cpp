@@ -15,7 +15,10 @@
 // not grow either.  On the SCP machine (--scp=2) the trace grows with
 // the unroll factor; it is stored flat, so a compile, and a second
 // compile that every pass answers from the cache, again differ by only
-// a small constant between x16 and x64.
+// a small constant between x16 and x64.  Verify is never cached, so an
+// ideal-machine compile that every pass answers from the cache still
+// runs it: its allocations, the difference with verify off, stay the
+// same few at every size.
 //
 // This binary replaces the global allocation functions to count calls;
 // no other test binary does.
@@ -272,6 +275,38 @@ TEST(AllocCensus, ScpCompilesAllocateAConstantNumberOfTimes) {
   EXPECT_LE(Large.CacheHit, Small.CacheHit + PassSlack)
       << Small.CacheHit << " allocations at x16, " << Large.CacheHit
       << " at x64";
+}
+
+/// operator new calls of verify in a loop7 compile that every pass
+/// answers from the session's cache: the all-hit compile with verify on,
+/// less the same compile with it off.
+uint64_t cacheHitVerifyAllocations(uint32_t Unroll) {
+  const std::string &Source = findKernel("loop7")->Source;
+  CompilationSession S(requestConfig());
+  PipelineOptions O;
+  O.Unroll = Unroll;
+  O.Verify = true;
+  EXPECT_TRUE(S.compile(Source, O));
+  uint64_t On = 0, Off = 0;
+  for (bool Verify : {false, true})
+    counted(Verify ? On : Off, [&] {
+      O.Verify = Verify;
+      Expected<CompiledLoop> CL = S.compile(Source, O);
+      EXPECT_TRUE(CL) << CL.status().message();
+      return true;
+    });
+  return On - Off;
+}
+
+TEST(AllocCensus, CacheHitVerifyAllocatesAConstantNumberOfTimes) {
+  uint64_t X1 = cacheHitVerifyAllocations(1);
+  uint64_t X16 = cacheHitVerifyAllocations(16);
+  uint64_t X64 = cacheHitVerifyAllocations(64);
+  EXPECT_LE(X1, 8u) << "verify allocations at x1";
+  EXPECT_EQ(X16, X1) << X1 << " verify allocations at x1, " << X16
+                     << " at x16";
+  EXPECT_EQ(X64, X1) << X1 << " verify allocations at x1, " << X64
+                     << " at x64";
 }
 
 } // namespace

@@ -6,16 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pins isSafeMarkedGraph's word-parallel sweep to two oracles on random
-/// live marked graphs without data/ack pairing, whose verdicts need the
-/// search: the per-edge bounded-token BFS the sweep replaced (kept here
-/// as the reference) and, where exploration completes, the explicit
-/// forward marking class (exploreReachability + isSafe).  Also covers
-/// the DAG-reachability reduction, a one-token ring too long for the
-/// reference, and the bound on the check's edge-scan counter.
+/// Pins isSafeMarkedGraph, witnesses first and the word-parallel sweep
+/// for what they leave, to two oracles on random live marked graphs
+/// without data/ack pairing, whose verdicts need the search: the
+/// per-edge bounded-token BFS the sweep replaced (kept here as the
+/// reference) and, where exploration completes, the explicit forward
+/// marking class (exploreReachability + isSafe).  Also covers the
+/// DAG-reachability reduction, rings with one and two tokens, the
+/// doubled ring no witness covers, every bundled kernel's SDSP-PN with
+/// its ack cycles offered as witnesses (and those witnesses mutated),
+/// and the bounds on the check's counters.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/Session.h"
+#include "livermore/Livermore.h"
 #include "petri/MarkedGraph.h"
 #include "petri/ReachabilityGraph.h"
 #include "support/Metrics.h"
@@ -25,6 +30,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -157,6 +163,32 @@ uint32_t maxInitialTokens(const PetriNet &Net) {
   return Max;
 }
 
+uint64_t counter(const char *Name) {
+  for (const auto &[Key, Value] : MetricsRegistry::global().snapshot().Counters)
+    if (Key == Name)
+      return Value;
+  return 0;
+}
+
+/// What one safety check did, read from its counters.
+struct CheckWork {
+  uint64_t Covered = 0;
+  uint64_t Swept = 0;
+  uint64_t Scans = 0;
+};
+
+/// Runs \p Check and returns its verdict with the counters it added.
+template <typename Fn> bool measured(CheckWork &W, Fn Check) {
+  uint64_t Covered = counter("marked_graph.safe.covered_places");
+  uint64_t Swept = counter("marked_graph.safe.swept_sources");
+  uint64_t Scans = counter("marked_graph.safe.edge_scans");
+  bool Verdict = Check();
+  W.Covered = counter("marked_graph.safe.covered_places") - Covered;
+  W.Swept = counter("marked_graph.safe.swept_sources") - Swept;
+  W.Scans = counter("marked_graph.safe.edge_scans") - Scans;
+  return Verdict;
+}
+
 /// Verdict counts over a differential run, for the anti-vacuity floors.
 struct Tally {
   size_t Trials = 0;
@@ -165,6 +197,10 @@ struct Tally {
   /// with no return path within budget.
   size_t SearchUnsafe = 0;
   size_t Explored = 0;
+  /// Checks in which a witness covered a place, and in which the sweep
+  /// ran.
+  size_t Witnessed = 0;
+  size_t Swept = 0;
 };
 
 /// Checks \p Net against the reference and, for small nets whose
@@ -172,8 +208,11 @@ struct Tally {
 void compareWithOracles(const PetriNet &Net, Tally &T,
                         const std::string &What) {
   ASSERT_TRUE(isLiveMarkedGraph(Net)) << What;
-  bool Safe = isSafeMarkedGraph(Net);
+  CheckWork W;
+  bool Safe = measured(W, [&] { return isSafeMarkedGraph(Net); });
   EXPECT_EQ(Safe, isSafeMarkedGraphReference(Net)) << What;
+  T.Witnessed += W.Covered > 0;
+  T.Swept += W.Swept > 0;
   if (Net.numTransitions() <= 8) {
     ReachabilityGraph G = exploreReachability(Net, 1 << 12);
     if (G.Complete) {
@@ -186,13 +225,6 @@ void compareWithOracles(const PetriNet &Net, Tally &T,
     ++T.Safe;
   else if (maxInitialTokens(Net) <= 1)
     ++T.SearchUnsafe;
-}
-
-uint64_t counter(const char *Name) {
-  for (const auto &[Key, Value] : MetricsRegistry::global().snapshot().Counters)
-    if (Key == Name)
-      return Value;
-  return 0;
 }
 
 /// Neither verdict may be vacuous: each must come up in at least a fifth
@@ -230,6 +262,11 @@ TEST(SafetyCheck, MatchesOraclesOnRandomLiveMarkedGraphs) {
   expectBothVerdicts(Small, "small nets");
   expectBothVerdicts(Large, "multi-batch nets");
   EXPECT_GE(Small.Explored * 5, Small.Trials);
+  // Both halves of the check decide verdicts here: witnesses cover
+  // places of small nets, and the sweep runs from what they leave.
+  EXPECT_GE(Small.Witnessed * 5, Small.Trials) << Small.Witnessed;
+  EXPECT_GE(Small.Swept * 5, Small.Trials) << Small.Swept;
+  EXPECT_GE(Large.Swept * 5, Large.Trials) << Large.Swept;
 }
 
 TEST(SafetyCheck, DecidesDagReachabilityThroughTheReduction) {
@@ -318,28 +355,233 @@ TEST(SafetyCheck, NonLiveOrNonMarkedGraphIsNotSafe) {
   EXPECT_FALSE(isSafeMarkedGraph(Net));
 }
 
+/// Two one-token rings over the same \p N transitions, as
+/// tools/make_ring_pnml.py --double writes them.  Safe, but from three
+/// stages on no place has a reverse partner and the one component holds
+/// two tokens, so no witness covers a place.
+PetriNet buildDoubledRing(size_t N) {
+  PetriNetBuilder NB = ringBuilder(N, 1);
+  for (size_t I = 0; I < N; ++I)
+    addEdge(NB, TransitionId(I), TransitionId((I + 1) % N), I == 0 ? 1 : 0);
+  return NB.build();
+}
+
 TEST(SafetyCheck, EdgeScansStayWithinTheWordParallelBound) {
   // Each 64-source batch sweeps every edge at most twice, so one call
-  // scans at most 2 E ceil(N / 64) edges.  The counter is exact: the
-  // same net always scans the same edges.
+  // scans at most 2 E ceil(S / 64) edges for S swept sources; witnesses
+  // cover every place of a one-token ring (its one component) and of an
+  // SDSP-style net (reverse partners), which then sweep nothing, while
+  // the doubled ring sweeps from every transition.  The counters are
+  // exact: the same net always covers, sweeps and scans the same.
   Rng R(64);
-  for (size_t N : {1, 2, 63, 64, 65, 200, 1000, 4096}) {
-    for (const PetriNet &Net :
-         {buildRing(N, 1), buildRandomMarkedGraph(R, N, N / 4)}) {
-      size_t E = Net.numPlaces();
+  for (size_t N : {1, 2, 3, 63, 64, 65, 200, 1000, 4096}) {
+    const PetriNet Nets[] = {buildRing(N, 1),
+                             buildRandomMarkedGraph(R, N, N / 4),
+                             buildDoubledRing(N)};
+    for (size_t K = 0; K < 3; ++K) {
+      const PetriNet &Net = Nets[K];
+      const size_t E = Net.numPlaces();
+      std::string What = "net " + std::to_string(K) + ", N = " +
+                         std::to_string(N);
       uint64_t Checks = counter("marked_graph.safe.checks");
-      uint64_t Scans = counter("marked_graph.safe.edge_scans");
-      EXPECT_TRUE(isSafeMarkedGraph(Net)) << "N = " << N;
+      CheckWork W;
+      EXPECT_TRUE(measured(W, [&] { return isSafeMarkedGraph(Net); }))
+          << What;
       EXPECT_EQ(counter("marked_graph.safe.checks") - Checks, 1u);
-      uint64_t Delta = counter("marked_graph.safe.edge_scans") - Scans;
-      EXPECT_GE(Delta, E) << "N = " << N;
-      EXPECT_LE(Delta, 2 * E * ((N + 63) / 64)) << "N = " << N;
-      isSafeMarkedGraph(Net);
-      EXPECT_EQ(counter("marked_graph.safe.edge_scans") - Scans - Delta,
-                Delta)
-          << "N = " << N;
+      EXPECT_LE(W.Scans, 2 * E * ((W.Swept + 63) / 64)) << What;
+      EXPECT_EQ(W.Swept == 0, W.Scans == 0) << What;
+      if (K < 2 || N < 3) {
+        EXPECT_EQ(W.Covered, E) << What;
+        EXPECT_EQ(W.Swept, 0u) << What;
+      } else {
+        EXPECT_EQ(W.Covered, 0u) << What;
+        EXPECT_EQ(W.Swept, N) << What;
+      }
+      CheckWork Again;
+      measured(Again, [&] { return isSafeMarkedGraph(Net); });
+      EXPECT_EQ(Again.Covered, W.Covered) << What;
+      EXPECT_EQ(Again.Swept, W.Swept) << What;
+      EXPECT_EQ(Again.Scans, W.Scans) << What;
     }
   }
+}
+
+TEST(SafetyCheck, RingsWithOneAndTwoTokens) {
+  // One token anywhere on a ring: safe, by its component.  Two tokens
+  // on two places: the only cycle holds both, so no witness covers a
+  // place and the sweep finds it unsafe.  A doubled ring is safe, and
+  // from three stages on the sweep must show it.
+  for (size_t N = 1; N <= 70; ++N) {
+    std::string What = "N = " + std::to_string(N);
+    PetriNet One = buildRing(N, 1);
+    EXPECT_TRUE(isSafeMarkedGraph(One)) << What;
+    EXPECT_TRUE(isSafeMarkedGraphReference(One)) << What;
+    if (N >= 2) {
+      PetriNet Two = buildRing(N, 1);
+      Two.setInitialTokens(PlaceId(static_cast<uint32_t>(N / 2)), 1);
+      ASSERT_TRUE(isLiveMarkedGraph(Two)) << What;
+      EXPECT_FALSE(isSafeMarkedGraph(Two)) << What;
+      EXPECT_FALSE(isSafeMarkedGraphReference(Two)) << What;
+    }
+    PetriNet Doubled = buildDoubledRing(N);
+    ASSERT_TRUE(isLiveMarkedGraph(Doubled)) << What;
+    EXPECT_TRUE(isSafeMarkedGraph(Doubled)) << What;
+    EXPECT_TRUE(isSafeMarkedGraphReference(Doubled)) << What;
+    // A second token on one of its rings makes the doubled ring unsafe.
+    Doubled.setInitialTokens(PlaceId(static_cast<uint32_t>(N / 2)), 1);
+    if (N >= 2) {
+      EXPECT_FALSE(isSafeMarkedGraph(Doubled)) << What;
+      EXPECT_FALSE(isSafeMarkedGraphReference(Doubled)) << What;
+    }
+  }
+}
+
+/// The SDSP-PN of kernel \p K at unroll \p Unroll and capacity 1, with
+/// the SDSP it came from.
+struct KernelNet {
+  std::optional<Sdsp> S;
+  std::optional<SdspPn> Pn;
+};
+
+KernelNet kernelNet(const LivermoreKernel &K, uint32_t Unroll,
+                    bool Minimize) {
+  CompilationSession Session;
+  PipelineOptions O;
+  O.Unroll = Unroll;
+  O.OptimizeStorage = Minimize;
+  O.StopAfter = PipelineStage::Petri;
+  Expected<CompiledLoop> CL = Session.compile(K.Source, O);
+  EXPECT_TRUE(CL) << K.Id << ": " << CL.status().str();
+  KernelNet Out;
+  if (CL) {
+    Out.S = std::move(CL->S);
+    Out.Pn = std::move(CL->Pn);
+  }
+  return Out;
+}
+
+/// The check with \p Acks offered as witnesses.
+bool isSafeWith(const PetriNet &Net, const AckCycles &Acks) {
+  SafetyCheckOptions SO;
+  SO.Witnesses = {Acks.Start, Acks.Places};
+  Expected<bool> Safe = checkSafeMarkedGraph(Net, SO);
+  EXPECT_TRUE(Safe) << Safe.status().str();
+  return Safe && *Safe;
+}
+
+bool singleTokens(const PetriNet &Net) { return maxInitialTokens(Net) <= 1; }
+
+TEST(SafetyCheck, AckCyclesCoverEveryBundledKernel) {
+  // Every bundled kernel at unroll 1-8 and capacity 1, with and without
+  // storage minimization: with the ack cycles offered, the witnesses
+  // cover every place of a net whose places hold at most one token, and
+  // nothing is swept; without them, the verdict is the same.  Only a
+  // minimized SDSP chains acks, so only it offers any cycle.
+  size_t Nets = 0, Minimized = 0;
+  for (const LivermoreKernel &K : livermoreKernels())
+    for (uint32_t U = 1; U <= 8; ++U)
+      for (bool Minimize : {false, true}) {
+        KernelNet KN = kernelNet(K, U, Minimize);
+        ASSERT_TRUE(KN.Pn && KN.S);
+        const PetriNet &Net = KN.Pn->Net;
+        std::string What = K.Id + " x" + std::to_string(U) +
+                           (Minimize ? " minimized" : "");
+        bool Expected = isSafeMarkedGraphReference(Net);
+        AckCycles Acks = ackCycles(*KN.S, *KN.Pn);
+        if (!Minimize) {
+          EXPECT_TRUE(Acks.Start.empty() && Acks.Places.empty()) << What;
+        }
+        CheckWork W;
+        EXPECT_EQ(measured(W, [&] { return isSafeWith(Net, Acks); }),
+                  Expected)
+            << What;
+        EXPECT_EQ(isSafeMarkedGraph(Net), Expected) << What;
+        if (singleTokens(Net)) {
+          EXPECT_TRUE(Expected) << What;
+          EXPECT_EQ(W.Covered, Net.numPlaces()) << What;
+          EXPECT_EQ(W.Swept, 0u) << What;
+          ++Nets;
+          Minimized += !Acks.Start.empty();
+        }
+      }
+  EXPECT_GE(Nets, 100u);
+  EXPECT_GE(Minimized, 10u) << "too few nets with a longer chain";
+}
+
+TEST(SafetyCheck, MutatedAckCyclesFallBackToTheReference) {
+  // Storage-minimized SDSP-PNs, whose chains only the ack cycles cover;
+  // every offered walk is a chain of two or more data places, then its
+  // ack place.  Each mutation must leave the verdict equal to the
+  // reference's:
+  //   - a token moved onto an ack place from its chain, or off it onto
+  //     the chain: the walk still holds one token and still covers;
+  //   - a second token on the walk, on its ack place if that is empty
+  //     and else on its first empty chain place: the walk holds two and
+  //     covers nothing;
+  //   - a chain place dropped from the walk: it no longer closes.
+  // Mutated nets that are not live, or hold two tokens on a place, are
+  // outside the check's contract and skipped.
+  size_t Moved = 0, Extra = 0, Dropped = 0, FellBack = 0;
+  for (const LivermoreKernel &K : livermoreKernels())
+    for (uint32_t U = 1; U <= 4; ++U) {
+      const std::string &Id = K.Id;
+      KernelNet KN = kernelNet(K, U, /*Minimize=*/true);
+      ASSERT_TRUE(KN.Pn && KN.S);
+      const PetriNet &Base = KN.Pn->Net;
+      const AckCycles Acks = ackCycles(*KN.S, *KN.Pn);
+      for (size_t A = 0; A + 1 < Acks.Start.size(); ++A) {
+        const size_t Begin = Acks.Start[A], End = Acks.Start[A + 1];
+        const PlaceId Head = Acks.Places[Begin], Ack = Acks.Places[End - 1];
+        std::string What = Id + " x" + std::to_string(U) +
+                           " ack " + std::to_string(A);
+        auto Compare = [&](const PetriNet &Net, const AckCycles &W,
+                           const char *Kind) -> size_t {
+          if (!isLiveMarkedGraph(Net) || !singleTokens(Net))
+            return 0;
+          CheckWork Work;
+          EXPECT_EQ(measured(Work, [&] { return isSafeWith(Net, W); }),
+                    isSafeMarkedGraphReference(Net))
+              << What << ", " << Kind;
+          FellBack += Work.Covered < Net.numPlaces();
+          return 1;
+        };
+
+        PetriNet Net = Base;
+        if (Base.place(Ack).InitialTokens == 0) {
+          for (size_t I = Begin; I + 1 < End; ++I)
+            if (Base.place(Acks.Places[I]).InitialTokens == 1) {
+              Net.setInitialTokens(Acks.Places[I], 0);
+              Net.setInitialTokens(Ack, 1);
+              break;
+            }
+        } else if (Base.place(Head).InitialTokens == 0) {
+          Net.setInitialTokens(Ack, 0);
+          Net.setInitialTokens(Head, 1);
+        }
+        Moved += Compare(Net, Acks, "token moved");
+
+        PetriNet Two = Base;
+        for (size_t I = End; I-- > Begin;)
+          if (Base.place(Acks.Places[I]).InitialTokens == 0) {
+            Two.setInitialTokens(Acks.Places[I], 1);
+            break;
+          }
+        Extra += Compare(Two, Acks, "second token");
+
+        ASSERT_GE(End - Begin, 3u) << What;
+        AckCycles Short = Acks;
+        Short.Places.erase(Short.Places.begin() +
+                           static_cast<ptrdiff_t>(Begin + 1));
+        for (size_t J = A + 1; J < Short.Start.size(); ++J)
+          --Short.Start[J];
+        Dropped += Compare(Base, Short, "chain place dropped");
+      }
+    }
+  // 80 chained acks: 56 token moves keep a live, single-token net.
+  EXPECT_GE(Moved, 40u);
+  EXPECT_GE(Extra, 40u);
+  EXPECT_GE(Dropped, 40u);
+  EXPECT_GE(FellBack, 40u) << "too few mutations reached the fallback";
 }
 
 } // namespace

@@ -238,9 +238,10 @@ TEST(SessionTest, ExpiredDeadlineFailsWithDeadlineExceeded) {
   EXPECT_EQ(CL.status().code(), ErrorCode::DeadlineExceeded);
 }
 
-/// A deadline that expires inside verify fails the compile: the session
-/// polls once more after verify.  The delay fault at verify's boundary
-/// sleeps past the deadline after the boundary's own poll passed.
+/// A deadline that expires inside verify fails the compile: verify polls
+/// before each of its checks.  The delay fault at verify's boundary
+/// sleeps past the deadline after the boundary's own poll passed, so
+/// the poll before the first check stops it.
 TEST(SessionTest, DeadlineExpiringInsideVerifyFailsTheCompile) {
   Expected<FaultSchedule> Sched =
       FaultSchedule::parse("pass:verify:delay=600ms");
@@ -258,12 +259,39 @@ TEST(SessionTest, DeadlineExpiringInsideVerifyFailsTheCompile) {
   Expected<CompiledLoop> CL = S.compile(kernel("loop7").Source, O);
   ASSERT_FALSE(bool(CL));
   EXPECT_EQ(CL.status().code(), ErrorCode::DeadlineExceeded);
-  EXPECT_NE(CL.status().str().find("after pass 'verify'"),
-            std::string::npos);
+  EXPECT_NE(CL.status().str().find(
+                "verify: deadline exceeded before check 'marked graph'"),
+            std::string::npos)
+      << CL.status().str();
   EXPECT_EQ(S.passStats(PassKind::Verify).Failures, 1u);
   std::ostringstream OS;
   Collector.writeJson(OS);
   EXPECT_NE(OS.str().find("\"cancelled\""), std::string::npos);
+}
+
+/// A compile stopped before Petri leaves verify nothing to check, so
+/// verify polls nothing itself: the session's poll after the pass fails
+/// the compile once the delay at verify's boundary has slept past the
+/// deadline.
+TEST(SessionTest, DeadlineExpiringInsideAnEmptyVerifyFailsAfterThePass) {
+  Expected<FaultSchedule> Sched =
+      FaultSchedule::parse("pass:verify:delay=600ms");
+  ASSERT_TRUE(Sched);
+  FaultContext Ctx(&*Sched, "kernel:loop7");
+  SessionConfig Cfg{true};
+  Cfg.Faults = &Ctx;
+  Cfg.Cancel =
+      CancelSource::withDeadline(std::chrono::milliseconds(300)).token();
+  CompilationSession S(std::move(Cfg));
+  PipelineOptions O;
+  O.Verify = true;
+  O.StopAfter = PipelineStage::Storage;
+  Expected<CompiledLoop> CL = S.compile(kernel("loop7").Source, O);
+  ASSERT_FALSE(bool(CL));
+  EXPECT_EQ(CL.status().code(), ErrorCode::DeadlineExceeded);
+  EXPECT_NE(CL.status().str().find("after pass 'verify'"), std::string::npos)
+      << CL.status().str();
+  EXPECT_EQ(S.passStats(PassKind::Verify).Failures, 1u);
 }
 
 /// The in-session retry contract the batch layer relies on: a transient

@@ -53,12 +53,16 @@ marked non-gating.
                        times these are exact work counts, so --compare
                        diffs them for equality — any drift means the
                        pipeline is doing different work, not that the
-                       machine is slower.  A `scaling` section holds
-                       the same counters for `sdspc -k loop7 --scp=2
-                       --verify` at x64/x128/x256; --compare also fails
-                       a counter whose log-log slope between the two
-                       largest points exceeds 1.1, except the counters
-                       the section exempts, each with its reason.
+                       machine is slower.  Two scaling sections hold
+                       the same counters for single compiles at three
+                       sizes: `scaling`, `sdspc -k loop7 --scp=2
+                       --verify` at x64/x128/x256, and `ideal_scaling`,
+                       `sdspc -k loop7 --verify` at x256/x512/x1024;
+                       --compare also fails a counter whose log-log
+                       slope between a section's two largest points
+                       exceeds 1.1, except the counters the section
+                       exempts, each with its reason.  A counter that
+                       is zero at both points is flat.
   BENCH_store.json     store_throughput: the six Livermore kernels
                        compiled through the persistent tiered artifact
                        store (core/ArtifactStore.h, docs/SERVICE.md)
@@ -123,22 +127,21 @@ METRICS_LEGS = [
     ("cap2_counters", ["--capacity=2"]),
 ]
 
-# The scaling leg: one SCP compile at three unroll factors.  --compare
-# checks its counters exactly, like the batch legs, and fits each
-# counter's log-log slope between the two largest points: a slope above
+# The scaling legs: (section, sdspc flags, unroll factors, exempt
+# counters) of one compile at three unroll factors.  --compare checks
+# their counters exactly, like the batch legs, and fits each counter's
+# log-log slope between a leg's two largest points: a slope above
 # SCALING_MAX_SLOPE fails, unless the counter is exempt for the reason
 # given (the reasons are written into BENCH_metrics.json).
-SCALING_FLAGS = ["-k", "loop7", "--scp=2", "--verify"]
-SCALING_UNROLLS = [64, 128, 256]
+SCALING_LEGS = [
+    ("scaling", ["-k", "loop7", "--scp=2", "--verify"], [64, 128, 256], {
+        "packedstate.arena_words":
+            "every stored state holds the whole marking, so the state "
+            "table stays O(W*N/64) words until it keeps fingerprints only",
+    }),
+    ("ideal_scaling", ["-k", "loop7", "--verify"], [256, 512, 1024], {}),
+]
 SCALING_MAX_SLOPE = 1.1
-SCALING_EXEMPT = {
-    "packedstate.arena_words":
-        "every stored state holds the whole marking, so the state table "
-        "stays O(W*N/64) words until it keeps fingerprints only",
-    "marked_graph.safe.edge_scans":
-        "the safety sweep is O((N+E)*N/64) until verify checks "
-        "certificates instead",
-}
 
 # Set by main() from --allow-debug: a debug capture then produces
 # reports whose gates are loudly marked non-gating instead of being
@@ -586,18 +589,19 @@ def metrics_report(build_dir, out_dir):
         report["benchmark" if key == "counters" else key + "_benchmark"] = \
             label
         report[key] = host_independent_counters(metrics.get("counters", {}))
-    points = {}
-    for unroll in SCALING_UNROLLS:
-        cmd = [sdspc] + SCALING_FLAGS + ["--unroll=%d" % unroll]
-        points[str(unroll)] = host_independent_counters(
-            run_metrics(cmd, raw).get("counters", {}))
-    report["scaling"] = {
-        "benchmark": " ".join(["sdspc"] + SCALING_FLAGS +
-                              ["--unroll=U", "--metrics-json"]),
-        "points": points,
-        "max_slope": SCALING_MAX_SLOPE,
-        "exempt": SCALING_EXEMPT,
-    }
+    for section, flags, unrolls, exempt in SCALING_LEGS:
+        points = {}
+        for unroll in unrolls:
+            cmd = [sdspc] + flags + ["--unroll=%d" % unroll]
+            points[str(unroll)] = host_independent_counters(
+                run_metrics(cmd, raw).get("counters", {}))
+        report[section] = {
+            "benchmark": " ".join(["sdspc"] + flags +
+                                  ["--unroll=U", "--metrics-json"]),
+            "points": points,
+            "max_slope": SCALING_MAX_SLOPE,
+            "exempt": exempt,
+        }
     return report
 
 
@@ -738,30 +742,37 @@ def kernel_shares(report, name):
     return {n: v["real_time_ns"] / total for n, v in kernels.items()}
 
 
-def compare_scaling(fresh, base, failures):
-    """The scaling leg: every counter of every point exactly, then each
-    fresh counter's log-log slope between the two largest points."""
-    points = require(fresh, "points", "fresh BENCH_metrics.json scaling")
+def compare_scaling(section, fresh, base, failures):
+    """One scaling leg: every counter of every point exactly, then each
+    fresh counter's log-log slope between the two largest points.  A
+    counter that is zero at both points is flat; one that falls to zero
+    shrank."""
+    points = require(fresh, "points",
+                     "fresh BENCH_metrics.json %s" % section)
     base_points = require(base, "points",
-                          "baseline BENCH_metrics.json scaling")
+                          "baseline BENCH_metrics.json %s" % section)
     for unroll in sorted(set(points) | set(base_points), key=int):
         fc, bc = points.get(unroll, {}), base_points.get(unroll, {})
         for key in sorted(set(fc) | set(bc)):
             fv, bv = fc.get(key), bc.get(key)
             if fv != bv:
-                failures.append("counter scaling@%s/%s: baseline %s, "
+                failures.append("counter %s@%s/%s: baseline %s, "
                                 "current %s (exact match required)" %
-                                (unroll, key, bv, fv))
+                                (section, unroll, key, bv, fv))
     max_slope = require(fresh, "max_slope",
-                        "fresh BENCH_metrics.json scaling")
+                        "fresh BENCH_metrics.json %s" % section)
     exempt = fresh.get("exempt", {})
     if len(points) < 2:
-        failures.append("scaling leg has %d point(s); the slope needs two"
-                        % len(points))
+        failures.append("%s leg has %d point(s); the slope needs two"
+                        % (section, len(points)))
         return
     lo, hi = sorted(points, key=int)[-2:]
     for key in sorted(set(points[lo]) | set(points[hi])):
         a, b = points[lo].get(key, 0), points[hi].get(key, 0)
+        if a == 0 and b == 0:
+            print("[compare] %s %s: 0 at x%s and x%s -> flat" %
+                  (section, key, lo, hi))
+            continue
         if b == 0:
             continue
         if a == 0:
@@ -769,14 +780,15 @@ def compare_scaling(fresh, base, failures):
         else:
             _, slope = fit_power_law([(int(lo), a), (int(hi), b)])
         if slope <= max_slope:
-            print("[compare] scaling %s: slope %.3f (x%s -> x%s) -> ok" %
-                  (key, slope, lo, hi))
+            print("[compare] %s %s: slope %.3f (x%s -> x%s) -> ok" %
+                  (section, key, slope, lo, hi))
         elif key in exempt:
-            print("[compare] scaling %s: slope %.3f EXEMPT: %s" %
-                  (key, slope, exempt[key]))
+            print("[compare] %s %s: slope %.3f EXEMPT: %s" %
+                  (section, key, slope, exempt[key]))
         else:
-            failures.append("scaling %s grows with slope %.3f from x%s to "
-                            "x%s (max %s)" % (key, slope, lo, hi, max_slope))
+            failures.append("%s %s grows with slope %.3f from x%s to "
+                            "x%s (max %s)" %
+                            (section, key, slope, lo, hi, max_slope))
 
 
 def compare_reports(fresh_dir, base_dir):
@@ -908,9 +920,12 @@ def compare_reports(fresh_dir, base_dir):
                 print("[compare] counter %s%s: %s == %s -> ok" %
                       (prefix, key, bv, fv))
 
-    compare_scaling(require(fresh, "scaling", "fresh BENCH_metrics.json"),
-                    require(base, "scaling", "baseline BENCH_metrics.json"),
-                    failures)
+    for section, _, _, _ in SCALING_LEGS:
+        compare_scaling(section,
+                        require(fresh, section, "fresh BENCH_metrics.json"),
+                        require(base, section,
+                                "baseline BENCH_metrics.json"),
+                        failures)
 
     if failures:
         raise SystemExit("perf regressions vs %s:\n  " % base_dir +

@@ -28,7 +28,11 @@ comparator:
   * BENCH_metrics.json held only the ideal-machine leg, so no exact
     counter watched the SCP machine's policy-driven engine (the
     scp_counters section must be compared exactly, and required; so
-    must the cap2_counters section of the two-slot-buffer leg).
+    must the cap2_counters section of the two-slot-buffer leg);
+  * only the SCP machine had scaling points, so the ideal-machine
+    verify could grow super-linearly unseen (the ideal_scaling section
+    must be compared and required), and a counter that is zero at
+    every point was skipped without a word (it is reported flat).
 
 Standard library only; pytest-style test_* functions run by a tiny
 driver so ctest can invoke this file directly.
@@ -75,7 +79,17 @@ def default_reports():
                        "256": {"engine.firings": 400,
                                "packedstate.arena_words": 800}},
                    "max_slope": 1.1,
-                   "exempt": {"packedstate.arena_words": "quadratic"}}}
+                   "exempt": {"packedstate.arena_words": "quadratic"}},
+               "ideal_scaling": {
+                   "points": {
+                       "256": {"engine.firings": 1000,
+                               "marked_graph.safe.edge_scans": 0},
+                       "512": {"engine.firings": 2000,
+                               "marked_graph.safe.edge_scans": 0},
+                       "1024": {"engine.firings": 4000,
+                                "marked_graph.safe.edge_scans": 0}},
+                   "max_slope": 1.1,
+                   "exempt": {}}}
     return {
         "BENCH_frustum.json": frustum,
         "BENCH_pipeline.json": pipeline,
@@ -330,6 +344,46 @@ def test_missing_scaling_section_names_the_file():
     out, err = run_compare(mutate_base=base)
     assert err is not None, "a baseline without the scaling leg must fail"
     assert "baseline BENCH_metrics.json has no 'scaling' key" in str(err)
+
+
+def test_zero_counter_is_flat():
+    out, err = run_compare()
+    assert err is None, err
+    assert ("ideal_scaling marked_graph.safe.edge_scans: 0 at x512 and "
+            "x1024 -> flat" in out), out
+    assert ("ideal_scaling engine.firings: slope 1.000 (x512 -> x1024) "
+            "-> ok" in out), out
+
+
+def test_ideal_super_linear_slope_fails():
+    def grow(r):
+        r["BENCH_metrics.json"]["ideal_scaling"]["points"]["1024"][
+            "marked_graph.safe.edge_scans"] = 4096
+        r["BENCH_metrics.json"]["ideal_scaling"]["points"]["512"][
+            "marked_graph.safe.edge_scans"] = 1024
+    out, err = run_compare(grow, grow)
+    assert err is not None, "a verify slope above 1.1 must fail the compare"
+    assert ("ideal_scaling marked_graph.safe.edge_scans grows with slope "
+            "2.000 from x512 to x1024 (max 1.1)" in str(err)), str(err)
+
+
+def test_ideal_scaling_counter_drift_fails():
+    def fresh(r):
+        r["BENCH_metrics.json"]["ideal_scaling"]["points"]["256"][
+            "marked_graph.safe.edge_scans"] = 3
+    out, err = run_compare(fresh)
+    assert err is not None, "ideal scaling drift must fail the compare"
+    assert ("counter ideal_scaling@256/marked_graph.safe.edge_scans"
+            in str(err)), str(err)
+
+
+def test_missing_ideal_scaling_section_names_the_file():
+    def base(r):
+        del r["BENCH_metrics.json"]["ideal_scaling"]
+    out, err = run_compare(mutate_base=base)
+    assert err is not None, "a baseline without the ideal leg must fail"
+    assert ("baseline BENCH_metrics.json has no 'ideal_scaling' key"
+            in str(err)), str(err)
 
 
 def test_host_dependent_counters_are_dropped():
