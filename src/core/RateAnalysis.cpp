@@ -30,22 +30,41 @@ RateReport sdsp::analyzeRate(const SdspPn &Pn, RateEngine Engine) {
 }
 
 RateReport sdsp::analyzeRate(const PetriNet &Net, RateEngine Engine) {
+  return SDSP_EXPECT_OK(
+      analyzeRateChecked(Net, Engine, CancelToken(), nullptr));
+}
+
+Expected<RateReport> sdsp::analyzeRateChecked(const PetriNet &Net,
+                                              RateEngine Engine,
+                                              const CancelToken &Cancel,
+                                              FaultContext *Faults) {
+  Status Stop;
+  RoundPoll Poll = [&](uint64_t Round) {
+    if (Faults)
+      Stop = Faults->checkpoint("rate:iteration");
+    if (Stop && Cancel.cancelled())
+      Stop = Cancel.status("rate", "in Howard's iteration, before round " +
+                                       std::to_string(Round));
+    return bool(Stop);
+  };
   MarkedGraphView View(Net);
   std::optional<CriticalCycleInfo> Info;
   // Counted whenever Howard ran, whichever engine choice ran it.
   std::optional<uint64_t> HowardIterations;
   switch (Engine) {
   case RateEngine::Auto:
-    Info = criticalCycle(View, &HowardIterations);
+    Info = criticalCycle(View, &HowardIterations, 64, Poll);
     break;
   case RateEngine::Howard:
     HowardIterations = 0;
-    Info = maxCycleRatioHoward(View, &*HowardIterations);
+    Info = maxCycleRatioHoward(View, &*HowardIterations, nullptr, Poll);
     break;
   case RateEngine::Enumerate:
     Info = criticalCycleByEnumeration(View);
     break;
   }
+  if (!Stop)
+    return Stop;
   if (HowardIterations)
     MetricsRegistry::global().add("rate.howard.iterations",
                                   *HowardIterations);

@@ -24,6 +24,8 @@
 #include "core/ScpModel.h"
 #include "core/SdspPn.h"
 #include "petri/CycleRatio.h"
+#include "support/CancelToken.h"
+#include "support/FaultInjection.h"
 
 #include <optional>
 
@@ -79,6 +81,15 @@ RateReport analyzeRate(const SdspPn &Pn,
 /// \p Net must satisfy isMarkedGraph(Net).
 RateReport analyzeRate(const PetriNet &Net,
                        RateEngine Engine = RateEngine::Auto);
+
+/// analyzeRate that a deadline can stop: before each policy-improvement
+/// round of Howard's iteration it checks the `rate:iteration` fault site
+/// of \p Faults (when given), then polls \p Cancel.  It fails with the
+/// fault's status, or with the token's, stage "rate", naming the round.
+/// The overshoot is one round, O(E).
+Expected<RateReport> analyzeRateChecked(const PetriNet &Net, RateEngine Engine,
+                                        const CancelToken &Cancel,
+                                        FaultContext *Faults);
 
 /// The balancing ratio M(C)/Omega(C) of one simple cycle (Section 6).
 Rational balancingRatio(const SimpleCycle &C);

@@ -565,7 +565,8 @@ CompilationSession::computeRate(const ArtifactRef<SdspPn> &Pn,
   uint64_t Fp = HashStream(8).u64(static_cast<uint64_t>(Engine)).hash();
   return runPass<RateReport>(PassKind::Rate, Pn.hash(), Fp,
                              [&]() -> Expected<RateReport> {
-                               return analyzeRate(*Pn, Engine);
+                               return analyzeRateChecked(Pn->Net, Engine,
+                                                         Cancel, Faults);
                              });
 }
 
@@ -846,7 +847,7 @@ CompilationSession::computeRate(const ArtifactRef<ExternalNet> &Ext,
       PassKind::Rate, Ext.hash(), Fp, [&]() -> Expected<RateReport> {
         if (Status St = requireLiveMarkedGraph(*Ext, "rate analysis"); !St)
           return St;
-        return analyzeRate(Ext->Net, Engine);
+        return analyzeRateChecked(Ext->Net, Engine, Cancel, Faults);
       });
 }
 

@@ -314,7 +314,8 @@ sdsp::criticalCycleByParametricSearch(const MarkedGraphView &G) {
 
 std::optional<CriticalCycleInfo>
 sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
-                          TightCycleStructure *StructureOut) {
+                          TightCycleStructure *StructureOut,
+                          const RoundPoll &Poll) {
   if (IterationsOut)
     *IterationsOut = 0;
   size_t N = G.numVertices();
@@ -462,6 +463,8 @@ sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
   // search rather than risking an unbounded loop.
   constexpr uint64_t MaxIterations = 512;
   while (true) {
+    if (Poll && !Poll(Iterations + 1))
+      return std::nullopt;
     Evaluate();
     if (Iterations > MaxIterations) {
       if (IterationsOut)
@@ -568,11 +571,12 @@ sdsp::maxCycleRatioHoward(const MarkedGraphView &G, uint64_t *IterationsOut,
 std::optional<CriticalCycleInfo>
 sdsp::criticalCycle(const MarkedGraphView &G,
                     std::optional<uint64_t> *HowardIterationsOut,
-                    size_t EnumerationLimit) {
+                    size_t EnumerationLimit, const RoundPoll &Poll) {
   if (G.numVertices() <= EnumerationLimit)
     return criticalCycleByEnumeration(G);
   uint64_t Iterations = 0;
-  std::optional<CriticalCycleInfo> Info = maxCycleRatioHoward(G, &Iterations);
+  std::optional<CriticalCycleInfo> Info =
+      maxCycleRatioHoward(G, &Iterations, nullptr, Poll);
   if (HowardIterationsOut)
     *HowardIterationsOut = Iterations;
   return Info;

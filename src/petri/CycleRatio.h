@@ -34,6 +34,7 @@
 #include "petri/SimpleCycles.h"
 #include "support/Rational.h"
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -90,6 +91,11 @@ criticalCycleByEnumeration(const MarkedGraphView &G);
 std::optional<CriticalCycleInfo>
 criticalCycleByParametricSearch(const MarkedGraphView &G);
 
+/// Asked before each policy-improvement round of Howard's iteration with
+/// the round's number, from 1; false stops the solve, which then
+/// returns std::nullopt (the caller knows why it said stop).
+using RoundPoll = std::function<bool(uint64_t Round)>;
+
 /// Computes the maximum cycle ratio by Howard's policy iteration
 /// (Dasdan's MCR survey lineage): each vertex keeps one chosen
 /// out-edge, the resulting functional graph is evaluated exactly (its
@@ -103,21 +109,24 @@ criticalCycleByParametricSearch(const MarkedGraphView &G);
 /// the fallback ran) — surfaced as the `rate.howard.iterations` metric.
 /// \p StructureOut, when non-null, receives the shape of the tight
 /// subgraph at lambda* (filled by both the policy-iteration path and
-/// the parametric fallback).
+/// the parametric fallback).  \p Poll, when set, is asked before each
+/// round.
 std::optional<CriticalCycleInfo>
 maxCycleRatioHoward(const MarkedGraphView &G,
                     uint64_t *IterationsOut = nullptr,
-                    TightCycleStructure *StructureOut = nullptr);
+                    TightCycleStructure *StructureOut = nullptr,
+                    const RoundPoll &Poll = {});
 
 /// Convenience dispatcher: Howard's policy iteration for large graphs,
 /// enumeration (which also fills NumCriticalCycles and the full critical
 /// transition set) up to \p EnumerationLimit vertices.  When Howard
 /// answered and \p HowardIterationsOut is non-null, it receives
 /// Howard's IterationsOut; when enumeration answered it is untouched.
+/// \p Poll is passed to Howard's iteration.
 std::optional<CriticalCycleInfo>
 criticalCycle(const MarkedGraphView &G,
               std::optional<uint64_t> *HowardIterationsOut = nullptr,
-              size_t EnumerationLimit = 64);
+              size_t EnumerationLimit = 64, const RoundPoll &Poll = {});
 
 } // namespace sdsp
 

@@ -16,15 +16,16 @@
 ///
 /// The reader is a small dependency-free XML parser hardened against
 /// hostile input (tests/pnml-corpus/).  One pass over the bytes checks
-/// the document into a flat table of element offsets and views; the
-/// importer then decodes only the values it needs and builds the net
-/// once.  It resolves only the five predefined entities plus numeric
-/// character references (no DOCTYPE, so no entity-expansion bombs),
-/// bounds nesting depth and node count, and reports every rejection as
-/// a structured [InvalidInput] with the offending line.  Anything the
-/// model cannot represent — arc weights above 1, place-to-place arcs,
-/// zero execution times, markings beyond uint32 — is rejected the same
-/// way rather than silently truncated.
+/// the document and builds the net as it goes: places and transitions
+/// as their end tags close, arcs from a pending list once every node is
+/// known.  It keeps no table of the document's elements, and decodes
+/// only the values the net needs.  It resolves only the five predefined
+/// entities plus numeric character references (no DOCTYPE, so no
+/// entity-expansion bombs), bounds nesting depth and node count, and
+/// reports every rejection as a structured [InvalidInput] with the
+/// offending line.  Anything the model cannot represent — arc weights
+/// above 1, place-to-place arcs, zero execution times, markings beyond
+/// uint32 — is rejected the same way rather than silently truncated.
 ///
 /// The writer emits one canonical byte form (fixed declaration,
 /// indentation, attribute order, and id scheme), chosen so that
@@ -62,12 +63,13 @@ struct PnmlNet {
 /// must hold exactly one <net>; <page> nesting is flattened.  Element
 /// and attribute names are matched by local name, so namespace-prefixed
 /// documents import too.  Rejections are [InvalidInput] with stage
-/// "pnml" (the catalog is in docs/ERRORS.md).  The reader polls
-/// \p Cancel at its start, once per 64 KiB scanned and once per 4,096
-/// elements imported, and stops with its Cancelled or DeadlineExceeded
-/// status, stage "pnml".  A document of more than \p MaxElements
-/// elements is rejected as hostile; the default bound is the one every
-/// untrusted document gets.
+/// "pnml" (the catalog is in docs/ERRORS.md).  Any well-formedness
+/// rejection wins over every import rejection.  The reader polls
+/// \p Cancel at its start, once per 64 KiB scanned (which builds the
+/// places and transitions) and once per 4,096 arcs resolved, and stops
+/// with its Cancelled or DeadlineExceeded status, stage "pnml".  A
+/// document of more than \p MaxElements elements is rejected as
+/// hostile; the default bound is the one every untrusted document gets.
 inline constexpr size_t PnmlMaxElements = size_t(1) << 20;
 Expected<PnmlNet> parsePnml(const std::string &Text,
                             const CancelToken &Cancel = {},
@@ -82,8 +84,18 @@ Expected<PnmlNet> parsePnml(const std::string &Text,
 void printPnml(const PetriNet &Net, std::ostream &OS,
                const std::string &NetId);
 
-/// printPnml into a string.
+/// The canonical form as one string, built in place; printPnml writes
+/// it to its stream.
 std::string pnmlString(const PetriNet &Net, const std::string &NetId);
+
+/// Whether the canonical exports of (\p A, \p IdA) and (\p B, \p IdB)
+/// are the same bytes, compared on exactly the fields the writer prints:
+/// the net id, each place's name and tokens, each transition's name,
+/// execution time and input and output lists in order.  The place-side
+/// producer and consumer lists are not printed, so their order does not
+/// count.
+bool samePnmlExport(const PetriNet &A, const std::string &IdA,
+                    const PetriNet &B, const std::string &IdB);
 
 /// Builds the occurrence net of an earliest-firing execution — the
 /// behavior graph of Section 3.3 materialized as a P/T net, so it can

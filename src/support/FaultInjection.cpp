@@ -29,7 +29,8 @@ constexpr std::string_view KnownSites[] = {
     "pass:schedule",  "pass:codegen",  "pass:verify",    "pass:import-pnml",
     "pass:export-pnml", "pnml:parse",  "pnml:classify", "pnml:verify",
     "verify:check",   "cache:lookup",  "cache:publish", "executor:dispatch",
-    "frustum:step",   "store:read",    "store:write",   "daemon:accept",
+    "frustum:step",   "rate:iteration", "store:read",   "store:write",
+    "daemon:accept",
 };
 
 /// Upper bound on an injected delay; anything longer is a typo, not a

@@ -21,6 +21,8 @@
 ///   executor:dispatch  at the start of every batch job attempt
 ///   frustum:step       every sampled instant of the frustum search,
 ///                      on the same cadence as the step budget
+///   rate:iteration     before each policy-improvement round of the
+///                      rate pass's Howard iteration
 ///   verify:check       before each check of verifyCompiledLoop
 ///   pnml:parse         inside the import-pnml pass, before the reader
 ///   pnml:classify      before an imported net's classification and

@@ -1,20 +1,21 @@
-//===- tests/PnmlDifferentialTest.cpp - Flat reader vs the DOM reader ------===//
+//===- tests/PnmlDifferentialTest.cpp - One-pass vs the DOM reader --------===//
 //
 // Part of the SDSP project: a reproduction of Gao, Wong & Ning,
 // "A Timed Petri-Net Model for Fine-Grain Loop Scheduling", PLDI 1991.
 //
 //===----------------------------------------------------------------------===//
 //
-// Pins parsePnml, the flat single-pass reader, to parsePnmlReference,
-// the DOM reader it replaced (tests/PnmlReference.cpp).  "Same" means
-// the same verdict; on rejection the same Status text and code; on
-// success the same net id, the same net field by field, and the same
+// Pins parsePnml, the reader that builds the net as it scans, to
+// parsePnmlReference, the DOM reader (tests/PnmlReference.cpp).  "Same"
+// means the same verdict; on rejection the same Status text and code;
+// on success the same net id, the same net field by field, and the same
 // content hash.  Inputs: every bundled kernel's SDSP-PN at several
 // unroll factors, every corpus file, every byte-prefix of three
-// documents, seeded hostile mutations, and seeded mutations that keep
-// a document valid.  Floors keep the suite from passing vacuously:
-// enough valid mutants must be accepted, and every diagnostic the
-// reader can emit must be produced at least once.
+// documents, seeded hostile mutations, seeded mutations that keep a
+// document valid, and documents for the orderings a one-pass reader
+// must keep.  Floors keep the suite from passing vacuously: enough
+// valid mutants must be accepted, and every diagnostic the reader can
+// emit must be produced at least once.
 //
 //===----------------------------------------------------------------------===//
 
@@ -586,6 +587,135 @@ TEST(PnmlDifferential, EveryDiagnosticFires) {
   EXPECT_EQ(T.Sites.count(""), 0u) << "a diagnostic outside the catalog";
   for (const char *D : Diagnostics)
     EXPECT_GT(T.Sites[D], 0u) << "never produced: " << D;
+}
+
+//===----------------------------------------------------------------------===//
+// Orderings a one-pass reader must keep
+//===----------------------------------------------------------------------===//
+
+/// A document and the verdict it must get: "" for acceptance, else the
+/// template of its diagnostic (see Diagnostics).
+struct Ordering {
+  const char *Text;
+  const char *Verdict;
+};
+
+const Ordering Orderings[] = {
+    // A well-formedness error after an import error wins.
+    {"<pnml><net id=\"n\"><place id=\"q\"/><place id=\"q\"/></net>"
+     "&bogus;</pnml>",
+     "unknown entity '&*;' (only the five predefined XML entities are "
+     "supported)"},
+    {"<foo><pnml/></foo", "malformed end tag </*>"},
+    {"<pnml><net id=\"a\"/><net id=\"b\"/>\n<!-- never closed</pnml>",
+     "unterminated comment"},
+    {"<pnml><net id=\"n\"><place id=\"q\"/><transition id=\"u\"/>"
+     "<arc id=\"a\" source=\"q\" target=\"ghost\"/></net></pnml>x",
+     "content after the root element"},
+    // A second <net> after a bad place, or a bad transition.
+    {"<pnml><net id=\"a\"><place id=\"\"/></net>\n<net id=\"b\"/></pnml>",
+     "multiple <net> elements are not supported"},
+    {"<pnml><net id=\"a\"><transition id=\"u\"><delay>0</delay>"
+     "</transition></net>\n<net id=\"b\"/>\n<net id=\"c\"/></pnml>",
+     "multiple <net> elements are not supported"},
+    // Arcs before the nodes they name, across pages.
+    {"<pnml><net id=\"n\"><page id=\"g\"><arc id=\"a0\" source=\"q\" "
+     "target=\"u\"/><arc id=\"a1\" source=\"u\" target=\"q\"/></page>"
+     "<page id=\"h\"><place id=\"q\"><initialMarking>1</initialMarking>"
+     "</place><transition id=\"u\"/></page></net></pnml>",
+     ""},
+    {"<pnml><net id=\"n\"><arc id=\"a0\" source=\"u\" target=\"q\"/>"
+     "<transition id=\"u\"/><arc id=\"a1\" source=\"q\" target=\"ghost\"/>"
+     "<place id=\"q\"/></net></pnml>",
+     "arc * references unknown node '*'"},
+    {"<pnml><net id=\"n\"><arc source=\"u\" target=\"q\"/>"
+     "<arc source=\"u\" target=\"q\"/><transition id=\"u\"/>"
+     "<place id=\"q\"/></net></pnml>",
+     "duplicate arc from '*' to '*'"},
+    {"<pnml><net id=\"n\"><arc id=\"a\" source=\"q\" target=\"r\">"
+     "<inscription><text>2</text></inscription></arc><place id=\"q\"/>"
+     "<place id=\"r\"/><transition id=\"u\"/></net></pnml>",
+     "arc * connects two * (arcs must join a place and a transition)"},
+    {"<pnml><net id=\"n\"><arc id=\"a\" source=\"q\" target=\"u\">"
+     "<inscription>x</inscription></arc><arc id=\"b\" target=\"q\"/>"
+     "<place id=\"q\"/><transition id=\"u\"/></net></pnml>",
+     "* of '*' is '*', expected a non-negative integer"},
+    {"<pnml><net id=\"n\"><arc id=\"a\" target=\"q\"/><place id=\"q\"/>"
+     "<transition id=\"u\"><delay>0</delay></transition></net></pnml>",
+     "transition '*' has execution time 0 (deterministic timing needs tau "
+     ">= 1)"},
+    {"<pnml><net id=\"n\"><arc id=\"&#x61;1\" source=\"&#x71;\" "
+     "target=\"u\"/><transition id=\"u\"/><place id=\"&#x71;\"/>"
+     "<arc id=\"a2\" source=\"u\" target=\"q\"/><arc id=\"a3\" "
+     "source=\"q\" target=\"u\"/></net></pnml>",
+     "duplicate arc from '*' to '*'"},
+    // A <name> with mixed content and no <text>.
+    {"<pnml><net id=\"n\"><place id=\"q\"><name> a <b>x<text>y</text></b>"
+     " c&amp;d <![CDATA[<e>]]><!-- f --><?g?> h </name></place>"
+     "<transition id=\"u\"><name>v<w/></name></transition></net></pnml>",
+     ""},
+    // A <text> holding a child element, a comment and CDATA.
+    {"<pnml><net id=\"n\"><transition id=\"u\"><name><text> t<i>x</i>u"
+     "<!-- c -->v<![CDATA[<w>]]> </text><text>second</text></name>"
+     "</transition><place id=\"q\"><initialMarking><text>1<b>9</b>2"
+     "</text></initialMarking></place></net></pnml>",
+     ""},
+    {"<pnml><net id=\"n\"><transition id=\"u\"><name>before<text/>after"
+     "</name></transition></net></pnml>",
+     ""},
+    // The sdsp annotation wins over a <delay> on either side of it.
+    {"<pnml><net id=\"n\"><transition id=\"u\"><delay>3</delay>"
+     "<toolspecific tool=\"sdsp\"><execTime>5</execTime></toolspecific>"
+     "</transition></net></pnml>",
+     ""},
+    {"<pnml><net id=\"n\"><transition id=\"u\"><toolspecific tool=\"sdsp\">"
+     "<execTime>5</execTime></toolspecific><delay>x</delay>"
+     "<toolspecific tool=\"sdsp\"/></transition></net></pnml>",
+     ""},
+    {"<pnml><net id=\"n\"><transition id=\"u\"><delay>x</delay>"
+     "<toolspecific tool=\"s&#100;sp\"><execTime>5</execTime>"
+     "</toolspecific></transition></net></pnml>",
+     ""},
+    {"<pnml><net id=\"n\"><transition id=\"u\"><delay>3</delay>"
+     "<toolspecific tool=\"sdsp\"><delay>4</delay></toolspecific>"
+     "</transition></net></pnml>",
+     "toolspecific annotation of '*' has no <execTime>"},
+    {"<pnml><net id=\"n\"><transition id=\"u\"><toolspecific tool=\"tina\">"
+     "<x/></toolspecific><toolspecific tool=\"tina\"><delay>4</delay>"
+     "<delay>0</delay></toolspecific><delay>0</delay></transition></net>"
+     "</pnml>",
+     ""},
+    {"<pnml><net id=\"n\"><transition id=\"u\"><delay>0</delay>"
+     "<toolspecific tool=\"tina\"><delay>4</delay></toolspecific>"
+     "</transition></net></pnml>",
+     "transition '*' has execution time 0 (deterministic timing needs tau "
+     ">= 1)"},
+    // Places under a non-page child of the net, or inside a node, are
+    // not nodes.
+    {"<pnml><net id=\"n\"><graphics><place id=\"q\"/><page><place "
+     "id=\"r\"/></page></graphics><transition id=\"u\"><place id=\"u\"/>"
+     "<arc source=\"u\" target=\"u\"/></transition></net></pnml>",
+     ""},
+    {"<pnml><net id=\"n\"><name><place id=\"\"/></name><transition "
+     "id=\"u\"/><arc id=\"a\" source=\"u\" target=\"q\"/></net></pnml>",
+     "arc * references unknown node '*'"},
+};
+
+TEST(PnmlDifferential, OnePassOrderings) {
+  Tally T;
+  for (const Ordering &O : Orderings) {
+    std::string What = std::string("ordering ") + O.Text;
+    bool Accepted = compareReaders(O.Text, What, T);
+    Expected<PnmlNet> New = parsePnml(O.Text);
+    if (*O.Verdict == '\0')
+      EXPECT_TRUE(Accepted) << What << ": " << New.status().str();
+    else if (!Accepted)
+      EXPECT_EQ(diagnosticOf(New.status().message()), O.Verdict) << What;
+    else
+      ADD_FAILURE() << What << ": accepted, expected " << O.Verdict;
+  }
+  report("one-pass orderings", T);
+  EXPECT_EQ(T.Mismatches, 0u);
 }
 
 } // namespace

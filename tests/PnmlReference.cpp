@@ -5,8 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The PNML reader and importer petri/Pnml.cpp ran before the flat
-// single-pass reader, kept verbatim as the differential oracle
+// The PNML reader and importer petri/Pnml.cpp ran before its flat-table
+// and one-pass successors, kept verbatim as the differential oracle
 // (tests/PnmlDifferentialTest.cpp): a recursive DOM of XmlElem nodes
 // that own their strings, a character-at-a-time cursor that counts
 // lines as it goes, and std::map id and arc tables keyed by string

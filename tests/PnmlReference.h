@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The reader parsePnml used before the flat single-pass one: it builds
-/// a DOM, then imports from it.  The differential suite requires the
+/// The reader parsePnml used before its flat-table and one-pass
+/// successors: it builds a DOM, then imports from it.  The differential suite requires the
 /// production reader to agree with it on every verdict, diagnostic and
 /// net (docs/INTEROP.md, "The hardened reader").
 ///

@@ -594,6 +594,76 @@ TEST(PnmlRoundTrip, ImportPreservesStructureExactly) {
   EXPECT_EQ(Again.Net.place(PlaceId(0u)).Consumers.size(), 1u);
 }
 
+/// A net for the export comparison: places p and q, transitions t and u,
+/// both producing into p, t consuming from p and q and producing into q.
+struct SmallNet {
+  std::string Id = "n";
+  std::string PName = "p<&'>", QName = "q", TName = "t\"0", UName = "u";
+  uint32_t PTokens = 1, QTokens = 0;
+  uint32_t TTime = 1, UTime = 3;
+  /// Add u -> p before t -> p: p's producers change order, no
+  /// transition's list does.
+  bool ProducersSwapped = false;
+  /// Add q -> t before p -> t: t's input list changes order.
+  bool InputsSwapped = false;
+  bool ExtraArc = false;
+
+  PetriNet build() const {
+    PetriNetBuilder B;
+    PlaceId P = B.addPlace(PName, PTokens), Q = B.addPlace(QName, QTokens);
+    TransitionId T = B.addTransition(TName, TTime),
+                 U = B.addTransition(UName, UTime);
+    if (ProducersSwapped)
+      B.addArc(U, P);
+    B.addArc(T, P);
+    if (!ProducersSwapped)
+      B.addArc(U, P);
+    if (InputsSwapped)
+      B.addArc(Q, T);
+    B.addArc(P, T);
+    if (!InputsSwapped)
+      B.addArc(Q, T);
+    B.addArc(T, Q);
+    if (ExtraArc)
+      B.addArc(Q, U);
+    return B.build();
+  }
+};
+
+TEST(PnmlRoundTrip, SameExportAgreesWithTheBytes) {
+  const SmallNet Base;
+  PetriNet A = Base.build();
+  std::vector<std::pair<const char *, SmallNet>> Variants = {
+      {"unchanged", Base}};
+  auto Add = [&](const char *What, auto Mutate) {
+    SmallNet V = Base;
+    Mutate(V);
+    Variants.push_back({What, V});
+  };
+  Add("net id", [](SmallNet &V) { V.Id = "m"; });
+  Add("place name", [](SmallNet &V) { V.PName = "p<&'> "; });
+  Add("place tokens", [](SmallNet &V) { V.QTokens = 1; });
+  Add("transition name", [](SmallNet &V) { V.UName = "v"; });
+  Add("execution time", [](SmallNet &V) { V.TTime = 2; });
+  Add("input order", [](SmallNet &V) { V.InputsSwapped = true; });
+  Add("output list", [](SmallNet &V) { V.ExtraArc = true; });
+  Add("producer order", [](SmallNet &V) { V.ProducersSwapped = true; });
+  size_t Same = 0;
+  for (const auto &[What, V] : Variants) {
+    PetriNet B = V.build();
+    bool Bytes = pnmlString(A, Base.Id) == pnmlString(B, V.Id);
+    EXPECT_EQ(samePnmlExport(A, Base.Id, B, V.Id), Bytes) << What;
+    EXPECT_EQ(samePnmlExport(B, V.Id, A, Base.Id), Bytes) << What;
+    Same += Bytes;
+  }
+  // Only the unchanged net and the one whose place-side list moved
+  // export the same bytes; the latter really is another net.
+  EXPECT_EQ(Same, 2u);
+  PetriNet Swapped = Variants.back().second.build();
+  EXPECT_FALSE(std::ranges::equal(A.place(PlaceId(0u)).Producers,
+                                  Swapped.place(PlaceId(0u)).Producers));
+}
+
 //===----------------------------------------------------------------------===//
 // Behavior-graph occurrence nets
 //===----------------------------------------------------------------------===//

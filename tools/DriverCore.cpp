@@ -841,7 +841,9 @@ RenderResult verifyExternalNet(CompilationSession &Session,
     return Broken("canonical export does not re-import: " +
                   Again.status().str());
   }
-  if (pnmlString(Again->Net, Again->NetId) != Text)
+  // The re-import exports to the same bytes exactly when it agrees with
+  // the imported net on every field the writer prints.
+  if (!samePnmlExport(Again->Net, Again->NetId, Ext->Net, Ext->NetId))
     return Broken("canonical export is not round-trip byte-stable");
   if (Cancel.cancelled())
     return Stopped(Cancel.status("pnml-verify", "after the round trip"));

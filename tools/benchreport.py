@@ -53,11 +53,15 @@ marked non-gating.
                        times these are exact work counts, so --compare
                        diffs them for equality — any drift means the
                        pipeline is doing different work, not that the
-                       machine is slower.  Two scaling sections hold
-                       the same counters for single compiles at three
+                       machine is slower.  Three scaling sections hold
+                       the same counters for single runs at several
                        sizes: `scaling`, `sdspc -k loop7 --scp=2
-                       --verify` at x64/x128/x256, and `ideal_scaling`,
-                       `sdspc -k loop7 --verify` at x256/x512/x1024;
+                       --verify` at x64/x128/x256, `ideal_scaling`,
+                       `sdspc -k loop7 --verify` at x256/x512/x1024,
+                       and `ring_scaling`, `sdspc --pnml=<ring>
+                       --emit=rate` on one-token rings of 16,384 and
+                       65,536 stages (written by tools/make_ring_pnml.py
+                       into a temporary directory, never kept);
                        --compare also fails a counter whose log-log
                        slope between a section's two largest points
                        exceeds 1.1, except the counters the section
@@ -92,6 +96,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 FRUSTUM_BENCH = "scaling_frustum"
 PIPELINE_BENCH = "pipeline_verify"
@@ -142,6 +147,12 @@ SCALING_LEGS = [
     ("ideal_scaling", ["-k", "loop7", "--verify"], [256, 512, 1024], {}),
 ]
 SCALING_MAX_SLOPE = 1.1
+
+# The ring leg: an imported one-token ring's rate, at these stage counts.
+# Every counter is held to SCALING_MAX_SLOPE, with no exemptions.
+RING_SECTION = "ring_scaling"
+RING_STAGES = [16384, 65536]
+SCALING_SECTIONS = [leg[0] for leg in SCALING_LEGS] + [RING_SECTION]
 
 # Set by main() from --allow-debug: a debug capture then produces
 # reports whose gates are loudly marked non-gating instead of being
@@ -602,7 +613,31 @@ def metrics_report(build_dir, out_dir):
             "max_slope": SCALING_MAX_SLOPE,
             "exempt": exempt,
         }
+    report[RING_SECTION] = ring_scaling_report(sdspc, raw)
     return report
+
+
+def ring_scaling_report(sdspc, raw):
+    """The ring leg: `sdspc --pnml=<ring> --emit=rate` on one-token rings
+    that tools/make_ring_pnml.py writes into a temporary directory."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "make_ring_pnml.py")
+    points = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for stages in RING_STAGES:
+            ring = os.path.join(tmp, "ring-%d.pnml" % stages)
+            subprocess.run([sys.executable, script, ring, str(stages), "1"],
+                           check=True)
+            cmd = [sdspc, "--pnml=" + ring, "--emit=rate"]
+            points[str(stages)] = host_independent_counters(
+                run_metrics(cmd, raw).get("counters", {}))
+    return {
+        "benchmark": "sdspc --pnml=<one-token ring of N stages> --emit=rate "
+                     "--metrics-json",
+        "points": points,
+        "max_slope": SCALING_MAX_SLOPE,
+        "exempt": {},
+    }
 
 
 def run_metrics(cmd, raw):
@@ -920,7 +955,7 @@ def compare_reports(fresh_dir, base_dir):
                 print("[compare] counter %s%s: %s == %s -> ok" %
                       (prefix, key, bv, fv))
 
-    for section, _, _, _ in SCALING_LEGS:
+    for section in SCALING_SECTIONS:
         compare_scaling(section,
                         require(fresh, section, "fresh BENCH_metrics.json"),
                         require(base, section,

@@ -32,7 +32,11 @@ comparator:
   * only the SCP machine had scaling points, so the ideal-machine
     verify could grow super-linearly unseen (the ideal_scaling section
     must be compared and required), and a counter that is zero at
-    every point was skipped without a word (it is reported flat).
+    every point was skipped without a word (it is reported flat);
+  * no scaling leg covered an imported net, so the PNML reader, import
+    classification and the rate pass could grow super-linearly on a
+    large document unseen (the ring_scaling section must be compared
+    and required, and exempts nothing).
 
 Standard library only; pytest-style test_* functions run by a tiny
 driver so ctest can invoke this file directly.
@@ -88,6 +92,14 @@ def default_reports():
                                "marked_graph.safe.edge_scans": 0},
                        "1024": {"engine.firings": 4000,
                                 "marked_graph.safe.edge_scans": 0}},
+                   "max_slope": 1.1,
+                   "exempt": {}},
+               "ring_scaling": {
+                   "points": {
+                       "16384": {"pnml.places": 16384,
+                                 "rate.howard.iterations": 1},
+                       "65536": {"pnml.places": 65536,
+                                 "rate.howard.iterations": 1}},
                    "max_slope": 1.1,
                    "exempt": {}}}
     return {
@@ -383,6 +395,35 @@ def test_missing_ideal_scaling_section_names_the_file():
     out, err = run_compare(mutate_base=base)
     assert err is not None, "a baseline without the ideal leg must fail"
     assert ("baseline BENCH_metrics.json has no 'ideal_scaling' key"
+            in str(err)), str(err)
+
+
+def test_ring_super_linear_slope_fails():
+    def grow(r):
+        r["BENCH_metrics.json"]["ring_scaling"]["points"]["65536"][
+            "pnml.places"] = 16384 * 16
+    out, err = run_compare(grow, grow)
+    assert err is not None, "a quadratic ring counter must fail"
+    assert "ring_scaling pnml.places grows with slope 2.000" in str(err), \
+        str(err)
+
+
+def test_ring_scaling_counter_drift_fails():
+    def fresh(r):
+        r["BENCH_metrics.json"]["ring_scaling"]["points"]["16384"][
+            "rate.howard.iterations"] = 2
+    out, err = run_compare(fresh)
+    assert err is not None, "ring scaling drift must fail the compare"
+    assert ("counter ring_scaling@16384/rate.howard.iterations"
+            in str(err)), str(err)
+
+
+def test_missing_ring_scaling_section_names_the_file():
+    def base(r):
+        del r["BENCH_metrics.json"]["ring_scaling"]
+    out, err = run_compare(mutate_base=base)
+    assert err is not None, "a baseline without the ring leg must fail"
+    assert ("baseline BENCH_metrics.json has no 'ring_scaling' key"
             in str(err)), str(err)
 
 
