@@ -277,6 +277,49 @@ void benchFrustumAnalyticReferenceAtScale(benchmark::State &State) {
   State.SetComplexityN(static_cast<int64_t>(Pn.Net.numTransitions()));
 }
 
+/// The one-token ring tools/make_ring_pnml.py writes: transitions
+/// t0..t{n-1}, place qi from ti to t{i+1}, and the token on q{n-1}.
+/// Its frustum window is the whole ring, n instants of one firing each,
+/// so the fast engine's cost per instant shows directly: the engine
+/// census of the frustum engines.
+PetriNet buildOneTokenRing(size_t N) {
+  PetriNetBuilder NB;
+  std::vector<TransitionId> Ts;
+  for (size_t I = 0; I < N; ++I)
+    Ts.push_back(NB.addTransition("t" + std::to_string(I)));
+  for (size_t I = 0; I < N; ++I) {
+    PlaceId Q = NB.addPlace("q" + std::to_string(I), I + 1 == N ? 1 : 0);
+    NB.addArc(Ts[I], Q);
+    NB.addArc(Q, Ts[(I + 1) % N]);
+  }
+  return NB.build();
+}
+
+void benchFrustumRing(benchmark::State &State) {
+  PetriNet Ring = buildOneTokenRing(static_cast<size_t>(State.range(0)));
+  for (auto _ : State) {
+    auto F = detectFrustumChecked(Ring);
+    benchmark::DoNotOptimize(F);
+  }
+  State.SetComplexityN(State.range(0));
+}
+
+void benchFrustumRingAnalytic(benchmark::State &State) {
+  PetriNet Ring = buildOneTokenRing(static_cast<size_t>(State.range(0)));
+  std::string Reason;
+  auto Probe = detectFrustumAnalytic(Ring, nullptr, {}, {}, nullptr, &Reason);
+  if (!Reason.empty()) {
+    State.SkipWithError(("analytic fallback: " + Reason).c_str());
+    return;
+  }
+  benchmark::DoNotOptimize(Probe);
+  for (auto _ : State) {
+    auto F = detectFrustumAnalytic(Ring);
+    benchmark::DoNotOptimize(F);
+  }
+  State.SetComplexityN(State.range(0));
+}
+
 /// Dense-cycle marked graph for the rate-engine gate: a spine with as
 /// many chords as transitions gives Johnson enumeration thousands of
 /// simple cycles to walk while Howard's policy iteration sees only
@@ -372,6 +415,9 @@ BENCHMARK(benchFrustumAnalyticReferenceAtScale)
     ->Arg(4096)
     ->Arg(16384)
     ->Arg(65536);
+
+BENCHMARK(benchFrustumRing)->Arg(16384)->Arg(65536);
+BENCHMARK(benchFrustumRingAnalytic)->Arg(16384)->Arg(65536);
 
 BENCHMARK(benchRateHoward)->Arg(24);
 BENCHMARK(benchRateEnumerate)->Arg(24);

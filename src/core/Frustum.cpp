@@ -7,13 +7,13 @@
 //
 // Two implementations share the detection contract:
 //
-//   detectFrustumChecked    the fast path: packed states (1 bit/place +
-//                           sparse residuals) in an open-addressing
-//                           table, an incremental engine, and
+//   detectFrustumChecked    the fast path: an incremental engine whose
+//                           instants are logged as the words that
+//                           changed (petri/PackedState.h), and
 //                           event-driven time leaping across idle
 //                           stretches (each skipped instant's state is
-//                           synthesized by decrementing the packed
-//                           residuals, so detection still observes
+//                           synthesized with its residuals measured from
+//                           that instant, so detection still observes
 //                           every instant and the results are identical
 //                           to the reference);
 //
@@ -29,7 +29,6 @@
 
 #include "petri/AnalyticSteadyState.h"
 #include "petri/ReferenceEngine.h"
-#include "petri/SimdDispatch.h"
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
 
@@ -133,6 +132,18 @@ Status budgetError(const PetriNet &Net, TimeStep MaxSteps, TimeStep Now,
                                                Trace));
 }
 
+Status byteBoundError(const PetriNet &Net, uint64_t MaxBytes, TimeStep At,
+                      size_t TableBytes, size_t TraceBytes,
+                      uint64_t TotalFirings, const FiringTrace &Trace) {
+  return Status::error(
+      ErrorCode::BudgetExceeded, "frustum",
+      "state table and trace would pass the byte bound of " +
+          std::to_string(MaxBytes) + " bytes at t=" + std::to_string(At) +
+          " (" + std::to_string(TableBytes) + " + " +
+          std::to_string(TraceBytes) + " bytes) " +
+          partialTraceContext(Net, At, TotalFirings, Trace));
+}
+
 Status cancelError(const CancelToken &Cancel, const PetriNet &Net,
                    TimeStep Now, uint64_t TotalFirings,
                    const FiringTrace &Trace) {
@@ -174,6 +185,8 @@ struct EngineMetricsFlusher {
     MetricsRegistry &MR = MetricsRegistry::global();
     const EarliestFiringEngine::Counters &C = Engine.counters();
     MR.add("engine.enabled_rebuilds", C.Rebuilds);
+    MR.add("engine.enabled_bit_updates", Engine.enabledBitUpdates());
+    MR.add("engine.readiness_words_swept", C.WordsSwept);
     MR.add("engine.firings", C.Firings);
     MR.add("engine.completions", C.Completions);
     MR.add("engine.instants_leapt", C.InstantsLeapt);
@@ -183,10 +196,6 @@ struct EngineMetricsFlusher {
     MR.add("packedstate.arena_words", Seen.arenaWords());
     MR.add("packedstate.false_matches", FalseMatches);
     MR.add("hash.delta_validations", Seen.deltaValidations());
-    // Which SIMD tier served the readiness sweeps: a per-tier counter
-    // (process-wide constant, so still deterministic across -j).
-    MR.add(std::string("simd.tier.") + simdTierName(activeSimdTier()),
-           1);
     MR.add("frustum.detections", 1);
     if (Policy) {
       MR.add("policy.readiness_checks", Policy->readinessChecks());
@@ -205,12 +214,11 @@ Expected<FrustumInfo> sdsp::detectFrustumChecked(const PetriNet &Net,
   if (Status S = validateTimedNet(Net); !S)
     return S;
   TimeStep MaxSteps = Budget.resolve(Net.numTransitions());
-  size_t MarkWords = packedMarkWords(Net.numPlaces());
 
   EarliestFiringEngine Engine(Net, Policy);
   PackedStateTable Seen;
-  // A policy with a summary packs it in place of its fingerprint, so a
-  // match of the packed words is a repeat only once the policy confirms
+  // A policy with a summary logs it in place of its fingerprint, so a
+  // match of the logged words is a repeat only once the policy confirms
   // the machine conditions equal; a rejected match is counted.
   bool Summarized = Policy && Policy->conditionSummary().has_value();
   uint64_t FalseMatches = 0;
@@ -221,12 +229,29 @@ Expected<FrustumInfo> sdsp::detectFrustumChecked(const PetriNet &Net,
     return false;
   };
   EngineMetricsFlusher Flusher{Engine, Seen, Policy, FalseMatches};
-  PackedState PS;
   FiringTrace Trace;
   uint64_t TotalFirings = 0;
+  uint64_t MaxBytes = Budget.resolveBytes();
   // Instants observed so far; the budget counts every instant, leapt or
   // not, so budget diagnostics match the reference detector exactly.
   TimeStep Sampled = 0;
+  // The byte bound, checked before the table or the trace grows past
+  // it: \p TableBytes and \p TraceBytes are what they would hold.
+  auto OverBound = [&](TimeStep At, size_t TableBytes, size_t TraceBytes) {
+    return TableBytes + TraceBytes > MaxBytes
+               ? byteBoundError(Net, MaxBytes, At, TableBytes, TraceBytes,
+                                TotalFirings, Trace)
+               : Status::ok();
+  };
+  // Commits the open state of instant \p At once the bound allows it.
+  auto Commit = [&](TimeStep At) -> Expected<std::optional<uint64_t>> {
+    if (Status S = OverBound(At, Seen.capacityBytesAfterCommit(),
+                             Trace.capacityBytes());
+        !S)
+      return S;
+    ++Sampled;
+    return Seen.commit(At, Exact);
+  };
 
   while (true) {
     if (Sampled > MaxSteps)
@@ -236,15 +261,21 @@ Expected<FrustumInfo> sdsp::detectFrustumChecked(const PetriNet &Net,
         !S)
       return S;
     Engine.prepare();
-    uint64_t Raw = Engine.packStateHashed(PS);
-    std::optional<uint64_t> Prev =
-        Seen.insertOrFindHashed(PS, Raw, Engine.now(), Exact);
-    ++Sampled;
-    if (Prev)
-      return makeInfo(Net, *Prev, Engine.now(), Engine.state(),
+    Engine.logState(Seen);
+    Expected<std::optional<uint64_t>> Prev = Commit(Engine.now());
+    if (!Prev)
+      return Prev.status();
+    if (*Prev)
+      return makeInfo(Net, **Prev, Engine.now(), Engine.state(),
                       std::move(Trace));
     if (Engine.isQuiescent())
       return deadNetError(Engine.now(), TotalFirings);
+    size_t RowIds = Engine.numCompleted() + Engine.numEnabled();
+    if (Status S = OverBound(Engine.now(), Seen.capacityBytes(),
+                             Trace.capacityBytesAfterStep(RowIds));
+        !S)
+      return S;
+    Trace.reserveStep(RowIds);
     Engine.fireAndAdvance(Trace);
     StepView Rec = Trace.back();
     TotalFirings += Rec.Fired.size();
@@ -256,7 +287,7 @@ Expected<FrustumInfo> sdsp::detectFrustumChecked(const PetriNet &Net,
     // instants still exist in the behavior graph — their states are
     // the current one with every residual one smaller per instant — so
     // synthesize and record each one (empty trace record, table
-    // insert), then jump the engine clock straight to the event.
+    // commit), then jump the engine clock straight to the event.
     std::optional<TimeStep> NextF = Engine.nextFinishTime();
     SDSP_CHECK(NextF.has_value(),
                "idle non-quiescent instant with nothing in flight");
@@ -272,19 +303,23 @@ Expected<FrustumInfo> sdsp::detectFrustumChecked(const PetriNet &Net,
         Engine.leapTo(V);
         return S;
       }
-      Raw = PS.decrementResiduals(MarkWords, Raw);
-      std::optional<uint64_t> PrevV =
-          Seen.insertOrFindHashed(PS, Raw, V, Exact);
-      ++Sampled;
-      if (PrevV) {
+      Engine.logLeaptState(Seen, V);
+      Expected<std::optional<uint64_t>> PrevV = Commit(V);
+      if (!PrevV)
+        return PrevV.status();
+      if (*PrevV) {
         // The repeat landed on a leapt instant: move the engine there
         // (provably idle in between) and sample it for FrustumInfo.
         // Checked before recording, like the main loop: the repeat
         // instant itself is never part of the trace.
         Engine.leapTo(V);
         Engine.prepare();
-        return makeInfo(Net, *PrevV, V, Engine.state(), std::move(Trace));
+        return makeInfo(Net, **PrevV, V, Engine.state(), std::move(Trace));
       }
+      if (Status S = OverBound(V, Seen.capacityBytes(),
+                               Trace.capacityBytesAfterStep(0));
+          !S)
+        return S;
       Trace.append(StepView(V, {}, {}));
     }
     Engine.leapTo(*NextF);

@@ -17,7 +17,9 @@
 ///
 /// Detection hashes every sampled instantaneous state (marking, residual
 /// firing times, and machine condition for conflict policies) and stops
-/// at the first recurrence.  A policy that summarizes its machine
+/// at the first recurrence.  The state table logs each instant as the
+/// words that changed since the previous one (petri/PackedState.h), so
+/// a search costs its set-up plus what each instant changes.  A policy that summarizes its machine
 /// condition in one word (the FIFO/LIFO ready list's rolling hash) is
 /// stored by that word, and a match is confirmed exactly against the
 /// earlier condition before it counts as the repeat.  The recorded
@@ -50,16 +52,29 @@ class FaultContext;
 /// forever.  The empirical fast path ("BD" next to Tables 1 and 2) is
 /// ~2n steps; FrustumInfo::withinEmpiricalBound() reports whether it
 /// held.
+///
+/// The budget also bounds the bytes the search holds in its state table
+/// and its trace.  Default: DefaultMaxBytes (1 GiB).  detectFrustumChecked
+/// fails with BudgetExceeded, naming the bound and the instant, before
+/// an allocation of either would pass it.
 struct FrustumBudget {
   /// Maximum time steps to simulate; 0 means "use the theory bound".
   TimeStep MaxSteps = 0;
+  /// Maximum bytes of the fast search's state table and trace; 0 means
+  /// DefaultMaxBytes.
+  uint64_t MaxBytes = 0;
+
+  static constexpr uint64_t DefaultMaxBytes = uint64_t(1) << 30;
+  uint64_t resolveBytes() const {
+    return MaxBytes ? MaxBytes : DefaultMaxBytes;
+  }
 
   /// Saturation cap for resolve(): half the TimeStep range, so the
   /// search loop's step arithmetic (Now + tau, sample counters) can
   /// never overflow a 64-bit comparison even for huge explicit budgets.
   static constexpr TimeStep Cap = ~static_cast<TimeStep>(0) / 2;
 
-  static FrustumBudget steps(TimeStep N) { return FrustumBudget{N}; }
+  static FrustumBudget steps(TimeStep N) { return FrustumBudget{N, 0}; }
 
   /// The defaulted budget for a net of \p NumTransitions transitions:
   /// max(1024, n^3), saturating at Cap (the 1024 floor absorbs the
@@ -114,10 +129,11 @@ struct FrustumInfo {
 /// policy) until an instantaneous state repeats or the budget runs out.
 /// Requires every execution time >= 1 (validateTimedNet).  Errors:
 ///   - InvalidNet        the net is malformed or dies (quiescence);
-///   - BudgetExceeded    no repeated state within the budget, with the
-///                       partial-trace context (steps simulated,
-///                       firings observed, last transitions fired) in
-///                       the message;
+///   - BudgetExceeded    no repeated state within the step budget, or
+///                       the state table and trace would pass the byte
+///                       bound, with the partial-trace context (steps
+///                       simulated, firings observed, last transitions
+///                       fired) in the message;
 ///   - Cancelled /       \p Cancel reported cancellation; same
 ///     DeadlineExceeded  partial-trace context as BudgetExceeded.
 ///

@@ -17,7 +17,6 @@
 #include "petri/Invariants.h"
 #include "petri/MarkedGraph.h"
 #include "petri/Pnml.h"
-#include "petri/SimdDispatch.h"
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
 #include "support/TextTable.h"
@@ -605,13 +604,6 @@ CompilationSession::frustumPass(const PetriNet &Net, uint64_t MachineHash,
         std::unique_ptr<FifoPolicy> Policy;
         if (Scp)
           Policy = Scp->makeFifoPolicy();
-        if (Trace && FO.Engine == FrustumEngine::Fast) {
-          // Record which readiness-sweep kernel the dispatcher picked
-          // so a capture is self-describing about the ISA tier (and the
-          // SDSP_SIMD override) it ran under.
-          Trace->instant("simd-dispatch", "frustum");
-          Trace->argStr("tier", simdTierName(activeSimdTier()));
-        }
         std::string FallbackReason;
         Expected<FrustumInfo> F = [&]() -> Expected<FrustumInfo> {
           switch (FO.Engine) {

@@ -397,14 +397,18 @@ FiringTrace AnalyticSteadyState::steps(TimeStep End) const {
     if (C < End)
       ++NumCompleted[static_cast<size_t>(C)];
   });
+  // In a unit-time net each row's completions are the previous row's
+  // firings, which the trace then stores once.
+  bool Unit = std::all_of(Tau.begin(), Tau.end(),
+                          [](TimeUnits T) { return T == 1; });
   FiringTrace Out;
-  Out.layOut(NumCompleted, NumFired);
+  Out.layOut(NumCompleted, NumFired, Unit);
   std::fill(NumCompleted.begin(), NumCompleted.end(), 0);
   std::fill(NumFired.begin(), NumFired.end(), 0);
   ForEachFiring([&](size_t T, size_t F, TimeStep C) {
     TransitionId Id(static_cast<uint32_t>(T));
     Out.firedAt(F)[NumFired[F]++] = Id;
-    if (C < End) {
+    if (C < End && !Unit) {
       size_t R = static_cast<size_t>(C);
       Out.completedAt(R)[NumCompleted[R]++] = Id;
     }

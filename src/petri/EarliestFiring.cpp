@@ -13,6 +13,10 @@
 #include <bit>
 #include <cassert>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 using namespace sdsp;
 
 //===----------------------------------------------------------------------===//
@@ -57,18 +61,20 @@ std::string InstantaneousState::str() const {
 //===----------------------------------------------------------------------===//
 
 void FiringTrace::layOut(std::span<const uint32_t> Completions,
-                         std::span<const uint32_t> Firings) {
-  assert(empty() && Completions.size() == Firings.size() &&
+                         std::span<const uint32_t> Firings, bool Unit) {
+  assert(empty() && (Unit || Completions.size() == Firings.size()) &&
          "laying out rows of a nonempty trace");
-  size_t Rows = Completions.size();
+  size_t Rows = Firings.size();
   Times.resize(Rows);
   CompletedEnd.resize(Rows);
   FiredEnd.resize(Rows);
   uint64_t At = 0;
   for (size_t I = 0; I < Rows; ++I) {
     Times[I] = I;
-    At += Completions[I];
-    CompletedEnd[I] = At;
+    if (Unit && I)
+      CompletedEnd[I] = At | SharedRow;
+    else
+      CompletedEnd[I] = At += Unit ? 0 : Completions[I];
     At += Firings[I];
     FiredEnd[I] = At;
   }
@@ -100,6 +106,45 @@ static void forEachSetBit(const uint64_t *Bits, size_t NumWords, Fn &&F) {
 
 static bool testBit(const uint64_t *Bits, uint32_t I) {
   return (Bits[I >> 6] >> (I & 63)) & 1;
+}
+
+/// The 64 lanes at \p Lanes that read zero, as a word: four lanes a
+/// step where SSE2 is available (every x86-64 host), one otherwise.
+static uint64_t zeroLanes(const uint32_t *Lanes) {
+  uint64_t Zero = 0;
+#if defined(__SSE2__)
+  const __m128i None = _mm_setzero_si128();
+  for (unsigned B = 0; B < 64; B += 4) {
+    __m128i X = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Lanes + B));
+    Zero |= static_cast<uint64_t>(_mm_movemask_ps(
+                _mm_castsi128_ps(_mm_cmpeq_epi32(X, None))))
+            << B;
+  }
+#else
+  for (unsigned B = 0; B < 64; ++B)
+    Zero |= static_cast<uint64_t>(Lanes[B] == 0) << B;
+#endif
+  return Zero;
+}
+
+/// Calls \p F(W), in ascending order, for every nonzero word W of
+/// \p Words whose bit is set in \p Summary (bit w of summary word s
+/// stands for word 64 * s + w), then clears the summary bits of the
+/// words left zero.
+template <typename Fn>
+static void forEachMarkedWord(std::vector<uint64_t> &Summary,
+                              const uint64_t *Words, Fn &&F) {
+  for (size_t S = 0, NS = Summary.size(); S < NS; ++S) {
+    uint64_t Keep = 0;
+    for (uint64_t Sum = Summary[S]; Sum; Sum &= Sum - 1) {
+      size_t W = S * 64 + static_cast<size_t>(std::countr_zero(Sum));
+      if (Words[W])
+        F(W);
+      if (Words[W])
+        Keep |= Sum & -Sum;
+    }
+    Summary[S] = Keep;
+  }
 }
 
 void FiringPolicy::orderEnabled(const PetriNet &Net, const Marking &M,
@@ -337,22 +382,32 @@ EarliestFiringEngine::EarliestFiringEngine(const PetriNet &Net,
                                            FiringPolicy *Policy)
     : Net(Net), Policy(Policy),
       Ready(dynamic_cast<ReadyListPolicy *>(Policy)),
-      M(Net.initialMarking()), L(Net), Sweep(readinessSweep()) {
+      M(Net.initialMarking()), L(Net) {
   HS.init(L);
+  Gated = !L.GatePlace.empty();
+  GateZero.assign(L.GatePlace.size(), 0);
+  EnabledSummary.assign((L.BitWords + 63) / 64, 0);
+  ListFree = Ready != nullptr;
+  for (uint32_t T = 0; T < L.NumTransitions && ListFree; ++T)
+    ListFree = Ready->isConflicting(T) ||
+               L.TransitionGate[T] == EngineLayout::NoGate;
 
   for (PlaceId P : Net.placeIds()) {
     uint32_t C = M.tokens(P);
     uint32_t S = L.PlaceSlot[P.index()];
     if (C >= 1)
       HS.Mark[S >> 6] |= 1ull << (S & 63);
-    if (C >= 2) {
-      ++OverflowPlaces;
-      setExcess(S, 0, C - 1);
+    for (uint32_t Excess = C >= 1 ? C - 1 : 0; Excess; Excess &= Excess - 1) {
+      size_t B = static_cast<size_t>(std::countr_zero(Excess));
+      if (NumPlanes <= B) {
+        NumPlanes = B + 1;
+        Planes.resize(NumPlanes * L.MarkWords, 0);
+        PlanePop.resize(NumPlanes, 0);
+      }
+      Planes[B * L.MarkWords + (S >> 6)] |= 1ull << (S & 63);
+      ++PlanePop[B];
     }
   }
-  ExactEnabled = Policy != nullptr;
-  if (ExactEnabled)
-    ZeroIdle.assign(L.BitWords, 0);
   for (TransitionId T : Net.transitionIds()) {
     uint32_t Missing = 0;
     for (PlaceId P : Net.transition(T).InputPlaces)
@@ -362,64 +417,66 @@ EarliestFiringEngine::EarliestFiringEngine(const PetriNet &Net,
     if (Missing == 0)
       setEnabledIdle(T.index());
   }
-  for (uint32_t G = 0; G < L.GatePlace.size(); ++G)
-    if (M.tokens(PlaceId(L.GatePlace[G])) == 0)
-      closeGate(G);
 
-  // Seed the incremental marking hash: one absolute term per word
-  // (zero-valued words contribute too — the per-word term cache keeps
-  // the accumulator exact because every word always has a term).
-  MarkTerm.resize(L.MarkWords);
-  MarkShadow.assign(HS.Mark, HS.Mark + L.MarkWords);
-  for (size_t W = 0; W < L.MarkWords; ++W) {
-    MarkTerm[W] = PackedState::mixWord(1 + W, HS.Mark[W]);
-    MarkHash ^= MarkTerm[W];
-  }
-
-  // Policies observe the Marking every step, so keep it eagerly exact
-  // for them; otherwise a safe initial marking runs in bit mode.
-  UseBitMarking = Policy == nullptr && OverflowPlaces == 0;
-  if (!UseBitMarking) {
+  // A policy observes the counts every step, so its engine keeps them
+  // exact through the generic token walks; without one, the fast paths
+  // apply and the counts live in the bits and planes alone.
+  if (Policy) {
     std::fill_n(HS.FastFire, L.NumTransitions, uint8_t(0));
     std::fill_n(HS.FastComp, L.NumTransitions, uint8_t(0));
   }
-  AllFast = UseBitMarking && L.AllFastTopo;
+  AllFast = !Policy && L.AllFastTopo;
 
   if (Policy)
     Policy->reset();
 }
 
-bool EarliestFiringEngine::noteZero(uint32_t T) {
-  ZeroIdle[T >> 6] |= 1ull << (T & 63);
-  return L.GatePlace.empty() || !hasEmptyGatedInput(T);
-}
-
-// Inline: the token walks of every engine call these, and the policy
-// engines' extra bookkeeping must not push them out of line.
+// Inline: the token walks of every engine call these.
 inline void EarliestFiringEngine::setEnabledIdle(uint32_t T) {
-  if (ExactEnabled && !noteZero(T))
-    return;
   // Callers only reach this on an exact 0-crossing of Readiness[T], so
   // the bit is known clear.
   assert(!(HS.EnabledIdle[T >> 6] & (1ull << (T & 63))) &&
          "transition already in the enabled-idle set");
   HS.EnabledIdle[T >> 6] |= 1ull << (T & 63);
+  noteSetWord(T, true);
   ++EnabledIdleCount;
+  ++Ctrs.EnabledSets;
+  if (Gated)
+    noteGatedZero(T, 1);
+  if (ListFree && !Ready->isConflicting(T))
+    FreeEnabled.push_back(TransitionId(T));
 }
 
 inline void EarliestFiringEngine::clearEnabledIdle(uint32_t T) {
-  uint64_t &Word = HS.EnabledIdle[T >> 6];
-  uint64_t Bit = 1ull << (T & 63);
-  if (ExactEnabled)
-    ZeroIdle[T >> 6] &= ~Bit;
-  // Only a closed gate can have cleared the bit of a transition whose
-  // readiness word reads zero.
-  assert(((Word & Bit) || hasEmptyGatedInput(T)) &&
+  assert((HS.EnabledIdle[T >> 6] & (1ull << (T & 63))) &&
          "transition not in the enabled-idle set");
-  if (Word & Bit) {
-    Word &= ~Bit;
-    --EnabledIdleCount;
+  HS.EnabledIdle[T >> 6] &= ~(1ull << (T & 63));
+  --EnabledIdleCount;
+  if (Gated)
+    noteGatedZero(T, -1);
+}
+
+void EarliestFiringEngine::noteGatedZero(uint32_t T, int Delta) {
+  uint32_t G = L.TransitionGate[T];
+  if (G == EngineLayout::NoGate)
+    return;
+  GatedZero += Delta;
+  if (G != EngineLayout::MultiGate)
+    GateZero[G] += Delta;
+}
+
+bool EarliestFiringEngine::anyGatedEnabled() const {
+  size_t BehindOne = 0;
+  for (size_t G = 0; G < GateZero.size(); ++G) {
+    if (GateZero[G] != 0 && testBit(HS.Mark, L.GateSlot[G]))
+      return true;
+    BehindOne += GateZero[G];
   }
+  if (BehindOne != GatedZero)
+    for (uint32_t T : L.MultiGated)
+      if (testBit(HS.EnabledIdle, T) && !hasEmptyGatedInput(T))
+        return true;
+  return false;
 }
 
 bool EarliestFiringEngine::hasEmptyGatedInput(uint32_t T) const {
@@ -432,42 +489,15 @@ bool EarliestFiringEngine::hasEmptyGatedInput(uint32_t T) const {
   return false;
 }
 
-void EarliestFiringEngine::closeGate(uint32_t G) {
-  const uint64_t *Mask = L.GateMask.data() + G * L.BitWords;
-  uint64_t *En = HS.EnabledIdle;
-  size_t Removed = 0;
-  for (size_t W = L.GateBegin[G], NW = L.GateEnd[G]; W < NW; ++W) {
-    uint64_t Off = En[W] & Mask[W];
-    Removed += static_cast<size_t>(std::popcount(Off));
-    En[W] ^= Off;
-  }
-  EnabledIdleCount -= Removed;
-}
-
-void EarliestFiringEngine::openGate(uint32_t G) {
-  const uint64_t *Mask = L.GateMask.data() + G * L.BitWords;
-  const uint64_t *Zero = ZeroIdle.data();
-  uint64_t *En = HS.EnabledIdle;
-  size_t Added = 0;
-  if (L.GatePlace.size() == 1) {
-    for (size_t W = L.GateBegin[G], NW = L.GateEnd[G]; W < NW; ++W) {
-      uint64_t On = Zero[W] & Mask[W] & ~En[W];
-      En[W] |= On;
-      Added += static_cast<size_t>(std::popcount(On));
-    }
-  } else {
-    for (size_t W = L.GateBegin[G], NW = L.GateEnd[G]; W < NW; ++W) {
-      uint64_t On = Zero[W] & Mask[W] & ~En[W];
-      // A consumer behind a second gate that is still closed stays out.
-      for (uint64_t B = On; B; B &= B - 1)
-        if (hasEmptyGatedInput(
-                static_cast<uint32_t>(W * 64 + std::countr_zero(B))))
-          On &= ~(B & -B);
-      En[W] |= On;
-      Added += static_cast<size_t>(std::popcount(On));
-    }
-  }
-  EnabledIdleCount += Added;
+const uint64_t *EarliestFiringEngine::enabledBits() const {
+  if (!Gated)
+    return HS.EnabledIdle;
+  GateApplied.assign(HS.EnabledIdle, HS.EnabledIdle + L.BitWords);
+  forEachSetBit(GateApplied.data(), L.BitWords, [&](uint32_t T) {
+    if (gateMasked(T))
+      GateApplied[T >> 6] &= ~(1ull << (T & 63));
+  });
+  return GateApplied.data();
 }
 
 bool EarliestFiringEngine::enabledMatchesSweep() const {
@@ -478,35 +508,69 @@ bool EarliestFiringEngine::enabledMatchesSweep() const {
     uint64_t Want = 0;
     for (size_t B = 0; B < 64; ++B)
       Want |= static_cast<uint64_t>(HS.Readiness[W * 64 + B] == 0) << B;
-    for (uint32_t G = 0; G < L.GatePlace.size(); ++G)
-      if (!testBit(HS.Mark, L.PlaceSlot[L.GatePlace[G]]))
-        Want &= ~L.GateMask[G * L.BitWords + W];
     if (Want != HS.EnabledIdle[W])
       return false;
     Count += static_cast<size_t>(std::popcount(Want));
   }
-  return Count == EnabledIdleCount;
+  size_t Behind = 0;
+  for (uint32_t T = 0; T < L.NumTransitions; ++T)
+    Behind += HS.Readiness[T] == 0 &&
+              L.TransitionGate[T] != EngineLayout::NoGate;
+  for (uint32_t G = 0; G < GateZero.size(); ++G) {
+    size_t Zero = 0;
+    for (uint32_t T = 0; T < L.NumTransitions; ++T)
+      Zero += HS.Readiness[T] == 0 && L.TransitionGate[T] == G;
+    if (Zero != GateZero[G])
+      return false;
+  }
+  return Count == EnabledIdleCount && Behind == GatedZero;
 }
 
-void EarliestFiringEngine::setExcess(uint32_t S, uint32_t From, uint32_t To) {
-  uint32_t Diff = From ^ To;
-  size_t Need = static_cast<size_t>(std::bit_width(Diff));
-  if (PlanePop.size() < Need) {
-    PlanePop.resize(Need, 0);
-    Planes.resize(Need * L.MarkWords, 0);
-  }
+void EarliestFiringEngine::addExcess(uint32_t S) {
+  size_t W = S >> 6;
   uint64_t Bit = 1ull << (S & 63);
-  uint64_t *Word = Planes.data() + (S >> 6);
-  while (Diff) {
-    unsigned B = static_cast<unsigned>(std::countr_zero(Diff));
-    Diff &= Diff - 1;
-    uint64_t &W = Word[B * L.MarkWords];
-    W ^= Bit;
-    if (W & Bit)
+  for (size_t B = 0;; ++B) {
+    if (B == NumPlanes) {
+      ++NumPlanes;
+      Planes.resize(NumPlanes * L.MarkWords, 0);
+      PlanePop.push_back(0);
+    }
+    uint64_t &Word = Planes[B * L.MarkWords + W];
+    Word ^= Bit;
+    if (Word & Bit) {
       ++PlanePop[B];
-    else
-      --PlanePop[B];
+      return;
+    }
+    --PlanePop[B]; // Carry into the next plane.
   }
+}
+
+bool EarliestFiringEngine::takeExcess(uint32_t S) {
+  uint64_t *Word = Planes.data() + (S >> 6);
+  uint64_t Bit = 1ull << (S & 63);
+  size_t B = 0;
+  while (B < NumPlanes && !(Word[B * L.MarkWords] & Bit))
+    ++B;
+  if (B == NumPlanes)
+    return false;
+  // Subtract one: the lowest set bit clears, and every bit below it
+  // sets.
+  Word[B * L.MarkWords] ^= Bit;
+  --PlanePop[B];
+  for (size_t C = 0; C < B; ++C) {
+    Word[C * L.MarkWords] |= Bit;
+    ++PlanePop[C];
+  }
+  return true;
+}
+
+uint32_t EarliestFiringEngine::excessAt(uint32_t S) const {
+  uint32_t Excess = 0;
+  for (size_t B = 0; B < NumPlanes; ++B)
+    Excess |= static_cast<uint32_t>(
+                  (Planes[B * L.MarkWords + (S >> 6)] >> (S & 63)) & 1)
+              << B;
+  return Excess;
 }
 
 size_t EarliestFiringEngine::planesInUse() const {
@@ -516,26 +580,49 @@ size_t EarliestFiringEngine::planesInUse() const {
   return N;
 }
 
-/// The marking has left the safe regime (or was never in it): rebuild
-/// the exact counts from the bits — they agree while every place holds
-/// at most one token — and make M authoritative from here on.
-void EarliestFiringEngine::leaveBitMarking(uint32_t P) {
-  (void)P;
-  syncMarking();
-  UseBitMarking = false;
-  AllFast = false;
-  std::fill_n(HS.FastFire, L.NumTransitions, uint8_t(0));
-  std::fill_n(HS.FastComp, L.NumTransitions, uint8_t(0));
+void EarliestFiringEngine::rederiveEnabled() {
+  const uint32_t *RdP = HS.Readiness;
+  uint64_t *EnP = HS.EnabledIdle;
+  size_t Count = 0;
+  uint64_t Sets = 0;
+  std::fill(EnabledSummary.begin(), EnabledSummary.end(), uint64_t(0));
+  for (size_t W = 0, NW = L.BitWords; W < NW; ++W) {
+    // The padding lanes past the last transition read nonzero.
+    uint64_t Want = zeroLanes(RdP + W * 64);
+    Sets += static_cast<uint64_t>(std::popcount(Want & ~EnP[W]));
+    EnP[W] = Want;
+    EnabledSummary[W >> 6] |= static_cast<uint64_t>(Want != 0) << (W & 63);
+    Count += static_cast<size_t>(std::popcount(Want));
+  }
+  EnabledIdleCount = Count;
+  Ctrs.EnabledSets += Sets;
+  Ctrs.WordsSwept += L.BitWords;
+}
+
+void EarliestFiringEngine::produceCounted(uint32_t I) {
+  // A dense drain's generic produce: marks, counts and readiness words
+  // only, for rederiveEnabled() to read (the net has no gates).
+  for (uint32_t K = L.OutOff[I], E = L.OutOff[I + 1]; K < E; ++K) {
+    uint32_t P = L.OutList[K];
+    uint32_t S = L.PlaceSlot[P];
+    uint64_t &Word = HS.Mark[S >> 6];
+    uint64_t Bit = 1ull << (S & 63);
+    if (Word & Bit) {
+      addExcess(S);
+      continue;
+    }
+    Word |= Bit;
+    for (uint32_t J = L.ConsOff[P], JE = L.ConsOff[P + 1]; J < JE; ++J)
+      --HS.Readiness[L.ConsList[J]];
+  }
 }
 
 void EarliestFiringEngine::syncMarking() const {
-  if (!UseBitMarking)
+  if (Policy)
     return;
-  size_t NumP = L.NumPlaces;
-  for (size_t P = 0; P < NumP; ++P) {
+  for (size_t P = 0, NumP = L.NumPlaces; P < NumP; ++P) {
     uint32_t S = L.PlaceSlot[P];
-    M.setTokens(PlaceId(P),
-                static_cast<uint32_t>((HS.Mark[S >> 6] >> (S & 63)) & 1));
+    M.setTokens(PlaceId(P), testBit(HS.Mark, S) ? 1 + excessAt(S) : 0);
   }
 }
 
@@ -543,28 +630,18 @@ void EarliestFiringEngine::produceToken(uint32_t P) {
   uint32_t S = L.PlaceSlot[P];
   uint64_t Bit = 1ull << (S & 63);
   uint64_t &Word = HS.Mark[S >> 6];
-  // A second token on a marked place ends bit mode.
-  if (UseBitMarking && (Word & Bit))
-    leaveBitMarking(P);
-  if (!UseBitMarking) {
-    PlaceId Pid(P);
-    M.produce(Pid);
-    uint32_t C = M.tokens(Pid);
-    if (C >= 2) {
-      OverflowPlaces += C == 2;
-      setExcess(S, C - 2, C - 1);
-      return;
-    }
-  }
-  // The place was empty.  A gated place walks no consumers: prepare()'s
-  // sweep re-opens its gate, or openGate() does on an ExactEnabled
-  // engine.
-  Word |= Bit;
-  if (uint32_t G = L.GateOf[P]; G != EngineLayout::NoGate) {
-    if (ExactEnabled)
-      openGate(G);
+  if (Policy)
+    M.produce(PlaceId(P));
+  if (Word & Bit) {
+    // The place stays marked: only its count above one moves.
+    addExcess(S);
     return;
   }
+  // The place was empty.  A gated place walks no consumers: its mark
+  // bit opens the gate.
+  Word |= Bit;
+  if (L.GateOf[P] != EngineLayout::NoGate)
+    return;
   for (uint32_t K = L.ConsOff[P], E = L.ConsOff[P + 1]; K < E; ++K) {
     uint32_t I = L.ConsList[K];
     assert((HS.Readiness[I] & (BusyBias - 1)) > 0 &&
@@ -579,22 +656,14 @@ void EarliestFiringEngine::consumeToken(uint32_t P) {
   uint64_t Bit = 1ull << (S & 63);
   uint64_t &Word = HS.Mark[S >> 6];
   assert((Word & Bit) && "consuming from an empty place");
-  if (!UseBitMarking) {
-    PlaceId Pid(P);
-    M.consume(Pid);
-    uint32_t C = M.tokens(Pid);
-    if (C >= 1) {
-      OverflowPlaces -= C == 1;
-      setExcess(S, C, C - 1);
-      return;
-    }
-  }
+  if (Policy)
+    M.consume(PlaceId(P));
+  if (takeExcess(S))
+    return;
   // The place is now empty.
   Word &= ~Bit;
-  if (uint32_t G = L.GateOf[P]; G != EngineLayout::NoGate) {
-    closeGate(G);
+  if (L.GateOf[P] != EngineLayout::NoGate)
     return;
-  }
   for (uint32_t K = L.ConsOff[P], E = L.ConsOff[P + 1]; K < E; ++K) {
     uint32_t I = L.ConsList[K];
     if (HS.Readiness[I]++ == 0)
@@ -606,20 +675,16 @@ void EarliestFiringEngine::consumeToken(uint32_t P) {
 /// stream when available, the generic per-place walk otherwise.
 void EarliestFiringEngine::produceOutputs(uint32_t I) {
   if (HS.FastComp[I]) {
-    // Bit-marking fast path: stream the precomputed (slot, consumer)
-    // pairs; each produce is one bit set plus one readiness decrement.
+    // Stream the precomputed (slot, consumer) pairs; each produce onto
+    // an empty place is one bit set plus one readiness decrement.
     for (uint32_t K = L.CompOff[I], E = L.CompOff[I + 1]; K < E; ++K) {
       uint64_t Pair = L.CompPairs[K];
       uint32_t S = static_cast<uint32_t>(Pair >> 32);
       uint64_t &Word = HS.Mark[S >> 6];
       uint64_t Bit = 1ull << (S & 63);
-      if (Word & Bit) [[unlikely]] {
-        // Second token on a marked place: abandon bit mode and finish
-        // this completion with exact counts.
-        leaveBitMarking(L.CompPlace[K]);
-        for (; K < E; ++K)
-          produceToken(L.CompPlace[K]);
-        break;
+      if (Word & Bit) {
+        addExcess(S);
+        continue;
       }
       Word |= Bit;
       uint32_t C = static_cast<uint32_t>(Pair);
@@ -627,12 +692,15 @@ void EarliestFiringEngine::produceOutputs(uint32_t I) {
              "missing-input counter underflow");
       // Branchless enable: whether this produce completes the consumer's
       // readiness is data-dependent (~coin-flip in pipelined nets), so an
-      // unconditional masked OR beats a mispredicting branch.
+      // unconditional masked OR beats a mispredicting branch.  Fast
+      // consumers are never gated.
       uint32_t R = HS.Readiness[C] - 1;
       HS.Readiness[C] = R;
       bool En = R == 0;
       HS.EnabledIdle[C >> 6] |= static_cast<uint64_t>(En) << (C & 63);
+      noteSetWord(C, En);
       EnabledIdleCount += En;
+      Ctrs.EnabledSets += En;
     }
   } else {
     for (uint32_t K = L.OutOff[I], E = L.OutOff[I + 1]; K < E; ++K)
@@ -661,7 +729,7 @@ void EarliestFiringEngine::prepare() {
   Prepared = true;
   ++Ctrs.Rebuilds;
   CompletedThisStep.clear();
-  CompletedIsLastFired = false;
+  CompletedFromRow = false;
 
   // Phase A1: completions.  A transition fired at u with time tau
   // finishes and produces its output tokens at u + tau.  The bucket for
@@ -670,59 +738,134 @@ void EarliestFiringEngine::prepare() {
   // finish times, which visits them in index order — matching the
   // reference engine's finish-time sweep — without a sort.  (Each word
   // is snapshotted before its bits are dispatched, so clearing busy
-  // bits mid-walk is safe.)
+  // bits mid-walk is safe.)  Every token event keeps the enabled-idle
+  // set exact as it happens, so nothing is re-derived afterwards.
   if (L.UnitTime) {
     // Every busy transition finishes now; drain the busy set (no
     // finish-time matching, no queue).
     if (BusyCount != 0 && Policy == nullptr) {
-      // Without a policy the busy set is exactly LastFired, already
-      // materialized in ascending index order by the previous firing
-      // phase — iterate it sequentially instead of chasing set bits
-      // (the countr_zero / clear-lowest-bit walk is a serial latency
-      // chain).  The arena arrays are raw pointers already, so stores
-      // through them cannot alias any vector control fields.
-      assert(LastFired.size() == BusyCount &&
+      // Without a policy the busy set is exactly the last step's fired
+      // ids, in ascending index order where its trace row holds them —
+      // iterate them sequentially instead of chasing set bits (the
+      // countr_zero / clear-lowest-bit walk is a serial latency chain).
+      // The arena arrays are raw pointers, and the enabled count lives
+      // in a local, so stores through them cannot alias it.
+      CompletedFromRow = true;
+      std::span<const TransitionId> Done = completions();
+      assert(Done.size() == BusyCount &&
              "unit busy set diverged from the last firing record");
       const uint8_t *FastC = HS.FastComp;
       const uint32_t *COff = L.CompOff.data();
       const uint64_t *CPairs = L.CompPairs.data();
       uint64_t *MarkP = HS.Mark;
       uint32_t *RdP = HS.Readiness;
-      CompletedIsLastFired = true; // LastFired == busy set, index order
-      const TransitionId *LF = LastFired.data();
-      // No enabled-bit upkeep here: the vectorized readiness rebuild
-      // below re-derives the whole bitset from the counters once the
-      // drain settles, so every produce is just a mark OR, the hash
-      // delta, and a counter decrement.
-      for (size_t K0 = 0, NC = LastFired.size(); K0 < NC; ++K0) {
-        uint32_t I = LF[K0].index();
-        if (FastC[I]) [[likely]] {
-          for (uint32_t K = COff[I], E = COff[I + 1]; K < E; ++K) {
-            uint64_t Pair = CPairs[K];
-            uint32_t S = static_cast<uint32_t>(Pair >> 32);
-            uint64_t Bit = 1ull << (S & 63);
-            uint64_t OldW = MarkP[S >> 6];
-            if (OldW & Bit) [[unlikely]] {
-              // Second token on a marked place: abandon bit mode and
-              // finish this completion with exact counts.
-              leaveBitMarking(L.CompPlace[K]);
-              for (; K < E; ++K)
-                produceToken(L.CompPlace[K]);
-              break;
+      uint64_t *EnP = HS.EnabledIdle;
+      if (!Gated && Done.size() >= L.BitWords) {
+        // A dense instant (at least one completion per enabled-set
+        // word) sets no bit as it goes: its produces, scattered over
+        // the bitset, would form a chain of read-modify-writes through
+        // it, which measured slower than re-deriving every word from
+        // the readiness counters once the drain settles — O(N/64), no
+        // more than the instant's completions.
+        for (TransitionId T : Done) {
+          uint32_t I = T.index();
+          if (FastC[I]) [[likely]] {
+            for (uint32_t K = COff[I], E = COff[I + 1]; K < E; ++K) {
+              uint64_t Pair = CPairs[K];
+              uint32_t S = static_cast<uint32_t>(Pair >> 32);
+              uint64_t Bit = 1ull << (S & 63);
+              uint64_t OldW = MarkP[S >> 6];
+              if (OldW & Bit) {
+                addExcess(S);
+                continue;
+              }
+              MarkP[S >> 6] = OldW | Bit;
+              --RdP[static_cast<uint32_t>(Pair)];
             }
-            MarkP[S >> 6] = OldW | Bit;
-            --RdP[static_cast<uint32_t>(Pair)];
+          } else {
+            produceCounted(I);
           }
-        } else {
-          produceOutputs(I);
+          RdP[I] -= BusyBias;
         }
-        RdP[I] -= BusyBias;
+        rederiveEnabled();
+      } else {
+        // Only bits are set here, so the sets counted are the count's
+        // growth; the generic walks count their own.
+        size_t EnCount = EnabledIdleCount;
+        auto Flush = [&] {
+          Ctrs.EnabledSets += EnCount - EnabledIdleCount;
+          EnabledIdleCount = EnCount;
+        };
+        auto Enable = [&](uint32_t T, bool En) {
+          EnP[T >> 6] |= static_cast<uint64_t>(En) << (T & 63);
+          noteSetWord(T, En);
+          EnCount += En;
+        };
+        for (TransitionId T : Done) {
+          uint32_t I = T.index();
+          if (FastC[I]) [[likely]] {
+            for (uint32_t K = COff[I], E = COff[I + 1]; K < E; ++K) {
+              uint64_t Pair = CPairs[K];
+              uint32_t S = static_cast<uint32_t>(Pair >> 32);
+              uint64_t Bit = 1ull << (S & 63);
+              uint64_t OldW = MarkP[S >> 6];
+              if (OldW & Bit) {
+                addExcess(S);
+                continue;
+              }
+              MarkP[S >> 6] = OldW | Bit;
+              uint32_t C = static_cast<uint32_t>(Pair);
+              uint32_t R = RdP[C] - 1;
+              RdP[C] = R;
+              Enable(C, R == 0);
+            }
+          } else {
+            Flush();
+            produceOutputs(I);
+            EnCount = EnabledIdleCount;
+          }
+          uint32_t R = RdP[I] - BusyBias;
+          RdP[I] = R;
+          if (Gated) {
+            Flush();
+            if (R == 0)
+              setEnabledIdle(I);
+            EnCount = EnabledIdleCount;
+          } else {
+            Enable(I, R == 0);
+          }
+        }
+        Flush();
       }
-      std::fill_n(HS.Busy, L.BitWords, uint64_t(0));
+      // Every busy bit is a completion's, so zeroing the completions'
+      // words clears the set; a dense instant clears it whole.
+      if (Done.size() < L.BitWords)
+        for (TransitionId T : Done)
+          HS.Busy[T.index() >> 6] = 0;
+      else
+        std::fill_n(HS.Busy, L.BitWords, uint64_t(0));
+      BusyCount = 0;
+    } else if (BusyCount != 0 && BusyCount * 16 < L.BitWords) {
+      // Policy engines replay completions through the recording path.
+      // The busy set is the last step's fired ids, in firing order: a
+      // few are sorted into index order, ...
+      std::span<const TransitionId> Fired = (*LastOut)[LastRow].Fired;
+      assert(Fired.size() == BusyCount &&
+             "unit busy set diverged from the last firing record");
+      CompletedThisStep.assign(Fired.begin(), Fired.end());
+      std::sort(CompletedThisStep.begin(), CompletedThisStep.end());
+      for (TransitionId T : CompletedThisStep) {
+        uint32_t I = T.index();
+        HS.Busy[I >> 6] &= ~(1ull << (I & 63));
+        produceOutputs(I);
+        uint32_t R = HS.Readiness[I] - BusyBias;
+        HS.Readiness[I] = R;
+        if (R == 0)
+          setEnabledIdle(I);
+      }
       BusyCount = 0;
     } else if (BusyCount != 0) {
-      // Policy engines replay completions through the recording path:
-      // walk the busy bitset a word at a time, in index order.
+      // ... and many are read off the busy bitset a word at a time.
       uint64_t *BusyP = HS.Busy;
       for (size_t W = 0, NW = L.BitWords; W < NW; ++W) {
         uint64_t Word = BusyP[W];
@@ -763,28 +906,12 @@ void EarliestFiringEngine::prepare() {
         Far.erase(Far.begin());
     }
   }
-
-  // Rebuild the enabled-idle bitset and count from the readiness
-  // counters: the fused invariant (enabled and idle iff the word is
-  // zero) makes this a sequential compare-to-zero sweep, which lets the
-  // unit drain above skip the scattered per-produce bit upkeep
-  // entirely.  The incremental updates other paths make are simply
-  // overwritten.  The sweep reads whole 64-lane words (the counter
-  // array is sentinel-padded) through the per-tier kernel selected at
-  // construction (petri/SimdDispatch.h).
-  // An ExactEnabled engine kept the set exact as tokens moved.
-  if (!ExactEnabled) {
-    EnabledIdleCount = Sweep(HS.Readiness, HS.EnabledIdle, L.BitWords);
-    // The counters leave gated places out: mask the consumers of the
-    // empty ones.
-    for (uint32_t G = 0, NG = static_cast<uint32_t>(L.GatePlace.size());
-         G < NG; ++G) {
-      if (!testBit(HS.Mark, L.PlaceSlot[L.GatePlace[G]]))
-        closeGate(G);
-    }
-  }
-  assert((!ExactEnabled || enabledMatchesSweep()) &&
-         "event-kept enabled set diverged from the readiness sweep");
+  // Checked at every instant on nets of up to 4,096 transitions, and at
+  // power-of-two instants above, so a large net's debug run stays
+  // O(N log T).
+  assert(((L.BitWords > 64 && (Ctrs.Rebuilds & (Ctrs.Rebuilds - 1)) != 0) ||
+          enabledMatchesSweep()) &&
+         "event-kept enabled set diverged from the readiness words");
 
   // Phase A2+A3: candidate set = enabled idle transitions, index order,
   // then the machine observes the state and orders its choices.  With no
@@ -796,7 +923,7 @@ void EarliestFiringEngine::prepare() {
     // The firing walk reads the list in place (fireAndAdvance).
     Ready->observe(Now, Net, M, CompletedThisStep);
   } else if (Policy) {
-    Policy->orderEnabled(Net, M, CompletedThisStep, HS.EnabledIdle,
+    Policy->orderEnabled(Net, M, CompletedThisStep, enabledBits(),
                          L.BitWords, Ordered);
     OrderedValid = true;
   }
@@ -825,26 +952,29 @@ void EarliestFiringEngine::packState(PackedState &Out) const {
   assert(Prepared && "state packed before prepare()");
   Out.beginState(L.MarkWords);
   Out.setMarkWords(HS.Mark, L.MarkWords);
-  if (OverflowPlaces > 0) {
+  if (size_t NP = planesInUse()) {
     // Counts above one: the planes when they are shorter than one
     // sparse word per multi-token place, else the sparse words, found
     // through the union of the planes.  Safe nets (the paper's setting)
     // never enter this branch.
-    size_t NP = planesInUse();
-    if (OverflowPlaces > NP * L.MarkWords) {
+    auto AnyAt = [&](size_t W) {
+      uint64_t Any = 0;
+      for (size_t B = 0; B < NP; ++B)
+        Any |= Planes[B * L.MarkWords + W];
+      return Any;
+    };
+    size_t MultiToken = 0;
+    for (size_t W = 0; W < L.MarkWords; ++W)
+      MultiToken += static_cast<size_t>(std::popcount(AnyAt(W)));
+    if (MultiToken > NP * L.MarkWords) {
       Out.appendPlanes(Planes.data(), NP, L.MarkWords);
     } else {
-      for (size_t W = 0; W < L.MarkWords; ++W) {
-        uint64_t Any = 0;
-        for (size_t B = 0; B < NP; ++B)
-          Any |= Planes[B * L.MarkWords + W];
-        while (Any) {
-          uint32_t P =
-              L.SlotPlace[W * 64 + static_cast<size_t>(std::countr_zero(Any))];
-          Any &= Any - 1;
-          Out.appendOverflow(P, M.tokens(PlaceId(P)));
+      for (size_t W = 0; W < L.MarkWords; ++W)
+        for (uint64_t Any = AnyAt(W); Any; Any &= Any - 1) {
+          uint32_t S =
+              static_cast<uint32_t>(W * 64 + std::countr_zero(Any));
+          Out.appendOverflow(L.SlotPlace[S], 1 + excessAt(S));
         }
-      }
     }
   }
   // A unit-time net's busy set is always empty here (prepare() drained
@@ -865,42 +995,87 @@ void EarliestFiringEngine::packState(PackedState &Out) const {
   Out.finishState();
 }
 
-void EarliestFiringEngine::flushMarkHash() const {
-  const uint64_t *Live = HS.Mark;
-  uint64_t *Shadow = MarkShadow.data();
-  uint64_t *Term = MarkTerm.data();
-  uint64_t Acc = MarkHash;
-  for (size_t W = 0, E = L.MarkWords; W < E; ++W) {
-    if (Shadow[W] == Live[W])
-      continue;
-    uint64_t T = PackedState::mixWord(1 + W, Live[W]);
-    Acc ^= Term[W] ^ T;
-    Term[W] = T;
-    Shadow[W] = Live[W];
-  }
-  MarkHash = Acc;
-}
-
 uint64_t EarliestFiringEngine::packStateHashed(PackedState &Out) const {
   packState(Out);
-  // The marking section's terms come from the shadow-diff accumulator
-  // (one mix per word that changed since the last pack, found by a
-  // cheap scan-compare); the header and the sections after the marking
-  // are mixed fresh, which keeps the whole hash O(mark words compared +
-  // changed words mixed + overflow + busy + fingerprint) with zero cost
-  // on the token-write hot path.
-  flushMarkHash();
-  return MarkHash ^ Out.rawTailHash(L.MarkWords);
+  return Out.rawHash();
+}
+
+void EarliestFiringEngine::offerSlotWord(PackedStateTable &Seen,
+                                         size_t W) const {
+  Seen.offerWord(W, HS.Mark[W]);
+  for (size_t B = 0; B < NumPlanes; ++B)
+    Seen.offerWord((1 + B) * L.MarkWords + W, Planes[B * L.MarkWords + W]);
+}
+
+void EarliestFiringEngine::logState(PackedStateTable &Seen) {
+  assert(Prepared && "state logged before prepare()");
+  size_t MW = L.MarkWords;
+  Seen.beginState(MW * (1 + NumPlanes));
+  // Since the last logged instant the previous step consumed its
+  // firings' inputs and this instant's completions produced their
+  // outputs; leapt instants in between moved nothing.
+  std::span<const TransitionId> Fired =
+      LastOut ? (*LastOut)[LastRow].Fired : std::span<const TransitionId>();
+  std::span<const TransitionId> Done = completions();
+  if (Logged && (Fired.size() + Done.size()) * 4 < MW) {
+    for (TransitionId T : Fired)
+      for (uint32_t K = L.InOff[T.index()], E = L.InOff[T.index() + 1];
+           K < E; ++K)
+        offerSlotWord(Seen, L.PlaceSlot[L.InList[K]] >> 6);
+    for (TransitionId T : Done)
+      for (uint32_t K = L.OutOff[T.index()], E = L.OutOff[T.index() + 1];
+           K < E; ++K)
+        offerSlotWord(Seen, L.PlaceSlot[L.OutList[K]] >> 6);
+#ifndef NDEBUG
+    size_t Offered = Seen.pendingChanges();
+    for (size_t W = 0; W < MW; ++W)
+      offerSlotWord(Seen, W);
+    assert(Seen.pendingChanges() == Offered &&
+           "a word changed outside the instant's events");
+#endif
+  } else {
+    Seen.offerWords(0, HS.Mark, MW);
+    Seen.offerWords(MW, Planes.data(), NumPlanes * MW);
+  }
+  Logged = true;
+  appendTail(Seen.tail(), Now);
+}
+
+void EarliestFiringEngine::logLeaptState(PackedStateTable &Seen,
+                                         TimeStep At) const {
+  Seen.beginState(L.MarkWords * (1 + NumPlanes));
+  appendTail(Seen.tail(), At);
+}
+
+void EarliestFiringEngine::appendTail(std::vector<uint64_t> &Tail,
+                                      TimeStep At) const {
+  // The busy count first, so a fingerprint cannot pass for busy entries.
+  Tail.push_back(BusyCount);
+  if (BusyCount != 0)
+    forEachSetBit(HS.Busy, L.BitWords, [&](uint32_t I) {
+      Tail.push_back((static_cast<uint64_t>(I) << 32) |
+                     static_cast<uint32_t>(HS.FinishTime[I] - At));
+    });
+  if (Policy) {
+    if (std::optional<uint64_t> Summary = Policy->conditionSummary()) {
+      Tail.push_back(*Summary);
+    } else {
+      FpScratch.clear();
+      Policy->appendFingerprint(FpScratch);
+      Tail.insert(Tail.end(), FpScratch.begin(), FpScratch.end());
+    }
+  }
 }
 
 const std::vector<TransitionId> &EarliestFiringEngine::candidates() const {
   assert(Prepared && "candidates requested before prepare()");
   if (!OrderedValid) {
     Ordered.clear();
+    const uint64_t *Enabled = enabledBits();
     if (Ready)
-      Ready->appendOrder(HS.EnabledIdle, L.BitWords, Ordered);
+      Ready->appendOrder(Enabled, L.BitWords, Ordered);
     else
-      forEachSetBit(HS.EnabledIdle, L.BitWords,
+      forEachSetBit(Enabled, L.BitWords,
                     [&](uint32_t I) { Ordered.push_back(TransitionId(I)); });
     OrderedValid = true;
   }
@@ -930,22 +1105,35 @@ void EarliestFiringEngine::startFiring(uint32_t I) {
 
 /// The firing phase of an engine with a policy: a ReadyListPolicy's
 /// list walked in place, or another policy's materialized order.
-/// Policies force exact-count mode, so only the generic consume path
+/// Policies keep exact counts, so only the generic consume path
 /// applies here (FastFire is zeroed in the constructor).
 void EarliestFiringEngine::firePolicyCandidates(FiringTrace &Rec) {
   if (Ready) {
-    // Non-conflicting candidates first, in index order.
-    const std::vector<uint64_t> &Conflict = Ready->ConflictBits;
-    for (size_t W = 0, NW = L.BitWords; W < NW; ++W) {
-      uint64_t Word =
-          HS.EnabledIdle[W] & ~(W < Conflict.size() ? Conflict[W] : 0);
-      while (Word) {
-        uint32_t I = static_cast<uint32_t>(W * 64 + std::countr_zero(Word));
-        Word &= Word - 1;
-        if (!testBit(HS.EnabledIdle, I))
+    // Non-conflicting candidates first, in index order: from the list of
+    // those enabled since the last phase, or from the enabled set.
+    if (ListFree) {
+      std::sort(FreeEnabled.begin(), FreeEnabled.end());
+      for (TransitionId T : FreeEnabled) {
+        if (!testBit(HS.EnabledIdle, T.index()))
           continue; // An earlier firing consumed a shared token.
-        startFiring(I);
-        Rec.addFired(TransitionId(I));
+        startFiring(T.index());
+        Rec.addFired(T);
+      }
+      FreeEnabled.clear();
+    } else {
+      const std::vector<uint64_t> &Conflict = Ready->ConflictBits;
+      for (size_t W = 0, NW = L.BitWords; W < NW; ++W) {
+        uint64_t Word =
+            HS.EnabledIdle[W] & ~(W < Conflict.size() ? Conflict[W] : 0);
+        while (Word) {
+          uint32_t I =
+              static_cast<uint32_t>(W * 64 + std::countr_zero(Word));
+          Word &= Word - 1;
+          if (!testBit(HS.EnabledIdle, I) || gateMasked(I))
+            continue; // Consumed by an earlier firing, or gated.
+          startFiring(I);
+          Rec.addFired(TransitionId(I));
+        }
       }
     }
     // Then the ready list in place.  Firings within a step only take
@@ -954,10 +1142,10 @@ void EarliestFiringEngine::firePolicyCandidates(FiringTrace &Rec) {
     // step's resource tokens are spent.
     uint64_t Visits = 0;
     for (uint32_t V = Ready->front();
-         V != ReadyListPolicy::None && EnabledIdleCount != 0;) {
+         V != ReadyListPolicy::None && anyEnabled();) {
       uint32_t After = Ready->after(V);
       ++Visits;
-      if (testBit(HS.EnabledIdle, V)) {
+      if (testBit(HS.EnabledIdle, V) && !gateMasked(V)) {
         startFiring(V);
         Rec.addFired(TransitionId(V));
         Ready->noteFired(TransitionId(V));
@@ -968,8 +1156,8 @@ void EarliestFiringEngine::firePolicyCandidates(FiringTrace &Rec) {
   } else {
     for (TransitionId T : Ordered) {
       uint32_t I = T.index();
-      if (!testBit(HS.EnabledIdle, I))
-        continue; // An earlier firing consumed a shared token.
+      if (!testBit(HS.EnabledIdle, I) || gateMasked(I))
+        continue; // Consumed by an earlier firing, or gated.
       startFiring(I);
       Rec.addFired(T);
       Policy->noteFired(T);
@@ -977,22 +1165,137 @@ void EarliestFiringEngine::firePolicyCandidates(FiringTrace &Rec) {
   }
 }
 
+uint32_t EarliestFiringEngine::consumeCounted(uint32_t I) {
+  // AllFast layout: I's input slots are [InOff[I], InOff[I + 1]).
+  uint32_t Missing = 0;
+  for (uint32_t S = L.InOff[I], E = L.InOff[I + 1]; S < E; ++S) {
+    assert(testBit(HS.Mark, S) && "consuming from an empty place");
+    if (takeExcess(S))
+      continue;
+    HS.Mark[S >> 6] &= ~(1ull << (S & 63));
+    ++Missing;
+  }
+  return Missing;
+}
+
+void EarliestFiringEngine::fireIndexOrder(FiringTrace &Rec) {
+  // Candidate order is bitset index order; walk the words the summary
+  // marks and collect each word's fast-path firings into one pair of
+  // bitset updates.  (Word snapshots make the mid-walk clears from
+  // generic consumes and gates safe: a candidate re-checks its live
+  // enabled bit.)
+  // Pointers and counters live in locals for the same aliasing
+  // reason as the completion drain.
+  const uint8_t *FastF = HS.FastFire;
+  const uint32_t *InOffP = L.InOff.data();
+  const uint32_t *InListP = L.InList.data();
+  uint32_t *RdP = HS.Readiness;
+  uint64_t *MarkP = HS.Mark;
+  uint64_t *EnP = HS.EnabledIdle;
+  uint64_t *BusyP = HS.Busy;
+  size_t EnCount = EnabledIdleCount;
+  size_t BusyCnt = BusyCount;
+  // Every firing is a candidate now, so the enabled count bounds the
+  // step's firings: write them through a raw pointer and give back
+  // the unused room after the walk.
+  size_t Room = EnCount;
+  TransitionId *Out = Rec.growFired(Room);
+  size_t NF = 0;
+  forEachMarkedWord(EnabledSummary, EnP, [&](size_t W) {
+    uint64_t Word = EnP[W];
+    uint64_t FiredW = 0;
+    do {
+      uint32_t I = static_cast<uint32_t>(W * 64 + std::countr_zero(Word));
+      Word &= Word - 1;
+      if (!testBit(EnP, I))
+        continue; // An earlier firing consumed a shared token.
+      uint32_t B = InOffP[I], E = InOffP[I + 1];
+      if (FastF[I]) [[likely]] {
+        // Every input place's sole consumer is this transition, so
+        // consuming cannot touch anyone else's readiness — just take
+        // the tokens and account the whole firing in one readiness
+        // store.  (Places are their own slots outside AllFast nets.)
+        uint32_t Missing = 0;
+        for (uint32_t K = B; K < E; ++K) {
+          uint32_t P = InListP[K];
+          assert(testBit(MarkP, P) && "consuming from an empty place");
+          if (NumPlanes != 0 && takeExcess(P))
+            continue;
+          MarkP[P >> 6] &= ~(1ull << (P & 63));
+          ++Missing;
+        }
+        RdP[I] = Missing + BusyBias;
+        FiredW |= 1ull << (I & 63);
+      } else {
+        if (gateMasked(I))
+          continue; // A gated input place is empty.
+        EnabledIdleCount = EnCount;
+        for (uint32_t K = B; K < E; ++K)
+          consumeToken(InListP[K]);
+        // Consuming the first emptied input already cleared the
+        // enabled-idle bit via the consumer walk; only a firing whose
+        // inputs all stay marked (multi-token places or gated places)
+        // clears it here.
+        if (RdP[I] == 0)
+          clearEnabledIdle(I);
+        EnCount = EnabledIdleCount;
+        RdP[I] += BusyBias;
+        BusyP[W] |= 1ull << (I & 63);
+        ++BusyCnt;
+      }
+      if (!L.UnitTime) {
+        TimeStep F = Now + L.Exec[I];
+        HS.FinishTime[I] = F;
+        if (L.UseRing)
+          ++HS.RingCount[static_cast<size_t>(F % (L.MaxExec + 1))];
+        else
+          ++Far[F];
+      }
+      Out[NF++] = TransitionId(I);
+    } while (Word);
+    EnP[W] &= ~FiredW;
+    EnCount -= static_cast<size_t>(std::popcount(FiredW));
+    BusyP[W] |= FiredW;
+    BusyCnt += static_cast<size_t>(std::popcount(FiredW));
+  });
+  EnabledIdleCount = EnCount;
+  BusyCount = BusyCnt;
+  Rec.shrinkFired(Room - NF);
+}
+
 StepRecord EarliestFiringEngine::fireAndAdvance() {
-  FiringTrace One;
-  fireAndAdvance(One);
-  StepView S = One.back();
-  return StepRecord{S.Time, {S.Completed.begin(), S.Completed.end()},
-                    {S.Fired.begin(), S.Fired.end()}};
+  prepare();
+  StepRecord R;
+  R.Time = Now;
+  std::span<const TransitionId> Done = completions();
+  R.Completed.assign(Done.begin(), Done.end());
+  // Own keeps one row, this step's: the next step's completions may be
+  // read back from it.
+  Own.clear();
+  fireInto(Own, R.Completed);
+  std::span<const TransitionId> Fired = Own.back().Fired;
+  R.Fired.assign(Fired.begin(), Fired.end());
+  return R;
 }
 
 void EarliestFiringEngine::fireAndAdvance(FiringTrace &Rec) {
   prepare();
+  std::span<const TransitionId> Done = completions();
+  if (CompletedFromRow && LastOut == &Rec && LastRow + 1 != Rec.size()) {
+    // Completions read from an earlier row of the trace being appended
+    // to: copy them out before the trace can grow under them.
+    CompletedThisStep.assign(Done.begin(), Done.end());
+    Done = CompletedThisStep;
+  }
+  fireInto(Rec, Done);
+}
 
-  // The unit drain already consumed LastFired; it is rebuilt from this
-  // step's firings below.
-  Rec.beginStep(Now, CompletedIsLastFired ? LastFired : CompletedThisStep);
-  size_t NumCompleted = CompletedIsLastFired ? LastFired.size()
-                                             : CompletedThisStep.size();
+void EarliestFiringEngine::fireInto(FiringTrace &Rec,
+                                    std::span<const TransitionId> Completed) {
+  // The previous row's fired ids are this row's completions in a
+  // unit-time net without a policy: the trace then shares them.
+  Rec.beginStep(Now, Completed);
+  size_t NumCompleted = Completed.size();
 
   // Greedy maximal firing in policy order.  Consumption happens now;
   // production is deferred to completion, so firings within one step
@@ -1004,19 +1307,19 @@ void EarliestFiringEngine::fireAndAdvance(FiringTrace &Rec) {
     // stores, and the fired list written through a raw pointer.  The
     // slot permutation puts transition I's input marks at bits
     // [InOff[I], InOff[I+1]), so consuming is a masked clear with no
-    // input-list loads.
+    // input-list loads, unless a count plane holds one of those slots.
     const uint32_t *InOffP = L.InOff.data();
     const TimeUnits *ExecP = L.Exec.data();
     uint32_t *RdP = HS.Readiness;
     uint64_t *MarkP = HS.Mark;
     uint64_t *EnP = HS.EnabledIdle;
     uint64_t *BusyP = HS.Busy;
+    const uint64_t *PlaneP = Planes.data();
+    size_t NP = NumPlanes, MW = L.MarkWords;
     TransitionId *Out = Rec.growFired(EnabledIdleCount);
     size_t NF = 0;
-    for (size_t W = 0, NW = L.BitWords; W < NW; ++W) {
+    forEachMarkedWord(EnabledSummary, EnP, [&](size_t W) {
       uint64_t Word = EnP[W];
-      if (!Word)
-        continue;
       EnP[W] = 0;
       BusyP[W] |= Word;
       do {
@@ -1024,27 +1327,35 @@ void EarliestFiringEngine::fireAndAdvance(FiringTrace &Rec) {
         Word &= Word - 1;
         assert(RdP[I] == 0 && "enabled-idle bit with nonzero word");
         uint32_t B = InOffP[I], E = InOffP[I + 1];
+        uint32_t Missing = E - B;
         if (B != E) {
           uint32_t Last = E - 1;
           size_t W0 = B >> 6, W1 = Last >> 6;
           uint64_t MaskLo = ~0ull << (B & 63);
           uint64_t MaskHi = ~0ull >> (63 - (Last & 63));
           if (W0 == W1) [[likely]] {
-            uint64_t OldW = MarkP[W0];
-            assert((OldW & (MaskLo & MaskHi)) == (MaskLo & MaskHi) &&
-                   "consuming from an empty place");
-            MarkP[W0] = OldW & ~(MaskLo & MaskHi);
-          } else {
-            uint64_t OldW = MarkP[W0];
-            MarkP[W0] = OldW & ~MaskLo;
-            for (size_t V = W0 + 1; V < W1; ++V) {
-              MarkP[V] = 0;
+            uint64_t Mask = MaskLo & MaskHi;
+            uint64_t Counted = 0;
+            for (size_t P = 0; P < NP; ++P)
+              Counted |= PlaneP[P * MW + W0];
+            if (Counted & Mask) {
+              Missing = consumeCounted(I);
+            } else {
+              uint64_t OldW = MarkP[W0];
+              assert((OldW & Mask) == Mask &&
+                     "consuming from an empty place");
+              MarkP[W0] = OldW & ~Mask;
             }
-            OldW = MarkP[W1];
-            MarkP[W1] = OldW & ~MaskHi;
+          } else if (NP != 0) {
+            Missing = consumeCounted(I);
+          } else {
+            MarkP[W0] &= ~MaskLo;
+            for (size_t V = W0 + 1; V < W1; ++V)
+              MarkP[V] = 0;
+            MarkP[W1] &= ~MaskHi;
           }
         }
-        RdP[I] = (E - B) + BusyBias;
+        RdP[I] = Missing + BusyBias;
         if (!L.UnitTime) {
           TimeStep F = Now + ExecP[I];
           HS.FinishTime[I] = F;
@@ -1055,100 +1366,21 @@ void EarliestFiringEngine::fireAndAdvance(FiringTrace &Rec) {
         }
         Out[NF++] = TransitionId(I);
       } while (Word);
-    }
+    });
     assert(NF == EnabledIdleCount && "marked-graph candidate was skipped");
     BusyCount += NF;
     EnabledIdleCount = 0;
   } else if (!Policy) {
-    // Candidate order is bitset index order; walk the words directly
-    // and collect each word's fast-path firings into one pair of
-    // bitset updates.  (Word snapshots make the mid-walk clears from
-    // generic consumes and gates safe: a candidate re-checks its live
-    // enabled bit.)
-    // Pointers and counters live in locals for the same aliasing
-    // reason as the completion drain.
-    const uint8_t *FastF = HS.FastFire;
-    const uint32_t *InOffP = L.InOff.data();
-    const uint32_t *InListP = L.InList.data();
-    uint32_t *RdP = HS.Readiness;
-    uint64_t *MarkP = HS.Mark;
-    uint64_t *EnP = HS.EnabledIdle;
-    uint64_t *BusyP = HS.Busy;
-    size_t EnCount = EnabledIdleCount;
-    size_t BusyCnt = BusyCount;
-    // Every firing is a candidate now, so the enabled count bounds the
-    // step's firings: write them through a raw pointer and give back
-    // the unused room after the walk.
-    size_t Room = EnCount;
-    TransitionId *Out = Rec.growFired(Room);
-    size_t NF = 0;
-    for (size_t W = 0, NW = L.BitWords; W < NW; ++W) {
-      uint64_t Word = EnP[W];
-      if (!Word)
-        continue;
-      uint64_t FiredW = 0;
-      do {
-        uint32_t I = static_cast<uint32_t>(W * 64 + std::countr_zero(Word));
-        Word &= Word - 1;
-        if (!testBit(EnP, I))
-          continue; // An earlier firing consumed a shared token.
-        uint32_t B = InOffP[I], E = InOffP[I + 1];
-        if (FastF[I]) [[likely]] {
-          // Bit-marking fast path: every input place's sole consumer
-          // is this transition, so consuming cannot touch anyone
-          // else's readiness — just clear the input bits and account
-          // the whole firing in one readiness store.
-          for (uint32_t K = B; K < E; ++K) {
-            uint32_t P = InListP[K];
-            uint64_t OldW = MarkP[P >> 6];
-            assert((OldW & (1ull << (P & 63))) &&
-                   "consuming from an empty place");
-            MarkP[P >> 6] = OldW & ~(1ull << (P & 63));
-          }
-          RdP[I] = (E - B) + BusyBias;
-          FiredW |= 1ull << (I & 63);
-        } else {
-          EnabledIdleCount = EnCount;
-          for (uint32_t K = B; K < E; ++K)
-            consumeToken(InListP[K]);
-          // Consuming the first emptied input already cleared the
-          // enabled-idle bit via the consumer walk or a gate; only a
-          // firing whose inputs all stay marked (multi-token places)
-          // clears it here.
-          if (RdP[I] == 0)
-            clearEnabledIdle(I);
-          EnCount = EnabledIdleCount;
-          RdP[I] += BusyBias;
-          BusyP[W] |= 1ull << (I & 63);
-          ++BusyCnt;
-        }
-        if (!L.UnitTime) {
-          TimeStep F = Now + L.Exec[I];
-          HS.FinishTime[I] = F;
-          if (L.UseRing)
-            ++HS.RingCount[static_cast<size_t>(F % (L.MaxExec + 1))];
-          else
-            ++Far[F];
-        }
-        Out[NF++] = TransitionId(I);
-      } while (Word);
-      EnP[W] &= ~FiredW;
-      EnCount -= static_cast<size_t>(std::popcount(FiredW));
-      BusyP[W] |= FiredW;
-      BusyCnt += static_cast<size_t>(std::popcount(FiredW));
-    }
-    EnabledIdleCount = EnCount;
-    BusyCount = BusyCnt;
-    Rec.shrinkFired(Room - NF);
+    fireIndexOrder(Rec);
   } else {
     firePolicyCandidates(Rec);
   }
 
-  std::span<const TransitionId> Fired = Rec.openFired();
+  size_t NF = Rec.openFired().size();
   Rec.endStep();
-  if (L.UnitTime && !Policy)
-    LastFired.assign(Fired.begin(), Fired.end());
-  Ctrs.Firings += Fired.size();
+  LastOut = &Rec;
+  LastRow = Rec.size() - 1;
+  Ctrs.Firings += NF;
   Ctrs.Completions += NumCompleted;
   ++Now;
   Prepared = false;
@@ -1177,7 +1409,7 @@ std::optional<TimeStep> EarliestFiringEngine::nextFinishTime() const {
 void EarliestFiringEngine::leapTo(TimeStep T) {
   SDSP_CHECK(!Prepared, "leapTo() must run between steps");
   SDSP_CHECK(T >= Now, "leapTo() cannot rewind the clock");
-  SDSP_CHECK(EnabledIdleCount == 0,
+  SDSP_CHECK(!anyEnabled(),
              "leapTo() across an instant where a transition could fire");
   std::optional<TimeStep> F = nextFinishTime();
   SDSP_CHECK(!F || *F >= T, "leapTo() across a pending completion");

@@ -35,7 +35,7 @@
 /// missing-input-token counters are updated as tokens move, so the
 /// candidate set falls out of a bitset walk instead of a full transition
 /// rescan; completions come from a bucketed finish-time queue instead of
-/// a finish-time sweep; and quiescence is two counter reads.  A step
+/// a finish-time sweep; and quiescence is a few counter reads.  A step
 /// where nothing completes and nothing can fire costs O(1), and
 /// nextFinishTime()/leapTo() let callers jump the clock over such idle
 /// stretches (event-driven time leaping).  petri/ReferenceEngine.h
@@ -45,15 +45,17 @@
 /// The hot state lives in the structure-of-arrays arena of
 /// petri/EngineLayout.h: readiness counters, the enabled-idle/busy
 /// bitsets, the packed marking, finish times, and the finish ring share
-/// one contiguous allocation and one index space, and the per-instant
-/// enabled-set rebuild is the runtime-dispatched SIMD sweep of
-/// petri/SimdDispatch.h (engines with a policy skip it: they keep the
-/// set exact as tokens move, see ExactEnabled).  The engine also
-/// maintains the packed-marking section of the state hash incrementally (an XOR of position-keyed
-/// word mixes, updated at every marking-word write), so interning a
-/// state in the frustum detector's PackedStateTable costs
-/// O(touched words + busy), not a rehash of the whole packed state —
-/// see packStateHashed().
+/// one contiguous allocation and one index space.  The enabled set is
+/// exact at every instant because every token event that crosses a
+/// readiness word through zero updates it, and a closed gate masks its
+/// consumers where the set is read; only an instant that completes at
+/// least one transition per 64 re-derives it from the readiness words,
+/// which then costs no more than the instant's completions.  Counts above
+/// one live in count planes beside the packed marking bits, so an
+/// engine without a policy moves bits, never a per-place count array,
+/// whatever its capacities.  logState() hands the frustum detector's
+/// PackedStateTable only the marking words an instant's events touched,
+/// so an instant costs what it changed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +65,6 @@
 #include "petri/EngineLayout.h"
 #include "petri/PackedState.h"
 #include "petri/PetriNet.h"
-#include "petri/SimdDispatch.h"
 #include "support/Status.h"
 
 #include <algorithm>
@@ -345,24 +346,52 @@ struct StepView {
 
 /// An earliest-firing trace, one row per step in time order, stored
 /// flat: the rows' times, where each row's completed and fired ids end,
-/// and one id array that holds every row's completed ids followed by
-/// its fired ids.  Appending a row allocates nothing once the arrays
-/// have grown, and copying a trace copies four arrays.
+/// and one id array.  A row's fired ids follow its completed ids, except
+/// that a row whose completions are exactly the previous row's firings
+/// (every row of a unit-time net without a policy: what fires at u
+/// completes at u + 1) stores no copy of them: its completed range is
+/// the previous row's fired ids, which a flag on its completed end
+/// records.  Whether a row shares is a function of the rows alone, so
+/// two traces with the same rows have the same arrays.  Appending a row
+/// allocates nothing once the arrays have grown.
 class FiringTrace {
 public:
   size_t size() const { return Times.size(); }
   bool empty() const { return Times.empty(); }
   StepView operator[](size_t I) const {
     const TransitionId *D = Ids.data();
-    size_t B = I ? FiredEnd[I - 1] : 0;
-    return StepView(Times[I], {D + B, D + CompletedEnd[I]},
-                    {D + CompletedEnd[I], D + FiredEnd[I]});
+    uint64_t End = CompletedEnd[I] & ~SharedRow;
+    uint64_t Begin = (CompletedEnd[I] & SharedRow)
+                         ? CompletedEnd[I - 1] & ~SharedRow
+                         : (I ? FiredEnd[I - 1] : 0);
+    return StepView(Times[I], {D + Begin, D + End},
+                    {D + End, D + FiredEnd[I]});
   }
   StepView back() const { return (*this)[size() - 1]; }
-  /// Bytes of the four arrays.
+  /// Bytes of the three arrays' elements.
   size_t sizeBytes() const {
-    return Times.size() * (sizeof(TimeStep) + 2 * sizeof(uint64_t)) +
-           Ids.size() * sizeof(TransitionId);
+    return Times.size() * RowBytes + Ids.size() * sizeof(TransitionId);
+  }
+  /// Bytes the arrays hold allocated.
+  size_t capacityBytes() const {
+    return Times.capacity() * sizeof(TimeStep) +
+           (CompletedEnd.capacity() + FiredEnd.capacity()) *
+               sizeof(uint64_t) +
+           Ids.capacity() * sizeof(TransitionId);
+  }
+  /// capacityBytes() after reserveStep(\p NumIds): what the growth it
+  /// causes would allocate.
+  size_t capacityBytesAfterStep(size_t NumIds) const {
+    return grownCapacity(Times, 1) * RowBytes +
+           grownCapacity(Ids, NumIds) * sizeof(TransitionId);
+  }
+  /// Room for one more row holding up to \p NumIds ids, so that writing
+  /// it allocates nothing.
+  void reserveStep(size_t NumIds) {
+    makeRoom(Times, 1);
+    makeRoom(CompletedEnd, 1);
+    makeRoom(FiredEnd, 1);
+    makeRoom(Ids, NumIds);
   }
 
   /// Row iteration, for range-for over a trace.
@@ -387,14 +416,19 @@ public:
 
   /// Opens the row of step \p Time with its completions; the firings
   /// follow through addFired() or growFired(), then endStep().
+  /// \p Completed may be the previous row's fired ids.
   void beginStep(TimeStep Time, std::span<const TransitionId> Completed) {
     makeRoom(Times, 1);
     makeRoom(CompletedEnd, 1);
     makeRoom(FiredEnd, 1);
-    makeRoom(Ids, Completed.size());
+    if (sharesPrevious(Completed)) {
+      CompletedEnd.push_back(FiredEnd.back() | SharedRow);
+    } else {
+      makeRoom(Ids, Completed.size());
+      Ids.insert(Ids.end(), Completed.begin(), Completed.end());
+      CompletedEnd.push_back(Ids.size());
+    }
     Times.push_back(Time);
-    Ids.insert(Ids.end(), Completed.begin(), Completed.end());
-    CompletedEnd.push_back(Ids.size());
   }
   void addFired(TransitionId T) {
     makeRoom(Ids, 1);
@@ -411,7 +445,8 @@ public:
   void endStep() { FiredEnd.push_back(Ids.size()); }
   /// The firings of the open row so far.
   std::span<const TransitionId> openFired() const {
-    return {Ids.data() + CompletedEnd.back(), Ids.data() + Ids.size()};
+    return {Ids.data() + (CompletedEnd.back() & ~SharedRow),
+            Ids.data() + Ids.size()};
   }
   void reserveRows(size_t Rows) {
     Times.reserve(Rows);
@@ -423,23 +458,52 @@ public:
     Ids.insert(Ids.end(), S.Fired.begin(), S.Fired.end());
     endStep();
   }
+  void clear() {
+    Times.clear();
+    CompletedEnd.clear();
+    FiredEnd.clear();
+    Ids.clear();
+  }
 
-  /// Lays out rows for steps 0 .. Completions.size() - 1 with room for
-  /// the given numbers of completions and firings, which the caller
-  /// then writes through completedAt() and firedAt() in any order.  The
-  /// trace must be empty.
+  /// Lays out rows for steps 0 .. Firings.size() - 1 with room for the
+  /// given numbers of completions and firings, which the caller then
+  /// writes through completedAt() and firedAt() in any order.  With
+  /// \p Unit (a unit-time net: every row's completions are the previous
+  /// row's firings, in the same order), \p Completions is ignored and
+  /// the rows share, so only firedAt() is written.  The trace must be
+  /// empty.
   void layOut(std::span<const uint32_t> Completions,
-              std::span<const uint32_t> Firings);
+              std::span<const uint32_t> Firings, bool Unit);
   TransitionId *completedAt(size_t I) {
     return Ids.data() + (I ? FiredEnd[I - 1] : 0);
   }
-  TransitionId *firedAt(size_t I) { return Ids.data() + CompletedEnd[I]; }
+  TransitionId *firedAt(size_t I) {
+    return Ids.data() + (CompletedEnd[I] & ~SharedRow);
+  }
 
 private:
+  /// Flag on a row's completed end: its completions are the previous
+  /// row's fired ids.
+  static constexpr uint64_t SharedRow = uint64_t(1) << 63;
+  /// Bytes of one row's time and two ends.
+  static constexpr size_t RowBytes = sizeof(TimeStep) + 2 * sizeof(uint64_t);
+
   std::vector<TimeStep> Times;
   std::vector<uint64_t> CompletedEnd;
   std::vector<uint64_t> FiredEnd;
   std::vector<TransitionId> Ids;
+
+  /// Whether \p Completed, for the row being opened, equals the last
+  /// row's fired ids.
+  bool sharesPrevious(std::span<const TransitionId> Completed) const {
+    if (empty())
+      return false;
+    StepView Prev = back();
+    return Completed.size() == Prev.Fired.size() &&
+           (Completed.data() == Prev.Fired.data() ||
+            std::equal(Completed.begin(), Completed.end(),
+                       Prev.Fired.begin()));
+  }
 
   /// Grows \p V eightfold, not the usual twofold, when \p Extra more
   /// elements would not fit.  A trace is written once, front to back,
@@ -447,9 +511,15 @@ private:
   /// pages in a search that runs once per process, and capacity that is
   /// never written is never touched.
   template <typename T>
+  static size_t grownCapacity(const std::vector<T> &V, size_t Extra) {
+    if (V.capacity() - V.size() >= Extra)
+      return V.capacity();
+    return std::max(V.size() + Extra, 8 * V.capacity());
+  }
+  template <typename T>
   static void makeRoom(std::vector<T> &V, size_t Extra) {
     if (V.capacity() - V.size() < Extra)
-      V.reserve(std::max(V.size() + Extra, 8 * V.capacity()));
+      V.reserve(grownCapacity(V, Extra));
   }
 };
 
@@ -459,10 +529,11 @@ private:
 ///     flight (t is enabled and idle iff the word reads zero and every
 ///     gated input place of t is marked);
 ///   - enabled-idle and busy transition bitsets plus their population
-///     counts (isQuiescent() is O(1));
-///   - the packed marking bits and the count planes consumed by
-///     packState(), and the running hash of the marking section
-///     consumed by packStateHashed();
+///     counts, the enabled set kept exact by the token events
+///     themselves (a closed gate masks its consumers where the set is
+///     read, so isQuiescent() is O(gates));
+///   - the marking as packed bits (a place is marked) and count planes
+///     (its tokens above one), consumed by packState() and logState();
 ///   - a bucketed queue of pending finish times (completions are a
 ///     bucket drain, not a transition sweep).
 class EarliestFiringEngine {
@@ -487,15 +558,23 @@ public:
   /// have run.
   void packState(PackedState &Out) const;
 
-  /// packState() plus the raw (pre-finalization) hash of the packed
-  /// words, for PackedStateTable::insertOrFindHashed().  The marking
-  /// section's contribution comes from the incrementally maintained
-  /// accumulator — only the header and the sections after the marking
-  /// are mixed fresh — so hashing costs O(overflow + busy +
-  /// fingerprint) instead of O(places/64) on top of the pack itself.
-  /// Debug builds validate the delta against a full rehash at every
-  /// interning.
+  /// packState() plus the raw hash of the packed words
+  /// (PackedState::rawHash()), for PackedStateTable::insertOrFindHashed().
   uint64_t packStateHashed(PackedState &Out) const;
+
+  /// Opens the current instant's state in \p Seen (the frustum
+  /// detector's state table): the marking words and count planes as
+  /// its wide words, offering only those an event of the instant could
+  /// have changed — the input words of the previous step's firings and
+  /// the output words of this instant's completions, or every word when
+  /// that is fewer — and the busy residuals and machine condition as its
+  /// tail.  Must run at every simulated instant from the first, after
+  /// prepare().
+  void logState(PackedStateTable &Seen);
+  /// The state of the leapt, idle instant \p At (between steps, before
+  /// the next pending finish time): the wide words are the last logged
+  /// ones, and every residual is measured from \p At.
+  void logLeaptState(PackedStateTable &Seen, TimeStep At) const;
 
   /// The enabled idle transitions, in the policy's firing order.
   /// prepare() must have run.
@@ -503,7 +582,9 @@ public:
 
   /// Phase B: fires and advances the clock, appending the step's row
   /// (completions observed during prepare + firings performed here) to
-  /// \p Out.
+  /// \p Out.  A unit-time engine without a policy reads its next
+  /// completions back from that row, so \p Out must outlive the next
+  /// step.
   void fireAndAdvance(FiringTrace &Out);
   /// fireAndAdvance() into a StepRecord of its own.
   StepRecord fireAndAdvance();
@@ -516,20 +597,22 @@ public:
   const PetriNet &net() const { return Net; }
 
   /// True if nothing is in flight and nothing can fire: the net is dead
-  /// from this state.  O(1).
-  bool isQuiescent() const {
-    return BusyCount == 0 && EnabledIdleCount == 0;
-  }
+  /// from this state.  O(gates).
+  bool isQuiescent() const { return BusyCount == 0 && !anyEnabled(); }
 
   /// True if the prepared step observed no completions and has no
   /// candidates: nothing will change before the next pending finish
   /// time.  prepare() must have run.
   bool idleStep() const {
     assert(Prepared && "idleStep queried before prepare()");
-    return (CompletedIsLastFired ? LastFired.empty()
-                                 : CompletedThisStep.empty()) &&
-           EnabledIdleCount == 0;
+    return completions().empty() && !anyEnabled();
   }
+
+  /// Completions observed and enabled idle transitions (gates aside) at
+  /// the prepared instant: their sum bounds the ids the step's trace
+  /// row holds.
+  size_t numCompleted() const { return completions().size(); }
+  size_t numEnabled() const { return EnabledIdleCount; }
 
   /// Earliest pending completion time, or nullopt when nothing is in
   /// flight.
@@ -547,20 +630,31 @@ public:
   /// Cumulative event counts since construction.  Kept as plain struct
   /// fields so the hot loop pays an integer add, never a registry call;
   /// the frustum detector flushes them into MetricsRegistry::global()
-  /// once per detection (docs/OBSERVABILITY.md).  All four are
-  /// deterministic functions of the net and policy — they never depend
-  /// on wall time or thread count.
+  /// once per detection (docs/OBSERVABILITY.md).  All are deterministic
+  /// functions of the net and policy — they never depend on wall time
+  /// or thread count.
   struct Counters {
-    /// Enabled-set rebuilds: one per non-idempotent prepare(), i.e. one
-    /// per simulated (non-leapt) instant.
+    /// Enabled-set derivations: one per non-idempotent prepare(), i.e.
+    /// one per simulated (non-leapt) instant.
     uint64_t Rebuilds = 0;
     /// Transitions fired / completions observed, summed over steps.
     uint64_t Firings = 0;
     uint64_t Completions = 0;
     /// Instants skipped by event-driven leapTo() calls.
     uint64_t InstantsLeapt = 0;
+    /// Enabled-idle bits set; enabledBitUpdates() adds the clears.
+    uint64_t EnabledSets = 0;
+    /// Enabled-idle words re-derived from the readiness counters: every
+    /// word, at each dense unit-time instant (rederiveEnabled()).
+    uint64_t WordsSwept = 0;
   };
   const Counters &counters() const { return Ctrs; }
+  /// Enabled-idle bits set or cleared since construction.  Every bit
+  /// set is either cleared again or still set, so this is
+  /// 2 * EnabledSets - (bits set now).
+  uint64_t enabledBitUpdates() const {
+    return 2 * Ctrs.EnabledSets - EnabledIdleCount;
+  }
 
 private:
   const PetriNet &Net;
@@ -568,8 +662,10 @@ private:
   /// Policy, when it is a ReadyListPolicy: the engine then walks its
   /// list in place instead of asking for a materialized order.
   ReadyListPolicy *Ready = nullptr;
-  /// Mutable: in bit-marking mode (below) the counts are synchronized
-  /// from the packed marking only when a caller asks for them.
+  /// The token counts.  A policy observes them every step, so an
+  /// engine with one keeps them exact as tokens move; an engine without
+  /// one keeps the marking only in the packed bits and count planes and
+  /// rebuilds these on demand (syncMarking()).
   mutable Marking M;
 
   /// The static SoA image of the net (CSR adjacency, fast-path
@@ -577,9 +673,6 @@ private:
   /// shapes; see petri/EngineLayout.h for the layout.
   EngineLayout L;
   EngineHotState HS;
-  /// The readiness-sweep kernel for the active SIMD tier, resolved once
-  /// at construction (petri/SimdDispatch.h).
-  ReadinessSweepFn Sweep;
 
   TimeStep Now = 0;
   bool Prepared = false;
@@ -591,127 +684,154 @@ private:
   /// bitset directly.
   mutable std::vector<TransitionId> Ordered;
   mutable bool OrderedValid = false;
+  /// Completions of the prepared instant, in index order.  A unit-time
+  /// engine without a policy records none: they are the last step's
+  /// fired ids, read where that step's trace row holds them
+  /// (CompletedFromRow; everything fired at u finishes at u + 1, and
+  /// both lists are in index order).
   std::vector<TransitionId> CompletedThisStep;
-  /// Fired set of the previous step.  In unit-time nets with no policy
-  /// it doubles as the completion list of the next step (everything
-  /// fired at u finishes at u+1, and both lists are in index order), so
-  /// prepare() just flags it as the completion list instead of
-  /// re-recording completions one at a time.
-  std::vector<TransitionId> LastFired;
-  bool CompletedIsLastFired = false;
+  bool CompletedFromRow = false;
+  /// The trace and row the last fireAndAdvance() wrote, and the trace
+  /// fireAndAdvance() without one writes into (kept one row long).
+  const FiringTrace *LastOut = nullptr;
+  size_t LastRow = 0;
+  FiringTrace Own;
+  /// Whether logState() has run: the first call offers every word.
+  bool Logged = false;
 
   /// Incremental enabledness, fused into one word per transition: the
   /// low bits count the transition's currently empty input places
   /// (gated places aside), and BusyBias is added while it is in flight.
-  /// A transition is enabled and idle iff its word reads zero and no
-  /// gate of an empty place masks it, so the token-movement walks touch
-  /// a single counter, and every enabled-idle bitset update rides an
-  /// exact 0-crossing or a gate closing.
+  /// A transition is enabled and idle iff its word reads zero and every
+  /// gated input place of it is marked, so the token-movement walks
+  /// touch a single counter, and every enabled-idle bitset update rides
+  /// an exact 0-crossing.  The bitset and EnabledIdleCount hold the
+  /// zero words, gates aside; GatedZero counts those of gated
+  /// transitions, and GateZero[g] those whose one gate is g.
   static constexpr uint32_t BusyBias = 1u << 24;
   size_t EnabledIdleCount = 0;
   size_t BusyCount = 0;
-
-  /// Places holding >= 2 tokens (the packed marking bit only records
-  /// zero/nonzero).
-  size_t OverflowPlaces = 0;
+  bool Gated = false;
+  size_t GatedZero = 0;
+  std::vector<uint32_t> GateZero;
+  /// One bit per enabled-idle word, set whenever a bit of the word is
+  /// (so a superset of the nonzero words): the firing walks visit only
+  /// those words, and an instant that fires k transitions costs O(k +
+  /// N/4096), not O(N/64).
+  std::vector<uint64_t> EnabledSummary;
+  void noteSetWord(uint32_t T, bool Set) {
+    EnabledSummary[T >> 12] |= static_cast<uint64_t>(Set) << ((T >> 6) & 63);
+  }
 
   /// The counts above one as dense bit-planes over the marking slots:
   /// bit s of plane b is bit b of (tokens - 1) for the place in slot s
   /// (0 while it holds at most one token).  Plane b occupies
-  /// Planes[b * MarkWords, (b + 1) * MarkWords), and PlanePop[b] counts
-  /// its set bits, so the planes in use are those up to the highest
-  /// nonzero count.  Exact-count mode keeps them on the count crossings
-  /// produceToken() and consumeToken() see; bit mode has no
-  /// multi-token place, so they stay zero there.
+  /// Planes[b * MarkWords, (b + 1) * MarkWords); NumPlanes planes are
+  /// allocated (they never shrink), and PlanePop[b] counts plane b's set
+  /// bits, so the planes in use are those up to the highest nonzero
+  /// count.  A produce onto a marked place adds one to its count here
+  /// and a consume from a place with a count takes one, with carry and
+  /// borrow across planes; neither touches a readiness word, since the
+  /// place stays marked.
   std::vector<uint64_t> Planes;
   std::vector<uint32_t> PlanePop;
+  size_t NumPlanes = 0;
 
-  /// While the marking is safe (every place <= 1 token) and no policy
-  /// observes M each step, the marking lives entirely in HS.Mark and
-  /// the Marking counts are rebuilt on demand — the hot loop then moves
-  /// one bit per token instead of maintaining two representations.  The
-  /// first produce onto an already-marked place abandons bit mode and
-  /// makes M authoritative again (exact counts, OverflowPlaces).
-  bool UseBitMarking = false;
-
-  /// Bit-marking mode with FastFire on every transition: the net is a
-  /// pure marked graph (no place has two consumers), so no firing can
+  /// No policy and FastFire on every transition: the net is a pure
+  /// marked graph (no place has two consumers), so no firing can
   /// disable another candidate — the whole enabled-idle set fires every
   /// step, letting the firing loop skip the per-candidate readiness
-  /// re-check and retire each word with two bitset stores.  Cleared
-  /// together with the fast paths when bit mode ends.
+  /// re-check and retire each word with two bitset stores.
   bool AllFast = false;
 
   /// Ordered-map fallback of the bucketed finish queue, for nets whose
   /// execution times exceed the ring (L.UseRing == false).
   std::map<TimeStep, uint32_t> Far;
 
-  /// Running XOR of PackedState::mixWord(1 + w, HS.Mark[w]) over every
-  /// marking word — the marking section's contribution to the packed
-  /// state's raw hash.  Maintained by differencing, not by write
-  /// tracking: MarkShadow holds each word's value as of the last
-  /// flush, and packStateHashed() scan-compares shadow vs live (a
-  /// branch-free vectorizable pass) and re-mixes only words that
-  /// actually changed.  The token-write hot path pays nothing; both a
-  /// per-write eager mix and a per-write dirty bit measured slower
-  /// than the full rehash they replaced, because a dense-firing
-  /// instant moves far more tokens than there are marking words.
-  mutable uint64_t MarkHash = 0;
-  /// Cached mixWord(1 + w, value) term per marking word, valid for the
-  /// value last folded into MarkHash.
-  mutable std::vector<uint64_t> MarkTerm;
-  /// Marking-word values as of the last flushMarkHash().
-  mutable std::vector<uint64_t> MarkShadow;
-
-  /// Reusable fingerprint scratch for packState().
+  /// Reusable fingerprint scratch for the tail of a state.
   mutable std::vector<uint32_t> FpScratch;
 
-  /// Policy engines keep the enabled-idle set exact by events instead
-  /// of re-deriving it in every prepare(): ZeroIdle has bit t set iff
-  /// t's readiness word reads zero, a 0-crossing enables t unless a
-  /// closed gate masks it, and a gate that opens ORs its zero consumers
-  /// back in.  prepare() then runs neither the readiness sweep nor the
-  /// gate pass, each a walk over the whole net per instant.
-  bool ExactEnabled = false;
-  std::vector<uint64_t> ZeroIdle;
+  /// A FIFO/LIFO engine whose free (non-conflicting) transitions have
+  /// no gated input: those enabled since the last firing phase are
+  /// listed as their bits set (FreeEnabled), so the phase fires them
+  /// from the list instead of walking the enabled set.  A free
+  /// transition fires, or loses its bit to a firing, in the phase after
+  /// it is enabled, so the list holds every enabled one.
+  bool ListFree = false;
+  std::vector<TransitionId> FreeEnabled;
 
   void produceToken(uint32_t P);
   void consumeToken(uint32_t P);
-  /// Moves slot \p S's plane bits from excess \p From to \p To.
-  void setExcess(uint32_t S, uint32_t From, uint32_t To);
+  /// Adds one to the count above one of slot \p S.
+  void addExcess(uint32_t S);
+  /// Takes one from the count above one of slot \p S if it has one,
+  /// and returns whether it had.
+  bool takeExcess(uint32_t S);
+  /// The count above one of slot \p S.
+  uint32_t excessAt(uint32_t S) const;
   /// Planes up to the highest one in use.
   size_t planesInUse() const;
-  /// Masks gate \p G's consumers out of the enabled-idle set.
-  void closeGate(uint32_t G);
-  /// Lets gate \p G's consumers whose readiness word reads zero back
-  /// into the enabled-idle set (ExactEnabled engines).
-  void openGate(uint32_t G);
   /// Whether some gated input place of \p T is empty, i.e. a closed
   /// gate masks \p T.
   bool hasEmptyGatedInput(uint32_t T) const;
-  /// Whether the enabled-idle set and count equal what the readiness
-  /// sweep and the gate pass would derive (assertions only).
+  bool gateMasked(uint32_t T) const {
+    uint32_t G = L.TransitionGate[T];
+    if (G == EngineLayout::NoGate)
+      return false;
+    if (G != EngineLayout::MultiGate)
+      return !((HS.Mark[L.GateSlot[G] >> 6] >> (L.GateSlot[G] & 63)) & 1);
+    return hasEmptyGatedInput(T);
+  }
+  /// Whether some transition is enabled and idle, gates applied.
+  bool anyEnabled() const {
+    return EnabledIdleCount > GatedZero ||
+           (GatedZero != 0 && anyGatedEnabled());
+  }
+  /// Whether some transition behind a gate is enabled, all its gates
+  /// open.
+  bool anyGatedEnabled() const;
+  /// Counts \p T's readiness word reaching (\p Delta 1) or leaving
+  /// (-1) zero in the gate counters.
+  void noteGatedZero(uint32_t T, int Delta);
+  /// The enabled-idle set with the gates applied: the bitset itself in a
+  /// net without gates, else a masked copy.
+  const uint64_t *enabledBits() const;
+  mutable std::vector<uint64_t> GateApplied;
+  /// Whether the enabled-idle set and counts equal what a sweep of the
+  /// readiness words would derive (assertions only).
   bool enabledMatchesSweep() const;
   void produceOutputs(uint32_t I);
   void completeTransition(uint32_t I);
   /// Starts firing \p I through the generic consume path.
   void startFiring(uint32_t I);
-  /// fireAndAdvance()'s firing phase on an engine with a policy.
+  /// The completions of the prepared instant: CompletedThisStep, or the
+  /// fired ids of the last row written (CompletedFromRow).
+  std::span<const TransitionId> completions() const {
+    return CompletedFromRow ? (*LastOut)[LastRow].Fired
+                            : std::span<const TransitionId>(CompletedThisStep);
+  }
+  /// fireAndAdvance() with the row's completions given.
+  void fireInto(FiringTrace &Rec, std::span<const TransitionId> Completed);
+  /// fireAndAdvance()'s firing phase on an engine without a policy
+  /// whose net is not a pure marked graph, and on one with a policy.
+  void fireIndexOrder(FiringTrace &Rec);
   void firePolicyCandidates(FiringTrace &Rec);
-  void leaveBitMarking(uint32_t P);
+  /// Re-derives the whole enabled-idle set, its count and its summary
+  /// from the readiness counters (a net without gates).
+  void rederiveEnabled();
+  /// produceOutputs() for a dense unit drain: marks, counts and
+  /// readiness words only.
+  void produceCounted(uint32_t I);
+  /// AllFast firing of \p I whose input slots hold counts above one.
+  uint32_t consumeCounted(uint32_t I);
   void syncMarking() const;
   void setEnabledIdle(uint32_t T);
-  /// ExactEnabled engines: records that \p T's readiness word reached
-  /// zero, and returns whether \p T is enabled, i.e. no closed gate
-  /// masks it.  Kept out of setEnabledIdle() so that stays small on the
-  /// engines without a policy.
-  bool noteZero(uint32_t T);
-  /// Clears \p T's enabled-idle bit unless a closed gate already did.
   void clearEnabledIdle(uint32_t T);
-
-  /// Folds every changed marking word's new value into MarkHash by
-  /// comparing against MarkShadow.
-  void flushMarkHash() const;
+  /// Appends the tail of the state at instant \p At to \p Tail: the
+  /// busy entries, then the machine condition.
+  void appendTail(std::vector<uint64_t> &Tail, TimeStep At) const;
+  /// Offers slot word \p W of the marking and of every plane.
+  void offerSlotWord(PackedStateTable &Seen, size_t W) const;
 };
 
 } // namespace sdsp

@@ -50,21 +50,22 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
   }
 
   GateOf.assign(NumPlaces, NoGate);
+  TransitionGate.assign(NumTransitions, NoGate);
   for (uint32_t P = 0; P < NumPlaces; ++P) {
     if (ConsOff[P + 1] - ConsOff[P] <= BitWords)
       continue;
-    GateOf[P] = static_cast<uint32_t>(GatePlace.size());
+    uint32_t G = static_cast<uint32_t>(GatePlace.size());
+    GateOf[P] = G;
     GatePlace.push_back(P);
-    GateMask.resize(GateMask.size() + BitWords, 0);
-    uint64_t *Mask = GateMask.data() + GateMask.size() - BitWords;
-    uint32_t Lo = ~0u, Hi = 0;
     for (uint32_t K = ConsOff[P]; K < ConsOff[P + 1]; ++K) {
-      Mask[ConsList[K] >> 6] |= 1ull << (ConsList[K] & 63);
-      Lo = std::min(Lo, ConsList[K] >> 6);
-      Hi = std::max(Hi, ConsList[K] >> 6);
+      uint32_t &TG = TransitionGate[ConsList[K]];
+      if (TG == NoGate) {
+        TG = G;
+      } else if (TG != MultiGate && TG != G) {
+        TG = MultiGate;
+        MultiGated.push_back(ConsList[K]);
+      }
     }
-    GateBegin.push_back(Lo);
-    GateEnd.push_back(Hi + 1);
   }
 
   // Marked-graph fast-path metadata (see petri/EarliestFiring.h).
@@ -107,6 +108,8 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
     SlotPlace = PlaceSlot;
   }
 
+  for (uint32_t P : GatePlace)
+    GateSlot.push_back(PlaceSlot[P]);
   FastCompTopo.assign(NumTransitions, 0);
   CompOff.reserve(NumTransitions + 1);
   CompOff.push_back(0);
@@ -114,7 +117,8 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
     bool AllSingle = true;
     for (uint32_t K = OutOff[I]; K < OutOff[I + 1]; ++K) {
       uint32_t P = OutList[K];
-      if (ConsOff[P + 1] - ConsOff[P] != 1) {
+      if (ConsOff[P + 1] - ConsOff[P] != 1 ||
+          TransitionGate[ConsList[ConsOff[P]]] != NoGate) {
         AllSingle = false;
         break;
       }
@@ -165,8 +169,8 @@ void EngineHotState::init(const EngineLayout &L) {
   P += FlagW;
   FastComp = reinterpret_cast<uint8_t *>(P);
 
-  // Sentinel-pad the readiness lanes beyond the last transition so the
-  // SIMD sweep never reads them as enabled.
+  // Sentinel-pad the readiness lanes beyond the last transition so a
+  // 64-lane read never takes them for enabled.
   for (size_t Lane = L.NumTransitions; Lane < L.BitWords * 64; ++Lane)
     Readiness[Lane] = 1;
   // Idle transitions carry the sentinel finish time.

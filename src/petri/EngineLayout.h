@@ -22,10 +22,10 @@
 ///    finish-time ring — carved out of ONE contiguous allocation with a
 ///    shared index space (transition t is lane t everywhere, packed slot
 ///    s is bit s everywhere).  The per-instant scan is then a linear
-///    sweep over adjacent arrays instead of pointer chasing through
+///    walk over adjacent arrays instead of pointer chasing through
 ///    separately allocated vectors; the readiness counters are padded to
-///    a 64-lane boundary with nonzero sentinels so the SIMD sweep
-///    (petri/SimdDispatch.h) reads whole words unconditionally.
+///    a 64-lane boundary with nonzero sentinels, so a check that reads
+///    them 64 lanes at a time never reads a padding lane as enabled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +57,7 @@ struct EngineLayout {
   size_t NumTransitions = 0;
   size_t NumPlaces = 0;
   /// 64-lane transition groups: the word count of the enabled-idle and
-  /// busy bitsets, and the group count of the readiness sweep.
+  /// busy bitsets.
   size_t BitWords = 0;
   /// 64-bit words of the packed marking.
   size_t MarkWords = 0;
@@ -70,9 +70,10 @@ struct EngineLayout {
   /// Marked-graph fast-path topology (see petri/EarliestFiring.h):
   /// FastFireTopo[t] — every input place of t has t as its sole
   /// consumer; FastCompTopo[t] — every output place of t has exactly one
-  /// consumer.  These are the *topological* facts; the engine keeps
-  /// mutable working copies in the hot-state arena because leaving
-  /// bit-marking mode turns the fast paths off.
+  /// consumer, and that consumer has no gated input place (so its
+  /// enabled bit needs no gate check).  These are the *topological*
+  /// facts; the engine keeps working copies in the hot-state arena,
+  /// zeroed for an engine with a policy, which takes the generic walks.
   std::vector<uint8_t> FastFireTopo, FastCompTopo;
   std::vector<uint32_t> CompOff;
   std::vector<uint64_t> CompPairs; // (packed slot << 32 | consumer)
@@ -95,20 +96,21 @@ struct EngineLayout {
   /// Gated places: a place with more consumers than the enabled set has
   /// words (the run place of an SCP machine) is left out of its
   /// consumers' readiness counters, so moving its tokens walks no
-  /// consumer list.  While it is empty, its consumers are masked out of
-  /// the enabled-idle set by one AND-NOT with GateMask — O(BitWords)
-  /// instead of O(consumers).  GateOf[p] is p's gate index or NoGate;
-  /// gate g guards place GatePlace[g], and its consumer bits are
-  /// GateMask[g * BitWords, (g + 1) * BitWords).
+  /// consumer list.  Instead a consumer counts as enabled only while
+  /// every gated input place of it is marked, which the engine checks
+  /// where it reads the enabled set, so a gate that opens or closes
+  /// costs O(1).  GateOf[p] is p's gate index or NoGate; gate g guards
+  /// place GatePlace[g], whose packed slot is GateSlot[g].
   static constexpr uint32_t NoGate = ~0u;
   std::vector<uint32_t> GateOf;
   std::vector<uint32_t> GatePlace;
-  std::vector<uint64_t> GateMask;
-  /// Gate g's mask words outside [GateBegin[g], GateEnd[g]) are zero,
-  /// so the mask passes walk only that span (an SCP run place's
-  /// consumers are the SDSP transitions, numbered first).
-  std::vector<uint32_t> GateBegin;
-  std::vector<uint32_t> GateEnd;
+  std::vector<uint32_t> GateSlot;
+  /// Per transition: NoGate when no input place of it is gated, the
+  /// gate's index when one is, MultiGate when several are (listed in
+  /// MultiGated).
+  static constexpr uint32_t MultiGate = ~0u - 1;
+  std::vector<uint32_t> TransitionGate;
+  std::vector<uint32_t> MultiGated;
 
   TimeUnits MaxExec = 1;
   /// Every execution time is 1 (the paper's unit-time setting).
@@ -136,8 +138,8 @@ public:
   /// Bucketed finish-time ring (MaxExec + 1 counters); null for
   /// unit-time nets and map-fallback nets.
   uint32_t *RingCount = nullptr;
-  /// Mutable working copies of the layout's fast-path flags (zeroed
-  /// when bit-marking mode ends).
+  /// Working copies of the layout's fast-path flags (zeroed for an
+  /// engine with a policy).
   uint8_t *FastFire = nullptr;
   uint8_t *FastComp = nullptr;
 

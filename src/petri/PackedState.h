@@ -7,8 +7,9 @@
 ///
 /// \file
 /// A compact, canonical word-packed encoding of an instantaneous state
-/// (marking + residual firing times + machine condition), built for the
-/// frustum detector's hot loop.  The marking costs one bit per place;
+/// (marking + residual firing times + machine condition), the whole-state
+/// form the engines are compared in (EarliestFiringEngine::packState()).
+/// The marking costs one bit per place;
 /// the counts above one, the busy transitions and the policy
 /// fingerprint follow as their own sections.
 ///
@@ -46,10 +47,11 @@
 /// form depends on the state alone, and every section is emitted in a
 /// canonical order.
 ///
-/// PackedStateTable is the matching open-addressing hash table mapping
-/// packed states to the time step of their first occurrence.  States are
-/// stored contiguously in a single arena, so detection memory is
-/// O(steps) packed words rather than O(steps * n) state copies.
+/// PackedStateTable is the frustum detector's state table: an
+/// open-addressing hash table from a state's hash to its first
+/// occurrence, over a log that keeps each state as the words that
+/// changed since the previous one, so detection memory follows what
+/// moves per instant rather than O(steps * n) words.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,16 +60,16 @@
 
 #include "support/Status.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 namespace sdsp {
 
 /// One packed instantaneous state.  The engine writes it via the
-/// builder methods below; the detector mutates residuals in place when
-/// synthesizing the states of leapt-over idle instants.
+/// builder methods below; decrementResiduals() synthesizes the state of
+/// a leapt-over idle instant in place.
 class PackedState {
 public:
   /// Each header field gets 21 bits; nets beyond two million places or
@@ -201,101 +203,196 @@ inline size_t packedMarkWords(size_t NumPlaces) {
   return (NumPlaces + 63) / 64;
 }
 
-/// Open-addressing (linear probing) map from packed state to the time
-/// step of its first occurrence.  State words live in an arena of
-/// chunks that never move; slots hold only hash, record pointer, and
-/// time.
+/// Open-addressing (linear probing) map from state to the time of its
+/// first occurrence, over a delta log of the states in the order they
+/// were committed.
+///
+/// A state is Width *wide* words (the engine's marking words, then its
+/// count planes) and a short *tail* (the engine's busy entries and
+/// machine condition).  The caller opens each state with beginState(),
+/// offers the wide words that may have changed since the previous state
+/// (offerWord(); the others keep their values), appends the tail, and
+/// commits.  The log keeps, per state, a header, the tail in full, and
+/// either the wide words that changed as (position, value) pairs, or,
+/// as a keyframe, all Width of them: a state is a keyframe when it is
+/// the first, or when the pairs logged since the last keyframe would
+/// outgrow one.  A state's hash is an XOR of position-keyed word mixes
+/// (PackedState::mixWord) over its nonzero wide words, kept by
+/// differencing as words change, and over its tail, mixed fresh; a
+/// hash match is confirmed exactly by rebuilding the earlier state from
+/// its keyframe and deltas — O(Width) words — and comparing.  So a
+/// commit costs O(changed words + tail), and the log holds at most
+/// about three words per changed word plus one state.
+///
+/// Positions beyond a state's width read as zero, so the width may grow
+/// (the engine's planes) or, for whole packed states, vary.
 class PackedStateTable {
 public:
   PackedStateTable();
 
-  /// If an equal state is present, returns its recorded time.
-  /// Otherwise inserts \p S at time \p T and returns std::nullopt.
-  std::optional<uint64_t> insertOrFind(const PackedState &S, uint64_t T);
-
-  /// insertOrFind() with the caller-supplied raw hash (see
-  /// PackedState::rawHash()) instead of an O(words) rehash — the O(n)
-  /// -> O(touched) step of the incremental interning path.  Debug
-  /// builds validate \p RawHash against a full recompute and count the
-  /// validations (deltaValidations()).
-  std::optional<uint64_t> insertOrFindHashed(const PackedState &S,
-                                             uint64_t RawHash, uint64_t T) {
-    return insertOrFindHashed(S, RawHash, T, [](uint64_t) { return true; });
+  /// Opens the next state, \p Width wide words wide.
+  void beginState(size_t Width);
+  /// Offers wide word \p Pos of the open state; it is logged if it
+  /// differs from the previous state's.
+  void offerWord(size_t Pos, uint64_t Value) {
+    uint64_t &Old = Shadow[Pos];
+    if (Old == Value)
+      return;
+    WideHash ^= wideTerm(Pos, Old) ^ wideTerm(Pos, Value);
+    Old = Value;
+    Pending.push_back(Pos);
+    Pending.push_back(Value);
   }
+  /// offerWord() for wide words \p Pos .. \p Pos + \p N - 1 at once:
+  /// the changed ones are found 64 at a time without a branch per word.
+  void offerWords(size_t Pos, const uint64_t *Words, size_t N);
+  /// The open state's tail, appended to by the caller.
+  std::vector<uint64_t> &tail() { return Tail; }
+  /// Wide words of the open state that changed so far.
+  size_t pendingChanges() const { return Pending.size() / 2; }
 
-  /// insertOrFindHashed() for packed states that summarize part of the
-  /// state: a stored state with equal words counts as found only if
-  /// \p Exact(its time) confirms it.  A rejected one is stepped over
-  /// like any other occupied slot, so equal words may be stored more
-  /// than once, each confirmed on its own.
+  /// Commits the open state at time \p T.  If an equal state was
+  /// committed earlier and \p Exact(its time) confirms it (for states
+  /// that summarize part of the real state), returns that time;
+  /// otherwise the state becomes findable.  A rejected match is stepped
+  /// over like any other occupied slot, so equal states may be stored
+  /// more than once, each confirmed on its own.  Either way the state is
+  /// logged, so the next one can be told apart from it.
   template <typename ExactFn>
-  std::optional<uint64_t> insertOrFindHashed(const PackedState &S,
-                                             uint64_t RawHash, uint64_t T,
-                                             ExactFn &&Exact) {
-    uint64_t Hash = beginProbe(S, RawHash);
-    size_t Mask = Slots.size() - 1;
-    size_t I = static_cast<size_t>(Hash) & Mask;
-    for (; !Slots[I].empty(); I = (I + 1) & Mask) {
-      if (slotMatches(Slots[I], Hash, S) && Exact(Slots[I].Time))
-        return Slots[I].Time;
-      ++Collisions;
-    }
-    Slots[I].Hash = Hash;
-    Slots[I].Record = store(S);
-    Slots[I].Time = T;
-    ++Count;
-    return std::nullopt;
+  std::optional<uint64_t> commit(uint64_t T, ExactFn &&Exact);
+  std::optional<uint64_t> commit(uint64_t T) {
+    return commit(T, [](uint64_t) { return true; });
   }
 
+  /// The whole-state forms: commit \p S's words as the wide words
+  /// (and its length as the tail).  insertOrFindHashed() takes the
+  /// caller's PackedState::rawHash() of \p S, which debug builds check.
+  std::optional<uint64_t> insertOrFind(const PackedState &S, uint64_t T);
+  std::optional<uint64_t> insertOrFindHashed(const PackedState &S,
+                                             uint64_t RawHash, uint64_t T);
+
+  /// Bytes the table holds allocated, and the bytes it would hold once
+  /// the open state is committed: what the growth the commit causes
+  /// would allocate, known before it does.
+  size_t capacityBytes() const;
+  size_t capacityBytesAfterCommit() const;
+
+  /// States findable (committed without a match).
   size_t size() const { return Count; }
-  /// Words of the stored records, one length word plus the packed words
-  /// per state (exact; flushed as packedstate.arena_words).
-  size_t arenaWords() const { return ArenaWords; }
+  /// Words of the log: per committed state a header, its tail and its
+  /// changed words' pairs or its keyframe (exact; flushed as
+  /// packedstate.arena_words).
+  size_t arenaWords() const { return Log.size(); }
+  /// Keyframes logged (exact).
+  size_t keyframes() const { return Keyframes.size(); }
 
   /// Lookup statistics, flushed to the metrics registry by the frustum
-  /// detector (docs/OBSERVABILITY.md): insertOrFind calls, and occupied
-  /// slots stepped over while linear-probing.  A rising
-  /// collisions-per-probe ratio is the early signal that the hash or
-  /// the load factor needs attention.
+  /// detector (docs/OBSERVABILITY.md): commits, and occupied slots
+  /// stepped over while linear-probing.  A rising collisions-per-probe
+  /// ratio is the early signal that the hash or the load factor needs
+  /// attention.
   uint64_t probes() const { return Probes; }
   uint64_t collisions() const { return Collisions; }
   /// Incremental-hash validations performed (nonzero only in debug
-  /// builds, where every insertOrFindHashed() cross-checks its delta
-  /// hash against a full rehash).
+  /// builds, where every commit cross-checks the differenced hash of
+  /// the wide words against a full recompute).
   uint64_t deltaValidations() const { return DeltaValidations; }
 
 private:
   struct Slot {
     uint64_t Hash = 0;
-    const uint64_t *Record = nullptr; // [length, words...] in the arena
-    uint64_t Time = 0;
-    bool empty() const { return Record == nullptr; }
+    uint64_t Ordinal = ~0ull; // index of the state in commit order
+    bool empty() const { return Ordinal == ~0ull; }
   };
 
-  /// The arena grows by chunks, each twice the last up to MaxChunkWords
-  /// (or one record, if larger), so storing a state never copies the
-  /// earlier ones and a growing arena never holds two copies of itself.
-  static constexpr size_t FirstChunkWords = size_t(1) << 8;
-  static constexpr size_t MaxChunkWords = size_t(1) << 16;
+  /// Log record header: keyframe flag, tail length, then the count of
+  /// pairs or, in a keyframe, of wide words.
+  static constexpr uint64_t KeyFlag = 1ull << 63;
+  static constexpr uint64_t CountMask = (1ull << 32) - 1;
+  /// Hash positions of the tail words, apart from every wide position.
+  static constexpr uint64_t TailPos = 1ull << 62;
 
   std::vector<Slot> Slots;
-  std::vector<std::unique_ptr<uint64_t[]>> Chunks;
-  size_t ChunkWords = 0;
-  size_t ChunkUsed = 0;
-  size_t ArenaWords = 0;
+  /// The records, back to back, and per committed state its record's
+  /// offset and its time; the ordinals of the keyframes, ascending.
+  std::vector<uint64_t> Log;
+  std::vector<uint64_t> RecordAt;
+  std::vector<uint64_t> Times;
+  std::vector<uint64_t> Keyframes;
+  /// The open state's wide words (zero beyond Width) and their hash
+  /// terms' XOR; the pairs changed since the previous state; its tail.
+  std::vector<uint64_t> Shadow;
+  size_t Width = 0;
+  uint64_t WideHash = 0;
+  std::vector<uint64_t> Pending;
+  std::vector<uint64_t> Tail;
+  /// Pair words logged since the last keyframe.
+  size_t SinceKey = 0;
+  /// An earlier state, rebuilt to confirm a match.
+  std::vector<uint64_t> Scratch;
   size_t Count = 0;
   uint64_t Probes = 0;
   uint64_t Collisions = 0;
   uint64_t DeltaValidations = 0;
 
-  bool slotMatches(const Slot &S, uint64_t Hash,
-                   const PackedState &State) const;
-  /// The probe's preamble: validates \p RawHash (debug builds), grows
-  /// the slots if due, counts the probe and returns the final hash.
-  uint64_t beginProbe(const PackedState &S, uint64_t RawHash);
+  static uint64_t wideTerm(uint64_t Pos, uint64_t Value) {
+    return Value ? PackedState::mixWord(Pos, Value) : 0;
+  }
+  bool keyframeDue() const {
+    return RecordAt.empty() || SinceKey + Pending.size() > Width;
+  }
+  size_t recordWords() const {
+    return 1 + Tail.size() + (keyframeDue() ? Width : Pending.size());
+  }
+  bool slotsDue() const { return Count * 10 >= Slots.size() * 7; }
+  /// The open state's hash; validates the differenced part (debug
+  /// builds), grows the slots if due and counts the probe.
+  uint64_t beginProbe();
+  /// Whether the state of ordinal \p O equals the open one.
+  bool equalsOpen(uint64_t O);
+  void logOpen(uint64_t T);
   void grow();
-  const uint64_t *store(const PackedState &S);
+
+  /// Doubling growth from 64 elements, made explicit so
+  /// capacityBytesAfterCommit() can tell what it will allocate; a short
+  /// search then allocates each array once or twice.
+  template <typename T>
+  static size_t grownCapacity(const std::vector<T> &V, size_t Extra) {
+    if (V.capacity() - V.size() >= Extra)
+      return V.capacity();
+    return std::max({V.size() + Extra, 2 * V.capacity(), size_t(64)});
+  }
+  template <typename T>
+  static void makeRoom(std::vector<T> &V, size_t Extra) {
+    if (V.capacity() - V.size() < Extra)
+      V.reserve(grownCapacity(V, Extra));
+  }
 };
+
+template <typename ExactFn>
+std::optional<uint64_t> PackedStateTable::commit(uint64_t T,
+                                                 ExactFn &&Exact) {
+  uint64_t Hash = beginProbe();
+  size_t Mask = Slots.size() - 1;
+  size_t I = static_cast<size_t>(Hash) & Mask;
+  std::optional<uint64_t> Found;
+  for (; !Slots[I].empty(); I = (I + 1) & Mask) {
+    if (Slots[I].Hash == Hash && equalsOpen(Slots[I].Ordinal) &&
+        Exact(Times[Slots[I].Ordinal])) {
+      Found = Times[Slots[I].Ordinal];
+      break;
+    }
+    ++Collisions;
+  }
+  uint64_t Ordinal = RecordAt.size();
+  logOpen(T);
+  if (!Found) {
+    Slots[I].Hash = Hash;
+    Slots[I].Ordinal = Ordinal;
+    ++Count;
+  }
+  return Found;
+}
 
 } // namespace sdsp
 

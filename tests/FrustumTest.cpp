@@ -9,6 +9,7 @@
 
 #include "TestUtil.h"
 #include "core/RateAnalysis.h"
+#include "core/ScpModel.h"
 #include "core/SdspPn.h"
 #include "dataflow/Unroll.h"
 #include "livermore/Livermore.h"
@@ -93,6 +94,58 @@ TEST(Frustum, MultiTokenStatesCostAboutTheirMarking) {
   }
   EXPECT_LE(WordsPerState[1], 2.5 * WordsPerState[0])
       << WordsPerState[1] << " vs " << WordsPerState[0];
+}
+
+TEST(Frustum, StateTableCostsWhatChanges) {
+  // One token around a ring of 4,096 stages: an instant moves one token,
+  // so its logged state is a header, a tail word and one or two changed
+  // marking words, not the 65 words of the whole state, plus a keyframe
+  // whenever the changes since the last one outgrow a whole state.
+  PetriNet Ring = buildRing(4096, 1);
+  uint64_t Words = counterOf("packedstate.arena_words");
+  uint64_t States = counterOf("packedstate.states_interned");
+  ASSERT_TRUE(detectFrustumChecked(Ring).ok());
+  Words = counterOf("packedstate.arena_words") - Words;
+  States = counterOf("packedstate.states_interned") - States;
+  EXPECT_EQ(States, 4096u);
+  EXPECT_LE(Words, 8 * States) << Words << " words for " << States;
+}
+
+TEST(Frustum, ByteBoundFailsBeforePassingItTheSameWayEveryRun) {
+  // A bound far below what two searches need, set through the API: the
+  // SCP machine on loop7 x16 under its FIFO policy, and a one-token
+  // ring of 4,096 stages.  Each fails with BudgetExceeded naming the
+  // bound and the instant, identically on every run; without the bound
+  // both succeed.
+  EXPECT_EQ(FrustumBudget{}.resolveBytes(), FrustumBudget::DefaultMaxBytes);
+  DiagnosticEngine Diags;
+  auto G = compileLoop(findKernel("loop7")->Source, Diags);
+  ASSERT_TRUE(G.has_value());
+  SdspPn Pn = buildSdspPn(Sdsp::standard(unrollLoop(*G, 16)));
+  ScpPn Scp = buildScpPn(Pn, /*PipelineDepth=*/2);
+  PetriNet Ring = buildRing(4096, 1);
+  FrustumBudget Small;
+  Small.MaxBytes = 16 * 1024;
+  for (bool OnScp : {true, false}) {
+    const PetriNet &Net = OnScp ? Scp.Net : Ring;
+    std::vector<std::string> Failures;
+    for (int Run = 0; Run < 3; ++Run) {
+      std::unique_ptr<FifoPolicy> Policy =
+          OnScp ? Scp.makeFifoPolicy() : nullptr;
+      Expected<FrustumInfo> F = detectFrustumChecked(Net, Policy.get(), Small);
+      ASSERT_FALSE(F) << (OnScp ? "scp" : "ring");
+      EXPECT_EQ(F.status().code(), ErrorCode::BudgetExceeded);
+      Failures.push_back(F.status().str());
+    }
+    EXPECT_NE(Failures[0].find("would pass the byte bound of 16384 bytes at "
+                               "t="),
+              std::string::npos)
+        << Failures[0];
+    EXPECT_EQ(Failures[1], Failures[0]);
+    EXPECT_EQ(Failures[2], Failures[0]);
+    std::unique_ptr<FifoPolicy> Policy = OnScp ? Scp.makeFifoPolicy() : nullptr;
+    EXPECT_TRUE(detectFrustumChecked(Net, Policy.get()).ok());
+  }
 }
 
 TEST(Frustum, TraceCoversPrefixAndCounts) {

@@ -30,6 +30,7 @@
 #include "loopir/Lowering.h"
 #include "gtest/gtest.h"
 
+#include <map>
 #include <vector>
 
 using namespace sdsp;
@@ -116,6 +117,57 @@ SdspPn timedKernelNet(const std::string &Id, uint32_t Capacity,
   for (TransitionId T : Pn.Net.transitionIds())
     Pn.Net.setExecTime(T, 1 + T.index() % 3);
   return Pn;
+}
+
+/// Steps \p Net through \p Steps instants, logging each through
+/// logState() into a PackedStateTable, and checks every commit against
+/// an exact oracle: a map from the packed words (packState()) to their
+/// first instant.  The table must find a repeat exactly when the oracle
+/// does, at the same earlier instant, and keep telling states apart
+/// after one.  Returns the table's keyframe count.
+size_t checkLoggedRun(const PetriNet &Net, size_t Steps,
+                      FiringPolicy *Policy = nullptr) {
+  EarliestFiringEngine Engine(Net, Policy);
+  PackedStateTable Seen;
+  std::map<std::vector<uint64_t>, TimeStep> Oracle;
+  PackedState PS;
+  for (size_t I = 0; I < Steps; ++I) {
+    Engine.prepare();
+    Engine.logState(Seen);
+    Engine.packState(PS);
+    std::optional<uint64_t> Got = Seen.commit(Engine.now());
+    auto [It, Fresh] = Oracle.emplace(PS.words(), Engine.now());
+    EXPECT_EQ(Got.has_value(), !Fresh) << "t=" << Engine.now();
+    if (Got && !Fresh) {
+      EXPECT_EQ(*Got, It->second) << "t=" << Engine.now();
+    }
+    if (Engine.isQuiescent())
+      break;
+    Engine.fireAndAdvance();
+  }
+  return Seen.keyframes();
+}
+
+TEST(StateHash, LoggedStatesMatchAnExactOracle) {
+  // A sparse ring (deltas between keyframes), unit and timed SDSP-PNs
+  // whose counts grow count planes mid-run, random multi-word marked
+  // graphs, and the SCP machine under its FIFO policy (busy and
+  // machine-condition tails), each run well past its first repeat.
+  EXPECT_GT(checkLoggedRun(buildRing(200, 1), 450), 1u);
+  checkLoggedRun(buildRing(9, 2), 64);
+  checkLoggedRun(timedKernelNet("l2", 2, 8).Net, 400);
+  checkLoggedRun(timedKernelNet("loop9lcd", 3, 8).Net, 400);
+  for (uint64_t Seed : {3ull, 11ull}) {
+    Rng R(Seed);
+    checkLoggedRun(buildRandomMarkedGraph(R, 90, 20), 200);
+  }
+  DiagnosticEngine Diags;
+  auto G = compileLoop(findKernel("l2")->Source, Diags);
+  ASSERT_TRUE(G.has_value());
+  SdspPn Pn = buildSdspPn(Sdsp::standard(unrollLoop(*G, 2), 2));
+  ScpPn Scp = buildScpPn(Pn, /*PipelineDepth=*/6, /*NumPipelines=*/2);
+  auto Policy = Scp.makeFifoPolicy();
+  checkLoggedRun(Scp.Net, 600, Policy.get());
 }
 
 TEST(StateHash, UnitTimeRing) { checkHashedRun(buildRing(9, 2), 64); }

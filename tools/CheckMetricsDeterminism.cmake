@@ -10,10 +10,9 @@
 #         [-DEXTRA_ARGS=<args>] -P CheckMetricsDeterminism.cmake
 #
 # TAG keeps the scratch files of concurrently running ctest variants
-# (SIMD tiers, rate engines) from clobbering each other; EXTRA_ARGS is
+# (rate and frustum engines) from clobbering each other; EXTRA_ARGS is
 # a ;-list appended to the sdspc command line (e.g.
-# --rate-engine=enumerate).  SDSP_SIMD is inherited from the test
-# environment and forwarded to the sdspc children automatically.
+# --rate-engine=enumerate).
 
 foreach(V SDSPC WORK_DIR)
   if(NOT DEFINED ${V})

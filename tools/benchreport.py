@@ -139,11 +139,7 @@ METRICS_LEGS = [
 # SCALING_MAX_SLOPE fails, unless the counter is exempt for the reason
 # given (the reasons are written into BENCH_metrics.json).
 SCALING_LEGS = [
-    ("scaling", ["-k", "loop7", "--scp=2", "--verify"], [64, 128, 256], {
-        "packedstate.arena_words":
-            "every stored state holds the whole marking, so the state "
-            "table stays O(W*N/64) words until it keeps fingerprints only",
-    }),
+    ("scaling", ["-k", "loop7", "--scp=2", "--verify"], [64, 128, 256], {}),
     ("ideal_scaling", ["-k", "loop7", "--verify"], [256, 512, 1024], {}),
 ]
 SCALING_MAX_SLOPE = 1.1
@@ -365,6 +361,21 @@ def frustum_report(report):
     if hv and ev and hv["real_time_ns"] > 0:
         rate_speedup = round(ev["real_time_ns"] / hv["real_time_ns"], 3)
 
+    # The one-token ring family (context, not a gate): both frustum
+    # engines at each stage count, and the fast engine's time over the
+    # analytic engine's.
+    ring = series_of(report, "benchFrustumRing")
+    ring_ana = series_of(report, "benchFrustumRingAnalytic")
+    ring_by_arg = {arg_of(n): v for n, v in ring.items() if arg_of(n)}
+    ring_ana_by_arg = {arg_of(n): v for n, v in ring_ana.items()
+                       if arg_of(n)}
+    ring_fast_over_analytic = {
+        arg: round(v["real_time_ns"] / ring_ana_by_arg[arg]["real_time_ns"],
+                   3)
+        for arg, v in ring_by_arg.items()
+        if arg in ring_ana_by_arg and ring_ana_by_arg[arg]["real_time_ns"] > 0
+    }
+
     return {
         "benchmark": FRUSTUM_BENCH,
         "generated_by": "tools/benchreport.py",
@@ -423,6 +434,9 @@ def frustum_report(report):
             "pass": bool(ana_extrap_speedup and
                          ana_extrap_speedup >= ANALYTIC_GATE_THRESHOLD),
         },
+        "ring": ring,
+        "ring_analytic": ring_ana,
+        "ring_fast_over_analytic_by_stages": ring_fast_over_analytic,
         "rate_gate": {
             "description": "maxCycleRatioHoward vs "
                            "criticalCycleByEnumeration on the dense-cycle "
@@ -568,13 +582,12 @@ def store_report(report):
 
 def host_independent_counters(counters):
     """Drops the counter series that are exact on one host but differ
-    between hosts: per-shard splits (a std::hash layout detail),
-    byte-size estimates (ABI-dependent), and simd.tier.<tier> (named
-    after the best SIMD tier of the capturing CPU)."""
+    between hosts: per-shard splits (a std::hash layout detail) and
+    byte-size estimates (ABI-dependent)."""
     return {
         name: value
         for name, value in counters.items()
-        if not name.startswith(("cache.shard", "simd.tier."))
+        if not name.startswith("cache.shard")
         and not name.endswith(".bytes")
     }
 

@@ -22,9 +22,9 @@ comparator:
     capture;
   * a zero/missing num_cpus filtered every thread arm out of both batch
     maps, so the batch comparison passed without comparing anything;
-  * metrics_report kept simd.tier.<tier>, named after the capturing
-    CPU's SIMD tier, so the exact counter comparison failed on any host
-    with a different tier even when the code was unchanged;
+  * metrics_report kept per-shard cache splits and byte estimates,
+    which differ between hosts, so the exact counter comparison failed
+    on another host even when the code was unchanged;
   * BENCH_metrics.json held only the ideal-machine leg, so no exact
     counter watched the SCP machine's policy-driven engine (the
     scp_counters section must be compared exactly, and required; so
@@ -36,7 +36,11 @@ comparator:
   * no scaling leg covered an imported net, so the PNML reader, import
     classification and the rate pass could grow super-linearly on a
     large document unseen (the ring_scaling section must be compared
-    and required, and exempts nothing).
+    and required, and exempts nothing);
+  * the SCP scaling leg exempted packedstate.arena_words while every
+    stored state held the whole marking; the state table now logs what
+    changes, so no leg exempts anything and that counter's slope is
+    held to 1.1 like every other.
 
 Standard library only; pytest-style test_* functions run by a tiny
 driver so ctest can invoke this file directly.
@@ -427,11 +431,37 @@ def test_missing_ring_scaling_section_names_the_file():
             in str(err)), str(err)
 
 
+def test_scaling_legs_exempt_nothing():
+    for section, _, _, exempt in benchreport.SCALING_LEGS:
+        assert exempt == {}, "%s exempts %s" % (section, exempt)
+
+
+def unexempt_scaling(r):
+    r["BENCH_metrics.json"]["scaling"]["exempt"] = {}
+
+
+def test_unexempted_arena_words_slope_fails():
+    out, err = run_compare(unexempt_scaling, unexempt_scaling)
+    assert err is not None, "a quadratic state table must fail the compare"
+    assert ("scaling packedstate.arena_words grows with slope 2.000 from "
+            "x128 to x256 (max 1.1)" in str(err)), str(err)
+
+
+def test_unexempted_linear_arena_words_pass():
+    def linear(r):
+        unexempt_scaling(r)
+        points = r["BENCH_metrics.json"]["scaling"]["points"]
+        for unroll in points:
+            points[unroll]["packedstate.arena_words"] = 3 * int(unroll)
+    out, err = run_compare(linear, linear)
+    assert err is None, err
+    assert ("scaling packedstate.arena_words: slope 1.000 (x128 -> x256) "
+            "-> ok" in out), out
+
+
 def test_host_dependent_counters_are_dropped():
     kept = benchreport.host_independent_counters({
         "engine.firings": 217,
-        "simd.tier.avx512": 9,
-        "simd.tier.scalar": 9,
         "cache.shard03.hits": 2,
         "cache.bytes": 4096,
         "marked_graph.safe.edge_scans": 640,

@@ -9,10 +9,7 @@ message on the first violation:
       `sdspc --trace=FILE`: well-formed JSON, a traceEvents array,
       metadata ("M") records naming the process and every track,
       per-track monotone timestamps, balanced B/E span nesting, and
-      an explicit scope on every instant.  "simd-dispatch" instants
-      (the fast engine recording which readiness-sweep tier it
-      selected, petri/SimdDispatch.h) must additionally carry a known
-      tier name in their args.  "store-publish" instants (a pass
+      an explicit scope on every instant.  "store-publish" instants (a pass
       artifact persisted to the content-addressed disk store,
       docs/SERVICE.md) must name the pass and a nonzero byte count,
       and "request" spans (one per sdspd request) may only appear on
@@ -56,11 +53,6 @@ message on the first violation:
 import json
 import sys
 
-# Tier names the engine's SimdDispatch layer can report (must match
-# sdsp::simdTierName in src/petri/SimdDispatch.cpp).
-SIMD_TIERS = {"scalar", "sse2", "avx2", "avx512"}
-
-
 def fail(msg):
     print(f"tracecheck: {msg}", file=sys.stderr)
     sys.exit(1)
@@ -93,7 +85,7 @@ def check_trace(path):
     last_ts = {}
     open_spans = {}
     publishes = {}
-    counts = {"B": 0, "E": 0, "i": 0, "simd": 0, "request": 0, "store": 0}
+    counts = {"B": 0, "E": 0, "i": 0, "request": 0, "store": 0}
 
     for i, ev in enumerate(events):
         where = f"'{path}' event {i}"
@@ -142,12 +134,6 @@ def check_trace(path):
             if not passes:
                 fail(f"{where}: cache-publish instant outside a pass span")
             passes[-1][2] += 1
-        if ph == "i" and ev.get("name") == "simd-dispatch":
-            tier = ev.get("args", {}).get("tier")
-            if tier not in SIMD_TIERS:
-                fail(f"{where}: simd-dispatch instant has tier {tier!r}, "
-                     f"expected one of {sorted(SIMD_TIERS)}")
-            counts["simd"] += 1
         if ph == "i" and ev.get("name") == "store-publish":
             # A pass artifact reached the persistent disk store
             # (docs/SERVICE.md); the instant must identify the pass and
@@ -186,7 +172,7 @@ def check_trace(path):
                  "and none in hit or verify spans")
     print(f"tracecheck: '{path}' ok — {len(named_tids)} track(s), "
           f"{counts['B']} span(s), {counts['i']} instant(s), "
-          f"{counts['simd']} simd-dispatch, {counts['request']} "
+          f"{counts['request']} "
           f"request span(s), {counts['store']} store-publish")
 
 
