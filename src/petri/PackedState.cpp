@@ -81,6 +81,11 @@ void PackedStateTable::beginState(size_t NewWidth) {
     Pending.reserve(2 * Widest);
   if (Shadow.size() < NewWidth)
     Shadow.resize(NewWidth, 0);
+  // Room to rebuild any earlier state, which is never wider than the
+  // widest so far, so a commit allocates only what
+  // capacityBytesAfterCommit() counts.
+  if (Scratch.capacity() < Shadow.size())
+    Scratch.reserve(Shadow.size());
   // Words past a narrower state read as zero.
   for (size_t Pos = NewWidth; Pos < Width; ++Pos)
     offerWord(Pos, 0);
