@@ -398,7 +398,9 @@ FiringTrace AnalyticSteadyState::steps(TimeStep End) const {
       ++NumCompleted[static_cast<size_t>(C)];
   });
   // In a unit-time net each row's completions are the previous row's
-  // firings, which the trace then stores once.
+  // firings, which the trace then stores once; in another, the rows
+  // where that holds are shared once written, as the engines share
+  // them.
   bool Unit = std::all_of(Tau.begin(), Tau.end(),
                           [](TimeUnits T) { return T == 1; });
   FiringTrace Out;
@@ -413,6 +415,8 @@ FiringTrace AnalyticSteadyState::steps(TimeStep End) const {
       Out.completedAt(R)[NumCompleted[R]++] = Id;
     }
   });
+  if (!Unit)
+    Out.shareCompletions();
   return Out;
 }
 

@@ -12,10 +12,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
+#include <cstring>
 
 using namespace sdsp;
 
@@ -81,6 +78,36 @@ void FiringTrace::layOut(std::span<const uint32_t> Completions,
   Ids.resize(At);
 }
 
+void FiringTrace::shareCompletions() {
+  // Rows close up front to back, so a row's ids only ever move down,
+  // over ids already read.
+  uint64_t Read = 0, Write = 0;
+  uint64_t PrevFired = 0, PrevFiredLen = 0;
+  for (size_t I = 0, Rows = size(); I < Rows; ++I) {
+    assert(!(CompletedEnd[I] & SharedRow) && "sharing a shared row");
+    uint64_t CEnd = CompletedEnd[I], FEnd = FiredEnd[I];
+    uint64_t NC = CEnd - Read, NF = FEnd - CEnd;
+    if (I && NC == PrevFiredLen &&
+        std::equal(Ids.begin() + Read, Ids.begin() + CEnd,
+                   Ids.begin() + PrevFired)) {
+      CompletedEnd[I] = Write | SharedRow;
+    } else {
+      std::memmove(Ids.data() + Write, Ids.data() + Read,
+                   NC * sizeof(TransitionId));
+      Write += NC;
+      CompletedEnd[I] = Write;
+    }
+    std::memmove(Ids.data() + Write, Ids.data() + CEnd,
+                 NF * sizeof(TransitionId));
+    PrevFired = Write;
+    PrevFiredLen = NF;
+    Write += NF;
+    FiredEnd[I] = Write;
+    Read = FEnd;
+  }
+  Ids.resize(Write);
+}
+
 //===----------------------------------------------------------------------===//
 // Policies
 //===----------------------------------------------------------------------===//
@@ -106,25 +133,6 @@ static void forEachSetBit(const uint64_t *Bits, size_t NumWords, Fn &&F) {
 
 static bool testBit(const uint64_t *Bits, uint32_t I) {
   return (Bits[I >> 6] >> (I & 63)) & 1;
-}
-
-/// The 64 lanes at \p Lanes that read zero, as a word: four lanes a
-/// step where SSE2 is available (every x86-64 host), one otherwise.
-static uint64_t zeroLanes(const uint32_t *Lanes) {
-  uint64_t Zero = 0;
-#if defined(__SSE2__)
-  const __m128i None = _mm_setzero_si128();
-  for (unsigned B = 0; B < 64; B += 4) {
-    __m128i X = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Lanes + B));
-    Zero |= static_cast<uint64_t>(_mm_movemask_ps(
-                _mm_castsi128_ps(_mm_cmpeq_epi32(X, None))))
-            << B;
-  }
-#else
-  for (unsigned B = 0; B < 64; ++B)
-    Zero |= static_cast<uint64_t>(Lanes[B] == 0) << B;
-#endif
-  return Zero;
 }
 
 /// Calls \p F(W), in ascending order, for every nonzero word W of
@@ -421,10 +429,6 @@ EarliestFiringEngine::EarliestFiringEngine(const PetriNet &Net,
   // A policy observes the counts every step, so its engine keeps them
   // exact through the generic token walks; without one, the fast paths
   // apply and the counts live in the bits and planes alone.
-  if (Policy) {
-    std::fill_n(HS.FastFire, L.NumTransitions, uint8_t(0));
-    std::fill_n(HS.FastComp, L.NumTransitions, uint8_t(0));
-  }
   AllFast = !Policy && L.AllFastTopo;
 
   if (Policy)
@@ -674,7 +678,7 @@ void EarliestFiringEngine::consumeToken(uint32_t P) {
 /// Token production side of completing transition \p I: the fast pair
 /// stream when available, the generic per-place walk otherwise.
 void EarliestFiringEngine::produceOutputs(uint32_t I) {
-  if (HS.FastComp[I]) {
+  if (!Policy && L.FastCompTopo[I]) {
     // Stream the precomputed (slot, consumer) pairs; each produce onto
     // an empty place is one bit set plus one readiness decrement.
     for (uint32_t K = L.CompOff[I], E = L.CompOff[I + 1]; K < E; ++K) {
@@ -739,7 +743,8 @@ void EarliestFiringEngine::prepare() {
   // reference engine's finish-time sweep — without a sort.  (Each word
   // is snapshotted before its bits are dispatched, so clearing busy
   // bits mid-walk is safe.)  Every token event keeps the enabled-idle
-  // set exact as it happens, so nothing is re-derived afterwards.
+  // set exact as it happens, except on a dense unit-time instant,
+  // which re-derives it once its drain settles.
   if (L.UnitTime) {
     // Every busy transition finishes now; drain the busy set (no
     // finish-time matching, no queue).
@@ -754,7 +759,7 @@ void EarliestFiringEngine::prepare() {
       std::span<const TransitionId> Done = completions();
       assert(Done.size() == BusyCount &&
              "unit busy set diverged from the last firing record");
-      const uint8_t *FastC = HS.FastComp;
+      const uint8_t *FastC = L.FastCompTopo.data();
       const uint32_t *COff = L.CompOff.data();
       const uint64_t *CPairs = L.CompPairs.data();
       uint64_t *MarkP = HS.Mark;
@@ -766,7 +771,9 @@ void EarliestFiringEngine::prepare() {
         // the bitset, would form a chain of read-modify-writes through
         // it, which measured slower than re-deriving every word from
         // the readiness counters once the drain settles — O(N/64), no
-        // more than the instant's completions.
+        // more than the instant's completions.  (Flagging the words
+        // the produces touch, to re-derive only those, measured slower
+        // still: a dense instant touches nearly every word.)
         for (TransitionId T : Done) {
           uint32_t I = T.index();
           if (FastC[I]) [[likely]] {
@@ -995,11 +1002,6 @@ void EarliestFiringEngine::packState(PackedState &Out) const {
   Out.finishState();
 }
 
-uint64_t EarliestFiringEngine::packStateHashed(PackedState &Out) const {
-  packState(Out);
-  return Out.rawHash();
-}
-
 void EarliestFiringEngine::offerSlotWord(PackedStateTable &Seen,
                                          size_t W) const {
   Seen.offerWord(W, HS.Mark[W]);
@@ -1049,21 +1051,29 @@ void EarliestFiringEngine::logLeaptState(PackedStateTable &Seen,
 
 void EarliestFiringEngine::appendTail(std::vector<uint64_t> &Tail,
                                       TimeStep At) const {
-  // The busy count first, so a fingerprint cannot pass for busy entries.
-  Tail.push_back(BusyCount);
+  // The tail's length tells how many busy entries it holds, unless a
+  // fingerprint of any length follows them: then the busy count goes
+  // first, so a fingerprint cannot pass for busy entries.
+  uint64_t Summary = 0;
+  bool Fingerprint = false;
+  if (Policy) {
+    std::optional<uint64_t> S = Policy->conditionSummary();
+    Fingerprint = !S;
+    Summary = S.value_or(0);
+  }
+  if (Fingerprint)
+    Tail.push_back(BusyCount);
   if (BusyCount != 0)
     forEachSetBit(HS.Busy, L.BitWords, [&](uint32_t I) {
       Tail.push_back((static_cast<uint64_t>(I) << 32) |
                      static_cast<uint32_t>(HS.FinishTime[I] - At));
     });
-  if (Policy) {
-    if (std::optional<uint64_t> Summary = Policy->conditionSummary()) {
-      Tail.push_back(*Summary);
-    } else {
-      FpScratch.clear();
-      Policy->appendFingerprint(FpScratch);
-      Tail.insert(Tail.end(), FpScratch.begin(), FpScratch.end());
-    }
+  if (Fingerprint) {
+    FpScratch.clear();
+    Policy->appendFingerprint(FpScratch);
+    Tail.insert(Tail.end(), FpScratch.begin(), FpScratch.end());
+  } else if (Policy) {
+    Tail.push_back(Summary);
   }
 }
 
@@ -1106,7 +1116,7 @@ void EarliestFiringEngine::startFiring(uint32_t I) {
 /// The firing phase of an engine with a policy: a ReadyListPolicy's
 /// list walked in place, or another policy's materialized order.
 /// Policies keep exact counts, so only the generic consume path
-/// applies here (FastFire is zeroed in the constructor).
+/// applies here.
 void EarliestFiringEngine::firePolicyCandidates(FiringTrace &Rec) {
   if (Ready) {
     // Non-conflicting candidates first, in index order: from the list of
@@ -1186,7 +1196,7 @@ void EarliestFiringEngine::fireIndexOrder(FiringTrace &Rec) {
   // enabled bit.)
   // Pointers and counters live in locals for the same aliasing
   // reason as the completion drain.
-  const uint8_t *FastF = HS.FastFire;
+  const uint8_t *FastF = L.FastFireTopo.data();
   const uint32_t *InOffP = L.InOff.data();
   const uint32_t *InListP = L.InList.data();
   uint32_t *RdP = HS.Readiness;

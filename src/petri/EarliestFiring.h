@@ -348,12 +348,15 @@ struct StepView {
 /// flat: the rows' times, where each row's completed and fired ids end,
 /// and one id array.  A row's fired ids follow its completed ids, except
 /// that a row whose completions are exactly the previous row's firings
-/// (every row of a unit-time net without a policy: what fires at u
-/// completes at u + 1) stores no copy of them: its completed range is
-/// the previous row's fired ids, which a flag on its completed end
-/// records.  Whether a row shares is a function of the rows alone, so
-/// two traces with the same rows have the same arrays.  Appending a row
-/// allocates nothing once the arrays have grown.
+/// (every row of a unit-time net: what fires at u completes at u + 1)
+/// stores no copy of them: its completed range is the previous row's
+/// fired ids, which a flag on its completed end records.  Every way of
+/// building a trace shares by that rule — beginStep() and append()
+/// compare the completions with the previous row's firings, and
+/// layOut() rows are shared by the layout when unit-time, else by
+/// shareCompletions() once written — so two traces with the same rows
+/// have the same arrays and sizeBytes().  Appending a row allocates
+/// nothing once the arrays have grown.
 class FiringTrace {
 public:
   size_t size() const { return Times.size(); }
@@ -470,10 +473,15 @@ public:
   /// writes through completedAt() and firedAt() in any order.  With
   /// \p Unit (a unit-time net: every row's completions are the previous
   /// row's firings, in the same order), \p Completions is ignored and
-  /// the rows share, so only firedAt() is written.  The trace must be
+  /// the rows share, so only firedAt() is written.  Without it the rows
+  /// share nothing until shareCompletions() runs.  The trace must be
   /// empty.
   void layOut(std::span<const uint32_t> Completions,
               std::span<const uint32_t> Firings, bool Unit);
+  /// Shares every row of a trace laid out without \p Unit whose
+  /// completions equal the previous row's firings, closing up the ids:
+  /// the arrays beginStep() would have built from the same rows.
+  void shareCompletions();
   TransitionId *completedAt(size_t I) {
     return Ids.data() + (I ? FiredEnd[I - 1] : 0);
   }
@@ -543,6 +551,10 @@ public:
   /// \p Net must be >= 1.
   explicit EarliestFiringEngine(const PetriNet &Net,
                                 FiringPolicy *Policy = nullptr);
+  /// The engine points into the trace its last step wrote (possibly
+  /// its own), so it is neither copied nor moved.
+  EarliestFiringEngine(const EarliestFiringEngine &) = delete;
+  EarliestFiringEngine &operator=(const EarliestFiringEngine &) = delete;
 
   /// Phase A of the current step; idempotent until fireAndAdvance().
   void prepare();
@@ -557,10 +569,6 @@ public:
   /// of the two overflow forms of petri/PackedState.h.  prepare() must
   /// have run.
   void packState(PackedState &Out) const;
-
-  /// packState() plus the raw hash of the packed words
-  /// (PackedState::rawHash()), for PackedStateTable::insertOrFindHashed().
-  uint64_t packStateHashed(PackedState &Out) const;
 
   /// Opens the current instant's state in \p Seen (the frustum
   /// detector's state table): the marking words and count planes as
@@ -737,7 +745,7 @@ private:
   std::vector<uint32_t> PlanePop;
   size_t NumPlanes = 0;
 
-  /// No policy and FastFire on every transition: the net is a pure
+  /// No policy and FastFireTopo on every transition: the net is a pure
   /// marked graph (no place has two consumers), so no firing can
   /// disable another candidate — the whole enabled-idle set fires every
   /// step, letting the firing loop skip the per-candidate readiness

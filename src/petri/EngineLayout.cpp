@@ -10,7 +10,6 @@
 #include "petri/PackedState.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace sdsp;
 
@@ -149,9 +148,8 @@ void EngineHotState::init(const EngineLayout &L) {
   size_t RingW = (L.UseRing && !L.UnitTime)
                      ? (static_cast<size_t>(L.MaxExec) + 1 + 1) / 2
                      : 0;
-  size_t FlagW = (L.NumTransitions + 7) / 8;
 
-  Arena.assign(MarkW + EnW + BusyW + RdW + FinW + RingW + 2 * FlagW, 0);
+  Arena.assign(MarkW + EnW + BusyW + RdW + FinW + RingW, 0);
   uint64_t *P = Arena.data();
   Mark = P;
   P += MarkW;
@@ -164,10 +162,6 @@ void EngineHotState::init(const EngineLayout &L) {
   FinishTime = P;
   P += FinW;
   RingCount = RingW ? reinterpret_cast<uint32_t *>(P) : nullptr;
-  P += RingW;
-  FastFire = reinterpret_cast<uint8_t *>(P);
-  P += FlagW;
-  FastComp = reinterpret_cast<uint8_t *>(P);
 
   // Sentinel-pad the readiness lanes beyond the last transition so a
   // 64-lane read never takes them for enabled.
@@ -175,8 +169,4 @@ void EngineHotState::init(const EngineLayout &L) {
     Readiness[Lane] = 1;
   // Idle transitions carry the sentinel finish time.
   std::fill_n(FinishTime, L.NumTransitions, ~static_cast<TimeStep>(0));
-  if (L.NumTransitions) {
-    std::memcpy(FastFire, L.FastFireTopo.data(), L.NumTransitions);
-    std::memcpy(FastComp, L.FastCompTopo.data(), L.NumTransitions);
-  }
 }

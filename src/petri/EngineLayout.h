@@ -37,6 +37,10 @@
 #include <cstdint>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace sdsp {
 
 /// Discrete simulation time.
@@ -72,8 +76,8 @@ struct EngineLayout {
   /// consumer; FastCompTopo[t] — every output place of t has exactly one
   /// consumer, and that consumer has no gated input place (so its
   /// enabled bit needs no gate check).  These are the *topological*
-  /// facts; the engine keeps working copies in the hot-state arena,
-  /// zeroed for an engine with a policy, which takes the generic walks.
+  /// facts; an engine with a policy ignores them and takes the generic
+  /// walks.
   std::vector<uint8_t> FastFireTopo, FastCompTopo;
   std::vector<uint32_t> CompOff;
   std::vector<uint64_t> CompPairs; // (packed slot << 32 | consumer)
@@ -138,10 +142,6 @@ public:
   /// Bucketed finish-time ring (MaxExec + 1 counters); null for
   /// unit-time nets and map-fallback nets.
   uint32_t *RingCount = nullptr;
-  /// Working copies of the layout's fast-path flags (zeroed for an
-  /// engine with a policy).
-  uint8_t *FastFire = nullptr;
-  uint8_t *FastComp = nullptr;
 
   /// Carves the arena for \p L: one allocation, arrays in scan order.
   void init(const EngineLayout &L);
@@ -149,6 +149,34 @@ public:
 private:
   std::vector<uint64_t> Arena;
 };
+
+/// The lanes of a 64-lane readiness group that read zero, as a word (bit
+/// b for lane b): the plain loop, the reference.
+inline uint64_t zeroLanesScalar(const uint32_t *Lanes) {
+  uint64_t Zero = 0;
+  for (unsigned B = 0; B < 64; ++B)
+    Zero |= static_cast<uint64_t>(Lanes[B] == 0) << B;
+  return Zero;
+}
+
+/// zeroLanesScalar() four lanes a step with SSE2, which every x86-64
+/// target has; bench/readiness_lanes measures the two (docs/PERF.md),
+/// and the engine tests pin them to each other.
+inline uint64_t zeroLanes(const uint32_t *Lanes) {
+#if defined(__SSE2__)
+  uint64_t Zero = 0;
+  const __m128i None = _mm_setzero_si128();
+  for (unsigned B = 0; B < 64; B += 4) {
+    __m128i X = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Lanes + B));
+    Zero |= static_cast<uint64_t>(_mm_movemask_ps(
+                _mm_castsi128_ps(_mm_cmpeq_epi32(X, None))))
+            << B;
+  }
+  return Zero;
+#else
+  return zeroLanesScalar(Lanes);
+#endif
+}
 
 } // namespace sdsp
 

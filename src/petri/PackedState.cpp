@@ -13,29 +13,6 @@
 
 using namespace sdsp;
 
-void PackedState::decrementResiduals(size_t MarkWords) {
-  size_t Busy = busyCount();
-  size_t At = 1 + MarkWords + overflowWords(MarkWords);
-  for (size_t I = 0; I < Busy; ++I) {
-    SDSP_CHECK((Words[At + I] & 0xffffffffull) >= 2,
-               "residual would hit zero inside an idle stretch");
-    --Words[At + I];
-  }
-}
-
-uint64_t PackedState::decrementResiduals(size_t MarkWords, uint64_t RawHash) {
-  size_t Busy = busyCount();
-  size_t At = 1 + MarkWords + overflowWords(MarkWords);
-  for (size_t I = 0; I < Busy; ++I) {
-    uint64_t Old = Words[At + I];
-    SDSP_CHECK((Old & 0xffffffffull) >= 2,
-               "residual would hit zero inside an idle stretch");
-    Words[At + I] = Old - 1;
-    RawHash ^= mixWord(At + I, Old) ^ mixWord(At + I, Old - 1);
-  }
-  return RawHash;
-}
-
 uint64_t PackedState::mixWord(uint64_t Pos, uint64_t Value) {
   // splitmix64 of the (position, value) pair.  Full per-word avalanche
   // is what lets the raw hash be a plain XOR of terms (commutative, so
@@ -56,29 +33,17 @@ uint64_t PackedState::finalizeHash(uint64_t Raw) {
   return Raw;
 }
 
-uint64_t PackedState::rawHash() const {
-  uint64_t H = mixWord(~0ull, Words.size());
-  for (size_t I = 0, N = Words.size(); I < N; ++I)
-    H ^= mixWord(I, Words[I]);
-  return H;
-}
-
-uint64_t PackedState::rawTailHash(size_t MarkWords) const {
-  uint64_t H = mixWord(~0ull, Words.size());
-  H ^= mixWord(0, Words[0]);
-  for (size_t I = 1 + MarkWords, N = Words.size(); I < N; ++I)
-    H ^= mixWord(I, Words[I]);
-  return H;
-}
-
 PackedStateTable::PackedStateTable() : Slots(64) {}
 
 void PackedStateTable::beginState(size_t NewWidth) {
+  Changes = 0;
   Pending.clear();
   Tail.clear();
+  // Pairs stop once they would outgrow a state, so they never take
+  // more than the widest state plus one pair.
   size_t Widest = std::max(Width, NewWidth);
-  if (Pending.capacity() < 2 * Widest)
-    Pending.reserve(2 * Widest);
+  if (Pending.capacity() < Widest + 2)
+    Pending.reserve(Widest + 2);
   if (Shadow.size() < NewWidth)
     Shadow.resize(NewWidth, 0);
   // Room to rebuild any earlier state, which is never wider than the
@@ -104,8 +69,7 @@ void PackedStateTable::offerWords(size_t Pos, const uint64_t *Words,
       size_t I = B + static_cast<size_t>(std::countr_zero(Changed));
       WideHash ^= wideTerm(Pos + I, Old[I]) ^ wideTerm(Pos + I, Words[I]);
       Old[I] = Words[I];
-      Pending.push_back(Pos + I);
-      Pending.push_back(Words[I]);
+      noteChange(Pos + I, Words[I]);
     }
   }
 }
@@ -224,12 +188,4 @@ std::optional<uint64_t> PackedStateTable::insertOrFind(const PackedState &S,
     offerWord(I, W[I]);
   Tail.push_back(W.size());
   return commit(T);
-}
-
-std::optional<uint64_t>
-PackedStateTable::insertOrFindHashed(const PackedState &S, uint64_t RawHash,
-                                     uint64_t T) {
-  assert(RawHash == S.rawHash() && "raw hash diverged from a rehash");
-  (void)RawHash;
-  return insertOrFind(S, T);
 }

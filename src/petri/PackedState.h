@@ -68,8 +68,7 @@
 namespace sdsp {
 
 /// One packed instantaneous state.  The engine writes it via the
-/// builder methods below; decrementResiduals() synthesizes the state of
-/// a leapt-over idle instant in place.
+/// builder methods below.
 class PackedState {
 public:
   /// Each header field gets 21 bits; nets beyond two million places or
@@ -150,41 +149,13 @@ public:
   uint64_t busyCount() const { return (Words[0] >> FieldBits) & FieldMax; }
   uint64_t fingerprintLength() const { return Words[0] & FieldMax; }
 
-  /// Decrements every busy residual by one: the state one idle time
-  /// step later, provided no completion happens in between (every
-  /// residual must stay >= 1).  \p MarkWords is the marking section
-  /// width (the caller knows it from the net's place count).
-  void decrementResiduals(size_t MarkWords);
-
-  /// decrementResiduals() that also maintains \p RawHash incrementally:
-  /// each touched busy word retires its old mixWord term and mixes in
-  /// the new one, so the hash update is O(busy) regardless of the
-  /// state's width.  Returns the updated raw hash.
-  uint64_t decrementResiduals(size_t MarkWords, uint64_t RawHash);
-
-  /// The incremental hash scheme (docs/PERF.md).  The raw hash of a
-  /// packed state is the XOR of one position-keyed mix per word,
-  ///
-  ///   rawHash = lengthMix(size) ^ XOR_i mixWord(i, Words[i]),
-  ///
-  /// which makes any single-word change a two-term XOR delta:
-  /// H ^= mixWord(i, Old) ^ mixWord(i, New).  The engine maintains the
-  /// marking section's XOR as tokens move and rawTailHash() supplies the
-  /// header and the sections after the marking fresh (their
-  /// min(K, P * W) + busy + fp words, in the notation of the layout).
-  /// hashValue() == finalizeHash(rawHash()) always; the table's
-  /// insertOrFindHashed() asserts that in debug builds.
+  /// The word hash the state table keys on (PackedStateTable): a
+  /// state's hash is an XOR of one position-keyed mix per word, so a
+  /// single-word change is a two-term XOR delta,
+  /// H ^= mixWord(i, Old) ^ mixWord(i, New), and finalizeHash()
+  /// scrambles the sum before it keys the table.
   static uint64_t mixWord(uint64_t Pos, uint64_t Value);
-  /// Final avalanche applied to a raw hash before it keys the table.
   static uint64_t finalizeHash(uint64_t Raw);
-  /// Full recompute of the raw hash (the debug-validation oracle).
-  uint64_t rawHash() const;
-  /// The raw-hash contribution of everything EXCEPT the marking words:
-  /// the length mix, the header word, and the overflow, busy and
-  /// fingerprint sections starting at word 1 + \p MarkWords.
-  uint64_t rawTailHash(size_t MarkWords) const;
-
-  size_t hashValue() const { return finalizeHash(rawHash()); }
 
   friend bool operator==(const PackedState &A, const PackedState &B) {
     return A.Words == B.Words;
@@ -240,8 +211,7 @@ public:
       return;
     WideHash ^= wideTerm(Pos, Old) ^ wideTerm(Pos, Value);
     Old = Value;
-    Pending.push_back(Pos);
-    Pending.push_back(Value);
+    noteChange(Pos, Value);
   }
   /// offerWord() for wide words \p Pos .. \p Pos + \p N - 1 at once:
   /// the changed ones are found 64 at a time without a branch per word.
@@ -249,7 +219,7 @@ public:
   /// The open state's tail, appended to by the caller.
   std::vector<uint64_t> &tail() { return Tail; }
   /// Wide words of the open state that changed so far.
-  size_t pendingChanges() const { return Pending.size() / 2; }
+  size_t pendingChanges() const { return Changes; }
 
   /// Commits the open state at time \p T.  If an equal state was
   /// committed earlier and \p Exact(its time) confirms it (for states
@@ -264,12 +234,9 @@ public:
     return commit(T, [](uint64_t) { return true; });
   }
 
-  /// The whole-state forms: commit \p S's words as the wide words
-  /// (and its length as the tail).  insertOrFindHashed() takes the
-  /// caller's PackedState::rawHash() of \p S, which debug builds check.
+  /// The whole-state form: commits \p S's words as the wide words
+  /// (and its length as the tail).
   std::optional<uint64_t> insertOrFind(const PackedState &S, uint64_t T);
-  std::optional<uint64_t> insertOrFindHashed(const PackedState &S,
-                                             uint64_t RawHash, uint64_t T);
 
   /// Bytes the table holds allocated, and the bytes it would hold once
   /// the open state is committed: what the growth the commit causes
@@ -320,10 +287,13 @@ private:
   std::vector<uint64_t> Times;
   std::vector<uint64_t> Keyframes;
   /// The open state's wide words (zero beyond Width) and their hash
-  /// terms' XOR; the pairs changed since the previous state; its tail.
+  /// terms' XOR; how many changed since the previous state, and their
+  /// pairs while the state is not due as a keyframe (a keyframe logs
+  /// the shadow itself); its tail.
   std::vector<uint64_t> Shadow;
   size_t Width = 0;
   uint64_t WideHash = 0;
+  size_t Changes = 0;
   std::vector<uint64_t> Pending;
   std::vector<uint64_t> Tail;
   /// Pair words logged since the last keyframe.
@@ -338,8 +308,19 @@ private:
   static uint64_t wideTerm(uint64_t Pos, uint64_t Value) {
     return Value ? PackedState::mixWord(Pos, Value) : 0;
   }
+  /// Whether the open state logs as a keyframe: it is the first, or its
+  /// pairs would take the pair words since the last keyframe past a
+  /// full state.  Once due, a state stays due until it is committed:
+  /// changes only accumulate, and the width only narrows in between.
   bool keyframeDue() const {
-    return RecordAt.empty() || SinceKey + Pending.size() > Width;
+    return RecordAt.empty() || SinceKey + 2 * Changes > Width;
+  }
+  void noteChange(size_t Pos, uint64_t Value) {
+    ++Changes;
+    if (keyframeDue())
+      return;
+    Pending.push_back(Pos);
+    Pending.push_back(Value);
   }
   size_t recordWords() const {
     return 1 + Tail.size() + (keyframeDue() ? Width : Pending.size());

@@ -138,6 +138,53 @@ TEST(AnalyticFuzz, BudgetBoundariesByteIdentical) {
                                  "analytic path";
 }
 
+TEST(AnalyticFuzz, EveryEngineSharesTheSameTraceRows) {
+  // A trace stores a row's completions once when they equal the
+  // previous row's firings, decided by the rows alone: the analytic
+  // engine, the fast and reference simulators and a row-by-row copy
+  // (the codec's decode) build the same arrays and so report the same
+  // sizeBytes(), which artifact sizes are made of.  Timed nets, where
+  // only some rows share.
+  Rng R(0x5a4e'd0ull);
+  int Analytic = 0, SharedTimed = 0;
+  for (int Case = 0; Case < 120; ++Case) {
+    // Random marked graphs draw their times from 1-3; rings get them.
+    PetriNet Net =
+        Case % 2 ? buildRandomMarkedGraph(R, static_cast<size_t>(3 + Case % 10),
+                                          static_cast<size_t>(Case % 5))
+                 : buildRing(static_cast<size_t>(3 + Case % 7), 1);
+    if (Case % 2 == 0)
+      for (TransitionId T : Net.transitionIds())
+        Net.setExecTime(T, 1 + (T.index() + static_cast<uint32_t>(Case)) % 3);
+    std::string Label = "case " + std::to_string(Case);
+    std::string Reason;
+    Expected<FrustumInfo> Ana =
+        detectFrustumAnalytic(Net, nullptr, {}, {}, nullptr, &Reason);
+    if (!Reason.empty() || !Ana)
+      continue;
+    ++Analytic;
+    Expected<FrustumInfo> Fast = detectFrustumChecked(Net, nullptr, {});
+    Expected<FrustumInfo> Ref = detectFrustumReference(Net, nullptr, {});
+    ASSERT_TRUE(Fast && Ref) << Label;
+    FiringTrace Copy;
+    std::vector<uint32_t> Completions, Firings;
+    for (StepView S : Ana->Trace) {
+      Copy.append(S);
+      Completions.push_back(static_cast<uint32_t>(S.Completed.size()));
+      Firings.push_back(static_cast<uint32_t>(S.Fired.size()));
+    }
+    EXPECT_EQ(Ana->Trace.sizeBytes(), Fast->Trace.sizeBytes()) << Label;
+    EXPECT_EQ(Ana->Trace.sizeBytes(), Ref->Trace.sizeBytes()) << Label;
+    EXPECT_EQ(Ana->Trace.sizeBytes(), Copy.sizeBytes()) << Label;
+    // The same rows with nothing shared.
+    FiringTrace Unshared;
+    Unshared.layOut(Completions, Firings, /*Unit=*/false);
+    SharedTimed += Ana->Trace.sizeBytes() < Unshared.sizeBytes();
+  }
+  EXPECT_GE(Analytic, 30);
+  EXPECT_GT(SharedTimed, 0) << "no timed net shared a row";
+}
+
 TEST(AnalyticFuzz, MultiTokenRingFallsBack) {
   // A 2-token place breaks 1-boundedness: the analytic bar must refuse
   // (the closed form assumes a safe marking) and the fallback must

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "petri/EarliestFiring.h"
+#include "petri/EngineLayout.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
@@ -218,6 +219,27 @@ TEST(InstantaneousState, EqualityIncludesAllComponents) {
   B.PolicyFingerprint.clear();
   B.Residual = {1, 0};
   EXPECT_FALSE(A == B);
+}
+
+TEST(EngineLayout, ZeroLanesMatchesTheScalarLoop) {
+  // The dense drain's kernel against the plain loop it stands in for,
+  // on lanes that are zero, small counts, the busy bias and the
+  // readiness padding's sentinel, in every bit position.
+  Rng R(5);
+  const uint32_t Values[] = {0, 1, 2, 1u << 24, (1u << 24) + 1, ~0u};
+  std::vector<uint32_t> Lanes(64);
+  for (int Round = 0; Round < 200; ++Round) {
+    for (uint32_t &L : Lanes)
+      L = Values[R.range(0, 5)];
+    EXPECT_EQ(zeroLanes(Lanes.data()), zeroLanesScalar(Lanes.data()));
+  }
+  std::fill(Lanes.begin(), Lanes.end(), 0u);
+  EXPECT_EQ(zeroLanes(Lanes.data()), ~0ull);
+  for (unsigned B = 0; B < 64; ++B) {
+    std::fill(Lanes.begin(), Lanes.end(), 1u);
+    Lanes[B] = 0;
+    EXPECT_EQ(zeroLanes(Lanes.data()), 1ull << B);
+  }
 }
 
 } // namespace

@@ -6,16 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The engine's incrementally maintained marking hash must equal a full
-/// rehash of the packed words at every step, on every net shape the
-/// engine special-cases (unit-time all-fast, bit-marking, ring
-/// scheduling, exact-marking fallback, multi-token buffers packed as
-/// count planes, a policy's fingerprint).  Debug builds additionally
-/// validate this inside insertOrFindHashed on every interning; this
-/// suite checks it explicitly so release builds cover it too, and pins
-/// the hashed decrementResiduals delta used by the idle-stretch leap:
-/// each synthesized state must equal the one a twin engine, stepping
-/// every instant, packs there.
+/// The frustum detector's state table (PackedStateTable) must tell
+/// instantaneous states apart exactly, on every net shape the engine
+/// special-cases (unit-time all-fast, ring scheduling, multi-token
+/// buffers kept as count planes, a policy's machine condition), whether
+/// a state is logged from a stepped instant (logState()) or synthesized
+/// for a leapt, idle one (logLeaptState()): the table must find a
+/// repeat exactly when an oracle over whole packed states does, at the
+/// same earlier instant.  Debug builds additionally check the table's
+/// differenced hash against a rehash on every commit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,61 +45,68 @@ struct RunShape {
   size_t LeaptBehindPlanes = 0;
 };
 
-/// Runs \p Steps engine steps and checks the incremental raw hash
-/// against PackedState::rawHash() at each instant, leaping idle
-/// stretches through the hashed decrementResiduals path.  A twin engine
-/// steps every instant without leaping; every packed state, stepped or
-/// synthesized, must equal the twin's word for word.  \p Policy and
+/// Runs \p Steps engine steps, logging each instant into a
+/// PackedStateTable through logState() and walking idle stretches one
+/// instant at a time through logLeaptState() (the frustum detector's
+/// time leap).  A twin engine steps every instant without leaping; its
+/// packed states are the oracle: the table must find a repeat exactly
+/// when the twin's states repeat, at the same earlier instant, and the
+/// engine's own packed states must equal the twin's.  \p Policy and
 /// \p TwinPolicy are two instances of the same policy, or both null.
-RunShape checkHashedRun(const PetriNet &Net, size_t Steps,
-                        FiringPolicy *Policy = nullptr,
-                        FiringPolicy *TwinPolicy = nullptr) {
+RunShape checkLeaptRun(const PetriNet &Net, size_t Steps,
+                       FiringPolicy *Policy = nullptr,
+                       FiringPolicy *TwinPolicy = nullptr) {
   EarliestFiringEngine Engine(Net, Policy);
   EarliestFiringEngine Twin(Net, TwinPolicy);
-  size_t MarkWords = (Net.numPlaces() + 63) / 64;
   PackedState PS, TwinPS;
   PackedStateTable Seen;
+  std::map<std::vector<uint64_t>, TimeStep> Oracle;
   RunShape Shape;
-  auto CheckTwin = [&](TimeStep T) {
+  // Commits the table's open state of instant T and checks it against
+  // the twin's packed state there.
+  auto Commit = [&](TimeStep T) {
     Twin.prepare();
     Twin.packState(TwinPS);
     EXPECT_EQ(Twin.now(), T);
-    EXPECT_TRUE(PS == TwinPS) << "packed state diverged at t=" << T;
-    Shape.DenseStates += PS.overflowCount() > 0 && PS.denseOverflow();
-    Shape.BusyStates += PS.busyCount() > 0;
+    Shape.DenseStates +=
+        TwinPS.overflowCount() > 0 && TwinPS.denseOverflow();
+    Shape.BusyStates += TwinPS.busyCount() > 0;
+    std::optional<uint64_t> Got = Seen.commit(T);
+    auto [It, Fresh] = Oracle.emplace(TwinPS.words(), T);
+    EXPECT_EQ(Got.has_value(), !Fresh) << "t=" << T;
+    if (Got && !Fresh) {
+      EXPECT_EQ(*Got, It->second) << "t=" << T;
+    }
     Twin.fireAndAdvance();
   };
   for (size_t I = 0; I < Steps; ++I) {
     Engine.prepare();
-    uint64_t Raw = Engine.packStateHashed(PS);
-    EXPECT_EQ(Raw, PS.rawHash()) << "step " << I << " at t=" << Engine.now();
-    EXPECT_EQ(PackedState::finalizeHash(Raw), PS.hashValue());
-    CheckTwin(Engine.now());
-    Seen.insertOrFindHashed(PS, Raw, Engine.now());
+    Engine.packState(PS);
+    Engine.logState(Seen);
+    Commit(Engine.now());
+    EXPECT_TRUE(PS == TwinPS) << "packed state diverged at t=" << Engine.now();
     if (Engine.isQuiescent())
       break; // dead net; nothing further to validate
     StepRecord Rec = Engine.fireAndAdvance();
     if (!Rec.Completed.empty() || !Rec.Fired.empty())
       continue;
-    // Idle stretch: walk it one instant at a time through the hashed
-    // residual decrement, validating the delta at each instant (the
-    // same synthesis the frustum detector's time leap performs).
+    // Idle stretch: log each leapt instant from the engine between
+    // steps, as the frustum detector does.
     std::optional<TimeStep> Next = Engine.nextFinishTime();
     EXPECT_TRUE(Next.has_value());
     if (!Next)
       break;
     for (TimeStep V = Engine.now(); V < *Next; ++V) {
-      Raw = PS.decrementResiduals(MarkWords, Raw);
-      EXPECT_EQ(Raw, PS.rawHash()) << "leap instant " << V;
-      CheckTwin(V);
-      Seen.insertOrFindHashed(PS, Raw, V);
-      Shape.LeaptBehindPlanes += PS.overflowCount() > 0 && PS.denseOverflow();
+      Engine.logLeaptState(Seen, V);
+      Commit(V);
+      Shape.LeaptBehindPlanes +=
+          TwinPS.overflowCount() > 0 && TwinPS.denseOverflow();
     }
     Engine.leapTo(*Next);
   }
 #ifndef NDEBUG
-  // Debug builds validate every interning against a full rehash; the
-  // counter proves the validation path actually ran.
+  // Debug builds validate every commit's hash against a full rehash;
+  // the counter proves the validation path actually ran.
   EXPECT_GT(Seen.deltaValidations(), 0u);
 #endif
   return Shape;
@@ -170,7 +176,7 @@ TEST(StateHash, LoggedStatesMatchAnExactOracle) {
   checkLoggedRun(Scp.Net, 600, Policy.get());
 }
 
-TEST(StateHash, UnitTimeRing) { checkHashedRun(buildRing(9, 2), 64); }
+TEST(StateHash, UnitTimeRing) { checkLeaptRun(buildRing(9, 2), 64); }
 
 TEST(StateHash, RandomMarkedGraphs) {
   // Non-unit execution times exercise the busy-residual tail and the
@@ -179,9 +185,9 @@ TEST(StateHash, RandomMarkedGraphs) {
   for (uint64_t Seed : {1ull, 7ull, 23ull}) {
     Rng R(Seed);
     PetriNet Small = buildRandomMarkedGraph(R, 12, 3);
-    checkHashedRun(Small, 96);
+    checkLeaptRun(Small, 96);
     PetriNet Large = buildRandomMarkedGraph(R, 90, 20); // >64 places
-    checkHashedRun(Large, 96);
+    checkLeaptRun(Large, 96);
   }
 }
 
@@ -189,7 +195,7 @@ TEST(StateHash, CapacityTwoSdspPn) {
   // Half the places hold two tokens: the counts go out as one plane,
   // and the busy section sits behind it.
   SdspPn Pn = timedKernelNet("l2", 2, 8);
-  RunShape Shape = checkHashedRun(Pn.Net, 400);
+  RunShape Shape = checkLeaptRun(Pn.Net, 400);
   EXPECT_GT(Shape.DenseStates, 0u);
   EXPECT_GT(Shape.BusyStates, 0u);
 }
@@ -197,7 +203,7 @@ TEST(StateHash, CapacityTwoSdspPn) {
 TEST(StateHash, CapacityThreeSdspPn) {
   // Counts up to three need two planes.
   SdspPn Pn = timedKernelNet("loop9lcd", 3, 8);
-  RunShape Shape = checkHashedRun(Pn.Net, 400);
+  RunShape Shape = checkLeaptRun(Pn.Net, 400);
   EXPECT_GT(Shape.DenseStates, 0u);
   EXPECT_GT(Shape.BusyStates, 0u);
 }
@@ -206,7 +212,7 @@ TEST(StateHash, ScpNetUnderFifoPolicy) {
   // Two pipelines (a multi-token run place), six stages (dummies of
   // time 5, so l2's recurrence idles the machine between issues),
   // two-slot buffers: overflow, busy and fingerprint sections all
-  // present, and idle stretches leapt through decrementResiduals.
+  // present, and idle stretches leapt through logLeaptState().
   DiagnosticEngine Diags;
   auto G = compileLoop(findKernel("l2")->Source, Diags);
   ASSERT_TRUE(G.has_value());
@@ -215,33 +221,34 @@ TEST(StateHash, ScpNetUnderFifoPolicy) {
   auto Policy = Scp.makeFifoPolicy();
   auto TwinPolicy = Scp.makeFifoPolicy();
   RunShape Shape =
-      checkHashedRun(Scp.Net, 600, Policy.get(), TwinPolicy.get());
+      checkLeaptRun(Scp.Net, 600, Policy.get(), TwinPolicy.get());
   EXPECT_GT(Shape.DenseStates, 0u);
   EXPECT_GT(Shape.BusyStates, 0u);
   EXPECT_GT(Shape.LeaptBehindPlanes, 0u);
 }
 
-TEST(StateHash, HashedTableMatchesPlainTable) {
-  // insertOrFindHashed(S, S.rawHash(), t) must behave exactly like
-  // insertOrFind(S, t): same repeat detection, same stored times.
-  Rng R(99);
-  PetriNet Net = buildRandomMarkedGraph(R, 10, 2);
-  EarliestFiringEngine A(Net), B(Net);
+TEST(StateHash, WholeStateTableMatchesLoggedTable) {
+  // insertOrFind() of whole packed states, whose width varies with the
+  // overflow and busy sections, must find the same repeats at the same
+  // times as the engine's own logState() form.
+  SdspPn Pn = timedKernelNet("l2", 2, 8);
+  EarliestFiringEngine A(Pn.Net), B(Pn.Net);
   PackedStateTable TA, TB;
-  PackedState PA, PB;
-  for (size_t I = 0; I < 200; ++I) {
+  PackedState PA;
+  size_t Repeats = 0;
+  for (size_t I = 0; I < 400; ++I) {
     A.prepare();
     B.prepare();
-    uint64_t Raw = A.packStateHashed(PA);
-    B.packState(PB);
-    std::optional<uint64_t> SeenA = TA.insertOrFindHashed(PA, Raw, A.now());
-    std::optional<uint64_t> SeenB = TB.insertOrFind(PB, B.now());
+    A.packState(PA);
+    B.logState(TB);
+    std::optional<uint64_t> SeenA = TA.insertOrFind(PA, A.now());
+    std::optional<uint64_t> SeenB = TB.commit(B.now());
     ASSERT_EQ(SeenA, SeenB) << "step " << I;
-    if (SeenA)
-      break; // both detected the repeat at the same step
+    Repeats += SeenA.has_value();
     A.fireAndAdvance();
     B.fireAndAdvance();
   }
+  EXPECT_GT(Repeats, 0u);
 }
 
 TEST(StateHash, MixWordIsPositionSensitive) {
