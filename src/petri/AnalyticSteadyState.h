@@ -114,10 +114,6 @@ public:
   TimeStep startTime() const { return Start; }
   /// Second occurrence (the simulator's RepeatTime).
   TimeStep repeatTime() const { return Start + Period; }
-  /// Minimal state period p.
-  TimeStep periodTime() const { return Period; }
-  /// Firings of each transition per period (the K of K-periodicity).
-  uint64_t periodRounds() const { return CycleRounds; }
   /// Rounds of the recurrence evaluated before the collision (or cap).
   uint64_t roundsComputed() const { return NumRounds; }
 

@@ -114,11 +114,6 @@ void FiringTrace::shareCompletions() {
 
 FiringPolicy::~FiringPolicy() = default;
 
-void FiringPolicy::appendFingerprint(std::vector<uint32_t> &Out) const {
-  std::vector<uint32_t> Fp = stateFingerprint();
-  Out.insert(Out.end(), Fp.begin(), Fp.end());
-}
-
 /// Calls \p F with the index of every set bit, in ascending order.
 template <typename Fn>
 static void forEachSetBit(const uint64_t *Bits, size_t NumWords, Fn &&F) {
@@ -153,16 +148,6 @@ static void forEachMarkedWord(std::vector<uint64_t> &Summary,
     }
     Summary[S] = Keep;
   }
-}
-
-void FiringPolicy::orderEnabled(const PetriNet &Net, const Marking &M,
-                                const std::vector<TransitionId> &Completed,
-                                const uint64_t *Enabled, size_t NumWords,
-                                std::vector<TransitionId> &Out) {
-  Out.clear();
-  forEachSetBit(Enabled, NumWords,
-                [&](uint32_t I) { Out.push_back(TransitionId(I)); });
-  orderCandidates(Net, M, Completed, Out);
 }
 
 bool FiringPolicy::sameConditionAt(TimeStep) const { return true; }
@@ -304,20 +289,12 @@ void ReadyListPolicy::orderCandidates(
   CandidateBits.assign((Net.numTransitions() + 63) / 64, 0);
   for (TransitionId T : Candidates)
     CandidateBits[T.index() >> 6] |= 1ull << (T.index() & 63);
-  orderEnabled(Net, M, Completed, CandidateBits.data(), CandidateBits.size(),
-               Scratch);
-  Candidates.swap(Scratch);
-}
-
-void ReadyListPolicy::orderEnabled(const PetriNet &Net, const Marking &M,
-                                   const std::vector<TransitionId> &Completed,
-                                   const uint64_t *Enabled, size_t NumWords,
-                                   std::vector<TransitionId> &Out) {
-  // The vector-form callers (the reference engine) step every instant
-  // from 0, so the instant is the number of calls so far.
+  // The callers (the reference engine) step every instant from 0, so
+  // the instant is the number of calls so far.
   observe(ScanAll ? 0 : Clock + 1, Net, M, Completed);
-  Out.clear();
-  appendOrder(Enabled, NumWords, Out);
+  Scratch.clear();
+  appendOrder(CandidateBits.data(), CandidateBits.size(), Scratch);
+  Candidates.swap(Scratch);
 }
 
 void ReadyListPolicy::noteFired(TransitionId T) {
@@ -358,13 +335,9 @@ bool ReadyListPolicy::sameConditionAt(TimeStep Then) const {
 
 std::vector<uint32_t> ReadyListPolicy::stateFingerprint() const {
   std::vector<uint32_t> Fp;
-  appendFingerprint(Fp);
-  return Fp;
-}
-
-void ReadyListPolicy::appendFingerprint(std::vector<uint32_t> &Out) const {
   for (uint32_t V = First; V != None; V = Next[V] == Tail ? None : Next[V])
-    Out.push_back(V);
+    Fp.push_back(V);
+  return Fp;
 }
 
 //===----------------------------------------------------------------------===//
@@ -410,10 +383,8 @@ EarliestFiringEngine::EarliestFiringEngine(const PetriNet &Net,
       if (NumPlanes <= B) {
         NumPlanes = B + 1;
         Planes.resize(NumPlanes * L.MarkWords, 0);
-        PlanePop.resize(NumPlanes, 0);
       }
       Planes[B * L.MarkWords + (S >> 6)] |= 1ull << (S & 63);
-      ++PlanePop[B];
     }
   }
   for (TransitionId T : Net.transitionIds()) {
@@ -537,15 +508,11 @@ void EarliestFiringEngine::addExcess(uint32_t S) {
     if (B == NumPlanes) {
       ++NumPlanes;
       Planes.resize(NumPlanes * L.MarkWords, 0);
-      PlanePop.push_back(0);
     }
     uint64_t &Word = Planes[B * L.MarkWords + W];
     Word ^= Bit;
-    if (Word & Bit) {
-      ++PlanePop[B];
-      return;
-    }
-    --PlanePop[B]; // Carry into the next plane.
+    if (Word & Bit)
+      return; // Else carry into the next plane.
   }
 }
 
@@ -560,11 +527,8 @@ bool EarliestFiringEngine::takeExcess(uint32_t S) {
   // Subtract one: the lowest set bit clears, and every bit below it
   // sets.
   Word[B * L.MarkWords] ^= Bit;
-  --PlanePop[B];
-  for (size_t C = 0; C < B; ++C) {
+  for (size_t C = 0; C < B; ++C)
     Word[C * L.MarkWords] |= Bit;
-    ++PlanePop[C];
-  }
   return true;
 }
 
@@ -575,13 +539,6 @@ uint32_t EarliestFiringEngine::excessAt(uint32_t S) const {
                   (Planes[B * L.MarkWords + (S >> 6)] >> (S & 63)) & 1)
               << B;
   return Excess;
-}
-
-size_t EarliestFiringEngine::planesInUse() const {
-  size_t N = PlanePop.size();
-  while (N > 0 && PlanePop[N - 1] == 0)
-    --N;
-  return N;
 }
 
 void EarliestFiringEngine::rederiveEnabled() {
@@ -930,8 +887,10 @@ void EarliestFiringEngine::prepare() {
     // The firing walk reads the list in place (fireAndAdvance).
     Ready->observe(Now, Net, M, CompletedThisStep);
   } else if (Policy) {
-    Policy->orderEnabled(Net, M, CompletedThisStep, enabledBits(),
-                         L.BitWords, Ordered);
+    Ordered.clear();
+    forEachSetBit(enabledBits(), L.BitWords,
+                  [&](uint32_t I) { Ordered.push_back(TransitionId(I)); });
+    Policy->orderCandidates(Net, M, CompletedThisStep, Ordered);
     OrderedValid = true;
   }
 }
@@ -953,53 +912,6 @@ InstantaneousState EarliestFiringEngine::state() const {
   if (Policy)
     S.PolicyFingerprint = Policy->stateFingerprint();
   return S;
-}
-
-void EarliestFiringEngine::packState(PackedState &Out) const {
-  assert(Prepared && "state packed before prepare()");
-  Out.beginState(L.MarkWords);
-  Out.setMarkWords(HS.Mark, L.MarkWords);
-  if (size_t NP = planesInUse()) {
-    // Counts above one: the planes when they are shorter than one
-    // sparse word per multi-token place, else the sparse words, found
-    // through the union of the planes.  Safe nets (the paper's setting)
-    // never enter this branch.
-    auto AnyAt = [&](size_t W) {
-      uint64_t Any = 0;
-      for (size_t B = 0; B < NP; ++B)
-        Any |= Planes[B * L.MarkWords + W];
-      return Any;
-    };
-    size_t MultiToken = 0;
-    for (size_t W = 0; W < L.MarkWords; ++W)
-      MultiToken += static_cast<size_t>(std::popcount(AnyAt(W)));
-    if (MultiToken > NP * L.MarkWords) {
-      Out.appendPlanes(Planes.data(), NP, L.MarkWords);
-    } else {
-      for (size_t W = 0; W < L.MarkWords; ++W)
-        for (uint64_t Any = AnyAt(W); Any; Any &= Any - 1) {
-          uint32_t S =
-              static_cast<uint32_t>(W * 64 + std::countr_zero(Any));
-          Out.appendOverflow(L.SlotPlace[S], 1 + excessAt(S));
-        }
-    }
-  }
-  // A unit-time net's busy set is always empty here (prepare() drained
-  // it), so skip the walk when nothing is in flight.
-  if (BusyCount != 0)
-    forEachSetBit(HS.Busy, L.BitWords, [&](uint32_t I) {
-      Out.appendBusy(I, static_cast<uint32_t>(HS.FinishTime[I] - Now));
-    });
-  if (Policy) {
-    if (std::optional<uint64_t> Summary = Policy->conditionSummary()) {
-      Out.appendSummary(*Summary);
-    } else {
-      FpScratch.clear();
-      Policy->appendFingerprint(FpScratch);
-      Out.appendFingerprint(FpScratch);
-    }
-  }
-  Out.finishState();
 }
 
 void EarliestFiringEngine::offerSlotWord(PackedStateTable &Seen,
@@ -1069,9 +981,8 @@ void EarliestFiringEngine::appendTail(std::vector<uint64_t> &Tail,
                      static_cast<uint32_t>(HS.FinishTime[I] - At));
     });
   if (Fingerprint) {
-    FpScratch.clear();
-    Policy->appendFingerprint(FpScratch);
-    Tail.insert(Tail.end(), FpScratch.begin(), FpScratch.end());
+    std::vector<uint32_t> Fp = Policy->stateFingerprint();
+    Tail.insert(Tail.end(), Fp.begin(), Fp.end());
   } else if (Policy) {
     Tail.push_back(Summary);
   }

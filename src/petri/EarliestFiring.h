@@ -120,25 +120,11 @@ public:
                                const std::vector<TransitionId> &Completed,
                                std::vector<TransitionId> &Candidates) = 0;
 
-  /// The engine's form of orderCandidates(): the candidates are the set
-  /// bits of \p Enabled (\p NumWords words, bit t for transition t) and
-  /// the firing order goes to \p Out.  The default materializes the
-  /// candidates in index order and calls orderCandidates().
-  virtual void orderEnabled(const PetriNet &Net, const Marking &M,
-                            const std::vector<TransitionId> &Completed,
-                            const uint64_t *Enabled, size_t NumWords,
-                            std::vector<TransitionId> &Out);
-
   /// Notifies the policy that \p T actually fired this step.
   virtual void noteFired(TransitionId T) = 0;
 
   /// Serializes the machine condition for state equality.
   virtual std::vector<uint32_t> stateFingerprint() const = 0;
-
-  /// Appends the machine condition to \p Out without allocating a fresh
-  /// vector; must emit exactly the stateFingerprint() values.  The
-  /// default forwards to stateFingerprint(); hot policies override.
-  virtual void appendFingerprint(std::vector<uint32_t> &Out) const;
 
   /// Data-readiness tests made since the last reset().  Exact (a
   /// function of the net and the policy alone); the frustum detector
@@ -151,8 +137,8 @@ public:
 
   /// A one-word summary of the machine condition, or nullopt (the
   /// default) for a policy that has none.  With a summary,
-  /// EarliestFiringEngine::packState() stores it in place of the
-  /// fingerprint, and the frustum detector confirms every packed-state
+  /// EarliestFiringEngine::logState() logs it in place of the
+  /// fingerprint, and the frustum detector confirms every logged-state
   /// match with sameConditionAt() before taking it as a repeat.
   virtual std::optional<uint64_t> conditionSummary() const {
     return std::nullopt;
@@ -199,13 +185,8 @@ public:
   void orderCandidates(const PetriNet &Net, const Marking &M,
                        const std::vector<TransitionId> &Completed,
                        std::vector<TransitionId> &Candidates) override;
-  void orderEnabled(const PetriNet &Net, const Marking &M,
-                    const std::vector<TransitionId> &Completed,
-                    const uint64_t *Enabled, size_t NumWords,
-                    std::vector<TransitionId> &Out) override;
   void noteFired(TransitionId T) override;
   std::vector<uint32_t> stateFingerprint() const override;
-  void appendFingerprint(std::vector<uint32_t> &Out) const override;
   uint64_t readinessChecks() const override { return Checks; }
   uint64_t listVisits() const override { return Visits; }
   std::optional<uint64_t> conditionSummary() const override {
@@ -267,8 +248,8 @@ private:
   bool ScanAll = true;
   uint64_t Checks = 0;
   uint64_t Visits = 0;
-  /// Scratch of the vector-form orderCandidates() (member so steps
-  /// allocate nothing at steady state).
+  /// Scratch of orderCandidates(), which the reference engine calls
+  /// (members so steps allocate nothing at steady state).
   std::vector<TransitionId> Scratch;
   std::vector<uint64_t> CandidateBits;
 
@@ -288,7 +269,7 @@ private:
     return NewestFirst ? Prev[V] : (Next[V] == Tail ? None : Next[V]);
   }
   /// Enqueues newly data-ready conflicting transitions at instant
-  /// \p Now: the readiness half of orderEnabled().
+  /// \p Now: the readiness half of orderCandidates().
   void observe(TimeStep Now, const PetriNet &Net, const Marking &M,
                const std::vector<TransitionId> &Completed);
   /// The firing order over the enabled set \p Enabled: the
@@ -541,7 +522,7 @@ private:
 ///     themselves (a closed gate masks its consumers where the set is
 ///     read, so isQuiescent() is O(gates));
 ///   - the marking as packed bits (a place is marked) and count planes
-///     (its tokens above one), consumed by packState() and logState();
+///     (its tokens above one), consumed by logState();
 ///   - a bucketed queue of pending finish times (completions are a
 ///     bucket drain, not a transition sweep).
 class EarliestFiringEngine {
@@ -562,13 +543,6 @@ public:
   /// The instantaneous state at the current instant.  prepare() must
   /// have run.
   InstantaneousState state() const;
-
-  /// Packs the instantaneous state into \p Out in
-  /// O(planes * places/64 + busy + fingerprint) — no per-place or
-  /// per-transition scan.  The counts above one go out in the shorter
-  /// of the two overflow forms of petri/PackedState.h.  prepare() must
-  /// have run.
-  void packState(PackedState &Out) const;
 
   /// Opens the current instant's state in \p Seen (the frustum
   /// detector's state table): the marking words and count planes as
@@ -608,14 +582,6 @@ public:
   /// from this state.  O(gates).
   bool isQuiescent() const { return BusyCount == 0 && !anyEnabled(); }
 
-  /// True if the prepared step observed no completions and has no
-  /// candidates: nothing will change before the next pending finish
-  /// time.  prepare() must have run.
-  bool idleStep() const {
-    assert(Prepared && "idleStep queried before prepare()");
-    return completions().empty() && !anyEnabled();
-  }
-
   /// Completions observed and enabled idle transitions (gates aside) at
   /// the prepared instant: their sum bounds the ids the step's trace
   /// row holds.
@@ -631,9 +597,6 @@ public:
   /// fireAndAdvance) while no transition is enabled and no completion is
   /// pending before \p T — i.e. the skipped instants are provably idle.
   void leapTo(TimeStep T);
-
-  /// Busy (in-flight) transitions right now.
-  size_t numBusy() const { return BusyCount; }
 
   /// Cumulative event counts since construction.  Kept as plain struct
   /// fields so the hot loop pays an integer add, never a registry call;
@@ -735,14 +698,11 @@ private:
   /// bit s of plane b is bit b of (tokens - 1) for the place in slot s
   /// (0 while it holds at most one token).  Plane b occupies
   /// Planes[b * MarkWords, (b + 1) * MarkWords); NumPlanes planes are
-  /// allocated (they never shrink), and PlanePop[b] counts plane b's set
-  /// bits, so the planes in use are those up to the highest nonzero
-  /// count.  A produce onto a marked place adds one to its count here
-  /// and a consume from a place with a count takes one, with carry and
-  /// borrow across planes; neither touches a readiness word, since the
-  /// place stays marked.
+  /// allocated, and they never shrink.  A produce onto a marked place
+  /// adds one to its count here and a consume from a place with a count
+  /// takes one, with carry and borrow across planes; neither touches a
+  /// readiness word, since the place stays marked.
   std::vector<uint64_t> Planes;
-  std::vector<uint32_t> PlanePop;
   size_t NumPlanes = 0;
 
   /// No policy and FastFireTopo on every transition: the net is a pure
@@ -755,9 +715,6 @@ private:
   /// Ordered-map fallback of the bucketed finish queue, for nets whose
   /// execution times exceed the ring (L.UseRing == false).
   std::map<TimeStep, uint32_t> Far;
-
-  /// Reusable fingerprint scratch for the tail of a state.
-  mutable std::vector<uint32_t> FpScratch;
 
   /// A FIFO/LIFO engine whose free (non-conflicting) transitions have
   /// no gated input: those enabled since the last firing phase are
@@ -777,8 +734,6 @@ private:
   bool takeExcess(uint32_t S);
   /// The count above one of slot \p S.
   uint32_t excessAt(uint32_t S) const;
-  /// Planes up to the highest one in use.
-  size_t planesInUse() const;
   /// Whether some gated input place of \p T is empty, i.e. a closed
   /// gate masks \p T.
   bool hasEmptyGatedInput(uint32_t T) const;

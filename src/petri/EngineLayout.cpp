@@ -7,7 +7,7 @@
 
 #include "petri/EngineLayout.h"
 
-#include "petri/PackedState.h"
+#include "support/Status.h"
 
 #include <algorithm>
 
@@ -21,7 +21,7 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
   NumTransitions = Net.numTransitions();
   NumPlaces = Net.numPlaces();
   BitWords = (NumTransitions + 63) / 64;
-  MarkWords = packedMarkWords(NumPlaces);
+  MarkWords = (NumPlaces + 63) / 64;
 
   InOff.reserve(NumTransitions + 1);
   OutOff.reserve(NumTransitions + 1);

@@ -13,7 +13,7 @@
 
 using namespace sdsp;
 
-uint64_t PackedState::mixWord(uint64_t Pos, uint64_t Value) {
+uint64_t PackedStateTable::mixWord(uint64_t Pos, uint64_t Value) {
   // splitmix64 of the (position, value) pair.  Full per-word avalanche
   // is what lets the raw hash be a plain XOR of terms (commutative, so
   // deltas work) without the XOR degenerating: any single-bit change in
@@ -24,7 +24,7 @@ uint64_t PackedState::mixWord(uint64_t Pos, uint64_t Value) {
   return Z ^ (Z >> 31);
 }
 
-uint64_t PackedState::finalizeHash(uint64_t Raw) {
+uint64_t PackedStateTable::finalizeHash(uint64_t Raw) {
   // Cheap final scramble; the per-word mixes already avalanche, this
   // just decorrelates the XOR sum from the table's low-bit mask.
   Raw ^= Raw >> 32;
@@ -36,24 +36,20 @@ uint64_t PackedState::finalizeHash(uint64_t Raw) {
 PackedStateTable::PackedStateTable() : Slots(64) {}
 
 void PackedStateTable::beginState(size_t NewWidth) {
+  assert(NewWidth >= Width && "a state narrower than the one before it");
   Changes = 0;
   Pending.clear();
   Tail.clear();
   // Pairs stop once they would outgrow a state, so they never take
-  // more than the widest state plus one pair.
-  size_t Widest = std::max(Width, NewWidth);
-  if (Pending.capacity() < Widest + 2)
-    Pending.reserve(Widest + 2);
-  if (Shadow.size() < NewWidth)
-    Shadow.resize(NewWidth, 0);
-  // Room to rebuild any earlier state, which is never wider than the
-  // widest so far, so a commit allocates only what
-  // capacityBytesAfterCommit() counts.
-  if (Scratch.capacity() < Shadow.size())
-    Scratch.reserve(Shadow.size());
-  // Words past a narrower state read as zero.
-  for (size_t Pos = NewWidth; Pos < Width; ++Pos)
-    offerWord(Pos, 0);
+  // more than the state plus one pair.
+  if (Pending.capacity() < NewWidth + 2)
+    Pending.reserve(NewWidth + 2);
+  Shadow.resize(NewWidth, 0);
+  // Room to rebuild any earlier state, which is never wider than this
+  // one, so a commit allocates only what capacityBytesAfterCommit()
+  // counts.
+  if (Scratch.capacity() < NewWidth)
+    Scratch.reserve(NewWidth);
   Width = NewWidth;
 }
 
@@ -85,10 +81,10 @@ uint64_t PackedStateTable::beginProbe() {
   if (slotsDue())
     grow();
   ++Probes;
-  uint64_t Raw = WideHash ^ PackedState::mixWord(~0ull, Tail.size());
+  uint64_t Raw = WideHash ^ mixWord(~0ull, Tail.size());
   for (size_t I = 0; I < Tail.size(); ++I)
-    Raw ^= PackedState::mixWord(TailPos + I, Tail[I]);
-  return PackedState::finalizeHash(Raw);
+    Raw ^= mixWord(TailPos + I, Tail[I]);
+  return finalizeHash(Raw);
 }
 
 bool PackedStateTable::equalsOpen(uint64_t O) {
@@ -101,22 +97,16 @@ bool PackedStateTable::equalsOpen(uint64_t O) {
   const uint64_t *Key = Log.data() + RecordAt[K];
   size_t KeyWidth = static_cast<size_t>(Key[0] & CountMask);
   const uint64_t *KeyWords = Key + 1 + ((Key[0] & ~KeyFlag) >> 32);
-  Scratch.assign(std::max(KeyWidth, Width), 0);
+  Scratch.assign(Width, 0);
   std::copy(KeyWords, KeyWords + KeyWidth, Scratch.begin());
   for (uint64_t D = K + 1; D <= O; ++D) {
     const uint64_t *Delta = Log.data() + RecordAt[D];
     size_t Pairs = static_cast<size_t>(Delta[0] & CountMask);
     const uint64_t *P = Delta + 1 + ((Delta[0] & ~KeyFlag) >> 32);
-    for (size_t J = 0; J < Pairs; ++J, P += 2) {
-      if (P[0] >= Scratch.size())
-        Scratch.resize(P[0] + 1, 0);
+    for (size_t J = 0; J < Pairs; ++J, P += 2)
       Scratch[P[0]] = P[1];
-    }
   }
-  for (size_t Pos = 0; Pos < Scratch.size(); ++Pos)
-    if (Scratch[Pos] != (Pos < Width ? Shadow[Pos] : 0))
-      return false;
-  return true;
+  return Scratch == Shadow;
 }
 
 void PackedStateTable::logOpen(uint64_t T) {
@@ -178,14 +168,4 @@ size_t PackedStateTable::capacityBytesAfterCommit() const {
   if (slotsDue())
     Bytes += Slots.size() * sizeof(Slot);
   return Bytes;
-}
-
-std::optional<uint64_t> PackedStateTable::insertOrFind(const PackedState &S,
-                                                       uint64_t T) {
-  const std::vector<uint64_t> &W = S.words();
-  beginState(W.size());
-  for (size_t I = 0; I < W.size(); ++I)
-    offerWord(I, W[I]);
-  Tail.push_back(W.size());
-  return commit(T);
 }

@@ -6,52 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A compact, canonical word-packed encoding of an instantaneous state
-/// (marking + residual firing times + machine condition), the whole-state
-/// form the engines are compared in (EarliestFiringEngine::packState()).
-/// The marking costs one bit per place;
-/// the counts above one, the busy transitions and the policy
-/// fingerprint follow as their own sections.
+/// The layout of an instantaneous state (marking + residual firing
+/// times + machine condition) as the frustum detector logs it, and the
+/// table it is logged into.  A state is two parts:
 ///
-/// Layout (64-bit words):
-///   [0]                 header: dense flag (bit 63) | overflow field |
-///                       busy count | fingerprint length
-///   [1 .. W]            marking bits, 1 bit per place slot (set iff the
-///                       place holds >= 1 token)
-///   [...overflow...]    the places holding >= 2 tokens, in one of two
-///                       forms (the header's dense flag says which):
-///                         sparse: (place << 32 | tokens) per place,
-///                                 ascending slot order; the overflow
-///                                 field counts the entries;
-///                         dense:  count planes of W words each; bit s
-///                                 of plane b is bit b of (tokens - 1)
-///                                 for the place in slot s (0 for a
-///                                 place with at most one token); the
-///                                 overflow field counts the planes
-///   [...busy...]        (transition << 32 | residual) for busy
-///                       transitions, ascending transition index
-///   [...fingerprint...] policy fingerprint values, one per word, or
-///                       the policy's one-word summary
-///                       (FiringPolicy::conditionSummary)
+///   wide words  the marking bits, one bit per place slot (set iff the
+///               place holds a token), then the count planes, as many
+///               words each: bit s of plane b is bit b of the tokens
+///               above one of the place in slot s;
+///   tail        the busy transitions as (transition << 32 | residual),
+///               ascending transition index, then the policy's
+///               one-word summary (FiringPolicy::conditionSummary); a
+///               policy without a summary puts the busy count in front
+///               and its fingerprint values (stateFingerprint()) last.
 ///
-/// The engine emits whichever overflow form is shorter, the sparse one
-/// on a tie: K words for K multi-token places against P * W words for
-/// P planes (P is the bit width of the largest count minus one).  So a
-/// state costs 1 + W + min(K, P * W) + busy + |fingerprint| words, and
-/// a net whose only multi-token place is a run place packs one sparse
-/// word for it.
-///
-/// Two packed states compare equal iff the underlying instantaneous
-/// states are equal: the header pins the section boundaries and the
-/// overflow form, the bit section pins zero/nonzero token counts, the
-/// form depends on the state alone, and every section is emitted in a
-/// canonical order.
-///
-/// PackedStateTable is the frustum detector's state table: an
-/// open-addressing hash table from a state's hash to its first
-/// occurrence, over a log that keeps each state as the words that
-/// changed since the previous one, so detection memory follows what
-/// moves per instant rather than O(steps * n) words.
+/// EarliestFiringEngine::logState() writes it; only the words an
+/// instant's events touched are offered, so an instant costs what it
+/// changed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,113 +38,6 @@
 
 namespace sdsp {
 
-/// One packed instantaneous state.  The engine writes it via the
-/// builder methods below.
-class PackedState {
-public:
-  /// Each header field gets 21 bits; nets beyond two million places or
-  /// transitions are outside every budget this project resolves.  The
-  /// top bit flags a dense overflow section.
-  static constexpr uint64_t FieldBits = 21;
-  static constexpr uint64_t FieldMax = (1ull << FieldBits) - 1;
-  static constexpr uint64_t DenseFlag = 1ull << 63;
-
-  void clear() { Words.clear(); }
-  bool empty() const { return Words.empty(); }
-  size_t sizeWords() const { return Words.size(); }
-  const std::vector<uint64_t> &words() const { return Words; }
-
-  /// Starts a state: header plus \p MarkWords zeroed marking words.
-  void beginState(size_t MarkWords) {
-    Words.assign(1 + MarkWords, 0);
-  }
-  void setMarkBit(uint32_t Place) {
-    Words[1 + (Place >> 6)] |= 1ull << (Place & 63);
-  }
-  /// Copies prebuilt marking words (the engine maintains them
-  /// incrementally, so encoding is a memcpy, not a place scan).
-  void setMarkWords(const std::vector<uint64_t> &MarkWords) {
-    setMarkWords(MarkWords.data(), MarkWords.size());
-  }
-  void setMarkWords(const uint64_t *MarkWords, size_t N) {
-    for (size_t I = 0; I < N; ++I)
-      Words[1 + I] = MarkWords[I];
-  }
-  void appendOverflow(uint32_t Place, uint32_t Tokens) {
-    Words.push_back((static_cast<uint64_t>(Place) << 32) | Tokens);
-    ++NumOverflow;
-  }
-  /// The dense overflow form, in place of appendOverflow() calls:
-  /// \p NumPlanes count planes of \p MarkWords words each, plane after
-  /// plane.
-  void appendPlanes(const uint64_t *Planes, size_t NumPlanes,
-                    size_t MarkWords) {
-    Words.insert(Words.end(), Planes, Planes + NumPlanes * MarkWords);
-    NumOverflow = NumPlanes;
-    Dense = true;
-  }
-  void appendBusy(uint32_t Transition, uint32_t Residual) {
-    Words.push_back((static_cast<uint64_t>(Transition) << 32) | Residual);
-    ++NumBusy;
-  }
-  void appendFingerprint(const std::vector<uint32_t> &Values) {
-    Words.insert(Words.end(), Values.begin(), Values.end());
-    NumFp += Values.size();
-  }
-  /// A policy's one-word summary, in place of its fingerprint.
-  void appendSummary(uint64_t Summary) {
-    Words.push_back(Summary);
-    ++NumFp;
-  }
-  /// Seals the header; must be the last builder call.
-  void finishState() {
-    SDSP_CHECK(NumOverflow <= FieldMax && NumBusy <= FieldMax &&
-                   NumFp <= FieldMax,
-               "packed state section overflows header field");
-    Words[0] = (Dense ? DenseFlag : 0) |
-               (static_cast<uint64_t>(NumOverflow) << (2 * FieldBits)) |
-               (static_cast<uint64_t>(NumBusy) << FieldBits) | NumFp;
-    NumOverflow = NumBusy = NumFp = 0;
-    Dense = false;
-  }
-
-  bool denseOverflow() const { return (Words[0] & DenseFlag) != 0; }
-  /// Sparse entries, or planes when denseOverflow().
-  uint64_t overflowCount() const {
-    return (Words[0] >> (2 * FieldBits)) & FieldMax;
-  }
-  /// Words of the overflow section; \p MarkWords is the marking width.
-  size_t overflowWords(size_t MarkWords) const {
-    return denseOverflow() ? overflowCount() * MarkWords : overflowCount();
-  }
-  uint64_t busyCount() const { return (Words[0] >> FieldBits) & FieldMax; }
-  uint64_t fingerprintLength() const { return Words[0] & FieldMax; }
-
-  /// The word hash the state table keys on (PackedStateTable): a
-  /// state's hash is an XOR of one position-keyed mix per word, so a
-  /// single-word change is a two-term XOR delta,
-  /// H ^= mixWord(i, Old) ^ mixWord(i, New), and finalizeHash()
-  /// scrambles the sum before it keys the table.
-  static uint64_t mixWord(uint64_t Pos, uint64_t Value);
-  static uint64_t finalizeHash(uint64_t Raw);
-
-  friend bool operator==(const PackedState &A, const PackedState &B) {
-    return A.Words == B.Words;
-  }
-
-private:
-  std::vector<uint64_t> Words;
-  uint64_t NumOverflow = 0;
-  uint64_t NumBusy = 0;
-  uint64_t NumFp = 0;
-  bool Dense = false;
-};
-
-/// Number of 64-bit marking words for \p NumPlaces places.
-inline size_t packedMarkWords(size_t NumPlaces) {
-  return (NumPlaces + 63) / 64;
-}
-
 /// Open-addressing (linear probing) map from state to the time of its
 /// first occurrence, over a delta log of the states in the order they
 /// were committed.
@@ -188,15 +52,16 @@ inline size_t packedMarkWords(size_t NumPlaces) {
 /// as a keyframe, all Width of them: a state is a keyframe when it is
 /// the first, or when the pairs logged since the last keyframe would
 /// outgrow one.  A state's hash is an XOR of position-keyed word mixes
-/// (PackedState::mixWord) over its nonzero wide words, kept by
+/// (mixWord()) over its nonzero wide words, kept by
 /// differencing as words change, and over its tail, mixed fresh; a
 /// hash match is confirmed exactly by rebuilding the earlier state from
 /// its keyframe and deltas — O(Width) words — and comparing.  So a
 /// commit costs O(changed words + tail), and the log holds at most
 /// about three words per changed word plus one state.
 ///
-/// Positions beyond a state's width read as zero, so the width may grow
-/// (the engine's planes) or, for whole packed states, vary.
+/// A state is never narrower than the one before it (the engine's
+/// planes never shrink); positions beyond an earlier state's width read
+/// as zero.
 class PackedStateTable {
 public:
   PackedStateTable();
@@ -234,10 +99,6 @@ public:
     return commit(T, [](uint64_t) { return true; });
   }
 
-  /// The whole-state form: commits \p S's words as the wide words
-  /// (and its length as the tail).
-  std::optional<uint64_t> insertOrFind(const PackedState &S, uint64_t T);
-
   /// Bytes the table holds allocated, and the bytes it would hold once
   /// the open state is committed: what the growth the commit causes
   /// would allocate, known before it does.
@@ -264,6 +125,13 @@ public:
   /// builds, where every commit cross-checks the differenced hash of
   /// the wide words against a full recompute).
   uint64_t deltaValidations() const { return DeltaValidations; }
+
+  /// The word hash the table keys on: a state's hash is an XOR of one
+  /// position-keyed mix per word, so a single-word change is a two-term
+  /// XOR delta, H ^= mixWord(i, Old) ^ mixWord(i, New), and
+  /// finalizeHash() scrambles the sum before it keys the table.
+  static uint64_t mixWord(uint64_t Pos, uint64_t Value);
+  static uint64_t finalizeHash(uint64_t Raw);
 
 private:
   struct Slot {
@@ -306,12 +174,12 @@ private:
   uint64_t DeltaValidations = 0;
 
   static uint64_t wideTerm(uint64_t Pos, uint64_t Value) {
-    return Value ? PackedState::mixWord(Pos, Value) : 0;
+    return Value ? mixWord(Pos, Value) : 0;
   }
   /// Whether the open state logs as a keyframe: it is the first, or its
   /// pairs would take the pair words since the last keyframe past a
   /// full state.  Once due, a state stays due until it is committed:
-  /// changes only accumulate, and the width only narrows in between.
+  /// changes only accumulate in between.
   bool keyframeDue() const {
     return RecordAt.empty() || SinceKey + 2 * Changes > Width;
   }

@@ -341,13 +341,20 @@ bool resolveFaultSchedule(const Options &Opts, ResolvedFaults &Out,
   return true;
 }
 
-/// Re-derives the codegen inputs through the session — all cache hits
-/// when the cache is on, since compile() already ran them — and runs
-/// the codegen pass (ideal machine only; the SCP path never reaches
-/// codegen).
-Expected<ArtifactRef<LoopProgram>>
-buildProgram(CompilationSession &Session, const std::string &Source,
-             const PipelineOptions &Pipe) {
+/// The SDSP, SDSP-PN and (when asked for) frustum refs of one
+/// ideal-machine compile.
+struct PassRefs {
+  ArtifactRef<SdspArtifact> S;
+  ArtifactRef<SdspPn> Pn;
+  ArtifactRef<FrustumInfo> F;
+};
+
+/// Re-derives lower -> transform -> sdsp -> sdsp-pn, then frustum when
+/// \p WithFrustum, through the session: all cache hits when the cache
+/// is on, since compile() already ran them.
+Expected<PassRefs> walkPasses(CompilationSession &Session,
+                              const std::string &Source,
+                              const PipelineOptions &Pipe, bool WithFrustum) {
   Expected<ArtifactRef<DataflowGraph>> G = Session.lower(Source);
   if (!G)
     return G.status();
@@ -366,49 +373,45 @@ buildProgram(CompilationSession &Session, const std::string &Source,
   Expected<ArtifactRef<SdspPn>> Pn = Session.buildPn(*S);
   if (!Pn)
     return Pn.status();
-  Expected<ArtifactRef<FrustumInfo>> F = Session.searchFrustum(
-      *Pn, FrustumOptions{Pipe.FrustumBudgetSteps, Pipe.Engine});
-  if (!F)
-    return F.status();
-  Expected<ArtifactRef<SoftwarePipelineSchedule>> Sched =
-      Session.deriveSchedule(*S, *Pn, *F, Pipe.ValidateIterations);
-  if (!Sched)
-    return Sched.status();
-  return Session.generateProgram(*S, *Pn, *Sched);
+  PassRefs Refs{*S, *Pn, {}};
+  if (WithFrustum) {
+    Expected<ArtifactRef<FrustumInfo>> F = Session.searchFrustum(
+        *Pn, FrustumOptions{Pipe.FrustumBudgetSteps, Pipe.Engine});
+    if (!F)
+      return F.status();
+    Refs.F = *F;
+  }
+  return Refs;
 }
 
-/// Re-derives the SDSP-PN ref through the session (all cache hits, as
-/// in buildProgram) and runs the export-pnml pass for \p Flavor.  The
-/// behavior/frustum flavors also re-derive the frustum ref; both are
+/// Runs the codegen pass over the walked refs (ideal machine only; the
+/// SCP path never reaches codegen).
+Expected<ArtifactRef<LoopProgram>>
+buildProgram(CompilationSession &Session, const std::string &Source,
+             const PipelineOptions &Pipe) {
+  Expected<PassRefs> R = walkPasses(Session, Source, Pipe, true);
+  if (!R)
+    return R.status();
+  Expected<ArtifactRef<SoftwarePipelineSchedule>> Sched =
+      Session.deriveSchedule(R->S, R->Pn, R->F, Pipe.ValidateIterations);
+  if (!Sched)
+    return Sched.status();
+  return Session.generateProgram(R->S, R->Pn, *Sched);
+}
+
+/// Runs the export-pnml pass for \p Flavor over the walked refs.  The
+/// behavior/frustum flavors also walk the frustum; both are
 /// ideal-machine only (the caller rejects --scp).
 Expected<ArtifactRef<PnmlText>>
 buildPnmlExport(CompilationSession &Session, const std::string &Source,
                 const PipelineOptions &Pipe, PnmlFlavor Flavor) {
-  Expected<ArtifactRef<DataflowGraph>> G = Session.lower(Source);
-  if (!G)
-    return G.status();
-  ArtifactRef<DataflowGraph> Graph = *G;
-  if (Pipe.Optimize || Pipe.Unroll > 1) {
-    Expected<ArtifactRef<TransformedGraph>> T =
-        Session.transform(Graph, Pipe.Optimize, Pipe.Unroll);
-    if (!T)
-      return T.status();
-    Graph = Session.transformedGraph(*T);
-  }
-  Expected<ArtifactRef<SdspArtifact>> S =
-      Session.buildSdsp(Graph, Pipe.Capacity, Pipe.OptimizeStorage);
-  if (!S)
-    return S.status();
-  Expected<ArtifactRef<SdspPn>> Pn = Session.buildPn(*S);
-  if (!Pn)
-    return Pn.status();
+  Expected<PassRefs> R =
+      walkPasses(Session, Source, Pipe, Flavor != PnmlFlavor::Net);
+  if (!R)
+    return R.status();
   if (Flavor == PnmlFlavor::Net)
-    return Session.exportPnml(*Pn);
-  Expected<ArtifactRef<FrustumInfo>> F = Session.searchFrustum(
-      *Pn, FrustumOptions{Pipe.FrustumBudgetSteps, Pipe.Engine});
-  if (!F)
-    return F.status();
-  return Session.exportPnml(*Pn, *F, Flavor);
+    return Session.exportPnml(R->Pn);
+  return Session.exportPnml(R->Pn, R->F, Flavor);
 }
 
 /// Compiles \p Source through \p Session and emits the requested
@@ -550,13 +553,10 @@ RenderResult compileAndEmit(CompilationSession &Session, const Options &Opts,
   }
 
   if (Opts.Emit == "dot-behavior") {
-    const PetriNet &Net = CL.machineNet();
-    if (CL.Policy)
-      CL.Policy->reset();
-    EarliestFiringEngine Engine(Net, CL.Policy.get());
-    BehaviorGraph BG(Net);
-    while (Engine.now() < F.RepeatTime)
-      BG.recordStep(Engine.fireAndAdvance());
+    // The frustum search recorded every instant before the repeat.
+    BehaviorGraph BG(CL.machineNet());
+    for (StepView Rec : F.Trace)
+      BG.recordStep(Rec);
     BG.printDot(Out, "behavior", F.StartTime, F.RepeatTime);
     return {0, ErrorCode::Ok};
   }

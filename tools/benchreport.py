@@ -242,8 +242,10 @@ def series_of(report, prefix):
 
 
 def arg_of(name):
-    """The /N argument of a benchmark name, or None.  UseRealTime
-    benchmarks append a "/real_time" suffix after the argument."""
+    """The /N argument of a benchmark name, or None.  Suffixes may
+    follow the argument: "/real_time" (UseRealTime) and
+    "/min_time:0.500" (an arm registered with its own MinTime, as the
+    682-chain gate pair is)."""
     parts = name.split("/")
     for part in reversed(parts[1:]):
         if part.isdigit():

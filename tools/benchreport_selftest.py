@@ -40,7 +40,10 @@ comparator:
   * the SCP scaling leg exempted packedstate.arena_words while every
     stored state held the whole marking; the state table now logs what
     changes, so no leg exempts anything and that counter's slope is
-    held to 1.1 like every other.
+    held to 1.1 like every other;
+  * the 682-chain gate arms ran at the command line's min time, so the
+    gate followed host load; they now carry their own MinTime, whose
+    "/min_time:..." name suffix must not break the pairing.
 
 Standard library only; pytest-style test_* functions run by a tiny
 driver so ctest can invoke this file directly.
@@ -457,6 +460,20 @@ def test_unexempted_linear_arena_words_pass():
     assert err is None, err
     assert ("scaling packedstate.arena_words: slope 1.000 (x128 -> x256) "
             "-> ok" in out), out
+
+
+def test_min_time_gate_arms_still_pair():
+    # The 682-chain pair runs with its own MinTime, which google-benchmark
+    # appends to the arm's name; the gate must still pair the two arms.
+    def arm(name, ns):
+        return {"name": name, "run_type": "iteration", "real_time": ns,
+                "cpu_time": ns, "iterations": 10}
+    report = {"context": {"sdsp_build_type": "release"}, "benchmarks": [
+        arm("benchFrustumAtScale/682/min_time:0.500", 1.0e6),
+        arm("benchFrustumReferenceAtScale/682/min_time:0.500", 6.0e6),
+    ]}
+    gate = benchreport.frustum_report(report)["gate"]
+    assert gate["speedup"] == 6.0 and gate["pass"], gate
 
 
 def test_host_dependent_counters_are_dropped():
