@@ -342,25 +342,24 @@ bool decodeRational(ByteReader &R, Rational &Out) {
 //===----------------------------------------------------------------------===//
 
 void encodeSchedule(const SoftwarePipelineSchedule &S, ByteWriter &W) {
-  // The start-time index is derived from the op lists, so replaying
-  // addPrologueOp/addKernelOp in stored order and finishing reproduces
-  // the object exactly.
+  // The firings in canonical order (core/Schedule.h), each with its
+  // iteration; the decoder rebuilds the index from them.
   W.u64(S.numTransitions());
   W.u64(S.prologueEnd());
   W.u64(S.kernelLength());
   W.u32(S.iterationsPerKernel());
-  W.u64(S.prologue().size());
-  for (const auto &Op : S.prologue()) {
-    W.u64(Op.Time);
-    W.u32(Op.T.index());
-    W.u64(Op.Iteration);
-  }
-  W.u64(S.kernel().size());
-  for (const auto &Op : S.kernel()) {
-    W.u32(Op.Slot);
-    W.u32(Op.T.index());
-    W.u64(Op.FirstIteration);
-  }
+  W.u64(S.numPrologueOps());
+  S.forEachPrologueOp([&](TimeStep Time, TransitionId T, uint64_t Iteration) {
+    W.u64(Time);
+    W.u32(T.index());
+    W.u64(Iteration);
+  });
+  W.u64(S.numKernelOps());
+  S.forEachKernelOp([&](uint32_t Slot, TransitionId T, uint64_t Iteration) {
+    W.u32(Slot);
+    W.u32(T.index());
+    W.u64(Iteration);
+  });
 }
 
 bool decodeSchedule(ByteReader &R,
@@ -373,46 +372,60 @@ bool decodeSchedule(ByteReader &R,
   uint32_t K = R.u32();
   if (!R.ok() || Period < 1 || K < 1)
     return false;
-  auto S = std::make_shared<SoftwarePipelineSchedule>(
-      static_cast<size_t>(NumTransitions), Start, Period, K);
-  // Per transition: prologue ops seen, then all ops seen.
-  std::vector<uint64_t> SeenPrologue(NumTransitions, 0);
-  std::vector<uint64_t> SeenIterations(NumTransitions, 0);
+  SoftwarePipelineSchedule::Builder B(static_cast<size_t>(NumTransitions),
+                                      Start, Period, K);
+  // The encoder writes the firings in canonical order, strictly
+  // ascending by (time, id) and then by (slot, id), each transition's
+  // iterations counting up from 0; a stream in any other order was not
+  // written by it.  The prologue is read twice: to check and count it,
+  // then to fill the index.
   uint64_t NumPrologue = R.seqLen(20);
   if (!R.ok())
     return false;
-  S->reserve(NumPrologue, 0);
+  ByteReader Prologue = R;
+  uint64_t PrevKey = 0;
+  uint32_t PrevT = 0;
+  auto Ascends = [&](uint64_t I, uint64_t Key, uint32_t T) {
+    bool Up = I == 0 || Key > PrevKey || (Key == PrevKey && T > PrevT);
+    PrevKey = Key;
+    PrevT = T;
+    return Up;
+  };
   for (uint64_t I = 0; I < NumPrologue; ++I) {
     uint64_t Time = R.u64();
     uint32_t T = R.u32();
     uint64_t Iteration = R.u64();
     if (!R.ok() || T >= NumTransitions || Time >= Start ||
-        Iteration != SeenIterations[T])
+        !Ascends(I, Time, T) || Iteration != B.counted(TransitionId(T)))
       return false;
-    S->addPrologueOp(Time, TransitionId(T), Iteration);
-    ++SeenPrologue[T];
-    ++SeenIterations[T];
+    B.countPrologue(TransitionId(T));
   }
   uint64_t NumKernel = R.seqLen(16);
-  if (!R.ok() || NumKernel != NumTransitions * K)
+  uint64_t KernelOps = 0;
+  if (!R.ok() ||
+      __builtin_mul_overflow(NumTransitions, uint64_t{K}, &KernelOps) ||
+      NumKernel != KernelOps)
     return false;
-  S->reserve(NumPrologue, NumKernel);
+  B.startFill();
+  for (uint64_t I = 0; I < NumPrologue; ++I) {
+    uint64_t Time = Prologue.u64();
+    uint32_t T = Prologue.u32();
+    Prologue.u64();
+    B.addPrologue(TransitionId(T), Time);
+  }
   for (uint64_t I = 0; I < NumKernel; ++I) {
     uint32_t Slot = R.u32();
     uint32_t T = R.u32();
     uint64_t FirstIteration = R.u64();
-    if (!R.ok() || T >= NumTransitions || Slot >= Period ||
-        FirstIteration != SeenIterations[T])
+    if (!R.ok() || T >= NumTransitions || !Ascends(I, Slot, T) ||
+        FirstIteration != B.filled(TransitionId(T)) ||
+        !B.addKernel(TransitionId(T), Slot))
       return false;
-    S->addKernelOp(Slot, TransitionId(T), FirstIteration);
-    ++SeenIterations[T];
   }
   // startTime() indexes k kernel slots per transition.
-  for (size_t T = 0; T < NumTransitions; ++T)
-    if (SeenIterations[T] - SeenPrologue[T] != K)
-      return false;
-  S->finish();
-  Out = std::move(S);
+  if (!B.complete())
+    return false;
+  Out = std::make_shared<SoftwarePipelineSchedule>(B.finish());
   return true;
 }
 

@@ -127,13 +127,15 @@ uint64_t sdsp::artifactHash(const SoftwarePipelineSchedule &S) {
       .u64(S.prologueEnd())
       .u64(S.kernelLength())
       .u64(S.iterationsPerKernel());
-  // The start-time index is derived from the op lists.
-  HS.u64(S.prologue().size());
-  for (const SoftwarePipelineSchedule::PrologueOp &Op : S.prologue())
-    HS.u64(Op.Time).u64(Op.T.index()).u64(Op.Iteration);
-  HS.u64(S.kernel().size());
-  for (const SoftwarePipelineSchedule::KernelOp &Op : S.kernel())
-    HS.u64(Op.Slot | uint64_t{Op.T.index()} << 32).u64(Op.FirstIteration);
+  // The firings in canonical order (core/Schedule.h).
+  HS.u64(S.numPrologueOps());
+  S.forEachPrologueOp([&](TimeStep Time, TransitionId T, uint64_t Iteration) {
+    HS.u64(Time).u64(T.index()).u64(Iteration);
+  });
+  HS.u64(S.numKernelOps());
+  S.forEachKernelOp([&](uint32_t Slot, TransitionId T, uint64_t Iteration) {
+    HS.u64(Slot | uint64_t{T.index()} << 32).u64(Iteration);
+  });
   return HS.hash();
 }
 
@@ -193,9 +195,7 @@ uint64_t sdsp::artifactSizeBytes(const FrustumInfo &F) {
 }
 
 uint64_t sdsp::artifactSizeBytes(const SoftwarePipelineSchedule &S) {
-  return sizeof(SoftwarePipelineSchedule) +
-         S.prologue().size() * sizeof(SoftwarePipelineSchedule::PrologueOp) +
-         S.kernel().size() * sizeof(SoftwarePipelineSchedule::KernelOp);
+  return sizeof(SoftwarePipelineSchedule) + S.sizeBytes();
 }
 
 uint64_t sdsp::artifactSizeBytes(const LoopProgram &P) {

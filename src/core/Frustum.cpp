@@ -339,6 +339,20 @@ Expected<FrustumInfo> sdsp::detectFrustumReference(const PetriNet &Net,
   std::unordered_map<InstantaneousState, TimeStep> Seen;
   FiringTrace Trace;
   uint64_t TotalFirings = 0;
+  // The byte bound over the stored states (each one's arrays and map
+  // node, and the buckets as they stand) and the trace, checked before
+  // a state is stored and before a row is written, as on the fast path.
+  uint64_t MaxBytes = Budget.resolveBytes();
+  size_t StateBytes = 0;
+  auto TableBytes = [&] {
+    return StateBytes + Seen.bucket_count() * sizeof(void *);
+  };
+  auto OverBound = [&](TimeStep At, size_t Table, size_t TraceBytes) {
+    return Table + TraceBytes > MaxBytes
+               ? byteBoundError(Net, MaxBytes, At, Table, TraceBytes,
+                                TotalFirings, Trace)
+               : Status::ok();
+  };
   // The reference engine keeps no counters of its own; report its step
   // and firing totals under a separate prefix so a mixed run (fast +
   // reference) stays attributable.
@@ -360,14 +374,31 @@ Expected<FrustumInfo> sdsp::detectFrustumReference(const PetriNet &Net,
       return S;
     Engine.prepare();
     InstantaneousState S = Engine.state();
+    size_t NewStateBytes =
+        sizeof(std::pair<const InstantaneousState, TimeStep>) +
+        2 * sizeof(void *) + S.M.size() * sizeof(uint32_t) +
+        S.Residual.size() * sizeof(TimeUnits) +
+        S.PolicyFingerprint.size() * sizeof(uint32_t);
+    // Over the bound only if the state is new: a repeat stores nothing.
+    if (Status St = OverBound(Engine.now(), TableBytes() + NewStateBytes,
+                              Trace.capacityBytes());
+        !St && !Seen.contains(S))
+      return St;
     auto [It, Inserted] = Seen.emplace(std::move(S), Engine.now());
     if (!Inserted)
       return makeInfo(Net, It->second, Engine.now(), It->first,
                       std::move(Trace));
+    StateBytes += NewStateBytes;
     if (Engine.isQuiescent())
       return deadNetError(Engine.now(), TotalFirings);
     StepRecord Rec = Engine.fireAndAdvance();
     TotalFirings += Rec.Fired.size();
+    size_t RowIds = Rec.Completed.size() + Rec.Fired.size();
+    if (Status St = OverBound(Rec.Time, TableBytes(),
+                              Trace.capacityBytesAfterStep(RowIds));
+        !St)
+      return St;
+    Trace.reserveStep(RowIds);
     Trace.append(Rec);
   }
 

@@ -55,12 +55,14 @@ class FaultContext;
 ///
 /// The budget also bounds the bytes the search holds in its state table
 /// and its trace.  Default: DefaultMaxBytes (1 GiB).  detectFrustumChecked
-/// fails with BudgetExceeded, naming the bound and the instant, before
-/// an allocation of either would pass it.
+/// and detectFrustumReference fail with BudgetExceeded, naming the bound
+/// and the instant, before an allocation of either would pass it (the
+/// reference search counts each stored state's arrays and map node and
+/// the map's buckets).
 struct FrustumBudget {
   /// Maximum time steps to simulate; 0 means "use the theory bound".
   TimeStep MaxSteps = 0;
-  /// Maximum bytes of the fast search's state table and trace; 0 means
+  /// Maximum bytes of the search's state table and trace; 0 means
   /// DefaultMaxBytes.
   uint64_t MaxBytes = 0;
 

@@ -198,7 +198,11 @@ Status sdsp::verifyCompiledLoop(const CompiledLoop &CL,
       return St;
     std::string Err;
     uint64_t Iters = std::max<uint64_t>(2 * Opts.ValidateIterations, 16);
-    if (!validateSchedule(*CL.S, *CL.Pn, *CL.Schedule, Iters, &Err))
+    Expected<bool> Valid = validateScheduleChecked(
+        *CL.S, *CL.Pn, *CL.Schedule, Iters, &Err, Cancel, Faults, "verify");
+    if (!Valid)
+      return Valid.status();
+    if (!*Valid)
       return Fail("schedule revalidation failed: " + Err);
   }
 

@@ -7,6 +7,7 @@
 
 #include "core/ScheduleDerivation.h"
 
+#include "support/FaultInjection.h"
 #include "support/Metrics.h"
 
 #include <algorithm>
@@ -15,7 +16,8 @@
 using namespace sdsp;
 
 Expected<SoftwarePipelineSchedule>
-sdsp::deriveScheduleChecked(const SdspPn &Pn, const FrustumInfo &Frustum) {
+sdsp::deriveScheduleChecked(const SdspPn &Pn, const FrustumInfo &Frustum,
+                            const CancelToken &Cancel, FaultContext *Faults) {
   size_t N = Pn.Net.numTransitions();
   if (Frustum.FiringCounts.size() != N)
     return Status::error(ErrorCode::InvalidInput, "schedule",
@@ -41,24 +43,61 @@ sdsp::deriveScheduleChecked(const SdspPn &Pn, const FrustumInfo &Frustum) {
                                "x); net is not a marked graph?");
   }
 
-  SoftwarePipelineSchedule Sched(N, Frustum.StartTime, Frustum.length(), K);
-  size_t Firings = 0;
-  for (StepView Rec : Frustum.Trace)
-    Firings += Rec.Fired.size();
-  Sched.reserve(Firings > N * K ? Firings - N * K : 0, N * K);
-  std::vector<uint64_t> Occurrence(N, 0);
-  for (StepView Rec : Frustum.Trace) {
-    for (TransitionId T : Rec.Fired) {
-      uint64_t Iter = Occurrence[T.index()]++;
-      if (Rec.Time < Frustum.StartTime)
-        Sched.addPrologueOp(Rec.Time, T, Iter);
-      else
-        Sched.addKernelOp(static_cast<uint32_t>(Rec.Time - Frustum.StartTime),
-                          T, Iter);
+  // Before each batch of rows: the fault site, then the token.
+  const FiringTrace &Trace = Frustum.Trace;
+  Status Stop;
+  auto Stopped = [&](size_t Row, const char *Pass) {
+    if (Row % ScheduleBatch)
+      return false;
+    if (Faults)
+      Stop = Faults->checkpoint("schedule:batch");
+    if (Stop && Cancel.cancelled())
+      Stop = Cancel.status("schedule", std::string("while ") + Pass +
+                                           ", before trace row " +
+                                           std::to_string(Row) + " of " +
+                                           std::to_string(Trace.size()));
+    return !Stop;
+  };
+
+  // Rows before the frustum start are the prologue.
+  const TimeStep Start = Frustum.StartTime;
+  SoftwarePipelineSchedule::Builder B(N, Start, Frustum.length(), K);
+  for (size_t Row = 0; Row < Trace.size(); ++Row) {
+    if (Stopped(Row, "counting the prologue"))
+      return Stop;
+    StepView Rec = Trace[Row];
+    if (Rec.Time >= Start)
+      break;
+    for (TransitionId T : Rec.Fired)
+      B.countPrologue(T);
+  }
+  B.startFill();
+  for (size_t Row = 0; Row < Trace.size(); ++Row) {
+    if (Stopped(Row, "filling the schedule"))
+      return Stop;
+    StepView Rec = Trace[Row];
+    for (size_t I = 0; I < Rec.Fired.size(); ++I) {
+      TransitionId T = Rec.Fired[I];
+      if (I && Rec.Fired[I - 1].index() >= T.index())
+        return Status::error(ErrorCode::InvalidInput, "schedule",
+                             "trace row at t=" + std::to_string(Rec.Time) +
+                                 " lists its fired ids out of ascending "
+                                 "order");
+      bool Placed = Rec.Time < Start
+                        ? B.addPrologue(T, Rec.Time)
+                        : B.addKernel(T, static_cast<uint32_t>(Rec.Time - Start));
+      if (!Placed)
+        return Status::error(ErrorCode::InvalidInput, "schedule",
+                             "transition " +
+                                 std::string(Pn.Net.transition(T).Name) +
+                                 " fires at t=" + std::to_string(Rec.Time) +
+                                 " past its place in the schedule");
     }
   }
-  Sched.finish();
-  return Sched;
+  if (!B.complete())
+    return Status::error(ErrorCode::InvalidInput, "schedule",
+                         "the trace does not cover the frustum's firings");
+  return B.finish();
 }
 
 SoftwarePipelineSchedule sdsp::deriveSchedule(const SdspPn &Pn,
@@ -69,6 +108,15 @@ SoftwarePipelineSchedule sdsp::deriveSchedule(const SdspPn &Pn,
 bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
                             const SoftwarePipelineSchedule &Sched,
                             uint64_t CheckIterations, std::string *Error) {
+  return SDSP_EXPECT_OK(validateScheduleChecked(
+      S, Pn, Sched, CheckIterations, Error, CancelToken(), nullptr,
+      "schedule"));
+}
+
+Expected<bool> sdsp::validateScheduleChecked(
+    const Sdsp &S, const SdspPn &Pn, const SoftwarePipelineSchedule &Sched,
+    uint64_t CheckIterations, std::string *Error, const CancelToken &Cancel,
+    FaultContext *Faults, std::string_view Stage) {
   const DataflowGraph &G = S.graph();
   auto Fail = [&](const std::string &Msg) {
     if (Error)
@@ -86,27 +134,69 @@ bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
     }
   } Metrics;
 
+  // Before each batch of constraints (transitions, arcs and acks, in
+  // checking order): the fault site, then the token.
+  const size_t Batches =
+      (Pn.Net.numTransitions() + G.numArcs() + S.acks().size() +
+       ScheduleBatch - 1) /
+      ScheduleBatch;
+  size_t Constraint = 0;
+  Status Stop;
+  auto Stopped = [&]() {
+    if (Constraint++ % ScheduleBatch)
+      return false;
+    if (Faults)
+      Stop = Faults->checkpoint("schedule:batch");
+    if (Stop && Cancel.cancelled())
+      Stop = Cancel.status(Stage, "in the schedule replay, before batch " +
+                                      std::to_string(Constraint /
+                                                         ScheduleBatch +
+                                                     1) +
+                                      " of " + std::to_string(Batches));
+    return !Stop;
+  };
+
   // First iteration m in [Lag, CheckIterations) at which Later starts
   // before iteration m - Lag of Earlier finishes, or CheckIterations if
   // none.  Past H0 both start times advance by p every k iterations, so
   // the replay stops at the horizon H0 + k (ScheduleDerivation.h).
+  // While both iterations are prologue firings the two rows are compared
+  // in place; from there on two cursors step through the kernel slots.
   uint64_t K = Sched.iterationsPerKernel();
   auto FirstViolation = [&](TransitionId Later, TransitionId Earlier,
                             uint64_t Lag) -> uint64_t {
-    uint64_t H0 = std::max(Sched.prologueCount(Later),
-                           Sched.prologueCount(Earlier) + Lag);
+    std::span<const TimeStep> LaterPro = Sched.prologueTimes(Later);
+    std::span<const TimeStep> EarlierPro = Sched.prologueTimes(Earlier);
+    uint64_t H0 = std::max<uint64_t>(LaterPro.size(), EarlierPro.size() + Lag);
     uint64_t End = std::min(CheckIterations, H0 + K);
+    if (End <= Lag)
+      return CheckIterations;
     uint64_t Tau = Pn.Net.transition(Earlier).ExecTime;
-    for (uint64_t M = Lag; M < End; ++M) {
-      ++Metrics.Checks;
-      if (Sched.startTime(Later, M) < Sched.startTime(Earlier, M - Lag) + Tau)
+    uint64_t M = Lag;
+    uint64_t InPrologue = std::min<uint64_t>(
+        {End, LaterPro.size(), EarlierPro.size() + Lag});
+    for (; M < InPrologue; ++M)
+      if (LaterPro[M] < EarlierPro[M - Lag] + Tau) {
+        Metrics.Checks += M - Lag + 1;
         return M;
+      }
+    SoftwarePipelineSchedule::StartCursor L = Sched.cursor(Later, M);
+    SoftwarePipelineSchedule::StartCursor E = Sched.cursor(Earlier, M - Lag);
+    for (; M < End; ++M) {
+      TimeStep LaterStart = L.next();
+      if (LaterStart < E.next() + Tau) {
+        Metrics.Checks += M - Lag + 1;
+        return M;
+      }
     }
+    Metrics.Checks += End - Lag;
     return CheckIterations;
   };
 
   // Non-reentrancy: firings of one transition are serialized.
   for (size_t I = 0; I < Pn.Net.numTransitions(); ++I) {
+    if (Stopped())
+      return Stop;
     const TransitionId T(I);
     uint64_t M = FirstViolation(T, T, 1);
     if (M < CheckIterations)
@@ -117,6 +207,8 @@ bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
 
   // Data dependences.
   for (ArcId A : G.arcIds()) {
+    if (Stopped())
+      return Stop;
     if (!S.isInteriorArc(A))
       continue;
     const DataflowGraph::Arc &Arc = G.arc(A);
@@ -133,6 +225,8 @@ bool sdsp::validateSchedule(const Sdsp &S, const SdspPn &Pn,
   // Buffer capacities: the producer at the head of each ack chain must
   // wait for the chain consumer's acknowledgement.
   for (Sdsp::AckView Ack : S.acks()) {
+    if (Stopped())
+      return Stop;
     const DataflowGraph::Arc &Head = G.arc(Ack.Path.front());
     const DataflowGraph::Arc &Tail = G.arc(Ack.Path.back());
     TransitionId U = Pn.NodeToTransition[Head.From.index()];

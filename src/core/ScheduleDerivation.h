@@ -25,16 +25,34 @@
 #include "core/SdspPn.h"
 
 #include <string>
+#include <string_view>
 
 namespace sdsp {
+
+class FaultContext;
+
+/// Trace rows, or constraints, between two polls of the schedule pass
+/// and of the replay: before each batch they check the
+/// `schedule:batch` fault site, then the cancel token.
+constexpr size_t ScheduleBatch = 4096;
 
 /// Derives the software-pipeline schedule encoded by \p Frustum over
 /// \p Pn, validating instead of asserting: a transition absent from
 /// the frustum or non-uniform firing counts (impossible for a live
 /// marked graph by Thm A.5.3, so indicative of a net outside the
-/// model) are returned as InvalidNet.
+/// model) are returned as InvalidNet; a trace row whose fired ids do
+/// not ascend (a trace written under a firing policy), or a kernel
+/// firing past its transition's k, as InvalidInput.
+///
+/// One pass over the prologue rows counts each transition's prologue
+/// firings; a second pass over every row writes each firing's time or
+/// slot into its place in the index.  Before each ScheduleBatch rows of
+/// either pass it checks the `schedule:batch` site of \p Faults (when
+/// given), then polls \p Cancel, failing with stage "schedule".
 Expected<SoftwarePipelineSchedule>
-deriveScheduleChecked(const SdspPn &Pn, const FrustumInfo &Frustum);
+deriveScheduleChecked(const SdspPn &Pn, const FrustumInfo &Frustum,
+                      const CancelToken &Cancel = {},
+                      FaultContext *Faults = nullptr);
 
 /// Legacy convenience: deriveScheduleChecked that aborts (in every
 /// build type) instead of returning the error.  Every transition must
@@ -64,10 +82,27 @@ SoftwarePipelineSchedule deriveSchedule(const SdspPn &Pn,
 /// every horizon reached (CheckIterations >= max H0 + k) is valid for
 /// every iteration.  Cost: O(constraints * (max prologue + max lag + k)),
 /// independent of CheckIterations; the constraint instances evaluated
-/// are counted in the schedule.validate.checks metric.
+/// are counted in the schedule.validate.checks metric.  Each constraint
+/// reads its two transitions' start times through cursors over the
+/// index (SoftwarePipelineSchedule::StartCursor), so an instance costs
+/// no division.
 bool validateSchedule(const Sdsp &S, const SdspPn &Pn,
                       const SoftwarePipelineSchedule &Sched,
                       uint64_t CheckIterations, std::string *Error = nullptr);
+
+/// validateSchedule that a deadline can stop: before each batch of
+/// ScheduleBatch constraints it checks the `schedule:batch` fault site
+/// of \p Faults (when given), then polls \p Cancel.  It fails with the
+/// fault's status, or with the token's under stage \p Stage, naming
+/// the batch; else it returns the verdict, the violation in \p Error.
+/// The overshoot is one batch of constraints.
+Expected<bool> validateScheduleChecked(const Sdsp &S, const SdspPn &Pn,
+                                       const SoftwarePipelineSchedule &Sched,
+                                       uint64_t CheckIterations,
+                                       std::string *Error,
+                                       const CancelToken &Cancel,
+                                       FaultContext *Faults,
+                                       std::string_view Stage);
 
 } // namespace sdsp
 

@@ -662,11 +662,16 @@ CompilationSession::deriveSchedule(const ArtifactRef<SdspArtifact> &S,
       PassKind::Schedule, Inputs, Fp,
       [&]() -> Expected<SoftwarePipelineSchedule> {
         Expected<SoftwarePipelineSchedule> Sched =
-            deriveScheduleChecked(*Pn, *F);
+            deriveScheduleChecked(*Pn, *F, Cancel, Faults);
         if (!Sched)
           return Sched.status();
         std::string Err;
-        if (!validateSchedule(S->S, *Pn, *Sched, ValidateIterations, &Err))
+        Expected<bool> Valid =
+            validateScheduleChecked(S->S, *Pn, *Sched, ValidateIterations,
+                                    &Err, Cancel, Faults, "schedule");
+        if (!Valid)
+          return Valid.status();
+        if (!*Valid)
           return Status::error(ErrorCode::InternalInvariant, "schedule",
                                "derived schedule failed validation: " + Err);
         return std::move(*Sched);

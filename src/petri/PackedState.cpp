@@ -33,13 +33,15 @@ uint64_t PackedStateTable::finalizeHash(uint64_t Raw) {
   return Raw;
 }
 
-PackedStateTable::PackedStateTable() : Slots(64) {}
+PackedStateTable::PackedStateTable() : Slots(64) { recountHeld(); }
 
 void PackedStateTable::beginState(size_t NewWidth) {
   assert(NewWidth >= Width && "a state narrower than the one before it");
   Changes = 0;
   Pending.clear();
   Tail.clear();
+  if (NewWidth == Width)
+    return;
   // Pairs stop once they would outgrow a state, so they never take
   // more than the state plus one pair.
   if (Pending.capacity() < NewWidth + 2)
@@ -51,6 +53,7 @@ void PackedStateTable::beginState(size_t NewWidth) {
   if (Scratch.capacity() < NewWidth)
     Scratch.reserve(NewWidth);
   Width = NewWidth;
+  recountHeld();
 }
 
 void PackedStateTable::offerWords(size_t Pos, const uint64_t *Words,
@@ -115,11 +118,13 @@ void PackedStateTable::logOpen(uint64_t T) {
   size_t N = Key ? Width : Pending.size() / 2;
   SDSP_CHECK(Tail.size() < (1ull << 31) && N <= CountMask,
              "state too wide for a log record");
-  makeRoom(Log, Words);
-  makeRoom(RecordAt, 1);
-  makeRoom(Times, 1);
+  bool Grew = makeRoom(Log, Words);
+  Grew |= makeRoom(RecordAt, 1);
+  Grew |= makeRoom(Times, 1);
   if (Key)
-    makeRoom(Keyframes, 1);
+    Grew |= makeRoom(Keyframes, 1);
+  if (Grew)
+    recountHeld();
   uint64_t Ordinal = RecordAt.size();
   RecordAt.push_back(Log.size());
   Times.push_back(T);
@@ -136,6 +141,19 @@ void PackedStateTable::logOpen(uint64_t T) {
   }
 }
 
+size_t PackedStateTable::allocatedBytes() const {
+  return Slots.capacity() * sizeof(Slot) +
+         (Log.capacity() + RecordAt.capacity() + Times.capacity() +
+          Keyframes.capacity() + Shadow.capacity() + Pending.capacity() +
+          Tail.capacity() + Scratch.capacity()) *
+             sizeof(uint64_t);
+}
+
+void PackedStateTable::recountHeld() {
+  Held = allocatedBytes();
+  HeldTail = Tail.capacity();
+}
+
 void PackedStateTable::grow() {
   std::vector<Slot> Old = std::move(Slots);
   Slots.assign(Old.size() * 2, Slot());
@@ -148,23 +166,25 @@ void PackedStateTable::grow() {
       I = (I + 1) & Mask;
     Slots[I] = S;
   }
-}
-
-size_t PackedStateTable::capacityBytes() const {
-  return Slots.capacity() * sizeof(Slot) +
-         (Log.capacity() + RecordAt.capacity() + Times.capacity() +
-          Keyframes.capacity() + Shadow.capacity() + Pending.capacity() +
-          Tail.capacity() + Scratch.capacity()) *
-             sizeof(uint64_t);
+  recountHeld();
 }
 
 size_t PackedStateTable::capacityBytesAfterCommit() const {
-  size_t Words = (grownCapacity(Log, recordWords()) - Log.capacity()) +
-                 (grownCapacity(RecordAt, 1) - RecordAt.capacity()) +
-                 (grownCapacity(Times, 1) - Times.capacity());
-  if (keyframeDue())
+  size_t Bytes = capacityBytes();
+  assert(Bytes == allocatedBytes() && "running byte total drifted");
+  bool Key = keyframeDue();
+  size_t Words = recordWords();
+  if (Log.capacity() - Log.size() >= Words &&
+      RecordAt.size() < RecordAt.capacity() &&
+      Times.size() < Times.capacity() &&
+      (!Key || Keyframes.size() < Keyframes.capacity()) && !slotsDue())
+    return Bytes;
+  Words = (grownCapacity(Log, Words) - Log.capacity()) +
+          (grownCapacity(RecordAt, 1) - RecordAt.capacity()) +
+          (grownCapacity(Times, 1) - Times.capacity());
+  if (Key)
     Words += grownCapacity(Keyframes, 1) - Keyframes.capacity();
-  size_t Bytes = capacityBytes() + Words * sizeof(uint64_t);
+  Bytes += Words * sizeof(uint64_t);
   if (slotsDue())
     Bytes += Slots.size() * sizeof(Slot);
   return Bytes;

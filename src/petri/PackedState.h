@@ -101,8 +101,13 @@ public:
 
   /// Bytes the table holds allocated, and the bytes it would hold once
   /// the open state is committed: what the growth the commit causes
-  /// would allocate, known before it does.
-  size_t capacityBytes() const;
+  /// would allocate, known before it does.  The held bytes are a running
+  /// total, recounted only when an array grows (the open state's tail,
+  /// which its caller fills, is read as it stands), so both cost a few
+  /// compares while nothing grows.
+  size_t capacityBytes() const {
+    return Held + (Tail.capacity() - HeldTail) * sizeof(uint64_t);
+  }
   size_t capacityBytesAfterCommit() const;
 
   /// States findable (committed without a match).
@@ -169,6 +174,10 @@ private:
   /// An earlier state, rebuilt to confirm a match.
   std::vector<uint64_t> Scratch;
   size_t Count = 0;
+  /// The allocated bytes as of the last growth, the tail's capacity
+  /// then included (HeldTail words).
+  size_t Held = 0;
+  size_t HeldTail = 0;
   uint64_t Probes = 0;
   uint64_t Collisions = 0;
   uint64_t DeltaValidations = 0;
@@ -201,6 +210,10 @@ private:
   bool equalsOpen(uint64_t O);
   void logOpen(uint64_t T);
   void grow();
+  /// Every array's allocated bytes, summed; recountHeld() keeps them in
+  /// Held after an array grew.
+  size_t allocatedBytes() const;
+  void recountHeld();
 
   /// Doubling growth from 64 elements, made explicit so
   /// capacityBytesAfterCommit() can tell what it will allocate; a short
@@ -211,10 +224,14 @@ private:
       return V.capacity();
     return std::max({V.size() + Extra, 2 * V.capacity(), size_t(64)});
   }
+  /// Grows \p V for \p Extra more elements if it must; says whether it
+  /// did.
   template <typename T>
-  static void makeRoom(std::vector<T> &V, size_t Extra) {
-    if (V.capacity() - V.size() < Extra)
-      V.reserve(grownCapacity(V, Extra));
+  static bool makeRoom(std::vector<T> &V, size_t Extra) {
+    if (V.capacity() - V.size() >= Extra)
+      return false;
+    V.reserve(grownCapacity(V, Extra));
+    return true;
   }
 };
 

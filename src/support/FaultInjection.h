@@ -23,6 +23,9 @@
 ///                      on the same cadence as the step budget
 ///   rate:iteration     before each policy-improvement round of the
 ///                      rate pass's Howard iteration
+///   schedule:batch     before each batch of trace rows the schedule
+///                      pass derives from and of constraints its
+///                      replay and verify's check
 ///   verify:check       before each check of verifyCompiledLoop
 ///   pnml:parse         inside the import-pnml pass, before the reader
 ///   pnml:classify      before an imported net's classification and

@@ -66,7 +66,7 @@ void expectSameResult(const Expected<FrustumInfo> &Ana,
 }
 
 /// Runs all three engines on \p Net under \p Budget and asserts full
-/// agreement.  Returns true when the analytic path actually ran (no
+/// agreement, and that each trace's rows list their ids ascending.  Returns true when the analytic path actually ran (no
 /// fallback), so callers can enforce an anti-vacuity floor.
 bool expectAnalyticGolden(const PetriNet &Net, FrustumBudget Budget,
                           const std::string &Label) {
@@ -77,6 +77,11 @@ bool expectAnalyticGolden(const PetriNet &Net, FrustumBudget Budget,
   Expected<FrustumInfo> Ref = detectFrustumReference(Net, nullptr, Budget);
   expectSameResult(Ana, Fast, Label + "/vs-fast");
   expectSameResult(Ana, Ref, Label + "/vs-reference");
+  for (const Expected<FrustumInfo> *E : {&Ana, &Fast, &Ref}) {
+    if (*E) {
+      EXPECT_EQ(unsortedRow((*E)->Trace), "") << Label;
+    }
+  }
   return Reason.empty();
 }
 

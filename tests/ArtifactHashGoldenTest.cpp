@@ -311,28 +311,46 @@ std::optional<DataflowGraph> editGraph(const DataflowGraph &G, Edit E) {
   return Out;
 }
 
-/// \p S rebuilt with its first kernel op's slot moved, or its first two
-/// kernel ops swapped.
+/// \p S rebuilt with its first kernel firing's slot moved (in canonical
+/// order, core/Schedule.h), or the first two entries of its kernel-slot
+/// list swapped.
 std::optional<SoftwarePipelineSchedule>
 editSchedule(const SoftwarePipelineSchedule &S, Edit E) {
-  std::vector<SoftwarePipelineSchedule::KernelOp> Kernel = S.kernel();
+  std::vector<uint32_t> Slots;
+  for (size_t I = 0; I < S.numTransitions(); ++I)
+    for (uint32_t Slot : S.kernelSlots(TransitionId(I)))
+      Slots.push_back(Slot);
   bool Done = false;
-  if (E == Edit::KernelSlot && !Kernel.empty()) {
-    Kernel[0].Slot = (Kernel[0].Slot + 1) % S.kernelLength();
+  if (E == Edit::KernelSlot && !Slots.empty()) {
+    std::optional<size_t> First;
+    S.forEachKernelOp([&](uint32_t, TransitionId T, uint64_t Iteration) {
+      if (!First)
+        First = T.index() * S.iterationsPerKernel() +
+                (Iteration - S.prologueCount(T));
+    });
+    Slots[*First] = (Slots[*First] + 1) % S.kernelLength();
     Done = true;
   } else if (E == Edit::Swap) {
-    swapFirstPair(Kernel, Done);
+    swapFirstPair(Slots, Done);
   }
   if (!Done)
     return std::nullopt;
-  SoftwarePipelineSchedule Out(S.numTransitions(), S.prologueEnd(),
-                               S.kernelLength(), S.iterationsPerKernel());
-  for (const auto &Op : S.prologue())
-    Out.addPrologueOp(Op.Time, Op.T, Op.Iteration);
-  for (const auto &Op : Kernel)
-    Out.addKernelOp(Op.Slot, Op.T, Op.FirstIteration);
-  Out.finish();
-  return Out;
+  SoftwarePipelineSchedule::Builder B(S.numTransitions(), S.prologueEnd(),
+                                      S.kernelLength(),
+                                      S.iterationsPerKernel());
+  for (size_t I = 0; I < S.numTransitions(); ++I)
+    for (uint64_t M = 0; M < S.prologueCount(TransitionId(I)); ++M)
+      B.countPrologue(TransitionId(I));
+  B.startFill();
+  size_t At = 0;
+  for (size_t I = 0; I < S.numTransitions(); ++I) {
+    const TransitionId T(I);
+    for (TimeStep Time : S.prologueTimes(T))
+      EXPECT_TRUE(B.addPrologue(T, Time));
+    for (size_t J = 0; J < S.iterationsPerKernel(); ++J)
+      EXPECT_TRUE(B.addKernel(T, Slots[At++]));
+  }
+  return B.finish();
 }
 
 /// \p P rebuilt with op 0's name or execution time edited, or over an

@@ -25,10 +25,12 @@
 #include "core/SharedArtifactCache.h"
 #include "livermore/Livermore.h"
 #include "support/FaultInjection.h"
+#include "support/HashStream.h"
 #include "tools/DriverCore.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -384,6 +386,118 @@ TEST(ArtifactStoreTest, ScheduleWithIncompleteKernelIsCorrupt) {
     EXPECT_EQ(decodeArtifact(PassKind::Schedule, R), nullptr)
         << T0 << " + " << T1 << " kernel ops";
   }
+}
+
+TEST(ArtifactStoreTest, ScheduleWithFarApartTimesRoundTrips) {
+  // A prologue end and a kernel length far beyond the firings (as a
+  // long-latency operation makes them) are regenerated by a comparison
+  // sort instead of one bucket per instant; the stream is still in
+  // canonical order, and the codec round-trips it.
+  const TimeStep Start = TimeStep(1) << 40, Period = 1'000'000;
+  SoftwarePipelineSchedule::Builder B(3, Start, Period, 2);
+  const TransitionId T0(0u), T1(1u), T2(2u);
+  for (TransitionId T : {T2, T0, T2})
+    B.countPrologue(T);
+  B.startFill();
+  EXPECT_TRUE(B.addPrologue(T2, 7));
+  EXPECT_TRUE(B.addPrologue(T2, Start - 1));
+  EXPECT_TRUE(B.addPrologue(T0, 7));
+  for (TransitionId T : {T0, T1, T2}) {
+    EXPECT_TRUE(B.addKernel(T, T == T1 ? 999'998 : 5));
+    EXPECT_TRUE(B.addKernel(T, T == T1 ? 999'999 : 6));
+  }
+  ASSERT_TRUE(B.complete());
+  SoftwarePipelineSchedule S = B.finish();
+
+  std::vector<std::pair<TimeStep, uint32_t>> Pro, Kernel;
+  S.forEachPrologueOp([&](TimeStep Time, TransitionId T, uint64_t) {
+    Pro.emplace_back(Time, T.index());
+  });
+  S.forEachKernelOp([&](uint32_t Slot, TransitionId T, uint64_t) {
+    Kernel.emplace_back(Slot, T.index());
+  });
+  using P = std::pair<TimeStep, uint32_t>;
+  EXPECT_EQ(Pro, (std::vector<P>{{7, 0}, {7, 2}, {Start - 1, 2}}));
+  EXPECT_EQ(Kernel, (std::vector<P>{{5, 0},
+                                     {5, 2},
+                                     {6, 0},
+                                     {6, 2},
+                                     {999'998, 1},
+                                     {999'999, 1}}));
+
+  ByteWriter W;
+  encodeArtifact(PassKind::Schedule, &S, W);
+  ByteReader R(W.bytes().data(), W.size());
+  std::shared_ptr<const void> Decoded = decodeArtifact(PassKind::Schedule, R);
+  ASSERT_NE(Decoded, nullptr);
+  const auto &D = *static_cast<const SoftwarePipelineSchedule *>(Decoded.get());
+  EXPECT_EQ(artifactHash(D), artifactHash(S));
+  for (TransitionId T : {T0, T1, T2})
+    for (uint64_t M = 0; M < 6; ++M)
+      EXPECT_EQ(D.startTime(T, M), S.startTime(T, M));
+}
+
+TEST(ArtifactStoreTest, ScheduleOutOfCanonicalOrderIsCorruptAndRecomputed) {
+  // The codec writes a schedule's firings by (time, id), then by (slot,
+  // id) (core/Schedule.h), and the decoder rebuilds the index in that
+  // order: a stored schedule whose first two prologue firings are
+  // swapped is rejected, although it names the same start times, and
+  // the store recomputes it.
+  TempDir Dir;
+  std::string ColdSummary;
+  {
+    Process Cold(Dir.str());
+    ColdSummary = compileSummary(Cold.Tiered, kernelSource("loop7"));
+  }
+  constexpr size_t PassAt = 8, ChecksumAt = 8 + 4 + 8 * 5,
+                   PayloadAt = ChecksumAt + 8;
+  // The payload's header, then the prologue's count and its 20-byte ops.
+  constexpr size_t OpsAt = PayloadAt + 3 * 8 + 4 + 8, OpBytes = 20;
+  auto Read = [](const std::string &Raw, size_t At, size_t Bytes) {
+    uint64_t V = 0;
+    for (size_t I = 0; I < Bytes; ++I)
+      V |= uint64_t{static_cast<uint8_t>(Raw[At + I])} << (8 * I);
+    return V;
+  };
+  size_t Swapped = 0;
+  for (auto &E : fs::recursive_directory_iterator(Dir.Path / "objects")) {
+    if (!E.is_regular_file())
+      continue;
+    std::string Raw;
+    {
+      std::ifstream In(E.path(), std::ios::binary);
+      std::ostringstream OS;
+      OS << In.rdbuf();
+      Raw = std::move(OS).str();
+    }
+    if (Read(Raw, PassAt, 4) != static_cast<uint32_t>(PassKind::Schedule))
+      continue;
+    ASSERT_GE(Read(Raw, OpsAt - 8, 8), 2u);
+    // Two different transitions, each firing its iteration 0.
+    ASSERT_NE(Read(Raw, OpsAt + 8, 4), Read(Raw, OpsAt + OpBytes + 8, 4));
+    std::swap_ranges(Raw.begin() + OpsAt, Raw.begin() + OpsAt + OpBytes,
+                     Raw.begin() + OpsAt + OpBytes);
+    const uint8_t *Payload =
+        reinterpret_cast<const uint8_t *>(Raw.data()) + PayloadAt;
+    ByteReader R(Payload, Raw.size() - PayloadAt);
+    EXPECT_EQ(decodeArtifact(PassKind::Schedule, R), nullptr);
+    // A valid checksum, so only the decoder can tell.
+    uint64_t Sum =
+        HashStream(0x5d5370a0c5ULL)
+            .str({reinterpret_cast<const char *>(Payload), Raw.size() - PayloadAt})
+            .hash();
+    for (int I = 0; I < 8; ++I)
+      Raw[ChecksumAt + I] = static_cast<char>(Sum >> (8 * I));
+    std::ofstream(E.path(), std::ios::binary | std::ios::trunc) << Raw;
+    ++Swapped;
+  }
+  ASSERT_EQ(Swapped, 1u);
+
+  Process Warm(Dir.str());
+  EXPECT_EQ(compileSummary(Warm.Tiered, kernelSource("loop7")), ColdSummary);
+  auto C = Warm.Disk.counters();
+  EXPECT_EQ(C.Corrupt, 1u);
+  EXPECT_EQ(C.Writes, 1u);
 }
 
 /// The ways a stored loop program can index past what the VM holds.

@@ -148,6 +148,30 @@ TEST(Frustum, ByteBoundFailsBeforePassingItTheSameWayEveryRun) {
   }
 }
 
+TEST(Frustum, ReferenceSearchHonoursTheByteBound) {
+  // The reference search stores a whole state per instant; under a
+  // small explicit bound a one-token ring of 4,096 stages fails with
+  // the fast path's wording at the same instant on every run, and
+  // succeeds without the bound.
+  PetriNet Ring = buildRing(4096, 1);
+  FrustumBudget Small;
+  Small.MaxBytes = 1024 * 1024;
+  std::vector<std::string> Failures;
+  for (int Run = 0; Run < 3; ++Run) {
+    Expected<FrustumInfo> F = detectFrustumReference(Ring, nullptr, Small);
+    ASSERT_FALSE(F);
+    EXPECT_EQ(F.status().code(), ErrorCode::BudgetExceeded);
+    Failures.push_back(F.status().str());
+  }
+  EXPECT_NE(Failures[0].find("state table and trace would pass the byte "
+                             "bound of 1048576 bytes at t="),
+            std::string::npos)
+      << Failures[0];
+  EXPECT_EQ(Failures[1], Failures[0]);
+  EXPECT_EQ(Failures[2], Failures[0]);
+  EXPECT_TRUE(detectFrustumReference(Ring).ok());
+}
+
 TEST(Frustum, TraceCoversPrefixAndCounts) {
   SdspPn Pn = buildSdspPn(Sdsp::standard(buildL2Direct()));
   auto F = detectFrustum(Pn.Net);

@@ -179,27 +179,49 @@ std::string labelOf(const LivermoreKernel &K, uint32_t Unroll,
          std::to_string(Capacity);
 }
 
-/// \p Sched with one op moved: prologue op \p Index to time \p Value
-/// when \p Prologue, else kernel op \p Index to slot \p Value.
+/// \p Sched with one firing moved: prologue firing \p Index (in
+/// canonical order, core/Schedule.h) to time \p Value when \p Prologue,
+/// else kernel firing \p Index to slot \p Value.
 SoftwarePipelineSchedule perturbed(const SoftwarePipelineSchedule &Sched,
                                    bool Prologue, size_t Index,
                                    uint64_t Value) {
-  SoftwarePipelineSchedule Out(Sched.numTransitions(), Sched.prologueEnd(),
-                               Sched.kernelLength(),
-                               Sched.iterationsPerKernel());
-  for (size_t I = 0; I < Sched.prologue().size(); ++I) {
-    const auto &Op = Sched.prologue()[I];
-    Out.addPrologueOp(Prologue && I == Index ? Value : Op.Time, Op.T,
-                      Op.Iteration);
+  // The firing to move, as (transition, iteration).
+  size_t At = 0;
+  TransitionId Moved;
+  uint64_t MovedIteration = 0;
+  auto Find = [&](uint64_t, TransitionId T, uint64_t Iteration) {
+    if (At++ == Index) {
+      Moved = T;
+      MovedIteration = Iteration;
+    }
+  };
+  if (Prologue)
+    Sched.forEachPrologueOp(Find);
+  else
+    Sched.forEachKernelOp(Find);
+
+  SoftwarePipelineSchedule::Builder B(Sched.numTransitions(),
+                                      Sched.prologueEnd(), Sched.kernelLength(),
+                                      Sched.iterationsPerKernel());
+  for (size_t I = 0; I < Sched.numTransitions(); ++I)
+    for (uint64_t M = 0; M < Sched.prologueCount(TransitionId(I)); ++M)
+      B.countPrologue(TransitionId(I));
+  B.startFill();
+  for (size_t I = 0; I < Sched.numTransitions(); ++I) {
+    const TransitionId T(I);
+    auto Moves = [&](uint64_t Iteration) {
+      return T == Moved && Iteration == MovedIteration;
+    };
+    std::span<const TimeStep> Times = Sched.prologueTimes(T);
+    for (uint64_t M = 0; M < Times.size(); ++M)
+      EXPECT_TRUE(B.addPrologue(T, Prologue && Moves(M) ? Value : Times[M]));
+    std::span<const uint32_t> Slots = Sched.kernelSlots(T);
+    for (uint64_t J = 0; J < Slots.size(); ++J)
+      EXPECT_TRUE(B.addKernel(T, !Prologue && Moves(Times.size() + J)
+                                     ? static_cast<uint32_t>(Value)
+                                     : Slots[J]));
   }
-  for (size_t I = 0; I < Sched.kernel().size(); ++I) {
-    const auto &Op = Sched.kernel()[I];
-    Out.addKernelOp(!Prologue && I == Index ? static_cast<uint32_t>(Value)
-                                            : Op.Slot,
-                    Op.T, Op.FirstIteration);
-  }
-  Out.finish();
-  return Out;
+  return B.finish();
 }
 
 TEST(ScheduleReplay, DerivedSchedulesMatchFullReplay) {
@@ -230,8 +252,8 @@ void perturbAndCompare(const Sdsp &S, const SdspPn &Pn,
   std::vector<Constraint> Cs = constraintsOf(S, Pn);
   uint64_t K = Base.iterationsPerKernel();
   for (int Trial = 0; Trial < Trials; ++Trial) {
-    bool Pro = Trial % 2 == 0 && !Base.prologue().empty();
-    size_t Count = Pro ? Base.prologue().size() : Base.kernel().size();
+    bool Pro = Trial % 2 == 0 && Base.numPrologueOps() != 0;
+    size_t Count = Pro ? Base.numPrologueOps() : Base.numKernelOps();
     size_t Index =
         static_cast<size_t>(R.range(0, static_cast<int64_t>(Count) - 1));
     uint64_t Limit = Pro ? Base.prologueEnd() : Base.kernelLength();

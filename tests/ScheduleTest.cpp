@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 
 using namespace sdsp;
 using namespace sdsp::testutil;
@@ -81,10 +82,11 @@ TEST(Schedule, ValidatorCatchesBrokenDependence) {
   // iteration, period 1 — dependences within an iteration must fail.
   Sdsp S = Sdsp::standard(buildL1());
   SdspPn Pn = buildSdspPn(S);
-  SoftwarePipelineSchedule Bad(Pn.Net.numTransitions(), 0, 1, 1);
+  SoftwarePipelineSchedule::Builder B(Pn.Net.numTransitions(), 0, 1, 1);
+  B.startFill();
   for (TransitionId T : Pn.Net.transitionIds())
-    Bad.addKernelOp(0, T, 0);
-  Bad.finish();
+    ASSERT_TRUE(B.addKernel(T, 0));
+  SoftwarePipelineSchedule Bad = B.finish();
   std::string Error;
   EXPECT_FALSE(validateSchedule(S, Pn, Bad, 8, &Error));
   EXPECT_FALSE(Error.empty());
@@ -95,12 +97,13 @@ TEST(Schedule, ValidatorRejectsRateAboveOptimal) {
   // either a dependence or an acknowledgement capacity breaks.
   Sdsp S = Sdsp::standard(buildL1());
   SdspPn Pn = buildSdspPn(S);
-  SoftwarePipelineSchedule Bad(Pn.Net.numTransitions(), 0, 2, 2);
+  SoftwarePipelineSchedule::Builder B(Pn.Net.numTransitions(), 0, 2, 2);
+  B.startFill();
   for (TransitionId T : Pn.Net.transitionIds()) {
-    Bad.addKernelOp(0, T, 0);
-    Bad.addKernelOp(1, T, 1);
+    ASSERT_TRUE(B.addKernel(T, 0));
+    ASSERT_TRUE(B.addKernel(T, 1));
   }
-  Bad.finish();
+  SoftwarePipelineSchedule Bad = B.finish();
   std::string Error;
   EXPECT_FALSE(validateSchedule(S, Pn, Bad, 8, &Error));
 }
@@ -121,13 +124,15 @@ TEST(Schedule, ValidatorCatchesPureCapacityViolation) {
   for (TransitionId T : Pn.Net.transitionIds())
     (Pn.Net.transition(T).Name == "u" ? TU : TV) = T;
 
-  SoftwarePipelineSchedule Bad(2, 1, 1, 1);
-  Bad.addPrologueOp(0, TU, 0);
-  Bad.addKernelOp(0, TV, 0); // v at 1, 2, 3, ...
-  // u's kernel occurrence: iteration 1 at time 1+0=1? addKernelOp slots
-  // are within [0,p); u iteration m at time 1 + (m-1).
-  Bad.addKernelOp(0, TU, 1);
-  Bad.finish();
+  SoftwarePipelineSchedule::Builder SB(2, 1, 1, 1);
+  SB.countPrologue(TU);
+  SB.startFill();
+  ASSERT_TRUE(SB.addPrologue(TU, 0));
+  ASSERT_TRUE(SB.addKernel(TV, 0)); // v at 1, 2, 3, ...
+  // u's kernel occurrence: iteration 1 at time 1+0=1? kernel slots are
+  // within [0,p); u iteration m at time 1 + (m-1).
+  ASSERT_TRUE(SB.addKernel(TU, 0));
+  SoftwarePipelineSchedule Bad = SB.finish();
   std::string Error;
   EXPECT_FALSE(validateSchedule(S, Pn, Bad, 8, &Error));
   EXPECT_NE(Error.find("capacity"), std::string::npos) << Error;
@@ -195,6 +200,62 @@ TEST(Schedule, FractionalRateKernelSpansTwoIterations) {
   TimeStep P = D.Sched.kernelLength();
   for (uint64_t M = 4; M < 20; ++M)
     EXPECT_EQ(D.Sched.startTime(T, M + K), D.Sched.startTime(T, M) + P);
+}
+
+TEST(Schedule, CanonicalOrderIsTheTraceOrder) {
+  // The regenerated firing stream (what the hash and the codec read) is
+  // the frustum trace's own order, each firing with its occurrence
+  // count as its iteration.
+  for (DataflowGraph G : {buildL1(), buildL2Direct(),
+                          buildFractionalRecurrence()}) {
+    Derived D = derive(std::move(G));
+    auto F = detectFrustum(D.Pn.Net);
+    ASSERT_TRUE(F.has_value());
+    using Firing = std::tuple<TimeStep, uint32_t, uint64_t>;
+    std::vector<Firing> Want, Got;
+    std::vector<uint64_t> Seen(D.Pn.Net.numTransitions(), 0);
+    for (StepView Rec : F->Trace)
+      for (TransitionId T : Rec.Fired)
+        Want.emplace_back(Rec.Time, T.index(), Seen[T.index()]++);
+    D.Sched.forEachPrologueOp([&](TimeStep Time, TransitionId T,
+                                  uint64_t Iteration) {
+      Got.emplace_back(Time, T.index(), Iteration);
+    });
+    D.Sched.forEachKernelOp([&](uint32_t Slot, TransitionId T,
+                                uint64_t Iteration) {
+      Got.emplace_back(D.Sched.prologueEnd() + Slot, T.index(), Iteration);
+    });
+    EXPECT_EQ(Got, Want);
+  }
+}
+
+TEST(Schedule, DerivationRejectsARowOutOfAscendingOrder) {
+  // Schedule derivation reads the trace in canonical order, which needs
+  // each row's fired ids ascending; a row that is not (as one written
+  // under a firing policy may be) is rejected, not misread.
+  Sdsp S = Sdsp::standard(buildL2Direct());
+  SdspPn Pn = buildSdspPn(S);
+  Expected<FrustumInfo> F = detectFrustumChecked(Pn.Net);
+  ASSERT_TRUE(F.ok()) << F.status().str();
+  ASSERT_TRUE(deriveScheduleChecked(Pn, *F).ok());
+  FrustumInfo Swapped = *F;
+  FiringTrace Edited;
+  bool Done = false;
+  for (StepView Rec : F->Trace) {
+    std::vector<TransitionId> Fired(Rec.Fired.begin(), Rec.Fired.end());
+    if (!Done && Fired.size() >= 2) {
+      std::swap(Fired[0], Fired[1]);
+      Done = true;
+    }
+    Edited.append(StepView(Rec.Time, Rec.Completed, Fired));
+  }
+  ASSERT_TRUE(Done) << "no row fires two transitions";
+  Swapped.Trace = std::move(Edited);
+  Expected<SoftwarePipelineSchedule> Sched = deriveScheduleChecked(Pn, Swapped);
+  ASSERT_FALSE(Sched.ok());
+  EXPECT_EQ(Sched.status().code(), ErrorCode::InvalidInput);
+  EXPECT_NE(Sched.status().message().find("ascending"), std::string::npos)
+      << Sched.status().str();
 }
 
 TEST(Schedule, RandomGraphSchedulesValidate) {

@@ -16,11 +16,13 @@
 #define SDSP_TESTS_TESTUTIL_H
 
 #include "dataflow/GraphBuilder.h"
+#include "petri/EarliestFiring.h"
 #include "petri/PetriNet.h"
 #include "support/Random.h"
 
 #include <cstdint>
 #include <span>
+#include <string>
 
 namespace sdsp {
 namespace testutil {
@@ -39,6 +41,26 @@ inline uint64_t fnv1a64(std::span<const uint8_t> Bytes) {
 /// A trace row's id list as a vector, for EXPECT_EQ.
 inline std::vector<TransitionId> idList(std::span<const TransitionId> S) {
   return {S.begin(), S.end()};
+}
+
+/// Empty when every row of \p Trace lists its completed ids and its
+/// fired ids in strictly ascending order (what every engine writes
+/// without a firing policy, and what schedule derivation relies on);
+/// else names the first row that does not.
+inline std::string unsortedRow(const FiringTrace &Trace) {
+  auto Ascends = [](std::span<const TransitionId> Ids) {
+    for (size_t I = 1; I < Ids.size(); ++I)
+      if (Ids[I - 1].index() >= Ids[I].index())
+        return false;
+    return true;
+  };
+  for (StepView Row : Trace) {
+    if (!Ascends(Row.Completed))
+      return "completed ids of the row at t=" + std::to_string(Row.Time);
+    if (!Ascends(Row.Fired))
+      return "fired ids of the row at t=" + std::to_string(Row.Time);
+  }
+  return {};
 }
 
 inline DataflowGraph buildL1() {
