@@ -33,7 +33,7 @@ enum Seed : uint64_t {
   SeedScp = 0x5d5370a007ULL,
   SeedRate = 0x5d5370a008ULL,
   SeedFrustum = 0x5d5370a009ULL,
-  SeedSchedule = 0x5d5370a00aULL,
+  SeedSchedule = ScheduleHashSeed,
   SeedProgram = 0x5d5370a00bULL,
 };
 
@@ -140,9 +140,13 @@ uint64_t sdsp::artifactHash(const SoftwarePipelineSchedule &S) {
 }
 
 uint64_t sdsp::artifactHash(const LoopProgram &P) {
+  return artifactHash(P, artifactHash(P.schedule()));
+}
+
+uint64_t sdsp::artifactHash(const LoopProgram &P, uint64_t ScheduleHash) {
   HashStream HS(SeedProgram);
   P.hashContent(HS);
-  HS.u64(artifactHash(P.schedule()));
+  HS.u64(ScheduleHash);
   return HS.hash();
 }
 

@@ -47,6 +47,11 @@ class SoftwarePipelineSchedule;
 class LoopProgram;
 struct TransformStats;
 
+/// The seed of artifactHash(const SoftwarePipelineSchedule &), whose
+/// stream a schedule's Builder feeds while it fills the index
+/// (core/Schedule.h).
+inline constexpr uint64_t ScheduleHashSeed = 0x5d5370a00aULL;
+
 /// Content hash of a loop source string (the "lower" pass input).
 uint64_t artifactHash(const std::string &Source);
 
@@ -60,6 +65,8 @@ uint64_t artifactHash(const FrustumInfo &F);
 uint64_t artifactHash(const SoftwarePipelineSchedule &S);
 /// Folds in the hash of P's schedule.
 uint64_t artifactHash(const LoopProgram &P);
+/// artifactHash(P) given the hash of P's schedule.
+uint64_t artifactHash(const LoopProgram &P, uint64_t ScheduleHash);
 
 /// Approximate resident bytes of each artifact, for the per-pass
 /// artifact-size accounting in the PipelineTrace.  Counts payload

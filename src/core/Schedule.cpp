@@ -7,6 +7,7 @@
 
 #include "core/Schedule.h"
 
+#include "core/ArtifactHash.h"
 #include "support/Status.h"
 
 #include <algorithm>
@@ -29,7 +30,8 @@ SoftwarePipelineSchedule::SoftwarePipelineSchedule(size_t NumTransitions,
 SoftwarePipelineSchedule::Builder::Builder(size_t NumTransitions,
                                            TimeStep Start, TimeStep Period,
                                            uint32_t IterationsPerKernel)
-    : S(NumTransitions, Start, Period, IterationsPerKernel) {
+    : S(NumTransitions, Start, Period, IterationsPerKernel),
+      HS(ScheduleHashSeed) {
   S.PrologueStart.assign(NumTransitions + 1, 0);
 }
 
@@ -40,6 +42,20 @@ void SoftwarePipelineSchedule::Builder::startFill() {
   S.PrologueTimes.assign(S.PrologueStart[N], 0);
   S.KernelSlots.assign(N * S.K, 0);
   Filled.assign(N, 0);
+  // The stream of artifactHash (core/ArtifactHash.cpp) up to the first
+  // prologue firing.
+  HS.u64(N).u64(S.Start).u64(S.Period).u64(S.K).u64(S.numPrologueOps());
+  InOrder = true;
+}
+
+void SoftwarePipelineSchedule::Builder::startKernel() {
+  InKernel = true;
+  if (Fed != S.numPrologueOps()) {
+    InOrder = false; // A prologue firing is missing from the stream.
+    return;
+  }
+  HS.u64(S.numKernelOps());
+  Fed = 0;
 }
 
 bool SoftwarePipelineSchedule::Builder::complete() const {
@@ -53,6 +69,9 @@ SoftwarePipelineSchedule SoftwarePipelineSchedule::Builder::finish() {
   SDSP_CHECK(Filled.size() == S.NumTransitions && complete(),
              "schedule finished with an unfilled row");
   Filled = {};
+  if (InOrder && !InKernel)
+    startKernel(); // No kernel firings: N is 0.
+  S.Hash = InOrder ? HS.hash() : artifactHash(S);
   return std::move(S);
 }
 

@@ -28,10 +28,13 @@
 /// id), then the kernel's by (slot, transition id), each with its
 /// iteration.  That is the order in which a trace whose rows list their
 /// fired ids ascending (every engine without a firing policy) meets
-/// them, so deriving a schedule reads it in this order.
-/// forEachPrologueOp() and forEachKernelOp() regenerate it from the
-/// index with a counting sort, the time of each firing coming from its
-/// bucket rather than from a second read of the index.
+/// them, so deriving a schedule reads it in this order, and so does
+/// decoding one.  A Builder filled in this order feeds the content hash
+/// as it goes (contentHash()).  forEachPrologueOp() and
+/// forEachKernelOp() regenerate the order from the index with a
+/// counting sort, the time of each firing coming from its bucket rather
+/// than from a second read of the index; print(), the encoder and the
+/// from-scratch hash read them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +42,7 @@
 #define SDSP_CORE_SCHEDULE_H
 
 #include "petri/EarliestFiring.h"
+#include "support/HashStream.h"
 #include "support/Rational.h"
 
 #include <cassert>
@@ -92,6 +96,10 @@ public:
   /// Firings in the prologue and in the kernel.
   size_t numPrologueOps() const { return PrologueTimes.size(); }
   size_t numKernelOps() const { return KernelSlots.size(); }
+
+  /// The schedule's content hash, artifactHash(*this)
+  /// (core/ArtifactHash.h), fed while the Builder filled the index.
+  uint64_t contentHash() const { return Hash; }
 
   /// Bytes of the index's elements.
   size_t sizeBytes() const {
@@ -173,6 +181,7 @@ private:
   std::vector<TimeStep> PrologueTimes;
   /// Transition T's kernel slots, by iteration: KernelSlots[T*k .. T*k+k).
   std::vector<uint32_t> KernelSlots;
+  uint64_t Hash = 0;
 };
 
 /// Reads one transition's start times in iteration order, without
@@ -230,6 +239,11 @@ SoftwarePipelineSchedule::cursor(TransitionId T, uint64_t From) const {
 /// return false, writing nothing, for a firing the schedule has no room
 /// for: past the transition's row, a time at or past the prologue end,
 /// or a slot at or past the kernel length.
+///
+/// Firings added in canonical order (every prologue firing by ascending
+/// (time, id), then every kernel firing by ascending (slot, id)) feed
+/// the content hash as they arrive; finish() hashes a schedule filled
+/// in any other order from scratch.
 class SoftwarePipelineSchedule::Builder {
 public:
   Builder(size_t NumTransitions, TimeStep Start, TimeStep Period,
@@ -247,7 +261,10 @@ public:
     uint32_t &N = Filled[T.index()];
     if (N >= S.prologueCount(T) || Time >= S.Start)
       return false;
-    S.PrologueTimes[S.PrologueStart[T.index()] + N++] = Time;
+    S.PrologueTimes[S.PrologueStart[T.index()] + N] = Time;
+    if (InOrder)
+      feed(Time, T, N, false);
+    ++N;
     return true;
   }
   bool addKernel(TransitionId T, uint32_t Slot) {
@@ -256,6 +273,8 @@ public:
     if (N < S.prologueCount(T) || J >= S.K || Slot >= S.Period)
       return false;
     S.KernelSlots[static_cast<size_t>(T.index()) * S.K + J] = Slot;
+    if (InOrder)
+      feed(Slot, T, N, true);
     ++N;
     return true;
   }
@@ -268,9 +287,49 @@ public:
   SoftwarePipelineSchedule finish();
 
 private:
+  /// Feeds one firing of the canonical stream, or leaves it for good
+  /// once the firings stop arriving in canonical order.
+  void feed(uint64_t Key, TransitionId T, uint64_t Iteration, bool Kernel);
+  /// Opens the kernel's part of the stream once the prologue is whole.
+  void startKernel();
+
   SoftwarePipelineSchedule S;
   std::vector<uint32_t> Filled;
+  HashStream HS;
+  bool InOrder = false;
+  bool InKernel = false;
+  /// Firings fed in the current part, and the last one's key.
+  size_t Fed = 0;
+  uint64_t PrevKey = 0;
+  uint32_t PrevT = 0;
 };
+
+inline void SoftwarePipelineSchedule::Builder::feed(uint64_t Key,
+                                                    TransitionId T,
+                                                    uint64_t Iteration,
+                                                    bool Kernel) {
+  if (Kernel != InKernel) {
+    if (!Kernel) {
+      InOrder = false; // A prologue firing after a kernel one.
+      return;
+    }
+    startKernel();
+    if (!InOrder)
+      return;
+  }
+  uint32_t Id = T.index();
+  if (Fed && (Key < PrevKey || (Key == PrevKey && Id <= PrevT))) {
+    InOrder = false;
+    return;
+  }
+  PrevKey = Key;
+  PrevT = Id;
+  ++Fed;
+  if (Kernel)
+    HS.u64(Key | uint64_t{Id} << 32).u64(Iteration);
+  else
+    HS.u64(Key).u64(Id).u64(Iteration);
+}
 
 } // namespace sdsp
 

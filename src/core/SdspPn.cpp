@@ -8,12 +8,16 @@
 #include "core/SdspPn.h"
 
 #include "petri/MarkedGraph.h"
+#include "support/FaultInjection.h"
 
 #include <cassert>
+#include <string>
 
 using namespace sdsp;
 
-Expected<SdspPn> sdsp::buildSdspPnChecked(const Sdsp &S) {
+Expected<SdspPn> sdsp::buildSdspPnChecked(const Sdsp &S,
+                                          const CancelToken &Cancel,
+                                          FaultContext *Faults) {
   if (Status St = validateSdsp(S); !St)
     return St;
   const DataflowGraph &G = S.graph();
@@ -22,11 +26,29 @@ Expected<SdspPn> sdsp::buildSdspPnChecked(const Sdsp &S) {
   Pn.ArcToPlace.assign(G.numArcs(), PlaceId::invalid());
   PetriNetBuilder Net;
 
+  // Before each batch of places and transitions: the fault site, then
+  // the token.
+  Status Stop;
+  auto Stopped = [&]() {
+    size_t Made = Net.numPlaces() + Net.numTransitions();
+    if (Made % SdspPnBatch)
+      return false;
+    if (Faults)
+      Stop = Faults->checkpoint("sdsp-pn:batch");
+    if (Stop && Cancel.cancelled())
+      Stop = Cancel.status("sdsp-pn", "after adding " +
+                                          std::to_string(Made) +
+                                          " places and transitions");
+    return !Stop;
+  };
+
   // Transitions: one per compute node.
   for (NodeId N : G.nodeIds()) {
     const DataflowGraph::Node &Node = G.node(N);
     if (isBoundaryOp(Node.Kind))
       continue;
+    if (Stopped())
+      return Stop;
     TransitionId T = Net.addTransition(Node.Name, Node.ExecTime);
     Pn.NodeToTransition[N.index()] = T;
     Pn.TransitionToNode.push_back(N);
@@ -38,6 +60,8 @@ Expected<SdspPn> sdsp::buildSdspPnChecked(const Sdsp &S) {
   for (ArcId A : G.arcIds()) {
     if (!S.isInteriorArc(A))
       continue;
+    if (Stopped())
+      return Stop;
     const DataflowGraph::Arc &Arc = G.arc(A);
     PlaceId P = Net.addPlace(
         {G.node(Arc.From).Name, "->", G.node(Arc.To).Name}, Arc.Distance);
@@ -49,6 +73,8 @@ Expected<SdspPn> sdsp::buildSdspPnChecked(const Sdsp &S) {
   // Ack places: from the consumer of the covered chain's tail back to
   // the producer of its head, marked with the free slots.
   for (Sdsp::AckView Ack : S.acks()) {
+    if (Stopped())
+      return Stop;
     const DataflowGraph::Arc &Head = G.arc(Ack.Path.front());
     const DataflowGraph::Arc &Tail = G.arc(Ack.Path.back());
     PlaceId P = Net.addPlace(

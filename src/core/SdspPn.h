@@ -28,10 +28,13 @@
 
 #include "core/Sdsp.h"
 #include "petri/PetriNet.h"
+#include "support/CancelToken.h"
 
 #include <vector>
 
 namespace sdsp {
+
+class FaultContext;
 
 /// The SDSP-PN plus the correspondence back to the dataflow graph.
 struct SdspPn {
@@ -49,13 +52,25 @@ struct SdspPn {
   size_t numTransitions() const { return Net.numTransitions(); }
 };
 
+/// Places and transitions the translation adds between two polls:
+/// before each batch it checks the `sdsp-pn:batch` fault site, then
+/// the cancel token.
+constexpr size_t SdspPnBatch = 4096;
+
 /// Translates \p S into its SDSP-PN after validating it
 /// (validateSdsp; InvalidGraph on failure) and checks the resulting
 /// initial marking is live (InvalidNet on a token-free cycle — e.g. a
 /// capacity exhausted by a feedback window whose consumer the producer
 /// also feeds forward).  Marked-graph structure is an internal
 /// postcondition (SDSP_CHECK).
-Expected<SdspPn> buildSdspPnChecked(const Sdsp &S);
+///
+/// Before each SdspPnBatch places or transitions (transitions first,
+/// then data places, then ack places) it checks the `sdsp-pn:batch`
+/// site of \p Faults (when given), then polls \p Cancel, failing with
+/// stage "sdsp-pn".
+Expected<SdspPn> buildSdspPnChecked(const Sdsp &S,
+                                    const CancelToken &Cancel = {},
+                                    FaultContext *Faults = nullptr);
 
 /// Legacy convenience: buildSdspPnChecked that aborts (in every build
 /// type) instead of returning the error.

@@ -172,8 +172,12 @@ uint64_t sdsp::artifactSizeBytes(const TransformedGraph &T) {
 }
 
 uint64_t sdsp::artifactHash(const SdspArtifact &S) {
+  return artifactHash(S, artifactHash(S.S.graph()));
+}
+
+uint64_t sdsp::artifactHash(const SdspArtifact &S, uint64_t GraphHash) {
   HashStream HS(0x5d5370a0f2ULL);
-  HS.u64(artifactHash(S.S.graph()));
+  HS.u64(GraphHash);
   S.S.hashAcks(HS);
   HS.u64(S.Storage.has_value());
   if (S.Storage) {
@@ -377,11 +381,11 @@ Status CompilationSession::enterPass(PassKind K) {
   return Status::ok();
 }
 
-template <typename T, typename Fn>
-Expected<ArtifactRef<T>> CompilationSession::runPass(PassKind K,
-                                                     uint64_t InputsHash,
-                                                     uint64_t OptionsFp,
-                                                     Fn &&Compute) {
+template <typename T, typename Fn, typename HashFn>
+Expected<ArtifactRef<T>>
+CompilationSession::runPass(PassKind K, uint64_t InputsHash,
+                            uint64_t OptionsFp, Fn &&Compute,
+                            HashFn HashOf) {
   if (Status St = enterPass(K); !St)
     return St;
   PassStats &PS = Stats[static_cast<size_t>(K)];
@@ -424,7 +428,7 @@ Expected<ArtifactRef<T>> CompilationSession::runPass(PassKind K,
                            !R ? R.status() : std::move(PublishSt));
   }
   auto Ptr = std::make_shared<const T>(std::move(*R));
-  uint64_t Hash = artifactHash(*Ptr);
+  uint64_t Hash = HashOf(*Ptr);
   MetricsRegistry::global().add("hash.words", hashWordsFed() - WordsBefore);
   uint64_t Bytes = artifactSizeBytes(*Ptr);
   PS.WallSeconds += secondsSince(T0);
@@ -536,14 +540,17 @@ CompilationSession::buildSdsp(const ArtifactRef<DataflowGraph> &G,
           Out.S = std::move(R->Optimized);
         }
         return Out;
-      });
+      },
+      // The SDSP, minimized or not, shares G's graph, whose hash G
+      // carries.
+      [&](const SdspArtifact &A) { return artifactHash(A, G.hash()); });
 }
 
 Expected<ArtifactRef<SdspPn>>
 CompilationSession::buildPn(const ArtifactRef<SdspArtifact> &S) {
   return runPass<SdspPn>(
       PassKind::SdspPn, S.hash(), 0, [&]() -> Expected<SdspPn> {
-        Expected<SdspPn> Pn = buildSdspPnChecked(S->S);
+        Expected<SdspPn> Pn = buildSdspPnChecked(S->S, Cancel, Faults);
         if (!Pn)
           return Pn.status();
         if (Pn->Net.numTransitions() == 0)
@@ -675,6 +682,9 @@ CompilationSession::deriveSchedule(const ArtifactRef<SdspArtifact> &S,
           return Status::error(ErrorCode::InternalInvariant, "schedule",
                                "derived schedule failed validation: " + Err);
         return std::move(*Sched);
+      },
+      [](const SoftwarePipelineSchedule &Sched) {
+        return Sched.contentHash();
       });
 }
 
@@ -684,9 +694,11 @@ Expected<ArtifactRef<LoopProgram>> CompilationSession::generateProgram(
   uint64_t Inputs =
       HashStream(7).u64(S.hash()).u64(Pn.hash()).u64(Sched.hash()).hash();
   return runPass<LoopProgram>(
-      PassKind::Codegen, Inputs, 0, [&]() -> Expected<LoopProgram> {
+      PassKind::Codegen, Inputs, 0,
+      [&]() -> Expected<LoopProgram> {
         return generateLoopProgram(S->S, *Pn, Sched.ptr());
-      });
+      },
+      [&](const LoopProgram &P) { return artifactHash(P, Sched.hash()); });
 }
 
 Expected<NetClassification> sdsp::classifyNet(const PetriNet &Net,

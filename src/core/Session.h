@@ -216,6 +216,8 @@ struct SdspArtifact {
 uint64_t artifactHash(const TransformedGraph &T);
 uint64_t artifactSizeBytes(const TransformedGraph &T);
 uint64_t artifactHash(const SdspArtifact &S);
+/// artifactHash(S) given the hash of S's graph.
+uint64_t artifactHash(const SdspArtifact &S, uint64_t GraphHash);
 uint64_t artifactSizeBytes(const SdspArtifact &S);
 
 /// Which net a PNML export renders (docs/INTEROP.md).
@@ -447,13 +449,24 @@ private:
   /// "pass:<id>" fault site.  A failure returns already recorded.
   Status enterPass(PassKind K);
 
+  /// A computed artifact's content hash from scratch.
+  struct FromScratch {
+    template <typename T> uint64_t operator()(const T &A) const {
+      return artifactHash(A);
+    }
+  };
+
   /// Looks up (K, InputsHash, OptionsFp) in the store; on a miss runs
   /// \p Compute (returning Expected<T>), publishing and instrumenting
-  /// the result.  The words a computed pass feeds to HashStreams, its
+  /// the result under its content hash, \p HashOf of it: a pass whose
+  /// artifact shares an input, or whose compute fed the hash already,
+  /// gives a hasher that takes what is known instead of feeding it
+  /// again.  The words a computed pass feeds to HashStreams, its
   /// content hash's included, are added to the hash.words counter once.
-  template <typename T, typename Fn>
+  template <typename T, typename Fn, typename HashFn = FromScratch>
   Expected<ArtifactRef<T>> runPass(PassKind K, uint64_t InputsHash,
-                                   uint64_t OptionsFp, Fn &&Compute);
+                                   uint64_t OptionsFp, Fn &&Compute,
+                                   HashFn HashOf = {});
 
   /// The frustum pass over \p Net.  \p Imported is the imported net
   /// \p Net belongs to, whose classification must admit the analysis,

@@ -456,7 +456,7 @@ bool EarliestFiringEngine::anyGatedEnabled() const {
 
 bool EarliestFiringEngine::hasEmptyGatedInput(uint32_t T) const {
   for (uint32_t K = L.InOff[T], E = L.InOff[T + 1]; K < E; ++K) {
-    uint32_t P = L.InList[K];
+    uint32_t P = L.InList[K].index();
     if (L.GateOf[P] != EngineLayout::NoGate &&
         !testBit(HS.Mark, L.PlaceSlot[P]))
       return true;
@@ -564,7 +564,7 @@ void EarliestFiringEngine::produceCounted(uint32_t I) {
   // A dense drain's generic produce: marks, counts and readiness words
   // only, for rederiveEnabled() to read (the net has no gates).
   for (uint32_t K = L.OutOff[I], E = L.OutOff[I + 1]; K < E; ++K) {
-    uint32_t P = L.OutList[K];
+    uint32_t P = L.OutList[K].index();
     uint32_t S = L.PlaceSlot[P];
     uint64_t &Word = HS.Mark[S >> 6];
     uint64_t Bit = 1ull << (S & 63);
@@ -574,7 +574,7 @@ void EarliestFiringEngine::produceCounted(uint32_t I) {
     }
     Word |= Bit;
     for (uint32_t J = L.ConsOff[P], JE = L.ConsOff[P + 1]; J < JE; ++J)
-      --HS.Readiness[L.ConsList[J]];
+      --HS.Readiness[L.ConsList[J].index()];
   }
 }
 
@@ -604,7 +604,7 @@ void EarliestFiringEngine::produceToken(uint32_t P) {
   if (L.GateOf[P] != EngineLayout::NoGate)
     return;
   for (uint32_t K = L.ConsOff[P], E = L.ConsOff[P + 1]; K < E; ++K) {
-    uint32_t I = L.ConsList[K];
+    uint32_t I = L.ConsList[K].index();
     assert((HS.Readiness[I] & (BusyBias - 1)) > 0 &&
            "missing-input counter underflow");
     if (--HS.Readiness[I] == 0)
@@ -626,7 +626,7 @@ void EarliestFiringEngine::consumeToken(uint32_t P) {
   if (L.GateOf[P] != EngineLayout::NoGate)
     return;
   for (uint32_t K = L.ConsOff[P], E = L.ConsOff[P + 1]; K < E; ++K) {
-    uint32_t I = L.ConsList[K];
+    uint32_t I = L.ConsList[K].index();
     if (HS.Readiness[I]++ == 0)
       clearEnabledIdle(I);
   }
@@ -665,7 +665,7 @@ void EarliestFiringEngine::produceOutputs(uint32_t I) {
     }
   } else {
     for (uint32_t K = L.OutOff[I], E = L.OutOff[I + 1]; K < E; ++K)
-      produceToken(L.OutList[K]);
+      produceToken(L.OutList[K].index());
   }
 }
 
@@ -935,11 +935,11 @@ void EarliestFiringEngine::logState(PackedStateTable &Seen) {
     for (TransitionId T : Fired)
       for (uint32_t K = L.InOff[T.index()], E = L.InOff[T.index() + 1];
            K < E; ++K)
-        offerSlotWord(Seen, L.PlaceSlot[L.InList[K]] >> 6);
+        offerSlotWord(Seen, L.PlaceSlot[L.InList[K].index()] >> 6);
     for (TransitionId T : Done)
       for (uint32_t K = L.OutOff[T.index()], E = L.OutOff[T.index() + 1];
            K < E; ++K)
-        offerSlotWord(Seen, L.PlaceSlot[L.OutList[K]] >> 6);
+        offerSlotWord(Seen, L.PlaceSlot[L.OutList[K].index()] >> 6);
 #ifndef NDEBUG
     size_t Offered = Seen.pendingChanges();
     for (size_t W = 0; W < MW; ++W)
@@ -1006,7 +1006,7 @@ const std::vector<TransitionId> &EarliestFiringEngine::candidates() const {
 void EarliestFiringEngine::startFiring(uint32_t I) {
   uint32_t B = L.InOff[I], E = L.InOff[I + 1];
   for (uint32_t K = B; K < E; ++K)
-    consumeToken(L.InList[K]);
+    consumeToken(L.InList[K].index());
   if (HS.Readiness[I] == 0)
     clearEnabledIdle(I);
   HS.Readiness[I] += BusyBias;
@@ -1109,7 +1109,7 @@ void EarliestFiringEngine::fireIndexOrder(FiringTrace &Rec) {
   // reason as the completion drain.
   const uint8_t *FastF = L.FastFireTopo.data();
   const uint32_t *InOffP = L.InOff.data();
-  const uint32_t *InListP = L.InList.data();
+  const PlaceId *InListP = L.InList.data();
   uint32_t *RdP = HS.Readiness;
   uint64_t *MarkP = HS.Mark;
   uint64_t *EnP = HS.EnabledIdle;
@@ -1138,7 +1138,7 @@ void EarliestFiringEngine::fireIndexOrder(FiringTrace &Rec) {
         // store.  (Places are their own slots outside AllFast nets.)
         uint32_t Missing = 0;
         for (uint32_t K = B; K < E; ++K) {
-          uint32_t P = InListP[K];
+          uint32_t P = InListP[K].index();
           assert(testBit(MarkP, P) && "consuming from an empty place");
           if (NumPlanes != 0 && takeExcess(P))
             continue;
@@ -1152,7 +1152,7 @@ void EarliestFiringEngine::fireIndexOrder(FiringTrace &Rec) {
           continue; // A gated input place is empty.
         EnabledIdleCount = EnCount;
         for (uint32_t K = B; K < E; ++K)
-          consumeToken(InListP[K]);
+          consumeToken(InListP[K].index());
         // Consuming the first emptied input already cleared the
         // enabled-idle bit via the consumer walk; only a firing whose
         // inputs all stay marked (multi-token places or gated places)

@@ -23,29 +23,22 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
   BitWords = (NumTransitions + 63) / 64;
   MarkWords = (NumPlaces + 63) / 64;
 
-  InOff.reserve(NumTransitions + 1);
-  OutOff.reserve(NumTransitions + 1);
-  Exec.reserve(NumTransitions);
-  InOff.push_back(0);
-  OutOff.push_back(0);
-  for (TransitionId T : Net.transitionIds()) {
-    const PetriNet::Transition &Tr = Net.transition(T);
-    SDSP_CHECK(Tr.ExecTime >= 1, "engine requires execution times >= 1");
-    MaxExec = std::max(MaxExec, Tr.ExecTime);
-    Exec.push_back(Tr.ExecTime);
-    for (PlaceId P : Tr.InputPlaces)
-      InList.push_back(P.index());
-    for (PlaceId P : Tr.OutputPlaces)
-      OutList.push_back(P.index());
-    InOff.push_back(static_cast<uint32_t>(InList.size()));
-    OutOff.push_back(static_cast<uint32_t>(OutList.size()));
-  }
-  ConsOff.reserve(NumPlaces + 1);
-  ConsOff.push_back(0);
-  for (PlaceId P : Net.placeIds()) {
-    for (TransitionId T : Net.place(P).Consumers)
-      ConsList.push_back(T.index());
-    ConsOff.push_back(static_cast<uint32_t>(ConsList.size()));
+  PetriNet::Rows<PlaceId> In = Net.inputPlaceRows();
+  PetriNet::Rows<PlaceId> Out = Net.outputPlaceRows();
+  PetriNet::Rows<TransitionId> Cons = Net.consumerRows();
+  InOff = In.Start;
+  InList = In.Items;
+  OutOff = Out.Start;
+  OutList = Out.Items;
+  ConsOff = Cons.Start;
+  ConsList = Cons.Items;
+
+  Exec.resize(NumTransitions);
+  for (uint32_t I = 0; I < NumTransitions; ++I) {
+    TimeUnits E = Net.transition(TransitionId(I)).ExecTime;
+    SDSP_CHECK(E >= 1, "engine requires execution times >= 1");
+    MaxExec = std::max(MaxExec, E);
+    Exec[I] = E;
   }
 
   GateOf.assign(NumPlaces, NoGate);
@@ -57,12 +50,12 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
     GateOf[P] = G;
     GatePlace.push_back(P);
     for (uint32_t K = ConsOff[P]; K < ConsOff[P + 1]; ++K) {
-      uint32_t &TG = TransitionGate[ConsList[K]];
+      uint32_t &TG = TransitionGate[ConsList[K].index()];
       if (TG == NoGate) {
         TG = G;
       } else if (TG != MultiGate && TG != G) {
         TG = MultiGate;
-        MultiGated.push_back(ConsList[K]);
+        MultiGated.push_back(ConsList[K].index());
       }
     }
   }
@@ -73,7 +66,7 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
   for (uint32_t I = 0; I < NumTransitions; ++I) {
     bool AllSole = true;
     for (uint32_t K = InOff[I]; K < InOff[I + 1]; ++K) {
-      uint32_t P = InList[K];
+      uint32_t P = InList[K].index();
       AllSole &= (ConsOff[P + 1] - ConsOff[P]) == 1;
     }
     FastFireTopo[I] = AllSole;
@@ -87,11 +80,12 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
   if (AllFastTopo)
     for (uint32_t K = 0, E = static_cast<uint32_t>(InList.size()); K < E;
          ++K) {
-      if (PlaceSlot[InList[K]] != ~0u) {
+      uint32_t &Slot = PlaceSlot[InList[K].index()];
+      if (Slot != ~0u) {
         AllFastTopo = false; // duplicate input arc
         break;
       }
-      PlaceSlot[InList[K]] = K;
+      Slot = K;
     }
   if (AllFastTopo) {
     uint32_t Next = static_cast<uint32_t>(InList.size());
@@ -115,18 +109,18 @@ EngineLayout::EngineLayout(const PetriNet &Net) {
   for (uint32_t I = 0; I < NumTransitions; ++I) {
     bool AllSingle = true;
     for (uint32_t K = OutOff[I]; K < OutOff[I + 1]; ++K) {
-      uint32_t P = OutList[K];
+      uint32_t P = OutList[K].index();
       if (ConsOff[P + 1] - ConsOff[P] != 1 ||
-          TransitionGate[ConsList[ConsOff[P]]] != NoGate) {
+          TransitionGate[ConsList[ConsOff[P]].index()] != NoGate) {
         AllSingle = false;
         break;
       }
     }
     if (AllSingle)
       for (uint32_t K = OutOff[I]; K < OutOff[I + 1]; ++K) {
-        uint32_t P = OutList[K];
+        uint32_t P = OutList[K].index();
         CompPairs.push_back((static_cast<uint64_t>(PlaceSlot[P]) << 32) |
-                            ConsList[ConsOff[P]]);
+                            ConsList[ConsOff[P]].index());
         CompPlace.push_back(P);
       }
     FastCompTopo[I] = AllSingle;

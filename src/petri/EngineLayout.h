@@ -9,12 +9,13 @@
 /// Structure-of-arrays layout for the earliest-firing engine
 /// (docs/PERF.md).  Two pieces:
 ///
-///  - EngineLayout: the *static* shape of a timed net, flattened once at
-///    construction — CSR adjacency, execution times, marked-graph
-///    fast-path metadata, the packed-marking slot permutation, and the
-///    derived timing flags.  Everything here is immutable for the life
-///    of the engine, so it can be shared by const reference and never
-///    touches the allocator on the hot path.
+///  - EngineLayout: the *static* shape of a timed net — the net's own
+///    compressed-sparse-row adjacency, read in place, plus what the
+///    engine derives from it once at construction: execution times,
+///    marked-graph fast-path metadata, gates, the packed-marking slot
+///    permutation and the timing flags.  Everything here is immutable
+///    for the life of the engine, so it can be shared by const reference
+///    and never touches the allocator on the hot path.
 ///
 ///  - EngineHotState: the *dynamic* per-instant state — readiness
 ///    counters (with busy biases), the enabled-idle/busy bitsets, the
@@ -35,6 +36,7 @@
 #include "petri/PetriNet.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #if defined(__SSE2__)
@@ -46,16 +48,14 @@ namespace sdsp {
 /// Discrete simulation time.
 using TimeStep = uint64_t;
 
-/// The static SoA image of a timed net: flat CSR mirrors of the net's
-/// adjacency plus the fast-path metadata of petri/EarliestFiring.h.
-/// The hot loop moves ~O(firings * arcs) tokens per step; walking
-/// contiguous uint32 ranges here instead of the per-place/per-transition
-/// std::vectors inside PetriNet (each a separate heap block behind a
-/// checked accessor) is the single largest win of the incremental
-/// engine (docs/PERF.md).
+/// The static SoA image of a timed net: views of the net's adjacency
+/// plus the fast-path metadata of petri/EarliestFiring.h.  The hot loop
+/// moves ~O(firings * arcs) tokens per step over contiguous 32-bit
+/// ranges.  A PetriNet already stores its lists flat (petri/PetriNet.h),
+/// so the layout reads them in place and copies none of them.
 struct EngineLayout {
-  /// Flattens \p Net.  All execution times must be >= 1
-  /// (validateTimedNet).
+  /// Lays out \p Net, which must outlive the layout.  All execution
+  /// times must be >= 1 (validateTimedNet).
   explicit EngineLayout(const PetriNet &Net);
 
   size_t NumTransitions = 0;
@@ -66,10 +66,14 @@ struct EngineLayout {
   /// 64-bit words of the packed marking.
   size_t MarkWords = 0;
 
-  std::vector<uint32_t> InOff, InList;     // transition -> input places
-  std::vector<uint32_t> OutOff, OutList;   // transition -> output places
-  std::vector<uint32_t> ConsOff, ConsList; // place -> consuming transitions
-  std::vector<TimeUnits> Exec;             // transition -> execution time
+  /// The net's own arrays: row R of a list is List[Off[R] .. Off[R + 1]).
+  std::span<const uint32_t> InOff;       // transition -> input places
+  std::span<const PlaceId> InList;
+  std::span<const uint32_t> OutOff;      // transition -> output places
+  std::span<const PlaceId> OutList;
+  std::span<const uint32_t> ConsOff;     // place -> consuming transitions
+  std::span<const TransitionId> ConsList;
+  std::vector<TimeUnits> Exec;           // transition -> execution time
 
   /// Marked-graph fast-path topology (see petri/EarliestFiring.h):
   /// FastFireTopo[t] — every input place of t has t as its sole

@@ -81,6 +81,14 @@ public:
     std::span<const PlaceId> OutputPlaces;
   };
 
+  /// One adjacency list as the net stores it: row R is
+  /// Items[Start[R] .. Start[R + 1]), and Start has one entry per row
+  /// plus one.  The spans alias the net's own arrays.
+  template <typename IdT> struct Rows {
+    std::span<const uint32_t> Start;
+    std::span<const IdT> Items;
+  };
+
   class Parts;
 
   /// Finishes a net from its parts (see PetriNet::Parts).
@@ -109,6 +117,13 @@ public:
     return {name(Transitions[I]), Transitions[I].Value, InputPlaces.row(I),
             OutputPlaces.row(I)};
   }
+
+  /// Every transition's input places, every transition's output places
+  /// and every place's consumers, whole (valid like place() and
+  /// transition()).
+  Rows<PlaceId> inputPlaceRows() const { return InputPlaces.rows(); }
+  Rows<PlaceId> outputPlaceRows() const { return OutputPlaces.rows(); }
+  Rows<TransitionId> consumerRows() const { return Consumers.rows(); }
 
   /// Builds the initial marking M0 from the per-place token counts.
   Marking initialMarking() const;
@@ -162,6 +177,12 @@ private:
 
     std::span<const IdT> row(size_t R) const {
       return {Items.data() + Start[R], Items.data() + Start[R + 1]};
+    }
+    Rows<IdT> rows() const {
+      static constexpr uint32_t NoRows[1] = {0};
+      return {Start.empty() ? std::span<const uint32_t>(NoRows)
+                            : std::span<const uint32_t>(Start),
+              Items};
     }
     /// Appends one row holding \p Row.
     void append(std::span<const IdT> Row);

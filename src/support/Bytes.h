@@ -37,15 +37,8 @@ class ByteWriter {
 public:
   void u8(uint8_t V) { Buf.push_back(V); }
 
-  void u32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-
-  void u64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
+  void u32(uint32_t V) { put(V); }
+  void u64(uint64_t V) { put(V); }
 
   void f64(double V) {
     uint64_t Bits;
@@ -64,6 +57,14 @@ public:
   size_t size() const { return Buf.size(); }
 
 private:
+  /// Appends \p V's little-endian bytes in one append.
+  template <typename U> void put(U V) {
+    uint8_t Le[sizeof(U)];
+    for (size_t I = 0; I < sizeof(U); ++I)
+      Le[I] = static_cast<uint8_t>(V >> (8 * I));
+    Buf.insert(Buf.end(), Le, Le + sizeof(U));
+  }
+
   std::vector<uint8_t> Buf;
 };
 

@@ -26,6 +26,8 @@
 ///   schedule:batch     before each batch of trace rows the schedule
 ///                      pass derives from and of constraints its
 ///                      replay and verify's check
+///   sdsp-pn:batch      before each batch of places and transitions
+///                      the sdsp-pn pass adds to the net
 ///   verify:check       before each check of verifyCompiledLoop
 ///   pnml:parse         inside the import-pnml pass, before the reader
 ///   pnml:classify      before an imported net's classification and

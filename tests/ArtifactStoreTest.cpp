@@ -899,4 +899,125 @@ TEST(ArtifactStoreTest, MemoryAndTieredStoresProduceIdenticalOutput) {
   EXPECT_EQ(summarize(*R), FromMemory);
 }
 
+//===----------------------------------------------------------------------===//
+// Carried and in-stream hashes: every pass publishes its artifact under
+// a hash taken from what it already knows (the sdsp pass its graph's,
+// codegen its schedule's, the schedule its Builder's stream), so each
+// must equal the artifact's content hash computed from scratch.
+//===----------------------------------------------------------------------===//
+
+struct HashCase {
+  std::string Kernel;
+  uint32_t Unroll = 1;
+  uint32_t Capacity = 1;
+  bool OptimizeStorage = false;
+  uint32_t ScpDepth = 0;
+
+  std::string str() const {
+    return Kernel + " x" + std::to_string(Unroll) + " cap " +
+           std::to_string(Capacity) + (OptimizeStorage ? " opt" : "") +
+           (ScpDepth ? " scp " + std::to_string(ScpDepth) : "");
+  }
+};
+
+std::vector<HashCase> hashCases() {
+  std::vector<HashCase> Cases;
+  for (const char *Kernel : {"loop7", "loop9lcd"})
+    for (uint32_t Unroll : {1u, 16u, 256u})
+      for (uint32_t Capacity : {1u, 2u})
+        for (bool Opt : {false, true})
+          if (!Opt || Capacity == 1) // The minimizer needs capacity 1.
+            Cases.push_back({Kernel, Unroll, Capacity, Opt, 0});
+  Cases.push_back({"loop7", 16, 1, false, 2});
+  return Cases;
+}
+
+template <typename T>
+void expectFromScratch(PassKind K, const ArtifactRef<T> &A,
+                       const std::string &Where) {
+  EXPECT_EQ(A.hash(), artifactContentHash(K, A.ptr().get()))
+      << Where << ": pass " << passInfo(K).Id;
+}
+
+/// Runs \p C pass by pass in \p S and checks every published hash, the
+/// transformed graph's carried hash and the schedules' in-stream hashes
+/// against the from-scratch hashes of the same artifacts.
+void expectHashesFromScratch(CompilationSession &S, const HashCase &C,
+                             const std::string &Context) {
+  const std::string Where = C.str() + " (" + Context + ")";
+  auto G = S.lower(kernelSource(C.Kernel));
+  ASSERT_TRUE(G) << Where << ": " << G.status().str();
+  expectFromScratch(PassKind::Lower, *G, Where);
+  ArtifactRef<DataflowGraph> Graph = *G;
+  if (C.Unroll > 1) {
+    auto T = S.transform(*G, false, C.Unroll);
+    ASSERT_TRUE(T) << Where << ": " << T.status().str();
+    expectFromScratch(PassKind::Transform, *T, Where);
+    EXPECT_EQ((*T)->GraphHash, artifactHash((*T)->Graph)) << Where;
+    Graph = S.transformedGraph(*T);
+  }
+  auto Sd = S.buildSdsp(Graph, C.Capacity, C.OptimizeStorage);
+  ASSERT_TRUE(Sd) << Where << ": " << Sd.status().str();
+  expectFromScratch(PassKind::Sdsp, *Sd, Where);
+  auto Pn = S.buildPn(*Sd);
+  ASSERT_TRUE(Pn) << Where << ": " << Pn.status().str();
+  expectFromScratch(PassKind::SdspPn, *Pn, Where);
+  auto Rate = S.computeRate(*Pn);
+  ASSERT_TRUE(Rate) << Where << ": " << Rate.status().str();
+  expectFromScratch(PassKind::Rate, *Rate, Where);
+  if (C.ScpDepth) {
+    auto Scp = S.buildScp(*Pn, C.ScpDepth, 1);
+    ASSERT_TRUE(Scp) << Where << ": " << Scp.status().str();
+    expectFromScratch(PassKind::Scp, *Scp, Where);
+    auto F = S.searchFrustum(*Scp, FrustumOptions{});
+    ASSERT_TRUE(F) << Where << ": " << F.status().str();
+    expectFromScratch(PassKind::Frustum, *F, Where);
+    return;
+  }
+  auto F = S.searchFrustum(*Pn, FrustumOptions{});
+  ASSERT_TRUE(F) << Where << ": " << F.status().str();
+  expectFromScratch(PassKind::Frustum, *F, Where);
+  auto Sched = S.deriveSchedule(*Sd, *Pn, *F, 64);
+  ASSERT_TRUE(Sched) << Where << ": " << Sched.status().str();
+  expectFromScratch(PassKind::Schedule, *Sched, Where);
+  EXPECT_EQ((*Sched)->contentHash(), artifactHash(**Sched)) << Where;
+  auto P = S.generateProgram(*Sd, *Pn, *Sched);
+  ASSERT_TRUE(P) << Where << ": " << P.status().str();
+  expectFromScratch(PassKind::Codegen, *P, Where);
+  EXPECT_EQ((*P)->schedule().contentHash(), artifactHash((*P)->schedule()))
+      << Where;
+}
+
+TEST(ArtifactStoreTest, CarriedAndInStreamHashesMatchFromScratch) {
+  const std::vector<HashCase> Cases = hashCases();
+  TempDir Dir;
+  {
+    // Fresh compiles, then the same requests answered by the memory
+    // tier.
+    Process Cold(Dir.str());
+    CompilationSession S(storeConfig(Cold.Tiered));
+    for (const HashCase &C : Cases)
+      expectHashesFromScratch(S, C, "computed");
+    uint64_t Invocations = 0, Hits = 0;
+    cachedPassCounts(S, Invocations, Hits);
+    EXPECT_LT(Hits, Invocations);
+    for (const HashCase &C : Cases)
+      expectHashesFromScratch(S, C, "memory hit");
+    uint64_t Again = 0, AgainHits = 0;
+    cachedPassCounts(S, Again, AgainHits);
+    EXPECT_EQ(AgainHits - Hits, Again - Invocations);
+  }
+  // A new process over the same directory: every artifact a disk hit,
+  // decoded and checked by the store before the session sees it.
+  Process Warm(Dir.str());
+  CompilationSession S(storeConfig(Warm.Tiered));
+  for (const HashCase &C : Cases)
+    expectHashesFromScratch(S, C, "disk hit");
+  uint64_t Invocations = 0, Hits = 0;
+  cachedPassCounts(S, Invocations, Hits);
+  EXPECT_EQ(Hits, Invocations);
+  EXPECT_GT(Warm.Disk.counters().Hits, 0u);
+  EXPECT_EQ(Warm.Disk.counters().Corrupt, 0u);
+}
+
 } // namespace

@@ -242,4 +242,79 @@ TEST(EngineLayout, ZeroLanesMatchesTheScalarLoop) {
   }
 }
 
+/// The layout reads \p Net's adjacency in place: every row of every
+/// list it walks is the very memory the net's own view of that row
+/// points at, so a layout that copied a list or its offsets fails here.
+void expectLayoutAliasesNet(const PetriNet &Net) {
+  EngineLayout L(Net);
+  ASSERT_EQ(L.InOff.size(), Net.numTransitions() + 1);
+  ASSERT_EQ(L.OutOff.size(), Net.numTransitions() + 1);
+  ASSERT_EQ(L.ConsOff.size(), Net.numPlaces() + 1);
+  EXPECT_EQ(L.InOff.front(), 0u);
+  EXPECT_EQ(L.OutOff.front(), 0u);
+  EXPECT_EQ(L.ConsOff.front(), 0u);
+  EXPECT_EQ(L.InOff.data(), Net.inputPlaceRows().Start.data());
+  EXPECT_EQ(L.OutOff.data(), Net.outputPlaceRows().Start.data());
+  EXPECT_EQ(L.ConsOff.data(), Net.consumerRows().Start.data());
+  for (TransitionId T : Net.transitionIds()) {
+    PetriNet::Transition Tr = Net.transition(T);
+    const uint32_t I = T.index();
+    EXPECT_EQ(L.InList.data() + L.InOff[I], Tr.InputPlaces.data());
+    EXPECT_EQ(L.InOff[I + 1] - L.InOff[I], Tr.InputPlaces.size());
+    EXPECT_EQ(L.OutList.data() + L.OutOff[I], Tr.OutputPlaces.data());
+    EXPECT_EQ(L.OutOff[I + 1] - L.OutOff[I], Tr.OutputPlaces.size());
+  }
+  for (PlaceId P : Net.placeIds()) {
+    PetriNet::Place Pl = Net.place(P);
+    const uint32_t I = P.index();
+    EXPECT_EQ(L.ConsList.data() + L.ConsOff[I], Pl.Consumers.data());
+    EXPECT_EQ(L.ConsOff[I + 1] - L.ConsOff[I], Pl.Consumers.size());
+  }
+}
+
+TEST(EngineLayout, AdjacencyAliasesTheNetsOwnArrays) {
+  Rng R(11);
+  PetriNet Built = buildRandomMarkedGraph(R, 40, 12);
+  expectLayoutAliasesNet(Built);
+
+  // The decoder's path: the same net, list by list, through Parts.
+  PetriNet::Parts Parts;
+  for (PlaceId P : Built.placeIds()) {
+    PetriNet::Place Pl = Built.place(P);
+    Parts.addPlace(Pl.Name, Pl.InitialTokens, Pl.Producers, Pl.Consumers);
+  }
+  for (TransitionId T : Built.transitionIds()) {
+    PetriNet::Transition Tr = Built.transition(T);
+    Parts.addTransition(Tr.Name, Tr.ExecTime, Tr.InputPlaces,
+                        Tr.OutputPlaces);
+  }
+  PetriNet Rebuilt = PetriNet::fromParts(std::move(Parts));
+  expectLayoutAliasesNet(Rebuilt);
+
+  // A copy is read in place too, not through the original.
+  PetriNet Copy = Built;
+  expectLayoutAliasesNet(Copy);
+  EXPECT_NE(EngineLayout(Copy).InList.data(),
+            EngineLayout(Built).InList.data());
+}
+
+TEST(EngineLayout, NetWithoutTransitionsHasOneOffsetPerList) {
+  // Built: the lists have rows for the places only.
+  PetriNetBuilder NB;
+  NB.addPlace("a", 1);
+  NB.addPlace("b", 0);
+  PetriNet Built = NB.build();
+  expectLayoutAliasesNet(Built);
+
+  // Through Parts, where a list with no rows stores no offsets at all.
+  PetriNet::Parts Parts;
+  Parts.addPlace("a", 1, {}, {});
+  PetriNet PlacesOnly = PetriNet::fromParts(std::move(Parts));
+  expectLayoutAliasesNet(PlacesOnly);
+  EXPECT_TRUE(EngineLayout(PlacesOnly).InList.empty());
+
+  PetriNet Empty = PetriNet::fromParts(PetriNet::Parts());
+  expectLayoutAliasesNet(Empty);
+}
+
 } // namespace

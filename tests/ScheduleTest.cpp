@@ -8,6 +8,7 @@
 #include "core/ScheduleDerivation.h"
 
 #include "TestUtil.h"
+#include "core/ArtifactHash.h"
 #include "core/RateAnalysis.h"
 #include "gtest/gtest.h"
 
@@ -226,6 +227,47 @@ TEST(Schedule, CanonicalOrderIsTheTraceOrder) {
       Got.emplace_back(D.Sched.prologueEnd() + Slot, T.index(), Iteration);
     });
     EXPECT_EQ(Got, Want);
+  }
+}
+
+TEST(Schedule, BuilderHashesEveryFillOrder) {
+  // A derived schedule was filled in canonical order, so its hash came
+  // from the Builder's stream; refilling the same index transition by
+  // transition (out of canonical order) must give the same hash, from
+  // scratch, as must the canonical refill.
+  for (DataflowGraph G : {buildL1(), buildL2Direct(),
+                          buildFractionalRecurrence()}) {
+    Derived D = derive(std::move(G));
+    const SoftwarePipelineSchedule &S = D.Sched;
+    EXPECT_EQ(S.contentHash(), artifactHash(S));
+    auto Refill = [&](bool Canonical) {
+      SoftwarePipelineSchedule::Builder B(
+          S.numTransitions(), S.prologueEnd(), S.kernelLength(),
+          S.iterationsPerKernel());
+      for (size_t I = 0; I < S.numTransitions(); ++I)
+        for (uint64_t M = 0; M < S.prologueCount(TransitionId(I)); ++M)
+          B.countPrologue(TransitionId(I));
+      B.startFill();
+      if (Canonical) {
+        S.forEachPrologueOp([&](TimeStep Time, TransitionId T, uint64_t) {
+          EXPECT_TRUE(B.addPrologue(T, Time));
+        });
+        S.forEachKernelOp([&](uint32_t Slot, TransitionId T, uint64_t) {
+          EXPECT_TRUE(B.addKernel(T, Slot));
+        });
+      } else {
+        for (size_t I = S.numTransitions(); I-- > 0;) {
+          TransitionId T(I);
+          for (TimeStep Time : S.prologueTimes(T))
+            EXPECT_TRUE(B.addPrologue(T, Time));
+          for (uint32_t Slot : S.kernelSlots(T))
+            EXPECT_TRUE(B.addKernel(T, Slot));
+        }
+      }
+      return B.finish().contentHash();
+    };
+    EXPECT_EQ(Refill(true), S.contentHash());
+    EXPECT_EQ(Refill(false), S.contentHash());
   }
 }
 
